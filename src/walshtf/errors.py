@@ -59,5 +59,9 @@ class ConfigError(ValueError):
     """An experiment configuration is inconsistent."""
 
 
+class InvalidInput(ValueError):
+    """A field of an input file is missing or breaks its contract."""
+
+
 class KernelUnsupported(ValueError):
     """Input cannot be routed through the accelerated integer kernels."""

@@ -17,9 +17,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InvalidInput
 from ..exact import QuadScalar
-from ..geometry import Quartile
+from ..geometry import DyadicInterval, Quartile
 from ..trees import SelectionResult, select_trees
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
@@ -162,13 +162,56 @@ def _cmd_counting(args: argparse.Namespace) -> int:
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 
-def _cmd_select_trees(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    collection = [Quartile.from_json(item) for item in data["collection"]]
-    f = _step_function_from_json(data["f"])
-    slot = int(data["slot"])
-    alpha = _scalar_from_text(str(data["alpha"]))
+def _selection_request(
+    data: object,
+) -> tuple[list[Quartile], StepFunction, int, QuadScalar, int | None]:
+    """Collection, function, slot, allowance and domain of a selection file.
+
+    Every field is checked here, so a bad file is refused with an
+    InvalidInput naming the field rather than failing deep inside.
+    """
+    if not isinstance(data, dict):
+        raise InvalidInput("select-trees input must be a JSON object")
+    for key in ("collection", "f", "slot", "alpha"):
+        if key not in data:
+            raise InvalidInput(f'select-trees input lacks the field "{key}"')
+    try:
+        f = _step_function_from_json(data["f"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f'field "f" is not a step function: {exc!r}') from exc
+    try:
+        slot = int(data["slot"])
+    except (TypeError, ValueError):
+        slot = None
+    if slot not in (1, 2, 3, 4):
+        raise InvalidInput(f'field "slot" must be 1, 2, 3 or 4, got {data["slot"]!r}')
+    try:
+        alpha = _scalar_from_text(str(data["alpha"]))
+    except ValueError as exc:
+        raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
+    if not isinstance(data["collection"], list):
+        raise InvalidInput('field "collection" must be a list of quartiles')
+    box = DyadicInterval(0, f.domain_exp)
+    collection = []
+    for i, item in enumerate(data["collection"]):
+        try:
+            q = Quartile.from_json(item)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(
+                f'field "collection"[{i}] is not a quartile: {exc}'
+            ) from exc
+        if not box.contains(q.time):
+            raise InvalidInput(
+                f'field "collection"[{i}] has time interval {q.time}, '
+                f"outside the box {box} of f"
+            )
+        collection.append(q)
     domain_exp = int(data["domain_exp"]) if "domain_exp" in data else None
+    return collection, f, slot, alpha, domain_exp
+
+
+def _cmd_select_trees(args: argparse.Namespace) -> int:
+    collection, f, slot, alpha, domain_exp = _selection_request(_load_json(args.input))
     result = select_trees(collection, f, slot, alpha, domain_exp)
     text = json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:

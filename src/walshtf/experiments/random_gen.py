@@ -125,10 +125,14 @@ def disjoint_collection(
     """Pairwise disjoint quartiles by rejection sampling.
 
     Raises RuntimeError when the box is too crowded to fit the request;
-    callers should keep the fill factor modest.
+    callers should keep the fill factor modest.  Quartiles have area
+    four, so a count above 2^(J+m-2) is refused before any draw.
     """
     out: list[Quartile] = []
     budget = 300 * count + 300
+    area_exp = domain_exp + resolution_exp
+    if area_exp >= 2 and count > 1 << (area_exp - 2):
+        budget = 0
     while len(out) < count:
         if budget == 0:
             raise RuntimeError(

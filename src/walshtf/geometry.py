@@ -314,12 +314,22 @@ def maximal_tree(
     top_interval: DyadicInterval,
     top_freq: DyadicRational | Fraction | int,
 ) -> Tree:
-    """The largest tree with the given top inside the collection."""
-    xi = top_freq.as_fraction() if isinstance(top_freq, DyadicRational) else _as_fraction(top_freq)
+    """The largest tree with the given top inside the collection.
+
+    Membership is decided on integers: with xi = n 2^e, a band of
+    length 2^k contains xi exactly when floor(n 2^(e-k)) is its index.
+    """
+    if not isinstance(top_freq, DyadicRational):
+        top_freq = DyadicRational.from_fraction(_as_fraction(top_freq))
+    n, e = top_freq.numerator, top_freq.exponent
+
+    def band_index(k: int) -> int:
+        return n << (e - k) if e >= k else n >> (k - e)
+
     members = [
         q
         for q in quartiles
-        if top_interval.contains(q.time) and q.freq.contains_point(xi)
+        if top_interval.contains(q.time) and band_index(q.freq.scale) == q.freq.index
     ]
     return Tree(members, top_interval, top_freq)
 

@@ -7,6 +7,18 @@ whose density still clears a quarter of the allowance, leaving a thin
 residual.  The module also counts tree tops, extracts the level trees
 of a counting function, and evaluates John-Nirenberg style quantities
 of a weighted family.
+
+Size, selection and the quadratic John-Nirenberg quantity decide on
+exact integer masses.  Every member's coefficient is lifted to
+(a + b*sqrt2) / d over the lcm d of all coefficient denominators and
+squared once on Python ints, so its mass is (r + s*sqrt2) / d^2
+exactly for any rational coefficients, dyadic or not.
+Candidate tops are keyed by integer time coordinates and integer
+frequencies in units of one fixed power of two; totals are integer
+sums, and densities and thresholds are compared after shifting both
+sides to a common power of two, through the exact sign of
+a + b*sqrt2 on integers.  No decision goes through a float, and no
+quantity is assumed to fit in 64 bits.
 """
 
 from __future__ import annotations
@@ -53,7 +65,8 @@ __all__ = [
 ]
 
 
-Stamp = tuple[DyadicInterval, int, int]
+# A candidate top: ((time index, time scale), frequency position, pin).
+Stamp = tuple[tuple[int, int], int, int]
 
 
 @dataclass(frozen=True)
@@ -99,69 +112,177 @@ def _slot_coefficients(
     return {q: paired[t] for q, t in zip(members, tiles)}
 
 
+def _quad_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt2 for integers of any size."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Mixed signs: a^2 = 2 b^2 has no solution with b != 0.
+    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+
+
+def _compare(r: int, s: int, scale: int, ref: tuple[int, int, int]) -> int:
+    """Sign of (r + s sqrt2) 2^-scale minus (r' + s' sqrt2) 2^-scale'.
+
+    ref is (r', s', scale'); both sides are shifted to the finer of
+    the two powers of two before the exact sign is taken.
+    """
+    ref_r, ref_s, ref_scale = ref
+    shift = scale - ref_scale
+    if shift >= 0:
+        return _quad_sign(r - (ref_r << shift), s - (ref_s << shift))
+    return _quad_sign((r << -shift) - ref_r, (s << -shift) - ref_s)
+
+
+def _common_denominator(values: Sequence[QuadScalar]) -> int:
+    return math.lcm(
+        *(v.rat.denominator for v in values), *(v.surd.denominator for v in values)
+    )
+
+
+def _lift(v: QuadScalar, d: int) -> tuple[int, int]:
+    """Integers (a, b) with v = (a + b sqrt2) / d; d must clear both parts."""
+    a = v.rat.numerator * (d // v.rat.denominator)
+    b = v.surd.numerator * (d // v.surd.denominator)
+    return a, b
+
+
+def _integer_masses(
+    members: Sequence[Quartile], coeffs: Mapping[Quartile, QuadScalar]
+) -> tuple[list[int], list[int], int]:
+    """Squared coefficients as integer pairs over one common denominator.
+
+    Each coefficient is lifted to (a + b sqrt2) / d, with d the lcm of
+    all coefficient denominators, and squared once on the integers:
+    member p carries the mass (rats[p] + surds[p] sqrt2) / d^2.
+    """
+    values = [coeffs[q] for q in members]
+    d = _common_denominator(values)
+    rats: list[int] = []
+    surds: list[int] = []
+    for v in values:
+        a, b = _lift(v, d)
+        rats.append(a * a + 2 * b * b)
+        surds.append(2 * a * b)
+    return rats, surds, d * d
+
+
+def _mass_value(r: int, s: int, denominator: int, scale: int) -> QuadScalar:
+    """The exact scalar (r + s sqrt2) / (denominator 2^scale)."""
+    if scale >= 0:
+        denominator <<= scale
+    else:
+        r, s = r << -scale, s << -scale
+    return QuadScalar(Fraction(r, denominator), Fraction(s, denominator))
+
+
+def _freq_exp(members: Sequence[Quartile], domain_exp: int) -> int:
+    """Exponent of the integer frequency unit.
+
+    Fine enough for every pinned subtile band edge and for the band
+    start of every candidate top, whose width is at least 2^-domain_exp.
+    """
+    return min([-domain_exp] + [q.freq.scale - 2 for q in members])
+
+
+def _pin_band(q: Quartile, pin: int, freq_exp: int) -> tuple[int, int]:
+    """The pinned subtile band [lo, hi) of q in units of 2^freq_exp."""
+    shift = q.freq.scale - 2 - freq_exp
+    lo = (4 * q.freq.index + pin - 1) << shift
+    return lo, lo + (1 << shift)
+
+
 def _candidate_freqs(
-    members: Sequence[Quartile], pins: Sequence[int]
-) -> list[Fraction]:
-    """Sorted left endpoints of the pinned subtile frequency bands."""
-    ends = {q.tile(j).freq.left for q in members for j in pins}
-    return sorted(ends)
+    members: Sequence[Quartile], pins: Sequence[int], freq_exp: int
+) -> list[int]:
+    """Sorted left endpoints of the pinned bands, in units of 2^freq_exp."""
+    return sorted({_pin_band(q, j, freq_exp)[0] for q in members for j in pins})
 
 
 def _pinned_incidence(
     members: Sequence[Quartile],
     pins: Sequence[int],
     domain_exp: int,
-    freqs: Sequence[Fraction],
-) -> dict[Stamp, list[Quartile]]:
-    """Members grabbed by each candidate top, keyed by (interval, freq, pin).
+    freqs: Sequence[int],
+    freq_exp: int,
+) -> dict[Stamp, list[int]]:
+    """Positions of the members grabbed by each candidate top.
 
     A candidate stamps a member when its interval contains the member
     time interval and its frequency falls in the member's pinned band.
     Scanning band endpoints loses nothing: bands of members under a
     fixed top nest, so every membership pattern already occurs at one
-    of the endpoints.
+    of the endpoints.  Position lists are increasing, and stamps are
+    inserted in member order, which fixes the tie-breaking of size.
     """
-    incidence: dict[Stamp, list[Quartile]] = {}
-    for q in members:
-        ancestors = [
-            q.time.ancestor_at(s) for s in range(q.time.scale, domain_exp + 1)
-        ]
+    incidence: dict[Stamp, list[int]] = {}
+    for p, q in enumerate(members):
+        index, scale = q.time.index, q.time.scale
+        ancestors = [(index >> (s - scale), s) for s in range(scale, domain_exp + 1)]
         for j in pins:
-            band = q.tile(j).freq
-            lo = bisect_left(freqs, band.left)
-            hi = bisect_left(freqs, band.right)
-            for idx in range(lo, hi):
-                for interval in ancestors:
-                    incidence.setdefault((interval, idx, j), []).append(q)
+            lo, hi = _pin_band(q, j, freq_exp)
+            for idx in range(bisect_left(freqs, lo), bisect_left(freqs, hi)):
+                for top in ancestors:
+                    incidence.setdefault((top, idx, j), []).append(p)
     return incidence
 
 
-def _best_candidate(
-    members: Sequence[Quartile],
-    coeffs: Mapping[Quartile, QuadScalar],
-    pins: Sequence[int],
-    domain_exp: int,
-) -> SizeReport:
-    freqs = _candidate_freqs(members, pins)
-    incidence = _pinned_incidence(members, pins, domain_exp, freqs)
-    mass = {q: c.square() for q, c in coeffs.items()}
-    best = ZERO
-    best_stamp: Stamp | None = None
-    for stamp, grabbed in incidence.items():
-        total = ZERO
-        for q in grabbed:
-            total = total + mass[q]
-        density = total * pow2_fraction(-stamp[0].scale)
-        if best_stamp is None or density > best:
-            best = density
-            best_stamp = stamp
-    if best_stamp is None:
-        return SizeReport(ZERO, None, None)
-    interval, idx, j = best_stamp
-    witness = Tree(
-        incidence[best_stamp], interval, DyadicRational.from_fraction(freqs[idx])
-    )
-    return SizeReport(best, j, witness)
+class _Candidates:
+    """Candidate tops of one member list with integer masses.
+
+    A size call builds one; a selection call builds one shared by its
+    precondition check and all of its passes, and one more for the
+    residual recheck.  Everything downstream reads member positions and
+    integer keys, and only winning stamps are turned back into
+    intervals, dyadic frequencies and trees.
+    """
+
+    def __init__(
+        self,
+        members: Sequence[Quartile],
+        coeffs: Mapping[Quartile, QuadScalar],
+        pins: Sequence[int],
+        domain_exp: int,
+    ) -> None:
+        self.members = members
+        self.freq_exp = _freq_exp(members, domain_exp)
+        self.freqs = _candidate_freqs(members, pins, self.freq_exp)
+        self.incidence = _pinned_incidence(
+            members, pins, domain_exp, self.freqs, self.freq_exp
+        )
+        self.rats, self.surds, self.denominator = _integer_masses(members, coeffs)
+        self.has_surd = any(self.surds)
+
+    def total(self, positions: Sequence[int]) -> tuple[int, int]:
+        """Integer mass numerators (r, s) summed over the positions."""
+        r = sum(map(self.rats.__getitem__, positions))
+        s = sum(map(self.surds.__getitem__, positions)) if self.has_surd else 0
+        return r, s
+
+    def tree(self, positions: Sequence[int], stamp: Stamp) -> Tree:
+        top, idx, _ = stamp
+        return Tree(
+            [self.members[p] for p in positions],
+            DyadicInterval(*top),
+            DyadicRational(self.freqs[idx], self.freq_exp),
+        )
+
+    def densest(self) -> SizeReport:
+        """The first stamp of strictly largest density, as a size report."""
+        best = (0, 0, 0)
+        best_stamp: Stamp | None = None
+        for stamp, grabbed in self.incidence.items():
+            r, s = self.total(grabbed)
+            scale = stamp[0][1]
+            if best_stamp is None or _compare(r, s, scale, best) > 0:
+                best = (r, s, scale)
+                best_stamp = stamp
+        if best_stamp is None:
+            return SizeReport(ZERO, None, None)
+        value = _mass_value(best[0], best[1], self.denominator, best[2])
+        witness = self.tree(self.incidence[best_stamp], best_stamp)
+        return SizeReport(value, best_stamp[2], witness)
 
 
 def size(
@@ -180,7 +301,10 @@ def size(
     ancestors of member times paired with member band endpoints, which
     realises the supremum.  An empty collection has size zero and no
     witness.  Coefficients may be supplied to skip the exact pairings,
-    for callers that batch them elsewhere.
+    for callers that batch them elsewhere; any rational parts are
+    allowed.  The maximum is taken on exact integer masses over one
+    common denominator, in Python ints with no float in any comparison,
+    and the first candidate of strictly largest density is the witness.
     """
     if slot not in (1, 2, 3, 4):
         raise ValueError("packet slot must be 1, 2, 3 or 4")
@@ -191,7 +315,7 @@ def size(
         domain_exp = f.domain_exp
     pins = [j for j in (1, 2, 3, 4) if j != slot]
     coeffs = _slot_coefficients(members, f, slot, linearization, coefficients)
-    return _best_candidate(members, coeffs, pins, domain_exp)
+    return _Candidates(members, coeffs, pins, domain_exp).densest()
 
 
 @dataclass(frozen=True)
@@ -225,8 +349,9 @@ class SelectedTree:
 
 
 def _pass_order(
-    incidence: Mapping[Stamp, list[Quartile]],
-    freqs: Sequence[Fraction],
+    stamps: Sequence[Stamp],
+    freqs: Sequence[int],
+    freq_exp: int,
     prefer_high: bool,
 ) -> list[Stamp]:
     """Deterministic processing order of one selection pass.
@@ -234,19 +359,23 @@ def _pass_order(
     The primary key is the left end of the dyadic band of reciprocal
     top length around the candidate frequency, extremal first; ties
     fall to the leftmost then largest top interval, then to the
-    extremal raw frequency.
+    extremal raw frequency.  Frequencies are integers in units of
+    2^freq_exp and left ends integers in units of the finest top, so
+    the keys order exactly as the rational ones.
     """
+    finest = min((top[1] for top, _, _ in stamps), default=0)
 
-    def band_start(stamp: Stamp) -> Fraction:
-        interval, idx, _ = stamp
-        width = pow2_fraction(-interval.scale)
-        return (freqs[idx] // width) * width
+    def key(stamp: Stamp) -> tuple[int, int, int, int]:
+        (index, scale), idx, _ = stamp
+        x = freqs[idx]
+        shift = -scale - freq_exp
+        start = (x >> shift) << shift
+        left = index << (scale - finest)
+        if prefer_high:
+            return (-start, left, -scale, -x)
+        return (start, left, -scale, x)
 
-    if prefer_high:
-        key = lambda s: (-band_start(s), s[0].left, -s[0].scale, -freqs[s[1]])
-    else:
-        key = lambda s: (band_start(s), s[0].left, -s[0].scale, freqs[s[1]])
-    return sorted(incidence, key=key)
+    return sorted(stamps, key=key)
 
 
 @dataclass(frozen=True)
@@ -329,9 +458,17 @@ def select_trees(
     shrink as quartiles leave, so walking the candidates once in that
     order reproduces repeated extremal extraction.
 
-    Requires the square size of the input to be at most alpha.  The
-    residual square size is then at most a quarter of alpha, rechecked
-    exactly unless verify is False.
+    The candidate tops of all pinning slots are built once per call;
+    each pass reads those whose frequency is an endpoint of its own
+    pinned bands.  Alive totals are integer sums of the exact masses
+    described in the module docstring, and the quarter-allowance bar
+    is tested by an exact integer sign, so any rational coefficients
+    and allowances are handled without a float in any decision.
+
+    Requires the square size of the input to be at most alpha, which
+    is checked even when verify is False.  The residual square size is
+    then at most a quarter of alpha, rechecked exactly unless verify is
+    False.
     """
     if slot not in (1, 2, 3, 4):
         raise ValueError("packet slot must be 1, 2, 3 or 4")
@@ -342,47 +479,49 @@ def select_trees(
     quarter = alpha * Fraction(1, 4)
     pins = [j for j in (1, 2, 3, 4) if j != slot]
     coeffs = _slot_coefficients(members, f, slot, linearization, coefficients)
-    initial = (
-        _best_candidate(members, coeffs, pins, domain_exp)
-        if members
-        else SizeReport(ZERO, None, None)
-    )
+    cands = _Candidates(members, coeffs, pins, domain_exp)
+    initial = cands.densest()
     if initial.value_sq > alpha:
         raise PreconditionViolated(
             f"square size {initial.value_sq} exceeds the allowance {alpha}"
         )
-    mass = {q: coeffs[q].square() for q in members}
-    alive: set[Quartile] = set(members)
+    alive = [True] * len(members)
     grabs: list[SelectedTree] = []
     if alpha.sign() > 0:
+        # A stamp qualifies when its mass (r + s sqrt2) / denominator is at
+        # least quarter 2^scale; both sides are scaled by the quarter's
+        # own denominator to stay integral.
+        unit = _common_denominator([quarter])
+        bar_r, bar_s = _lift(quarter, unit)
+        bar = (bar_r * cands.denominator, bar_s * cands.denominator, 0)
+        position = {q: p for p, q in enumerate(members)}
         for j in pins:
-            freqs = _candidate_freqs(members, [j])
-            incidence = _pinned_incidence(members, [j], domain_exp, freqs)
-            for stamp in _pass_order(incidence, freqs, j < slot):
-                total = ZERO
-                for q in incidence[stamp]:
-                    if q in alive:
-                        total = total + mass[q]
-                interval, idx, _ = stamp
-                if total < quarter * interval.length:
+            ends = {_pin_band(q, j, cands.freq_exp)[0] for q in members}
+            stamps = [
+                st
+                for st in cands.incidence
+                if st[2] == j and cands.freqs[st[1]] in ends
+            ]
+            for stamp in _pass_order(stamps, cands.freqs, cands.freq_exp, j < slot):
+                live = [p for p in cands.incidence[stamp] if alive[p]]
+                r, s = cands.total(live)
+                if _compare(r * unit, s * unit, stamp[0][1], bar) < 0:
                     continue
-                xi = freqs[idx]
-                seed = Tree(
-                    [q for q in incidence[stamp] if q in alive], interval, xi
+                seed = cands.tree(live, stamp)
+                full = maximal_tree(
+                    [q for q, a in zip(members, alive) if a],
+                    seed.top_interval,
+                    seed.top_freq,
                 )
-                full = maximal_tree(alive, interval, xi)
                 grabs.append(SelectedTree(seed, full, j))
-                alive.difference_update(full.quartiles)
-    residual = QuartileCollection(alive)
+                for q in full.quartiles:
+                    alive[position[q]] = False
+    left = [q for q, a in zip(members, alive) if a]
+    residual = QuartileCollection(left)
     residual_size_sq: QuadScalar | None = None
     if verify:
-        left = sorted(alive, key=quartile_sort_key)
-        report = (
-            _best_candidate(left, coeffs, pins, domain_exp)
-            if left
-            else SizeReport(ZERO, None, None)
-        )
-        residual_size_sq = report.value_sq
+        recheck = _Candidates(left, coeffs, pins, domain_exp).densest()
+        residual_size_sq = recheck.value_sq
         if residual_size_sq > quarter:
             raise RuntimeError(
                 "selection left a residual above a quarter of the allowance; "
@@ -547,37 +686,34 @@ def jn_quantities(
         weight[q] = weight.get(q, ZERO) + c
     members = sorted(weight, key=quartile_sort_key)
     pins = [j for j in (1, 2, 3, 4) if j != slot]
-    freqs = _candidate_freqs(members, pins)
-    incidence = _pinned_incidence(members, pins, domain_exp, freqs)
-    best_sq = ZERO
-    best_sq_witness: DyadicInterval | None = None
+    cands = _Candidates(members, weight, pins, domain_exp)
+    best = (0, 0, 0)
+    best_sq_top: tuple[int, int] | None = None
     best_weak = 0.0
     best_weak_witness: DyadicInterval | None = None
     cell_width = pow2_fraction(-resolution_exp)
-    seen: set[tuple[DyadicInterval, frozenset[Quartile]]] = set()
-    for stamp in sorted(
-        incidence, key=lambda s: (s[0].scale, s[0].index, s[2], freqs[s[1]])
-    ):
-        interval = stamp[0]
-        inside = incidence[stamp]
-        marker = (interval, frozenset(inside))
+    cells = [q.time.cell_range(resolution_exp) for q in members]
+    spread = [
+        weight[q].square().to_float() * float(2 ** -q.time.scale) for q in members
+    ]
+    seen: set[tuple[tuple[int, int], tuple[int, ...]]] = set()
+    for stamp in sorted(cands.incidence, key=lambda s: (s[0][1], s[0][0], s[2], s[1])):
+        top = stamp[0]
+        inside = cands.incidence[stamp]
+        marker = (top, tuple(inside))
         if marker in seen:
             continue
         seen.add(marker)
-        mass = ZERO
-        for q in inside:
-            mass = mass + weight[q].square()
-        a2_cand = mass * pow2_fraction(-interval.scale)
-        if a2_cand > best_sq:
-            best_sq = a2_cand
-            best_sq_witness = interval
+        r, s = cands.total(inside)
+        if _compare(r, s, top[1], best) > 0:
+            best = (r, s, top[1])
+            best_sq_top = top
+        interval = DyadicInterval(*top)
         lo, hi = interval.cell_range(resolution_exp)
         square = np.zeros(hi - lo, dtype=np.float64)
-        for q in inside:
-            qlo, qhi = q.time.cell_range(resolution_exp)
-            square[qlo - lo : qhi - lo] += weight[q].square().to_float() * float(
-                2 ** -q.time.scale
-            )
+        for p in inside:
+            qlo, qhi = cells[p]
+            square[qlo - lo : qhi - lo] += spread[p]
         levels = np.sqrt(square)
         length = float(interval.length)
         for v in np.unique(levels):
@@ -588,4 +724,7 @@ def jn_quantities(
             if weak > best_weak:
                 best_weak = weak
                 best_weak_witness = interval
-    return JNReport(best_sq, best_sq_witness, best_weak, best_weak_witness)
+    if best_sq_top is None:
+        return JNReport(ZERO, None, best_weak, best_weak_witness)
+    best_sq = _mass_value(best[0], best[1], cands.denominator, best[2])
+    return JNReport(best_sq, DyadicInterval(*best_sq_top), best_weak, best_weak_witness)

@@ -120,6 +120,14 @@ def test_disjoint_collection_is_disjoint(rng):
         disjoint_collection(rng, 10_000, 2, 3)
 
 
+def test_disjoint_collection_refuses_overfull_requests_before_drawing(rng):
+    # A (2, 3) box has area 32 and holds at most 8 disjoint quartiles.
+    state = rng.getstate()
+    with pytest.raises(RuntimeError, match="could not place 9 disjoint quartiles"):
+        disjoint_collection(rng, 9, 2, 3)
+    assert rng.getstate() == state
+
+
 def test_pinned_tree_overlaps_uniformly(rng):
     for pin in (1, 2, 3, 4):
         tree = pinned_tree(rng, pin, 3, 5, depth=4)
@@ -348,3 +356,56 @@ def test_cli_restricted_and_counting_and_theorem(tmp_path):
         out = tmp_path / (args[0] + ".csv")
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_text().startswith("# report: ")
+
+
+def _selection_file(tmp_path, rng, **changes):
+    coll = disjoint_collection(rng, 3, 1, 3)
+    f = sign_function(rng, 1, 3)
+    request = {
+        "collection": [q.to_json() for q in coll],
+        "f": json.loads(f.to_json_text()),
+        "slot": 2,
+        "alpha": "64",
+    }
+    request.update(changes)
+    for key, value in changes.items():
+        if value is None:
+            del request[key]
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request))
+    return path
+
+
+@pytest.mark.parametrize("field", ["collection", "f", "slot", "alpha"])
+def test_cli_select_trees_names_a_missing_field(tmp_path, rng, capsys, field):
+    path = _selection_file(tmp_path, rng, **{field: None})
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert f'"{field}"' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slot", [0, 5, "x"])
+def test_cli_select_trees_names_a_bad_slot(tmp_path, rng, capsys, slot):
+    path = _selection_file(tmp_path, rng, slot=slot)
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert '"slot"' in capsys.readouterr().err
+
+
+def test_cli_select_trees_refuses_a_quartile_outside_the_box(tmp_path, rng, capsys):
+    # With J = 1 the time box is [0, 2); a quartile over [0, 32) used to
+    # be clipped silently.
+    stray = {"time": {"n": 0, "k": 5}, "freq": {"n": 0, "k": -3}}
+    path = _selection_file(tmp_path, rng)
+    request = json.loads(path.read_text())
+    request["collection"].append(stray)
+    path.write_text(json.dumps(request))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"collection"[3]' in err
+    assert "outside the box" in err
+
+
+def test_cli_select_trees_accepts_a_valid_file(tmp_path, rng):
+    path = _selection_file(tmp_path, rng)
+    out = tmp_path / "sel.json"
+    assert main(["select-trees", "--in", str(path), "--out", str(out)]) == 0
+    assert SelectionResult.from_json(json.loads(out.read_text())).slot == 2

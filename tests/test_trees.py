@@ -254,3 +254,111 @@ def test_restricted_trees_cap_the_counting_function(rng):
 
             counts = counting_cells([t.top_interval for t in kept], 3, 4)
             assert counts.max() <= (1 << (level + 1)) * lam
+
+
+def test_integer_sqrt2_sign_agrees_with_quadscalar(rng):
+    from walshtf.trees import _quad_sign
+
+    def check(a, b):
+        assert _quad_sign(a, b) == QuadScalar(a, b).sign(), (a, b)
+
+    for a, b in ((0, 0), (0, 5), (0, -5), (7, 0), (-7, 0), (1, -1), (-1, 1)):
+        check(a, b)
+    # Pell pairs p^2 - 2 q^2 = +-1 sit as close to the sqrt2 line as
+    # integers can; walk them far past 2^63.
+    p, q = 1, 1
+    while p.bit_length() < 400:
+        for sa in (1, -1):
+            for sb in (1, -1):
+                check(sa * p, sb * q)
+                check(sa * p + 1, sb * q)
+                check(sa * p - 1, sb * q)
+        p, q = p + 2 * q, p + q
+    for _ in range(2000):
+        bits = rng.choice((8, 62, 63, 64, 65, 130, 300))
+        a = rng.randint(-(1 << bits), 1 << bits)
+        b = rng.randint(-(1 << bits), 1 << bits)
+        check(a, b)
+        check(0, b)
+        check(a, 0)
+
+
+def _fold_size_sq(members, coeffs, slot, domain_exp):
+    """Largest pinned density by a plain QuadScalar fold over every top."""
+    best = ZERO
+    for pin in (1, 2, 3, 4):
+        if pin == slot:
+            continue
+        freqs = {q.tile(pin).freq.left for q in members}
+        tops = {
+            q.time.ancestor_at(s)
+            for q in members
+            for s in range(q.time.scale, domain_exp + 1)
+        }
+        for top in tops:
+            for xi in freqs:
+                mass = ZERO
+                for q in members:
+                    if top.contains(q.time) and q.tile(pin).freq.contains_point(xi):
+                        mass = mass + coeffs[q] * coeffs[q]
+                density = mass / QuadScalar(top.length)
+                if density > best:
+                    best = density
+    return best
+
+
+def _non_dyadic_coefficients(rng, members):
+    dens = (1, 3, 5, 7, 9, 12)
+    return {
+        q: QuadScalar(
+            Fraction(rng.randint(-9, 9), rng.choice(dens)),
+            Fraction(rng.randint(-9, 9), rng.choice(dens)),
+        )
+        for q in members
+    }
+
+
+def test_size_with_non_dyadic_coefficients_matches_a_quadscalar_fold(rng):
+    from walshtf.experiments.random_gen import quartile_collection
+
+    for trial in range(12):
+        coll = quartile_collection(rng, rng.randint(1, 10), 2, 3)
+        coeffs = _non_dyadic_coefficients(rng, coll)
+        coeffs[coll[0]] = QuadScalar(Fraction(1, 3), Fraction(2, 7))
+        f = sign_function(rng, 2, 3)
+        slot = 1 + trial % 4
+        report = size(coll, f, slot, 2, coefficients=coeffs)
+        assert report.value_sq == _fold_size_sq(coll, coeffs, slot, 2)
+        tree = report.tree
+        mass = ZERO
+        for q in tree.quartiles:
+            mass = mass + coeffs[q].square()
+        assert mass / QuadScalar(tree.top_interval.length) == report.value_sq
+
+
+def test_selection_with_non_dyadic_coefficients_matches_a_quadscalar_fold(rng):
+    from walshtf.experiments.random_gen import quartile_collection
+
+    grabbed = 0
+    for trial in range(12):
+        coll = quartile_collection(rng, rng.randint(2, 10), 2, 3)
+        coeffs = _non_dyadic_coefficients(rng, coll)
+        f = sign_function(rng, 2, 3)
+        slot = 1 + trial % 4
+        alpha = _fold_size_sq(coll, coeffs, slot, 2)
+        if alpha == ZERO:
+            continue
+        alpha = alpha * Fraction(5, 3)
+        sel = select_trees(coll, f, slot, alpha, 2, coefficients=coeffs)
+        assert sel.initial_size_sq == _fold_size_sq(coll, coeffs, slot, 2)
+        quarter = alpha * Fraction(1, 4)
+        for grab in sel.grabs:
+            grabbed += 1
+            mass = ZERO
+            for q in grab.seed.quartiles:
+                mass = mass + coeffs[q] * coeffs[q]
+            assert mass >= quarter * grab.seed.top_interval.length
+        left = list(sel.residual)
+        assert sel.residual_size_sq == _fold_size_sq(left, coeffs, slot, 2)
+        assert sel.residual_size_sq <= quarter
+    assert grabbed > 0
