@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
-from typing import Union
+from math import isqrt, lcm
+from typing import Sequence, Union
 
 from .errors import NotDyadicError
 
@@ -107,9 +107,6 @@ class DyadicRational:
         return DyadicRational.from_fraction(self.as_fraction() * _as_fraction(other))
 
     __rmul__ = __mul__
-
-    def _cmp_key(self) -> Fraction:
-        return self.as_fraction()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicRational):
@@ -343,25 +340,23 @@ ONE = QuadScalar(1)
 SQRT2 = QuadScalar(0, 1)
 
 
-def quad_add(a: QuadScalar, b: QuadScalar) -> QuadScalar:
-    return a + b
+def common_lift(values: Sequence[QuadScalar]) -> tuple[list[int], list[int], int]:
+    """Integers (rats, surds, d) with values[i] = (rats[i] + surds[i] sqrt2) / d.
 
-
-def quad_mul(a: QuadScalar, b: QuadScalar) -> QuadScalar:
-    return a * b
-
-
-def quad_neg(a: QuadScalar) -> QuadScalar:
-    return -a
-
-
-def quad_sq_abs(a: QuadScalar) -> QuadScalar:
-    """The exact square a^2; compare magnitudes through this, not roots."""
-    return a.square()
-
-
-def quad_to_float(a: QuadScalar) -> float:
-    return a.to_float()
+    d is the lcm of the denominators of every part, found on the
+    integers: each numerator is scaled by d over its own denominator.
+    """
+    rats = [v.rat for v in values]
+    surds = [v.surd for v in values]
+    dens = {q.denominator for q in rats}
+    dens.update(q.denominator for q in surds)
+    d = lcm(*dens)
+    factor = {e: d // e for e in dens}
+    return (
+        [q.numerator * factor[q.denominator] for q in rats],
+        [q.numerator * factor[q.denominator] for q in surds],
+        d,
+    )
 
 
 _INV_SQRT_POW2: dict[int, QuadScalar] = {}

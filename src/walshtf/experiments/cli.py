@@ -134,13 +134,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 def _cmd_restricted(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.input:
-        data = _load_json(args.input)
-        sets = [_step_function_from_json(data[key]) for key in ("E1", "E2", "E3")]
-        collection = (
-            [Quartile.from_json(item) for item in data["collection"]]
-            if "collection" in data
-            else None
-        )
+        sets, collection = _restricted_request(_load_json(args.input))
     else:
         import random
 
@@ -162,6 +156,47 @@ def _cmd_counting(args: argparse.Namespace) -> int:
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 
+def _function_field(data: dict, key: str) -> StepFunction:
+    if key not in data:
+        raise InvalidInput(f'input lacks the field "{key}"')
+    try:
+        return _step_function_from_json(data[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f'field "{key}" is not a step function: {exc!r}') from exc
+
+
+def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
+    """The quartiles of data["collection"], each inside the box of f."""
+    if not isinstance(data["collection"], list):
+        raise InvalidInput('field "collection" must be a list of quartiles')
+    box = DyadicInterval(0, f.domain_exp)
+    collection = []
+    for i, item in enumerate(data["collection"]):
+        try:
+            q = Quartile.from_json(item)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f'field "collection"[{i}] is not a quartile: {exc}') from exc
+        if not box.contains(q.time):
+            raise InvalidInput(
+                f'field "collection"[{i}] has time interval {q.time}, '
+                f"outside the box {box} of the grid"
+            )
+        collection.append(q)
+    return collection
+
+
+def _restricted_request(data: object) -> tuple[list[StepFunction], list[Quartile] | None]:
+    """Sets E1, E2, E3 on one grid and the optional collection inside its box."""
+    if not isinstance(data, dict):
+        raise InvalidInput("restricted-type input must be a JSON object")
+    sets = [_function_field(data, key) for key in ("E1", "E2", "E3")]
+    grids = [(e.domain_exp, e.resolution_exp) for e in sets]
+    if len(set(grids)) > 1:
+        raise InvalidInput(f'fields "E1", "E2", "E3" must share one grid, got {grids}')
+    collection = _collection_field(data, sets[0]) if "collection" in data else None
+    return sets, collection
+
+
 def _selection_request(
     data: object,
 ) -> tuple[list[Quartile], StepFunction, int, QuadScalar, int | None]:
@@ -175,10 +210,7 @@ def _selection_request(
     for key in ("collection", "f", "slot", "alpha"):
         if key not in data:
             raise InvalidInput(f'select-trees input lacks the field "{key}"')
-    try:
-        f = _step_function_from_json(data["f"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f'field "f" is not a step function: {exc!r}') from exc
+    f = _function_field(data, "f")
     try:
         slot = int(data["slot"])
     except (TypeError, ValueError):
@@ -189,23 +221,7 @@ def _selection_request(
         alpha = _scalar_from_text(str(data["alpha"]))
     except ValueError as exc:
         raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
-    if not isinstance(data["collection"], list):
-        raise InvalidInput('field "collection" must be a list of quartiles')
-    box = DyadicInterval(0, f.domain_exp)
-    collection = []
-    for i, item in enumerate(data["collection"]):
-        try:
-            q = Quartile.from_json(item)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(
-                f'field "collection"[{i}] is not a quartile: {exc}'
-            ) from exc
-        if not box.contains(q.time):
-            raise InvalidInput(
-                f'field "collection"[{i}] has time interval {q.time}, '
-                f"outside the box {box} of f"
-            )
-        collection.append(q)
+    collection = _collection_field(data, f)
     domain_exp = int(data["domain_exp"]) if "domain_exp" in data else None
     return collection, f, slot, alpha, domain_exp
 

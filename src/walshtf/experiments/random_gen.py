@@ -63,16 +63,23 @@ def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
     return StepFunction(mask.domain_exp, mask.resolution_exp, values)
 
 
+def _scale_bounds(
+    domain_exp: int, resolution_exp: int, scale_range: tuple[int, int] | None
+) -> tuple[int, int]:
+    """Lowest and highest quartile time scale in the box and the range."""
+    lo, hi = 2 - resolution_exp, domain_exp
+    if scale_range is not None:
+        lo, hi = max(lo, scale_range[0]), min(hi, scale_range[1])
+    return lo, hi
+
+
 def random_quartile(
     rng: random.Random,
     domain_exp: int,
     resolution_exp: int,
     scale_range: tuple[int, int] | None = None,
 ) -> Quartile:
-    lo = 2 - resolution_exp
-    hi = domain_exp
-    if scale_range is not None:
-        lo, hi = max(lo, scale_range[0]), min(hi, scale_range[1])
+    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
     if lo > hi:
         raise ValueError("empty quartile scale range")
     k = rng.randint(lo, hi)
@@ -92,11 +99,16 @@ def quartile_collection(
 
     Every time scale carries the same number of grid quartiles, so the
     scale-then-position draw of random_quartile is uniform over the
-    whole box and rejection only has to dodge exact repeats.
+    whole box and rejection only has to dodge exact repeats.  Each
+    scale holds 2^(J+m-2) quartiles, so a count above that times the
+    number of scales is refused before any draw.
     """
     seen: set[Quartile] = set()
     out: list[Quartile] = []
     budget = 60 * count + 60
+    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
+    if lo <= hi and count > (hi - lo + 1) << (domain_exp + resolution_exp - 2):
+        budget = 0
     while len(out) < count and budget:
         budget -= 1
         q = random_quartile(rng, domain_exp, resolution_exp, scale_range)

@@ -22,10 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import EmptySet, GridMismatch
+from ..errors import ConfigError, EmptySet, GridMismatch
 from ..exact import ZERO, QuadScalar
-from ..geometry import DyadicInterval, Quartile
-from ..kernels import walsh_tables
+from ..geometry import DyadicInterval, Quartile, quartile_sort_key
 from ..operators import lambda_form, maximal, model_terms, optimal_linearization
 from ..trees import select_trees, size
 from ..wavepacket import StepFunction
@@ -136,13 +135,12 @@ def run_restricted_type(
     measures = [_support_measure(e) for e in sets]
 
     if collection is None:
+        if e1.domain_exp + e1.resolution_exp < 4:
+            raise ConfigError("restricted-type needs J + m >= 4 to draw its four quartiles")
         capacity = 1 << (e1.domain_exp + e1.resolution_exp - 2)
         count = max(4, min(config.trials, capacity // 2))
         collection = list(disjoint_collection(rng, count, e1.domain_exp, e1.resolution_exp))
-    members = sorted(
-        {_dilate_quartile(q, shift) for q in collection},
-        key=lambda q: (q.time.scale, q.time.index, q.freq.index),
-    )
+    members = sorted({_dilate_quartile(q, shift) for q in collection}, key=quartile_sort_key)
 
     functions = {i + 1: masked_signs(rng, sets[i]) for i in range(3)}
     q_tilde = config.maximal_exp
@@ -214,10 +212,7 @@ def run_restricted_type(
                     domain_exp,
                     linearization=linearization if i == 3 else None,
                 )
-                residual = sorted(
-                    result.residual.quartiles,
-                    key=lambda q: (q.time.scale, q.time.index, q.freq.index),
-                )
+                residual = sorted(result.residual.quartiles, key=quartile_sort_key)
                 if result.grabs:
                     top_len = float(result.top_length())
                     rows.append(
@@ -363,7 +358,7 @@ def run_counting_experiment(
             residual: list[Quartile] | tuple[Quartile, ...] = quartile_collection(
                 rng, count, domain_exp, resolution_exp
             )
-            tables = walsh_tables(f)
+            tables = f.packet_tables()
             by_slot = {
                 slot: {q: tables.coefficient(q.tile(slot)) for q in residual}
                 for slot in (1, 2, 3, 4)
@@ -382,10 +377,7 @@ def run_counting_experiment(
                         coefficients=by_slot[slot],
                     )
                     removed += result.top_length()
-                    residual = sorted(
-                        result.residual.quartiles,
-                        key=lambda q: (q.time.scale, q.time.index, q.freq.index),
-                    )
+                    residual = sorted(result.residual.quartiles, key=quartile_sort_key)
                 if n == 0:
                     continue
                 ratio = float(removed) * 4.0 ** (-1.5 * n) / float(measure)

@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from ..exact import ZERO, QuadScalar
-from ..geometry import DyadicInterval, Quartile, Tile, tiles_disjoint
-from ..kernels import batch_variation, walsh_tables
+from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
+from ..kernels import batch_variation, lp_norm
 from ..operators import FrequencySet, average, freq_projection, maximal, partial_sum_field
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
@@ -191,10 +191,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
             count=rng.randint(2, 3),
             depth=rng.randint(2, 4),
         )
-        members = sorted(
-            {q for tree in forest for q in tree.quartiles},
-            key=lambda q: (q.time.scale, q.time.index, q.freq.index),
-        )
+        members = sorted({q for tree in forest for q in tree.quartiles}, key=quartile_sort_key)
         f = sign_function(rng, domain_exp, resolution_exp)
         coeffs = batch_inner_products(f, [q.tile(3) for q in members])
         freqs = FrequencySet(tree.top_freq for tree in forest)
@@ -238,13 +235,6 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("identities", columns, tuple(rows), summary)
 
 
-def _lp_norm(values: np.ndarray, p: float, resolution_exp: int) -> float:
-    weight = 2.0 ** (-resolution_exp)
-    if p == math.inf:
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    return float(np.sum(np.abs(values) ** p) * weight) ** (1.0 / p)
-
-
 def _lepingle(config: ExperimentConfig) -> ExperimentReport:
     """Variation norm of the averaging family against the input norm.
 
@@ -266,8 +256,8 @@ def _lepingle(config: ExperimentConfig) -> ExperimentReport:
             block = 1 << (k + resolution_exp)
             means = arr.reshape(-1, block).mean(axis=1)
             field[idx] = np.repeat(means, block)
-        lhs = _lp_norm(batch_variation(field, config.r), t, resolution_exp)
-        rhs = _lp_norm(arr, t, resolution_exp)
+        lhs = lp_norm(batch_variation(field, config.r), t, resolution_exp)
+        rhs = lp_norm(arr, t, resolution_exp)
         if rhs == 0.0:
             rows.append((trial, 0.0, lhs, rhs, "zero-input"))
             continue
@@ -300,8 +290,8 @@ def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
         for k in range(-resolution_exp, domain_exp + 1):
             levels.append(freq_projection(f, freqs, k).to_float_array())
         field = np.asarray(levels)
-        lhs = _lp_norm(batch_variation(field, config.r), 2.0, resolution_exp)
-        rhs = count**config.epsilon * _lp_norm(f.to_float_array(), 2.0, resolution_exp)
+        lhs = lp_norm(batch_variation(field, config.r), 2.0, resolution_exp)
+        rhs = count**config.epsilon * lp_norm(f.to_float_array(), 2.0, resolution_exp)
         if rhs == 0.0:
             rows.append((trial, count, 0.0, lhs, rhs, "zero-input"))
             continue
@@ -362,7 +352,7 @@ def _rademacher_menshov(config: ExperimentConfig) -> ExperimentReport:
                 interval, resolution_exp, cells
             )
             field[pos + 1] = running
-        lhs = _lp_norm(batch_variation(field, 2.0), 2.0, resolution_exp)
+        lhs = lp_norm(batch_variation(field, 2.0), 2.0, resolution_exp)
         rhs = (1.0 + math.log2(n_funcs)) * math.sqrt(n_funcs)
         ratio = lhs / rhs
         by_count[n_funcs].append(ratio)
@@ -450,7 +440,7 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
         if not kept:
             rows.append((trial, str(lam), 0, 0.0, 0.0, "all-masked"))
             continue
-        tables = walsh_tables(f)
+        tables = f.packet_tables()
         worst = 0.0
         for slot in range(1, 5):
             coeffs = {q: tables.coefficient(q.tile(slot)) for q in kept}

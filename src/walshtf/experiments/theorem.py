@@ -14,23 +14,16 @@ from __future__ import annotations
 import math
 import random
 
+from ..errors import ConfigError
 from ..exact import inv_sqrt_pow2
 from ..geometry import DyadicInterval, Quartile
-from ..kernels import batch_sup, batch_variation, render_partial_sum_field, walsh_tables
+from ..kernels import batch_sup, batch_variation, lp_norm, render_partial_sum_field
 from ..wavepacket import StepFunction, tree_sign_step, wavepacket_step
 from .config import ExperimentConfig
 from .random_gen import disjoint_collection, sign_function
 from .report import ExperimentReport, median, trend_slope
 
 __all__ = ["run_theorem1"]
-
-
-def _lp_norm(values, p: float, resolution_exp: int) -> float:
-    weight = 2.0 ** (-resolution_exp)
-    if p == math.inf:
-        return float(abs(values).max()) if len(values) else 0.0
-    total = float((abs(values) ** p).sum()) * weight
-    return total ** (1.0 / p)
 
 
 def _operator_fields(
@@ -42,8 +35,8 @@ def _operator_fields(
     resolution_exp: int,
 ):
     """Variation and sup fields of the model operator on a collection."""
-    tables1 = walsh_tables(f1)
-    tables2 = walsh_tables(f2)
+    tables1 = f1.packet_tables()
+    tables2 = f2.packet_tables()
     terms = []
     for q in quartiles:
         c = (
@@ -69,8 +62,10 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     worst ratio per size, the slope of its logarithm against log size,
     and the unit quartile ratio, which must equal one.
     """
-    rng = random.Random(config.seed * 1_000_003 + 113)
     domain_exp, resolution_exp = config.grid_j, config.grid_m
+    if domain_exp + resolution_exp < 3:
+        raise ConfigError("theorem1 needs grid_j + grid_m >= 3 to fit two disjoint quartiles")
+    rng = random.Random(config.seed * 1_000_003 + 113)
     capacity = (1 << (domain_exp + resolution_exp - 2)) // 2
     sizes = tuple(
         dict.fromkeys(min(c, capacity) for c in (1, 10, 100, 500))
@@ -86,11 +81,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     var_field, sup_field = _operator_fields(
         f1, f2, [unit], config.r, domain_exp, resolution_exp
     )
-    denom = _lp_norm(f1.to_float_array(), config.p1, resolution_exp) * _lp_norm(
+    denom = lp_norm(f1.to_float_array(), config.p1, resolution_exp) * lp_norm(
         f2.to_float_array(), config.p2, resolution_exp
     )
-    unit_ratio = _lp_norm(var_field, config.q, resolution_exp) / denom
-    unit_star = _lp_norm(sup_field, config.q, resolution_exp) / denom
+    unit_ratio = lp_norm(var_field, config.q, resolution_exp) / denom
+    unit_star = lp_norm(sup_field, config.q, resolution_exp) / denom
     rows.append(
         ("unit", 1, "exact", unit_ratio, unit_star, "" if unit_ratio == 1.0 else "off")
     )
@@ -109,17 +104,17 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
                 f1 = sign_function(rng, domain_exp, resolution_exp)
                 f2 = sign_function(rng, domain_exp, resolution_exp)
                 kind = "random"
-            denom = _lp_norm(
+            denom = lp_norm(
                 f1.to_float_array(), config.p1, resolution_exp
-            ) * _lp_norm(f2.to_float_array(), config.p2, resolution_exp)
+            ) * lp_norm(f2.to_float_array(), config.p2, resolution_exp)
             if denom == 0.0:
                 rows.append((count, trial, kind, 0.0, 0.0, "zero-input"))
                 continue
             var_field, sup_field = _operator_fields(
                 f1, f2, quartiles, config.r, domain_exp, resolution_exp
             )
-            ratio = _lp_norm(var_field, config.q, resolution_exp) / denom
-            star = _lp_norm(sup_field, config.q, resolution_exp) / denom
+            ratio = lp_norm(var_field, config.q, resolution_exp) / denom
+            star = lp_norm(sup_field, config.q, resolution_exp) / denom
             maxima[count] = max(maxima.get(count, 0.0), ratio)
             ratios.append(ratio)
             rows.append((count, trial, kind, ratio, star, ""))

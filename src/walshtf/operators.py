@@ -24,6 +24,7 @@ from .exact import (
     QuadScalar,
     ScalarLike,
     _as_fraction,
+    common_lift,
     inv_sqrt_pow2,
     pow2_fraction,
 )
@@ -33,7 +34,6 @@ from .wavepacket import (
     RealStepFunction,
     StepFunction,
     batch_inner_products,
-    inner_product,
     synthesize,
 )
 
@@ -355,7 +355,9 @@ class Linearization:
     that downstream pairings stay exact.
     """
 
-    __slots__ = ("domain_exp", "resolution_exp", "cell_jumps", "cell_weights")
+    __slots__ = (
+        "domain_exp", "resolution_exp", "cell_jumps", "cell_weights", "_weight_fields"
+    )
 
     def __init__(
         self,
@@ -376,9 +378,21 @@ class Linearization:
         object.__setattr__(self, "resolution_exp", resolution_exp)
         object.__setattr__(self, "cell_jumps", tuple(cell_jumps))
         object.__setattr__(self, "cell_weights", tuple(cell_weights))
+        object.__setattr__(self, "_weight_fields", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Linearization is immutable")
+
+    def weight_field(self, scale: int) -> kernels.IntegerField:
+        """The cell weights at one scale as integer planes, built once."""
+        field = self._weight_fields.get(scale)
+        if field is None:
+            weights = [self.weight_at(c, scale) for c in range(len(self.cell_weights))]
+            field = kernels.IntegerField.from_ints(
+                *common_lift(weights), self.domain_exp, self.resolution_exp
+            )
+            self._weight_fields[scale] = field
+        return field
 
     @classmethod
     def trivial(cls, domain_exp: int, resolution_exp: int) -> "Linearization":
@@ -465,27 +479,24 @@ def tilde_coefficients(
 
     The modified packet of a quartile is its packet times the cell-wise
     linearization weight at the quartile's scale; since that weight
-    field is shared by all quartiles of one scale, f is reweighted once
-    per scale and the packets are then paired in batch.
+    field is shared by all quartiles of one scale, f's integer planes
+    are multiplied by it once per scale and every quartile of the scale
+    is read from the one table of the product.
     """
+    lin = linearization
+    if (f.domain_exp, f.resolution_exp) != (lin.domain_exp, lin.resolution_exp):
+        raise GridMismatch("f and the linearization live on different grids")
     by_scale: dict[int, list[Quartile]] = {}
     for q in quartiles:
         by_scale.setdefault(q.time.scale, []).append(q)
+    field = f.packet_tables().field
     out: dict[Quartile, QuadScalar] = {}
     for k, group in by_scale.items():
-        weighted = StepFunction(
-            f.domain_exp,
-            f.resolution_exp,
-            [
-                v * linearization.weight_at(cell, k) if v else ZERO
-                for cell, v in enumerate(f.values)
-            ],
-        )
-        paired = batch_inner_products(
-            weighted, [q.tile(subtile_index) for q in group]
+        tables = kernels.WalshTables(
+            kernels.field_product(field, lin.weight_field(k))
         )
         for q in group:
-            out[q] = paired[q.tile(subtile_index)]
+            out[q] = tables.pairing(q.tile(subtile_index))
     return out
 
 

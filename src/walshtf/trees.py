@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionViolated
-from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike, pow2_fraction
+from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike, common_lift, pow2_fraction
 from .geometry import (
     DyadicInterval,
     Quartile,
@@ -135,19 +135,6 @@ def _compare(r: int, s: int, scale: int, ref: tuple[int, int, int]) -> int:
     return _quad_sign((r << -shift) - ref_r, (s << -shift) - ref_s)
 
 
-def _common_denominator(values: Sequence[QuadScalar]) -> int:
-    return math.lcm(
-        *(v.rat.denominator for v in values), *(v.surd.denominator for v in values)
-    )
-
-
-def _lift(v: QuadScalar, d: int) -> tuple[int, int]:
-    """Integers (a, b) with v = (a + b sqrt2) / d; d must clear both parts."""
-    a = v.rat.numerator * (d // v.rat.denominator)
-    b = v.surd.numerator * (d // v.surd.denominator)
-    return a, b
-
-
 def _integer_masses(
     members: Sequence[Quartile], coeffs: Mapping[Quartile, QuadScalar]
 ) -> tuple[list[int], list[int], int]:
@@ -157,14 +144,9 @@ def _integer_masses(
     all coefficient denominators, and squared once on the integers:
     member p carries the mass (rats[p] + surds[p] sqrt2) / d^2.
     """
-    values = [coeffs[q] for q in members]
-    d = _common_denominator(values)
-    rats: list[int] = []
-    surds: list[int] = []
-    for v in values:
-        a, b = _lift(v, d)
-        rats.append(a * a + 2 * b * b)
-        surds.append(2 * a * b)
+    lifted_r, lifted_s, d = common_lift([coeffs[q] for q in members])
+    rats = [a * a + 2 * b * b for a, b in zip(lifted_r, lifted_s)]
+    surds = [2 * a * b for a, b in zip(lifted_r, lifted_s)]
     return rats, surds, d * d
 
 
@@ -491,8 +473,7 @@ def select_trees(
         # A stamp qualifies when its mass (r + s sqrt2) / denominator is at
         # least quarter 2^scale; both sides are scaled by the quarter's
         # own denominator to stay integral.
-        unit = _common_denominator([quarter])
-        bar_r, bar_s = _lift(quarter, unit)
+        (bar_r,), (bar_s,), unit = common_lift([quarter])
         bar = (bar_r * cands.denominator, bar_s * cands.denominator, 0)
         position = {q: p for p, q in enumerate(members)}
         for j in pins:

@@ -224,9 +224,9 @@ def linearize_weights(
 class LongShortSplit:
     """Coarse and fine variation of a sequence across windows.
 
-    long_power and short_power are r-th powers; the bound method gives
-    the constant 2^{1/r'} times their combined l^r sum, which dominates
-    the full variation.
+    long_power and short_power are r-th powers; bound() gives
+    3^{1/r'} (long + 2 short)^{1/r}, which dominates the full variation
+    since a step across windows splits into short, long and short steps.
     """
 
     r: float
@@ -245,9 +245,9 @@ class LongShortSplit:
         return self._to_float(self.short_power) ** (1.0 / self.r)
 
     def bound(self) -> float:
-        combined = self._to_float(self.long_power) + self._to_float(self.short_power)
+        combined = self._to_float(self.long_power) + 2.0 * self._to_float(self.short_power)
         conj = self.r / (self.r - 1.0)
-        return 2.0 ** (1.0 / conj) * combined ** (1.0 / self.r)
+        return 3.0 ** (1.0 / conj) * combined ** (1.0 / self.r)
 
 
 def long_short_split(

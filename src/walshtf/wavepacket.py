@@ -17,14 +17,15 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
+from . import kernels
 from .errors import GridMismatch, ResolutionTooCoarse
 from .exact import (
     ONE,
     ZERO,
-    DyadicRational,
     QuadScalar,
     ScalarLike,
     _as_fraction,
+    common_lift,
     inv_sqrt_pow2,
     pow2_fraction,
 )
@@ -142,10 +143,11 @@ class StepFunction:
     """An exact step function on the grid [0, 2^J) with cells 2^-m wide.
 
     Values are quadratic scalars, one per cell, stored left to right.
-    Instances are immutable; all arithmetic returns new objects.
+    Instances are immutable; all arithmetic returns new objects.  The
+    packet tables of a function are built on first use and kept.
     """
 
-    __slots__ = ("domain_exp", "resolution_exp", "values")
+    __slots__ = ("domain_exp", "resolution_exp", "values", "_tables")
 
     def __init__(
         self,
@@ -164,9 +166,18 @@ class StepFunction:
         object.__setattr__(self, "domain_exp", domain_exp)
         object.__setattr__(self, "resolution_exp", resolution_exp)
         object.__setattr__(self, "values", coerced)
+        object.__setattr__(self, "_tables", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StepFunction is immutable")
+
+    def packet_tables(self) -> kernels.WalshTables:
+        """The exact packet coefficient tables of f, built once."""
+        tables = self._tables
+        if tables is None:
+            tables = kernels.walsh_tables(self)
+            object.__setattr__(self, "_tables", tables)
+        return tables
 
     @classmethod
     def zero(cls, domain_exp: int, resolution_exp: int) -> "StepFunction":
@@ -335,23 +346,12 @@ class StepFunction:
         return np.array([v.to_float() for v in self.values], dtype=np.float64)
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:
-        """Cell values as integers times a common power of two.
+        """Cell values as integers over one common denominator.
 
-        Returns (rational parts, sqrt2 parts, e) so that each value is
-        (r + s sqrt2) * 2^-e.  Requires every denominator to be a power
-        of two, which holds for anything built from packets on a grid.
+        Returns (rational parts, sqrt2 parts, d) so that each value is
+        (r + s sqrt2) / d, with d the lcm of every part's denominator.
         """
-        e = 0
-        for v in self.values:
-            for part in (v.rat, v.surd):
-                d = part.denominator
-                if d & (d - 1):
-                    raise ValueError("cell value has a non-dyadic denominator")
-                e = max(e, d.bit_length() - 1)
-        scale = 1 << e
-        rat = [int(v.rat * scale) for v in self.values]
-        surd = [int(v.surd * scale) for v in self.values]
-        return rat, surd, e
+        return common_lift(self.values)
 
     def to_json(self) -> dict:
         return {
@@ -527,70 +527,16 @@ def wavepacket_step(
 def inner_product(f: StepFunction, tile: Tile) -> QuadScalar:
     """Exact pairing of a step function with a tile's wave packet.
 
-    Cells are grouped into the packet's constant pieces so that the
-    irrational amplitude multiplies a single signed block sum.
+    A read from f's packet tables; the packet is clipped to the box.
     """
-    block = ZERO
-    for a, b, sigma in wavepacket_pieces(
-        tile, f.domain_exp, f.resolution_exp
-    ):
-        piece = ZERO
-        for j in range(a, b):
-            v = f.values[j]
-            if v:
-                piece = piece + v
-        block = block + piece if sigma > 0 else block - piece
-    return block * (inv_sqrt_pow2(tile.time.scale) * f.cell_width)
-
-
-def _paley_block(f: StepFunction, cell_lo: int, levels: int) -> list[QuadScalar]:
-    """Packet coefficients for every frequency over one time interval.
-
-    The time interval covers cells [cell_lo, cell_lo + 2^levels); entry
-    b of the result pairs f with the packet of frequency index b there.
-    Runs the butterfly that mirrors the two-scale recursion, so a block
-    of size n costs n log n scalar operations instead of n^2.
-    """
-    if levels == 0:
-        return [f.values[cell_lo] * inv_sqrt_pow2(f.resolution_exp)]
-    half = 1 << (levels - 1)
-    left = _paley_block(f, cell_lo, levels - 1)
-    right = _paley_block(f, cell_lo + half, levels - 1)
-    out: list[QuadScalar] = [ZERO] * (2 * half)
-    for c in range(half):
-        lc, rc = left[c], right[c]
-        out[2 * c] = (lc + rc).div_sqrt2()
-        out[2 * c + 1] = (lc - rc).div_sqrt2()
-    return out
+    return f.packet_tables().pairing(tile)
 
 
 def batch_inner_products(
     f: StepFunction, tiles: Iterable[Tile]
 ) -> dict[Tile, QuadScalar]:
-    """Pair f with many packets, sharing work across equal time intervals.
-
-    Tiles over a common time interval inside the box are handled by one
-    butterfly pass when the group is large enough to amortise it; stray
-    tiles fall back to the direct block sum.
-    """
-    groups: dict[DyadicInterval, list[Tile]] = {}
-    for tile in tiles:
-        groups.setdefault(tile.time, []).append(tile)
-    out: dict[Tile, QuadScalar] = {}
-    box = DyadicInterval(0, f.domain_exp)
-    for time, group in groups.items():
-        levels = time.scale + f.resolution_exp
-        if levels >= 0 and box.contains(time) and len(group) > max(levels, 1):
-            for tile in group:
-                _check_resolvable(tile, f.resolution_exp)
-            lo, _ = time.cell_range(f.resolution_exp)
-            coeffs = _paley_block(f, lo, levels)
-            for tile in group:
-                out[tile] = coeffs[tile.freq_index]
-        else:
-            for tile in group:
-                out[tile] = inner_product(f, tile)
-    return out
+    """Pair f with many packets, each a read from f's packet tables."""
+    return {tile: inner_product(f, tile) for tile in tiles}
 
 
 def synthesize(

@@ -29,6 +29,7 @@ from walshtf.experiments.random_gen import (
     masked_signs,
     pinned_forest,
     pinned_tree,
+    quartile_collection,
     sign_function,
 )
 from walshtf.experiments.report import ExperimentReport, format_value, median, trend_slope
@@ -126,6 +127,18 @@ def test_disjoint_collection_refuses_overfull_requests_before_drawing(rng):
     with pytest.raises(RuntimeError, match="could not place 9 disjoint quartiles"):
         disjoint_collection(rng, 9, 2, 3)
     assert rng.getstate() == state
+
+
+def test_quartile_collection_refuses_counts_above_the_box_before_drawing(rng):
+    # A (2, 3) box has scales -1..2, each holding 2^3 quartiles.
+    state = rng.getstate()
+    with pytest.raises(RuntimeError, match="could not draw 33 distinct quartiles"):
+        quartile_collection(rng, 33, 2, 3)
+    with pytest.raises(RuntimeError, match="could not draw 17 distinct quartiles"):
+        quartile_collection(rng, 17, 2, 3, scale_range=(1, 5))
+    assert rng.getstate() == state
+    assert len(set(quartile_collection(rng, 32, 2, 3))) == 32
+    assert len(set(quartile_collection(rng, 16, 2, 3, scale_range=(1, 5)))) == 16
 
 
 def test_pinned_tree_overlaps_uniformly(rng):
@@ -356,6 +369,60 @@ def test_cli_restricted_and_counting_and_theorem(tmp_path):
         out = tmp_path / (args[0] + ".csv")
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_text().startswith("# report: ")
+
+
+@pytest.mark.parametrize(
+    "command, minimum",
+    [("theorem1", "grid_j + grid_m >= 3"), ("restricted-type", "J + m >= 4")],
+)
+def test_cli_refuses_a_grid_below_the_driver_minimum(tmp_path, capsys, command, minimum):
+    out = tmp_path / "report.csv"
+    args = [command, "--trials", "4", "--grid-j", "0", "--grid-m", "2", "--out", str(out)]
+    assert main(args) == 2
+    assert minimum in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _restricted_file(tmp_path, **changes):
+    request = {
+        "E1": {"grid": [2, 3], "cells": [0, 1, 2, 5, 9, 17]},
+        "E2": {"grid": [2, 3], "cells": list(range(4, 20))},
+        "E3": {"grid": [2, 3], "cells": list(range(0, 32, 3))},
+        "collection": [{"time": {"n": 0, "k": 1}, "freq": {"n": 2, "k": 1}}],
+    }
+    request.update(changes)
+    for key, value in changes.items():
+        if value is None:
+            del request[key]
+    path = tmp_path / "restricted.json"
+    path.write_text(json.dumps(request))
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"E1": None}, '"E1"'),
+        ({"E2": None}, '"E2"'),
+        ({"E3": None}, '"E3"'),
+        ({"E2": {"grid": [2, 3], "values": ["x"]}}, '"E2"'),
+        ({"E3": {"grid": [2, 4], "cells": [1]}}, "share one grid"),
+        ({"collection": {"time": {}}}, '"collection"'),
+        ({"collection": [{"time": {"n": 0}}]}, '"collection"[0]'),
+        ({"collection": [{"time": {"n": 0, "k": 4}, "freq": {"n": 0, "k": -2}}]}, "outside the box"),
+    ],
+)
+def test_cli_restricted_type_names_a_bad_field(tmp_path, capsys, changes, named):
+    path = _restricted_file(tmp_path, **changes)
+    assert main(["restricted-type", "--in", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cli_restricted_type_accepts_a_valid_file(tmp_path):
+    out = tmp_path / "restricted.csv"
+    path = _restricted_file(tmp_path)
+    assert main(["restricted-type", "--in", str(path), "--out", str(out)]) == 0
+    assert out.read_text().startswith("# report: restricted_type")
 
 
 def _selection_file(tmp_path, rng, **changes):

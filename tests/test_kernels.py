@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import inner_product_brute
 from walshtf import (
     DyadicInterval,
+    Linearization,
+    QuadScalar,
+    StepFunction,
     Tile,
+    ZERO,
+    batch_inner_products,
     h_star,
     h_var,
     inner_product,
@@ -18,15 +25,22 @@ from walshtf import (
     variation_norm,
     wavepacket_step,
 )
+from walshtf import kernels
 from walshtf.errors import KernelUnsupported, ResolutionTooCoarse
-from walshtf.experiments.random_gen import disjoint_collection, sign_function
+from walshtf.experiments.random_gen import (
+    disjoint_collection,
+    quartile_collection,
+    sign_function,
+)
 from walshtf.kernels import (
     batch_sup,
     batch_variation,
+    integer_field,
     render_packet_row,
     render_partial_sum_field,
     walsh_tables,
 )
+from walshtf.operators import tilde_coefficients
 
 
 def _random_tile(rng, domain_exp, resolution_exp):
@@ -41,7 +55,150 @@ def test_walsh_tables_agree_with_direct_pairings(rng):
     tables = walsh_tables(f)
     for _ in range(120):
         tile = _random_tile(rng, 3, 4)
-        assert tables.coefficient(tile) == inner_product(f, tile)
+        assert tables.coefficient(tile) == inner_product_brute(f, tile)
+
+
+def _oracle_check(rng, f, count=40):
+    """Table reads match the cell-by-cell oracle on random box tiles."""
+    for _ in range(count):
+        tile = _random_tile(rng, f.domain_exp, f.resolution_exp)
+        assert inner_product(f, tile) == inner_product_brute(f, tile)
+
+
+def test_pairings_of_non_dyadic_values(rng):
+    values = [
+        Fraction(rng.randint(-6, 6), rng.choice((1, 3, 5, 12))) for _ in range(64)
+    ]
+    f = StepFunction(2, 4, values)
+    assert integer_field(f).denominator == 60
+    _oracle_check(rng, f)
+    third = StepFunction(0, 2, [Fraction(1, 3)] * 4)
+    box = Tile(DyadicInterval(0, 0), DyadicInterval(0, 0))
+    assert inner_product(third, box) == QuadScalar(Fraction(1, 3))
+
+
+def test_pairings_of_values_with_sqrt2_parts(rng):
+    values = [
+        QuadScalar(Fraction(rng.randint(-4, 4), 4), Fraction(rng.randint(-3, 3), 3))
+        for _ in range(64)
+    ]
+    _oracle_check(rng, StepFunction(3, 3, values))
+    # Cells two units wide: the packet amplitude outgrows the cell width.
+    _oracle_check(rng, StepFunction(3, -1, values[:4]))
+
+
+def test_pairings_beyond_int64_headroom(rng):
+    # One part 1, the other 2^-80: the common denominator 2^80 pushes
+    # the lifted planes past int64, so the butterfly runs on Python ints.
+    tiny = Fraction(1, 1 << 80)
+    values = [
+        QuadScalar(rng.choice((-1, 0, 1)), rng.choice((-tiny, 0, tiny)))
+        for _ in range(64)
+    ]
+    f = StepFunction(2, 4, values)
+    field = integer_field(f)
+    assert field.denominator == 1 << 80
+    assert field.rat.dtype == object
+    _oracle_check(rng, f)
+    huge = StepFunction(2, 2, [rng.randint(-(1 << 70), 1 << 70) for _ in range(16)])
+    assert integer_field(huge).rat.dtype == object
+    _oracle_check(rng, huge)
+
+
+def test_tiles_off_the_box_pair_to_zero(rng):
+    f = sign_function(rng, 2, 3)
+    for _ in range(30):
+        k = rng.randint(-3, 5)
+        n = rng.randint(1 << max(2 - k, 0), (1 << max(2 - k, 0)) + 9)
+        tile = Tile(DyadicInterval(n, k), DyadicInterval(rng.randrange(1 << (k + 3)), -k))
+        assert inner_product(f, tile) == ZERO == inner_product_brute(f, tile)
+
+
+def test_tiles_around_the_box_pair_with_its_clipped_packet(rng):
+    values = [QuadScalar(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 3)) for _ in range(32)]
+    f = StepFunction(2, 3, values)
+    found = 0
+    for _ in range(60):
+        k = rng.randint(3, 6)
+        tile = Tile(DyadicInterval(0, k), DyadicInterval(rng.randrange(1 << (k + 3)), -k))
+        value = inner_product(f, tile)
+        assert value == inner_product_brute(f, tile)
+        found += bool(value)
+    assert found > 10
+
+
+def test_batch_pairings_match_the_oracle_on_mixed_tiles(rng):
+    f = sign_function(rng, 2, 3)
+    tiles = [_random_tile(rng, 2, 3) for _ in range(20)]
+    tiles += [Tile(DyadicInterval(0, 4), DyadicInterval(b, -4)) for b in range(0, 128, 9)]
+    tiles += [Tile(DyadicInterval(5, 0), DyadicInterval(1, 0))]
+    batch = batch_inner_products(f, tiles)
+    assert set(batch) == set(tiles)
+    for tile in tiles:
+        assert batch[tile] == inner_product_brute(f, tile)
+
+
+def test_tables_are_built_once_per_function(rng, monkeypatch):
+    builds = []
+    original = kernels.walsh_tables
+
+    def counting(f):
+        builds.append(f)
+        return original(f)
+
+    monkeypatch.setattr(kernels, "walsh_tables", counting)
+    f = sign_function(rng, 2, 3)
+    tiles = [_random_tile(rng, 2, 3) for _ in range(10)]
+    batch_inner_products(f, tiles)
+    for tile in tiles:
+        inner_product(f, tile)
+    assert f.packet_tables() is f.packet_tables()
+    assert builds == [f]
+
+
+def _reweighted_oracle(f, q, lin, subtile_index=3):
+    """Pairing with the packet reweighted cell by cell, in QuadScalar arithmetic."""
+    k = q.time.scale
+    weighted = StepFunction(
+        f.domain_exp,
+        f.resolution_exp,
+        [v * lin.weight_at(cell, k) for cell, v in enumerate(f.values)],
+    )
+    return inner_product_brute(weighted, q.tile(subtile_index))
+
+
+def _random_linearization(rng, domain_exp, resolution_exp, weight):
+    cells = 1 << (domain_exp + resolution_exp)
+    jumps, weights = [], []
+    for _ in range(cells):
+        cut = rng.randint(-resolution_exp + 1, domain_exp)
+        jumps.append((-resolution_exp, cut, domain_exp + 1))
+        weights.append((weight(), weight()))
+    return Linearization(domain_exp, resolution_exp, jumps, weights)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        lambda rng: QuadScalar(Fraction(rng.randint(-5, 5), rng.choice((1, 3, 7)))),
+        lambda rng: QuadScalar(Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 5)),
+        lambda rng: QuadScalar(rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 1 << 30)),
+    ],
+    ids=["non-dyadic", "sqrt2", "beyond-int64"],
+)
+def test_tilde_coefficients_match_per_cell_reweighting(rng, weight):
+    domain_exp, resolution_exp = 2, 4
+    lin = _random_linearization(rng, domain_exp, resolution_exp, lambda: weight(rng))
+    # Both lifts fit in int64; with the 2^-30 weights their product does not.
+    values = [
+        QuadScalar(rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 3 << 28)) for _ in range(64)
+    ]
+    f = StepFunction(domain_exp, resolution_exp, values)
+    coll = quartile_collection(rng, 20, domain_exp, resolution_exp)
+    got = tilde_coefficients(f, coll, lin)
+    assert set(got) == set(coll)
+    for q in coll:
+        assert got[q] == _reweighted_oracle(f, q, lin)
 
 
 def test_walsh_tables_reject_out_of_range_tiles(rng):

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_variation_power, brute_sup
@@ -133,6 +133,7 @@ def test_dual_weights_at_sup_exponent_are_signs():
 
 @settings(max_examples=40)
 @given(short_sequences, st.integers(min_value=1, max_value=3))
+@example(values=[Fraction(0), Fraction(-1), Fraction(0), Fraction(1)], pieces=1)
 def test_long_short_split_dominates_the_variation(values, pieces):
     if len(values) < 2:
         return
