@@ -1,11 +1,13 @@
 """Golden outputs of the report-writing CLI subcommands.
 
 Each case runs one subcommand in process at a small fixed config and
-keeps its exit status and the exact bytes of the CSV report, so any
-change to an exact value, a float rendering, a row order or a summary
-line shows up as a byte difference.  The cases cover `identities`,
-every `lemma` name, `restricted-type` (drawn sets and a `--in` file
-with a given collection) and `theorem1`.
+keeps its exit status and the exact bytes it writes to `--out` (a CSV
+report, the selection JSON of `select-trees`, the SVG of `render`), so
+any change to an exact value, a float rendering, a row order or a
+summary line shows up as a byte difference.  The cases cover
+`identities`, every `lemma` name, `restricted-type` (drawn sets and a
+`--in` file with a given collection), `theorem1`, `counting`, and
+`select-trees` on a fixed file followed by `render` of its output.
 
     PYTHONPATH=src python tests/cli_golden.py
 
@@ -40,6 +42,7 @@ CASES = (
         "theorem1",
         ["theorem1", "--trials", "8", "--grid-j", "4", "--grid-m", "6", "--seed", "5"],
     ),
+    ("counting", ["counting", "--trials", "1", "--seed", "2"]),
 )
 
 # A restricted-type input file: three cell sets on a (2, 4) grid and
@@ -57,10 +60,26 @@ RESTRICTED_INPUT = {
     ],
 }
 
+# A select-trees input file: an indicator on a (2, 4) grid and 22
+# overlapping quartiles, with an allowance at which one tree is grabbed.
+SELECTION_INPUT = {
+    "f": {"grid": [2, 4], "cells": [c for c in range(64) if c % 5 in (0, 1, 3)]},
+    "slot": 1,
+    "alpha": "25/64",
+    "domain_exp": 2,
+    "collection": [
+        {"time": {"n": n, "k": k}, "freq": {"n": w, "k": 2 - k}}
+        for k in (-1, 0, 1, 2)
+        for n in range(0, 1 << (2 - k), 3)
+        for w in range(4)
+        if (w + 1) << (2 - k) <= 16
+    ],
+}
+
 
 def _run(argv: list[str], out: Path) -> dict:
     status = main([*argv, "--out", str(out)])
-    return {"status": status, "csv": out.read_text(encoding="utf-8")}
+    return {"status": status, "out": out.read_text(encoding="utf-8")}
 
 
 def golden_cases() -> dict:
@@ -74,6 +93,11 @@ def golden_cases() -> dict:
         out["restricted-type/in"] = _run(
             ["restricted-type", "--in", str(source), "--seed", "6"], report
         )
+        source = Path(tmp) / "selection_in.json"
+        source.write_text(json.dumps(SELECTION_INPUT), encoding="utf-8")
+        selection = Path(tmp) / "selection.json"
+        out["select-trees"] = _run(["select-trees", "--in", str(source)], selection)
+        out["render"] = _run(["render", "--in", str(selection)], Path(tmp) / "plane.svg")
     return out
 
 

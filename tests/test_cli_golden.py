@@ -1,8 +1,10 @@
-"""CLI reports stay byte-identical.
+"""CLI outputs stay byte-identical.
 
 The fixture was recorded by cli_golden.py before the packet pairings
-moved onto the integer butterfly tables; any change to an exact value,
-a float rendering or a row order shows up as a byte difference.
+moved onto the integer butterfly tables, and its counting, select-trees
+and render cases before the two variation DPs became one; any change to
+an exact value, a float rendering or a row order shows up as a byte
+difference.
 """
 
 from __future__ import annotations
