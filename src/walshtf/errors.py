@@ -31,14 +31,6 @@ class InvalidTree(ValueError):
     """A tree member violates the top-containment conditions."""
 
 
-class EmptyTree(ValueError):
-    """An operation needed a nonempty tree."""
-
-
-class EmptyCollection(ValueError):
-    """An operation needed a nonempty quartile collection."""
-
-
 class EmptySet(ValueError):
     """A measurable set that had to carry mass turned out to be null."""
 

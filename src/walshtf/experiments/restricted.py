@@ -164,7 +164,6 @@ def run_restricted_type(
         config.r,
         domain_exp,
         resolution_exp,
-        method="float",
     )
 
     def slot_size_sq(quartiles, slot: int) -> QuadScalar:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
 from ..kernels import batch_variation, lp_norm
@@ -86,8 +87,13 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
     has one row per check and the failure count is the number of rows
     whose ok flag is cleared.
     """
-    rng = _suite_rng(config, "identities")
     domain_exp, resolution_exp = config.grid_j, config.grid_m
+    if resolution_exp < domain_exp + 2:
+        # Top-frequency digits of weight 2^-j, grid_j < j <= grid_m, are
+        # never pinned by a member, so two of them give pinned_forest
+        # enough distinct trees to draw from.
+        raise ConfigError("identities needs grid_m >= grid_j + 2 to draw distinct pinned trees")
+    rng = _suite_rng(config, "identities")
     columns = ("check", "trial", "detail", "ok")
     rows: list[tuple] = []
 
@@ -169,8 +175,8 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 seq_b = collapse_repeats([row.values[cell] for row in conjugated])
                 if tuple(seq_a) == tuple(seq_b):
                     continue
-                pa = variation_norm(seq_a, int_r, method="exact").power_sum
-                pb = variation_norm(seq_b, int_r, method="exact").power_sum
+                pa = variation_norm(seq_a, int_r).power_sum
+                pb = variation_norm(seq_b, int_r).power_sum
                 if pa != pb:
                     ok_var = False
                     break
@@ -276,8 +282,10 @@ def _lepingle(config: ExperimentConfig) -> ExperimentReport:
 
 def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
     """Variation of frequency projections against a power of the set size."""
-    rng = _suite_rng(config, "bourgain_delta")
     domain_exp, resolution_exp = config.grid_j, config.grid_m
+    if resolution_exp < 3:
+        raise ConfigError("bourgain_delta needs grid_m >= 3 to resolve its frequencies below 8")
+    rng = _suite_rng(config, "bourgain_delta")
     pool = [n for n in (2, 3, 4, 6, 8, 12, 16, 24, 32) if n <= 1 << resolution_exp]
     rows = []
     ratios = []
@@ -378,12 +386,15 @@ def _rademacher_menshov(config: ExperimentConfig) -> ExperimentReport:
 
 def _john_nirenberg(config: ExperimentConfig) -> ExperimentReport:
     """Square function mass against the weak threshold, slot by slot."""
-    rng = _suite_rng(config, "john_nirenberg")
     domain_exp, resolution_exp = config.grid_j, config.grid_m
+    if domain_exp + resolution_exp < 3:
+        raise ConfigError("john_nirenberg needs grid_j + grid_m >= 3 to fit one disjoint quartile")
+    capacity = 1 << (domain_exp + resolution_exp - 3)  # half the box's quartiles
+    rng = _suite_rng(config, "john_nirenberg")
     rows = []
     ratios = []
     for trial in range(config.trials):
-        count = rng.randint(1, 20)
+        count = rng.randint(1, min(20, capacity))
         quartiles = disjoint_collection(rng, count, domain_exp, resolution_exp)
         weights = [
             QuadScalar.coerce(Fraction(rng.randint(-8, 8), 8)) for _ in quartiles
@@ -419,8 +430,11 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
     lambda.  The spread of that ratio across grids is what the caller
     inspects for stability.
     """
-    rng = _suite_rng(config, "size_bound")
     domain_exp, resolution_exp = config.grid_j, config.grid_m
+    if domain_exp + resolution_exp < 6:
+        raise ConfigError("size_bound needs grid_j + grid_m >= 6 to fit five disjoint quartiles")
+    capacity = 1 << (domain_exp + resolution_exp - 3)  # half the box's quartiles
+    rng = _suite_rng(config, "size_bound")
     thresholds = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
     rows = []
     ratios = []
@@ -430,7 +444,7 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
         lam = thresholds[trial % len(thresholds)]
         masked = grand > float(lam)
         quartiles = disjoint_collection(
-            rng, rng.randint(5, 25), domain_exp, resolution_exp
+            rng, rng.randint(5, min(25, capacity)), domain_exp, resolution_exp
         )
         kept = []
         for q in quartiles:

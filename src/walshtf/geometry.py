@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .errors import EmptyTree, InvalidTree
+from .errors import InvalidTree
 from .exact import DyadicRational, _as_fraction, pow2_fraction
 
 PointLike = Union[int, Fraction, DyadicRational]
@@ -305,10 +305,6 @@ class Tree:
         )
 
 
-def classify_tree(tree: Tree) -> TreeKind:
-    return tree.classify()
-
-
 def maximal_tree(
     quartiles: Iterable[Quartile],
     top_interval: DyadicInterval,
@@ -347,8 +343,3 @@ def lacunary_tiles_disjoint(tree: Tree | Iterable[Quartile], i: int) -> bool:
             if subtiles[a].intersects(subtiles[b]):
                 return False
     return True
-
-
-def require_nonempty(tree: Tree) -> None:
-    if not tree.quartiles:
-        raise EmptyTree("operation requires a nonempty tree")

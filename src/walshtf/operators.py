@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, ScaleTooCoarse, ScaleTooFine
+from .errors import GridMismatch, ScaleTooCoarse, ScaleTooFine, ZeroVariation
 from .exact import (
     ONE,
     ZERO,
@@ -29,7 +29,7 @@ from .exact import (
     pow2_fraction,
 )
 from .geometry import DyadicInterval, Quartile, Tile, containing_interval, quartile_sort_key
-from .variation import ScaleSequence, VariationCertificate, linearize_weights, variation_norm
+from .variation import linearize_weights
 from .wavepacket import (
     RealStepFunction,
     StepFunction,
@@ -98,9 +98,6 @@ class QuartileCollection:
 
     def time_scales(self) -> list[int]:
         return sorted({q.time.scale for q in self.quartiles})
-
-    def time_intervals(self) -> set[DyadicInterval]:
-        return {q.time for q in self.quartiles}
 
     def to_json(self) -> list[dict]:
         return [q.to_json() for q in self]
@@ -182,9 +179,7 @@ def average(f: StepFunction, scale: int) -> StepFunction:
     return StepFunction(f.domain_exp, f.resolution_exp, out)
 
 
-def maximal(
-    f: Union[StepFunction, RealStepFunction], q: float = 1.0
-) -> RealStepFunction:
+def maximal(f: StepFunction, q: float = 1.0) -> RealStepFunction:
     """Dyadic maximal function of |f|^q, then the q-th root.
 
     At each point this is the largest average of |f|^q over a dyadic
@@ -192,10 +187,7 @@ def maximal(
     """
     if q <= 0:
         raise ValueError("maximal exponent must be positive")
-    if isinstance(f, StepFunction):
-        arr = np.abs(f.to_float_array()) ** q
-    else:
-        arr = np.abs(f.values) ** q
+    arr = np.abs(f.to_float_array()) ** q
     best = arr.copy()
     for scale in range(-f.resolution_exp + 1, f.domain_exp + 1):
         block = 1 << (scale + f.resolution_exp)
@@ -263,11 +255,6 @@ class TruncationField:
             raise ScaleTooCoarse(f"no row at scale {k}")
         return self.rows[k - self.scale_min]
 
-    def sequence_at(self, cell: int) -> ScaleSequence:
-        return ScaleSequence(
-            self.scale_min, [row.values[cell] for row in self.rows]
-        )
-
     def to_array(self) -> np.ndarray:
         return np.vstack([row.to_float_array() for row in self.rows])
 
@@ -284,22 +271,10 @@ class TruncationField:
             out.append(best)
         return StepFunction(self.domain_exp, self.resolution_exp, out)
 
-    def variation_field(self, r: float, method: str = "auto") -> RealStepFunction:
-        """Per-cell r-variation across the rows."""
-        if method in ("auto", "float"):
-            values = kernels.batch_variation(self.to_array(), r)
-            return RealStepFunction(self.domain_exp, self.resolution_exp, values)
-        cells = self.rows[0].cell_count
-        values = np.empty(cells, dtype=np.float64)
-        for cell in range(cells):
-            values[cell] = self.sequence_at(cell).variation(r, method).value
+    def variation_field(self, r: float) -> RealStepFunction:
+        """Per-cell r-variation across the rows, in floats."""
+        values = kernels.batch_variation(self.to_array(), r)
         return RealStepFunction(self.domain_exp, self.resolution_exp, values)
-
-    def certificates(self, r: float, method: str = "float") -> list[VariationCertificate]:
-        return [
-            self.sequence_at(cell).variation(r, method)
-            for cell in range(self.rows[0].cell_count)
-        ]
 
 
 def partial_sum_field(
@@ -339,11 +314,10 @@ def h_var(
     r: float,
     domain_exp: int,
     resolution_exp: int,
-    method: str = "auto",
 ) -> RealStepFunction:
     """r-variation of the truncated sums, cell by cell."""
     field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
-    return field.variation_field(r, method)
+    return field.variation_field(r)
 
 
 class Linearization:
@@ -430,36 +404,37 @@ class Linearization:
         )
 
 
+_WEIGHT_GRID_EXP = 16
+
+
 def optimal_linearization(
     terms: TermList,
     subtile_index: int,
     r: float,
     domain_exp: int,
     resolution_exp: int,
-    method: str = "float",
-    weight_grid_exp: int = 16,
 ) -> Linearization:
     """Weights realising each cell's r-variation, snapped to a dyadic grid.
 
-    Per cell, the maximising chain of the truncated sums yields dual
-    weights; bracketed window sums run against the scale direction, so
-    the weights change sign, and each is then rounded toward zero to a
-    multiple of 2^-weight_grid_exp.  Rounding toward zero keeps the
-    conjugate power of every cell's weights at most one.
+    Per cell, the maximising chain of the truncated sums, in floats (the
+    correctly rounded values of the exact sums), yields dual weights;
+    bracketed window sums run against the scale direction, so the
+    weights change sign, and each is then rounded toward zero to a
+    multiple of 2^-_WEIGHT_GRID_EXP.  Rounding toward zero keeps the
+    conjugate power of every cell's weights at most one.  A cell whose
+    sums never change gets no window.
     """
     field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
-    grid = 1 << weight_grid_exp
+    grid = 1 << _WEIGHT_GRID_EXP
     cell_jumps: list[tuple[int, ...]] = []
     cell_weights: list[tuple[QuadScalar, ...]] = []
-    cells = 1 << (domain_exp + resolution_exp)
-    for cell in range(cells):
-        seq = field.sequence_at(cell)
-        cert = seq.variation(r, method)
-        if not cert.indices:
+    for column in field.to_array().T.tolist():
+        try:
+            chain, weights = linearize_weights(column, r)
+        except ZeroVariation:
             cell_jumps.append((field.scale_min,))
             cell_weights.append(())
             continue
-        chain, weights = linearize_weights(list(seq), r, method)
         jumps = tuple(field.scale_min + idx + 1 for idx in chain)
         snapped = tuple(
             QuadScalar(Fraction(math.trunc(-w * grid), grid)) for w in weights

@@ -376,14 +376,6 @@ class SelectionResult:
     initial_size_sq: QuadScalar
     residual_size_sq: QuadScalar | None
 
-    @property
-    def seed_trees(self) -> list[Tree]:
-        return [g.seed for g in self.grabs]
-
-    @property
-    def full_trees(self) -> list[Tree]:
-        return [g.full for g in self.grabs]
-
     def grabs_in_pass(self, pass_slot: int) -> list[SelectedTree]:
         return [g for g in self.grabs if g.pass_slot == pass_slot]
 

@@ -1,9 +1,13 @@
 """Variation norms of finite sequences, with maximising certificates.
 
 The r-variation of a sequence is the supremum of l^r norms of its
-difference vectors along increasing chains of indices.  Everything here
-works either exactly over quadratic scalars (integer r) or in floating
-point, chosen per call.
+difference vectors along increasing chains of indices.  One dynamic
+program computes it, exactly over quadratic scalars or in Python
+floats.  This module alone picks the lane: exact when every value is an
+exact scalar and r is an integer or infinite, floats otherwise (numpy
+arrays, float values or a fractional r).  Callers pass the values they
+have; the `method` option of the three entry points that take one only
+forces a lane.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "linearize_weights",
     "LongShortSplit",
     "long_short_split",
-    "ScaleSequence",
     "collapse_repeats",
 ]
 
@@ -67,24 +70,35 @@ class VariationCertificate:
 
     @property
     def value(self) -> float:
-        p = (
-            self.power_sum.to_float()
-            if isinstance(self.power_sum, QuadScalar)
-            else float(self.power_sum)
-        )
+        p = float(self.power_sum)
         if self.r == math.inf or p == 0.0:
             return p
         return p ** (1.0 / self.r)
 
 
-def _power_exact(d: QuadScalar, r: float) -> QuadScalar:
-    return abs(d) ** int(r)
+def _lane(values: SequenceLike, r: float, method: str) -> tuple[list, object]:
+    """The values as QuadScalars or as Python floats, with that lane's zero.
+
+    This is the one place that decides between exact and float
+    arithmetic; the floats are the correctly rounded values of exact
+    inputs.
+    """
+    if _wants_exact(values, r, method):
+        if r != math.inf and not float(r).is_integer():
+            raise ValueError("exact variation needs an integer exponent")
+        return [QuadScalar.coerce(v) for v in values], ZERO
+    return [float(v) for v in values], 0.0
 
 
-def _variation_exact(values: list[QuadScalar], r: float) -> VariationCertificate:
+def _chain_dp(values: list, r: float, zero: object) -> VariationCertificate:
+    """The maximising chain over QuadScalars or Python floats alike.
+
+    Float powers use Python's float pow, not numpy's, so results are
+    reproducible bit for bit; exact powers take the integer exponent.
+    """
     n = len(values)
     if r == math.inf:
-        best = ZERO
+        best = zero
         pair: tuple[int, ...] = ()
         for i in range(n):
             for j in range(i + 1, n):
@@ -93,56 +107,23 @@ def _variation_exact(values: list[QuadScalar], r: float) -> VariationCertificate
                     best = d
                     pair = (i, j)
         return VariationCertificate(r, pair, best)
-    suffix: list[QuadScalar] = [ZERO] * n
+    power = r if isinstance(zero, float) else int(r)
+    suffix = [zero] * n
     succ: list[int | None] = [None] * n
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            cand = _power_exact(values[j] - values[i], r) + suffix[j]
+            cand = abs(values[j] - values[i]) ** power + suffix[j]
             if cand > suffix[i]:
                 suffix[i] = cand
                 succ[i] = j
-    total = ZERO
+    total = zero
     start = None
     for i in range(n):
         if suffix[i] > total:
             total = suffix[i]
             start = i
     if start is None:
-        return VariationCertificate(r, (), ZERO)
-    chain = [start]
-    while succ[chain[-1]] is not None:
-        chain.append(succ[chain[-1]])  # type: ignore[arg-type]
-    return VariationCertificate(r, tuple(chain), total)
-
-
-def _variation_float(values: np.ndarray, r: float) -> VariationCertificate:
-    n = len(values)
-    if r == math.inf:
-        best = 0.0
-        pair: tuple[int, ...] = ()
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = abs(float(values[j]) - float(values[i]))
-                if d > best:
-                    best = d
-                    pair = (i, j)
-        return VariationCertificate(r, pair, best)
-    suffix = [0.0] * n
-    succ: list[int | None] = [None] * n
-    for i in range(n - 2, -1, -1):
-        for j in range(i + 1, n):
-            cand = abs(float(values[j]) - float(values[i])) ** r + suffix[j]
-            if cand > suffix[i]:
-                suffix[i] = cand
-                succ[i] = j
-    total = 0.0
-    start = None
-    for i in range(n):
-        if suffix[i] > total:
-            total = suffix[i]
-            start = i
-    if start is None:
-        return VariationCertificate(r, (), 0.0)
+        return VariationCertificate(r, (), zero)
     chain = [start]
     while succ[chain[-1]] is not None:
         chain.append(succ[chain[-1]])  # type: ignore[arg-type]
@@ -161,30 +142,14 @@ def variation_norm(
     """
     if r != math.inf and r < 1:
         raise ValueError("variation exponent must be at least 1")
-    if _wants_exact(values, r, method):
-        if r != math.inf and not float(r).is_integer():
-            raise ValueError("exact variation needs an integer exponent")
-        return _variation_exact([QuadScalar.coerce(v) for v in values], r)
-    arr = np.asarray(
-        [v.to_float() if isinstance(v, QuadScalar) else float(v) for v in values],
-        dtype=np.float64,
-    )
-    return _variation_float(arr, r)
+    lane, zero = _lane(values, r, method)
+    return _chain_dp(lane, r, zero)
 
 
 def sup_norm(values: SequenceLike, method: str = "auto") -> object:
     """Largest |value| in the sequence; exact when the inputs are."""
-    if _wants_exact(values, math.inf, method):
-        best = ZERO
-        for v in values:
-            a = abs(QuadScalar.coerce(v))
-            if a > best:
-                best = a
-        return best
-    floats = [
-        v.to_float() if isinstance(v, QuadScalar) else float(v) for v in values
-    ]
-    return max((abs(v) for v in floats), default=0.0)
+    lane, zero = _lane(values, math.inf, method)
+    return max((abs(v) for v in lane), default=zero)
 
 
 def linearize_weights(
@@ -200,20 +165,13 @@ def linearize_weights(
     cert = variation_norm(values, r, method)
     if not cert.indices:
         raise ZeroVariation("constant sequences admit no dual weights")
-    floats = [
-        v.to_float() if isinstance(v, QuadScalar) else float(v) for v in values
-    ]
+    floats = [float(v) for v in values]
     diffs = [
         floats[b] - floats[a] for a, b in zip(cert.indices, cert.indices[1:])
     ]
     if r == math.inf:
         return cert.indices, tuple(math.copysign(1.0, d) for d in diffs)
-    power = (
-        cert.power_sum.to_float()
-        if isinstance(cert.power_sum, QuadScalar)
-        else float(cert.power_sum)
-    )
-    denom = power ** (1.0 - 1.0 / r)
+    denom = float(cert.power_sum) ** (1.0 - 1.0 / r)
     weights = tuple(
         math.copysign(abs(d) ** (r - 1.0), d) / denom for d in diffs
     )
@@ -233,19 +191,8 @@ class LongShortSplit:
     long_power: object
     short_power: object
 
-    def _to_float(self, p: object) -> float:
-        return p.to_float() if isinstance(p, QuadScalar) else float(p)
-
-    @property
-    def long_value(self) -> float:
-        return self._to_float(self.long_power) ** (1.0 / self.r)
-
-    @property
-    def short_value(self) -> float:
-        return self._to_float(self.short_power) ** (1.0 / self.r)
-
     def bound(self) -> float:
-        combined = self._to_float(self.long_power) + 2.0 * self._to_float(self.short_power)
+        combined = float(self.long_power) + 2.0 * float(self.short_power)
         conj = self.r / (self.r - 1.0)
         return 3.0 ** (1.0 / conj) * combined ** (1.0 / self.r)
 
@@ -254,7 +201,6 @@ def long_short_split(
     values: SequenceLike,
     r: float,
     breakpoints: Sequence[int],
-    method: str = "auto",
 ) -> LongShortSplit:
     """Split the r-variation into window-boundary and in-window parts.
 
@@ -272,10 +218,10 @@ def long_short_split(
     bounds = [0] + inner + [n]
     bounds = sorted(set(bounds))
     coarse = [values[b] for b in bounds[:-1]]
-    long_cert = variation_norm(coarse, r, method)
+    long_cert = variation_norm(coarse, r)
     short_power: object | None = None
     for a, b in zip(bounds, bounds[1:]):
-        window_cert = variation_norm(list(values[a:b]), r, method)
+        window_cert = variation_norm(list(values[a:b]), r)
         if short_power is None:
             short_power = window_cert.power_sum
         else:
@@ -293,61 +239,3 @@ def collapse_repeats(values: Sequence[ScalarLike]) -> list:
             out.append(v)
     return out
 
-
-class ScaleSequence:
-    """Values indexed by scale, constant beyond both stored ends.
-
-    Used for running truncated sums: entry k holds the sum over scales
-    above k, so the top entry is an empty sum pinned at zero and the
-    bottom entry absorbs every term.
-    """
-
-    __slots__ = ("scale_min", "values")
-
-    def __init__(self, scale_min: int, values: Sequence[ScalarLike]) -> None:
-        if not values:
-            raise ValueError("a scale sequence needs at least one entry")
-        object.__setattr__(self, "scale_min", scale_min)
-        object.__setattr__(
-            self, "values", tuple(QuadScalar.coerce(v) for v in values)
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ScaleSequence is immutable")
-
-    @property
-    def scale_max(self) -> int:
-        return self.scale_min + len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScaleSequence):
-            return NotImplemented
-        return self.scale_min == other.scale_min and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.scale_min, self.values))
-
-    def value_at(self, k: int) -> QuadScalar:
-        k = min(max(k, self.scale_min), self.scale_max)
-        return self.values[k - self.scale_min]
-
-    def variation(self, r: float, method: str = "auto") -> VariationCertificate:
-        return variation_norm(self.values, r, method)
-
-    def sup_abs(self) -> QuadScalar:
-        return sup_norm(self.values, method="exact")  # type: ignore[return-value]
-
-    def to_floats(self) -> np.ndarray:
-        return np.array([v.to_float() for v in self.values], dtype=np.float64)
-
-    def __repr__(self) -> str:
-        return (
-            f"ScaleSequence(k={self.scale_min}..{self.scale_max}, "
-            f"{len(self.values)} entries)"
-        )

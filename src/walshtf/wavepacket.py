@@ -409,7 +409,7 @@ class StepFunction:
 
 
 class RealStepFunction:
-    """Float-valued companion of StepFunction, backed by a numpy array."""
+    """Float cell values on a grid, in a read-only numpy array."""
 
     __slots__ = ("domain_exp", "resolution_exp", "values")
 
@@ -428,86 +428,10 @@ class RealStepFunction:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RealStepFunction is immutable")
 
-    @classmethod
-    def from_exact(cls, f: StepFunction) -> "RealStepFunction":
-        return cls(f.domain_exp, f.resolution_exp, f.to_float_array())
-
-    @classmethod
-    def zero(cls, domain_exp: int, resolution_exp: int) -> "RealStepFunction":
-        return cls(
-            domain_exp,
-            resolution_exp,
-            np.zeros(1 << (domain_exp + resolution_exp)),
-        )
-
-    @property
-    def cell_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cell_width(self) -> float:
-        return 2.0 ** -self.resolution_exp
-
-    def _require_same_grid(self, other: "RealStepFunction") -> None:
-        if (
-            self.domain_exp != other.domain_exp
-            or self.resolution_exp != other.resolution_exp
-        ):
-            raise GridMismatch("grids differ")
-
-    def __add__(self, other: "RealStepFunction") -> "RealStepFunction":
-        self._require_same_grid(other)
-        return RealStepFunction(
-            self.domain_exp, self.resolution_exp, self.values + other.values
-        )
-
-    def __sub__(self, other: "RealStepFunction") -> "RealStepFunction":
-        self._require_same_grid(other)
-        return RealStepFunction(
-            self.domain_exp, self.resolution_exp, self.values - other.values
-        )
-
-    def __mul__(self, other: Union["RealStepFunction", float, int]) -> "RealStepFunction":
-        if isinstance(other, RealStepFunction):
-            self._require_same_grid(other)
-            return RealStepFunction(
-                self.domain_exp, self.resolution_exp, self.values * other.values
-            )
-        return RealStepFunction(
-            self.domain_exp, self.resolution_exp, self.values * float(other)
-        )
-
-    def __rmul__(self, other: Union[float, int]) -> "RealStepFunction":
-        return self.__mul__(other)
-
-    def value_at(self, x: float) -> float:
-        if not 0 <= x < 2.0 ** self.domain_exp:
-            return 0.0
-        return float(self.values[int(x * 2.0 ** self.resolution_exp)])
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.cell_count else 0.0
-
-    def lp_norm(self, p: float) -> float:
-        if p == np.inf:
-            return self.sup_norm()
-        return float(
-            (np.sum(np.abs(self.values) ** p) * self.cell_width) ** (1.0 / p)
-        )
-
-    def l2_norm(self) -> float:
-        return self.lp_norm(2.0)
-
-    def integral(self) -> float:
-        return float(np.sum(self.values) * self.cell_width)
-
-    def support_measure(self) -> float:
-        return float(np.count_nonzero(self.values) * self.cell_width)
-
     def __repr__(self) -> str:
         return (
             f"RealStepFunction(J={self.domain_exp}, m={self.resolution_exp}, "
-            f"{self.cell_count} cells)"
+            f"{len(self.values)} cells)"
         )
 
 

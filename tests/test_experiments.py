@@ -373,12 +373,35 @@ def test_cli_restricted_and_counting_and_theorem(tmp_path):
 
 @pytest.mark.parametrize(
     "command, minimum",
-    [("theorem1", "grid_j + grid_m >= 3"), ("restricted-type", "J + m >= 4")],
+    [
+        ("theorem1", "grid_j + grid_m >= 3"),
+        ("restricted-type", "J + m >= 4"),
+        ("lemma size_bound", "grid_j + grid_m >= 6"),
+        ("lemma john_nirenberg", "grid_j + grid_m >= 3"),
+        ("lemma bourgain_delta", "grid_m >= 3"),
+    ],
 )
 def test_cli_refuses_a_grid_below_the_driver_minimum(tmp_path, capsys, command, minimum):
     out = tmp_path / "report.csv"
-    args = [command, "--trials", "4", "--grid-j", "0", "--grid-m", "2", "--out", str(out)]
+    args = [*command.split(), "--trials", "4", "--grid-j", "0", "--grid-m", "2", "--out", str(out)]
     assert main(args) == 2
+    assert minimum in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, grid, minimum",
+    [
+        ("identities", (1, 2), "grid_m >= grid_j + 2"),
+        ("lemma size_bound", (1, 3), "grid_j + grid_m >= 6"),
+    ],
+)
+def test_cli_refuses_a_grid_too_small_for_the_driver_draws(
+    tmp_path, capsys, command, grid, minimum
+):
+    out = tmp_path / "report.csv"
+    args = [*command.split(), "--grid-j", str(grid[0]), "--grid-m", str(grid[1])]
+    assert main([*args, "--trials", "4", "--out", str(out)]) == 2
     assert minimum in capsys.readouterr().err
     assert not out.exists()
 

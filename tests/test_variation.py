@@ -39,6 +39,25 @@ def test_float_variation_matches_brute_enumeration(values):
     assert cert.power_sum == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+# Multiples of 1/16 in [-4, 4]: every difference, its r-th power for
+# r <= 4 and every chain sum is a float, so both lanes compute the same
+# numbers and must pick the same chain.
+exact_float_sequences = st.lists(
+    st.integers(min_value=-64, max_value=64).map(lambda n: Fraction(n, 16)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(exact_float_sequences, st.sampled_from([1, 2, 3, 4, math.inf]))
+def test_exact_and_float_lanes_agree_where_floats_are_exact(values, r):
+    exact = variation_norm(values, r)
+    floats = variation_norm([float(v) for v in values], r)
+    assert exact.is_exact and not floats.is_exact
+    assert exact.indices == floats.indices
+    assert float(exact.power_sum) == floats.power_sum
+
+
 @given(short_sequences, st.integers(min_value=1, max_value=4))
 def test_certificate_chain_attains_the_value(values, r):
     cert = variation_norm(values, r, "exact")
