@@ -153,6 +153,8 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_counting(args: argparse.Namespace) -> int:
+    if args.grid_m is not None:
+        raise ConfigError("counting derives every grid from its box levels; drop --grid-m")
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 

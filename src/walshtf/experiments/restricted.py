@@ -77,7 +77,7 @@ def _exceptional_mask(
     the exceptional set.
     """
     resolution_exp = indicators[0].resolution_exp
-    fields = [maximal(ind, q_tilde).values for ind in indicators]
+    fields = [maximal(ind, q_tilde) for ind in indicators]
     measures = [_support_measure(ind) for ind in indicators]
     constant = 1.0
     while True:

@@ -440,7 +440,7 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
     ratios = []
     for trial in range(config.trials):
         f = sign_function(rng, domain_exp, resolution_exp)
-        grand = maximal(f, 2.0).values
+        grand = maximal(f, 2.0)
         lam = thresholds[trial % len(thresholds)]
         masked = grand > float(lam)
         quartiles = disjoint_collection(

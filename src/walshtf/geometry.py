@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .errors import InvalidTree
+from .errors import InvalidTree, ResolutionTooCoarse
 from .exact import DyadicRational, _as_fraction, pow2_fraction
 
 PointLike = Union[int, Fraction, DyadicRational]
@@ -135,6 +135,20 @@ class Tile:
     def freq_index(self) -> int:
         """Frequency position in units of |freq| = 1/|time|."""
         return self.freq.index
+
+    def piece_exp(self, resolution_exp: int) -> int:
+        """log2 of the cell count of each constant piece of the packet.
+
+        The packet has 2^s sign pieces, s the bit length of the
+        frequency index, over 2^(k + m) cells; a grid of cells 2^-m wide
+        resolves it only if every piece spans whole cells.
+        """
+        exp = self.time.scale + resolution_exp - self.freq.index.bit_length()
+        if exp < 0:
+            raise ResolutionTooCoarse(
+                f"tile oscillates below cell width 2^-{resolution_exp}"
+            )
+        return exp
 
     def intersects(self, other: "Tile") -> bool:
         return self.time.intersects(other.time) and self.freq.intersects(other.freq)

@@ -1,13 +1,14 @@
 """Vectorised kernels backing the exact layer.
 
-Two lanes live here.  The integer lane runs the Walsh butterfly over
-integer planes (one for the rational part, one for the sqrt2 part of
-each cell value, over one common denominator) and reads packet
-coefficients back off exactly, since the butterfly only ever adds and
-subtracts; it is the only way an exact packet coefficient is computed.
-The float lane assembles truncated partial-sum fields and batches the
-variation recursion over all grid cells at once; it trades exactness
-for speed and is meant for experiments, not proofs.
+The integer lane runs the Walsh butterfly over integer planes (one for
+the rational part, one for the sqrt2 part of each cell value, over one
+common denominator) and reads packet coefficients back off exactly,
+since the butterfly only ever adds and subtracts; it is the only way an
+exact packet coefficient is computed.  `packet_sums` is the only way
+packet terms are summed on the grid: exactly on integer planes, or in
+floats when the coefficients are floats.  The float lane also batches
+the variation recursion over all grid cells at once; it trades
+exactness for speed and is meant for experiments, not proofs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import wavepacket
-from .errors import KernelUnsupported, ResolutionTooCoarse
-from .exact import ZERO, QuadScalar, inv_sqrt_pow2
+from .errors import KernelUnsupported, ScaleTooCoarse
+from .exact import ZERO, QuadScalar, ScalarLike, common_lift, inv_sqrt_pow2
 from .geometry import Quartile, Tile
 
 if TYPE_CHECKING:
@@ -33,7 +34,8 @@ __all__ = [
     "field_product",
     "WalshTables",
     "walsh_tables",
-    "render_packet_row",
+    "packet_sums",
+    "truncation_terms",
     "render_partial_sum_field",
     "batch_variation",
     "batch_sup",
@@ -150,10 +152,7 @@ class WalshTables:
         """
         field = self.field
         scale, b = tile.time.scale, tile.freq_index
-        if b.bit_length() > scale + field.resolution_exp:
-            raise ResolutionTooCoarse(
-                f"tile oscillates below cell width 2^-{field.resolution_exp}"
-            )
+        tile.piece_exp(field.resolution_exp)
         lift = scale - field.domain_exp
         if lift > 0:
             if tile.time.index:
@@ -189,24 +188,81 @@ def walsh_tables(f: StepFunction) -> WalshTables:
     return WalshTables(integer_field(f))
 
 
-def render_packet_row(
-    tile: Tile, domain_exp: int, resolution_exp: int
-) -> np.ndarray:
-    """Float samples of a tile's packet on the grid cells."""
-    s = tile.freq_index.bit_length()
-    if s > tile.time.scale + resolution_exp:
-        raise ResolutionTooCoarse("tile oscillates below the cell width")
-    total = 1 << (domain_exp + resolution_exp)
-    out = np.zeros(total, dtype=np.float64)
-    pattern = np.array(
-        wavepacket.walsh_sign_pattern(tile.freq_index), dtype=np.float64
-    )
-    width = 1 << (tile.time.scale + resolution_exp - s)
-    lo, hi = tile.time.cell_range(resolution_exp)
-    row = np.repeat(pattern, width) * 2.0 ** (-tile.time.scale / 2.0)
-    a, b = max(lo, 0), min(hi, total)
-    out[a:b] = row[a - lo : b - lo]
-    return out
+def packet_sums(
+    terms: Iterable[tuple[int, Tile, float | ScalarLike]],
+    rows: int,
+    domain_exp: int,
+    resolution_exp: int,
+) -> np.ndarray | list[list[QuadScalar]]:
+    """Sums of packet terms on the grid cells, one row per cut.
+
+    A term (row, tile, c) adds c times the tile's packet, clipped to the
+    box, to plane row `row`: its sign row times the weight c 2^(-k/2),
+    k the tile's time scale.  Row j of the result sums plane rows j and
+    up.  Zero terms are skipped; a term at a negative row is checked
+    for resolvability but lands in no row.
+
+    The coefficients pick the lane.  Python floats fill one float64
+    plane, each row summed in term order, and the result is its array.
+    Any other coefficients are exact: the weights are lifted over one
+    common denominator into a rational and a sqrt2 integer plane, int64
+    while the sum of the parts' sizes fits and Python ints past that,
+    and the result is rows of QuadScalars, each distinct value built
+    once.  An empty term list is the exact zero.
+    """
+    terms = list(terms)
+    cells = 1 << (domain_exp + resolution_exp)
+    if terms and all(isinstance(c, float) for _, _, c in terms):
+        plane = np.zeros((rows, cells))
+        for row, tile, c in terms:
+            if c:
+                a, b, signs = wavepacket.sign_row(tile, domain_exp, resolution_exp)
+                if row >= 0:
+                    plane[row, a:b] += signs * (c * 2.0 ** (-tile.time.scale / 2.0))
+        return np.cumsum(plane[::-1], axis=0)[::-1]
+    placed, weights = [], []
+    for row, tile, c in terms:
+        c = QuadScalar.coerce(c)
+        if c:
+            a, b, signs = wavepacket.sign_row(tile, domain_exp, resolution_exp)
+            if row >= 0:
+                placed.append((row, a, b, signs))
+                weights.append(c * inv_sqrt_pow2(tile.time.scale))
+    rats, surds, d = common_lift(weights)
+    # No cell sum exceeds the sum of the parts' sizes.
+    bound = max(sum(map(abs, rats)), sum(map(abs, surds)))
+    dtype = object if bound >= 1 << _INT64_GUARD else np.int64
+    planes = np.zeros((2, rows, cells), dtype=dtype)
+    for (row, a, b, signs), r, s in zip(placed, rats, surds):
+        signs = signs.astype(dtype, copy=False)
+        planes[0, row, a:b] += r * signs
+        planes[1, row, a:b] += s * signs
+    rat, surd = np.cumsum(planes[:, ::-1], axis=1)[:, ::-1].tolist()
+    keys = {key for r_row, s_row in zip(rat, surd) for key in zip(r_row, s_row)}
+    quads = {(r, s): QuadScalar(Fraction(r, d), Fraction(s, d)) for r, s in keys}
+    return [[quads[key] for key in zip(r_row, s_row)] for r_row, s_row in zip(rat, surd)]
+
+
+def truncation_terms(
+    terms: Iterable[tuple[Quartile, float | ScalarLike]],
+    subtile_index: int,
+    domain_exp: int,
+    resolution_exp: int,
+) -> list[tuple[int, Tile, float | ScalarLike]]:
+    """Quartile terms placed for `packet_sums` as truncated sums.
+
+    A term at time scale k goes to row k + m - 1, so that result row j
+    sums the terms with time intervals strictly longer than 2^(j - m);
+    the last row, j = J + m, is an empty sum.  A quartile longer than
+    the box has no row and is refused.
+    """
+    placed = []
+    for quartile, coeff in terms:
+        scale = quartile.time.scale
+        if scale > domain_exp:
+            raise ScaleTooCoarse(f"quartile at scale {scale} above the box 2^{domain_exp}")
+        placed.append((scale + resolution_exp - 1, quartile.tile(subtile_index), coeff))
+    return placed
 
 
 def render_partial_sum_field(
@@ -215,26 +271,19 @@ def render_partial_sum_field(
     domain_exp: int,
     resolution_exp: int,
 ) -> np.ndarray:
-    """Truncated sums of packet terms, one row per truncation scale.
+    """Truncated sums of packet terms in floats, one row per truncation scale.
 
     Row j holds the sum of all terms whose quartile time interval is
     strictly longer than 2^k, k = j - resolution_exp; the last row
     (k = domain_exp) is identically zero and anchors variation chains.
     """
-    n_scales = domain_exp + resolution_exp + 1
-    total = 1 << (domain_exp + resolution_exp)
-    per_scale = np.zeros((n_scales, total), dtype=np.float64)
-    for quartile, coeff in terms:
-        c = float(coeff)
-        if c == 0.0:
-            continue
-        row = quartile.time.scale + resolution_exp
-        per_scale[row] += c * render_packet_row(
-            quartile.tile(subtile_index), domain_exp, resolution_exp
-        )
-    suffix = np.cumsum(per_scale[::-1], axis=0)[::-1]
-    field = np.vstack([suffix[1:], np.zeros((1, total))])
-    return field
+    rows = domain_exp + resolution_exp + 1
+    placed = truncation_terms(
+        ((q, float(c)) for q, c in terms), subtile_index, domain_exp, resolution_exp
+    )
+    if not placed:
+        return np.zeros((rows, 1 << (domain_exp + resolution_exp)))
+    return packet_sums(placed, rows, domain_exp, resolution_exp)
 
 
 def batch_variation(field: np.ndarray, r: float) -> np.ndarray:

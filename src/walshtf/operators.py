@@ -30,12 +30,7 @@ from .exact import (
 )
 from .geometry import DyadicInterval, Quartile, Tile, containing_interval, quartile_sort_key
 from .variation import linearize_weights
-from .wavepacket import (
-    RealStepFunction,
-    StepFunction,
-    batch_inner_products,
-    synthesize,
-)
+from .wavepacket import StepFunction, batch_inner_products, synthesize
 
 __all__ = [
     "QuartileCollection",
@@ -179,11 +174,12 @@ def average(f: StepFunction, scale: int) -> StepFunction:
     return StepFunction(f.domain_exp, f.resolution_exp, out)
 
 
-def maximal(f: StepFunction, q: float = 1.0) -> RealStepFunction:
+def maximal(f: StepFunction, q: float = 1.0) -> np.ndarray:
     """Dyadic maximal function of |f|^q, then the q-th root.
 
     At each point this is the largest average of |f|^q over a dyadic
-    interval of the grid containing it, raised to 1/q.
+    interval of the grid containing it, raised to 1/q.  The cell values
+    come back as a read-only float64 array.
     """
     if q <= 0:
         raise ValueError("maximal exponent must be positive")
@@ -193,7 +189,12 @@ def maximal(f: StepFunction, q: float = 1.0) -> RealStepFunction:
         block = 1 << (scale + f.resolution_exp)
         means = arr.reshape(-1, block).mean(axis=1)
         best = np.maximum(best, np.repeat(means, block))
-    return RealStepFunction(f.domain_exp, f.resolution_exp, best ** (1.0 / q))
+    return _read_only(best ** (1.0 / q))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def freq_projection(
@@ -271,10 +272,9 @@ class TruncationField:
             out.append(best)
         return StepFunction(self.domain_exp, self.resolution_exp, out)
 
-    def variation_field(self, r: float) -> RealStepFunction:
-        """Per-cell r-variation across the rows, in floats."""
-        values = kernels.batch_variation(self.to_array(), r)
-        return RealStepFunction(self.domain_exp, self.resolution_exp, values)
+    def variation_field(self, r: float) -> np.ndarray:
+        """Per-cell r-variation across the rows, a read-only float64 array."""
+        return _read_only(kernels.batch_variation(self.to_array(), r))
 
 
 def partial_sum_field(
@@ -283,21 +283,17 @@ def partial_sum_field(
     domain_exp: int,
     resolution_exp: int,
 ) -> TruncationField:
-    """Assemble the truncated sums of packet terms at every cut scale."""
-    by_scale: dict[int, list[tuple[Tile, ScalarLike]]] = {}
-    for quartile, coeff in terms:
-        by_scale.setdefault(quartile.time.scale, []).append(
-            (quartile.tile(subtile_index), coeff)
-        )
-    rows: list[StepFunction] = []
-    running = StepFunction.zero(domain_exp, resolution_exp)
-    rows.append(running)
-    for k in range(domain_exp, -resolution_exp, -1):
-        if k in by_scale:
-            running = running + synthesize(by_scale[k], domain_exp, resolution_exp)
-        rows.append(running)
-    rows.reverse()
-    return TruncationField(-resolution_exp, rows)
+    """Assemble the truncated sums of packet terms at every cut scale, exactly."""
+    exact = ((q, QuadScalar.coerce(c)) for q, c in terms)
+    rows = kernels.packet_sums(
+        kernels.truncation_terms(exact, subtile_index, domain_exp, resolution_exp),
+        domain_exp + resolution_exp + 1,
+        domain_exp,
+        resolution_exp,
+    )
+    return TruncationField(
+        -resolution_exp, [StepFunction(domain_exp, resolution_exp, row) for row in rows]
+    )
 
 
 def h_star(
@@ -314,8 +310,8 @@ def h_var(
     r: float,
     domain_exp: int,
     resolution_exp: int,
-) -> RealStepFunction:
-    """r-variation of the truncated sums, cell by cell."""
+) -> np.ndarray:
+    """r-variation of the truncated sums, cell by cell, in floats."""
     field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
     return field.variation_field(r)
 

@@ -8,17 +8,15 @@ grid whenever the pattern is constant on cells.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, ResolutionTooCoarse
+from .errors import GridMismatch
 from .exact import (
     ONE,
     ZERO,
@@ -33,11 +31,10 @@ from .geometry import DyadicInterval, PointLike, Tile
 
 __all__ = [
     "StepFunction",
-    "RealStepFunction",
     "walsh_sign_pattern",
+    "sign_row",
     "eval_walsh",
     "eval_wavepacket",
-    "wavepacket_pieces",
     "wavepacket_step",
     "inner_product",
     "batch_inner_products",
@@ -109,34 +106,21 @@ def eval_wavepacket(tile: Tile, x: PointLike) -> QuadScalar:
     return (left + right).div_sqrt2()
 
 
-def _check_resolvable(tile: Tile, resolution_exp: int) -> int:
-    """Bit length of the tile frequency index, or raise if too fine."""
-    s = tile.freq_index.bit_length()
-    if s > tile.time.scale + resolution_exp:
-        raise ResolutionTooCoarse(
-            f"tile oscillates below cell width 2^-{resolution_exp}"
-        )
-    return s
-
-
-def wavepacket_pieces(
+def sign_row(
     tile: Tile, domain_exp: int, resolution_exp: int
-) -> Iterator[tuple[int, int, int]]:
-    """Constant pieces (cell_lo, cell_hi, sign) of a tile's packet.
+) -> tuple[int, int, np.ndarray]:
+    """The signs of a tile's packet on the grid cells, clipped to the box.
 
-    Pieces are clipped to the box [0, 2^domain_exp); the packet value on
-    a piece is sign * 2^(-k/2) with k the time scale.
+    Returns (a, b, signs): cell j, a <= j < b, carries the sign
+    signs[j - a] = +-1 and every other cell zero.  The packet itself is
+    2^(-k/2) times this row, k the time scale.
     """
-    s = _check_resolvable(tile, resolution_exp)
-    pattern = walsh_sign_pattern(tile.freq_index)
+    exp = tile.piece_exp(resolution_exp)
     lo, hi = tile.time.cell_range(resolution_exp)
-    width = 1 << (tile.time.scale + resolution_exp - s)
-    total = 1 << (domain_exp + resolution_exp)
-    for u, sigma in enumerate(pattern):
-        a = max(lo + u * width, 0)
-        b = min(lo + (u + 1) * width, total)
-        if a < b:
-            yield a, b, sigma
+    a = max(lo, 0)
+    b = max(a, min(hi, 1 << (domain_exp + resolution_exp)))
+    pattern = np.array(walsh_sign_pattern(tile.freq_index), dtype=np.int64)
+    return a, b, pattern[(np.arange(a, b) - lo) >> exp]
 
 
 class StepFunction:
@@ -155,9 +139,9 @@ class StepFunction:
         resolution_exp: int,
         values: Sequence[ScalarLike],
     ) -> None:
-        cells = 1 << (domain_exp + resolution_exp)
         if domain_exp + resolution_exp < 0:
             raise ValueError("grid must contain at least one cell")
+        cells = 1 << (domain_exp + resolution_exp)
         coerced = tuple(QuadScalar.coerce(v) for v in values)
         if len(coerced) != cells:
             raise GridMismatch(
@@ -375,32 +359,6 @@ class StepFunction:
     def from_json_text(cls, text: str) -> "StepFunction":
         return cls.from_json(json.loads(text))
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# step-function J={self.domain_exp} m={self.resolution_exp}\n")
-        writer = csv.writer(out)
-        writer.writerow(["cell", "value"])
-        for j, v in enumerate(self.values):
-            writer.writerow([j, v.to_text()])
-        return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "StepFunction":
-        lines = text.splitlines()
-        if not lines or not lines[0].startswith("# step-function"):
-            raise ValueError("missing step-function header line")
-        header = dict(
-            item.split("=") for item in lines[0].split() if "=" in item
-        )
-        rows = list(csv.reader(lines[1:]))
-        values: dict[int, QuadScalar] = {}
-        for row in rows:
-            if not row or row[0] == "cell":
-                continue
-            values[int(row[0])] = QuadScalar.from_text(row[1])
-        ordered = [values[j] for j in sorted(values)]
-        return cls(int(header["J"]), int(header["m"]), ordered)
-
     def __repr__(self) -> str:
         return (
             f"StepFunction(J={self.domain_exp}, m={self.resolution_exp}, "
@@ -408,44 +366,22 @@ class StepFunction:
         )
 
 
-class RealStepFunction:
-    """Float cell values on a grid, in a read-only numpy array."""
-
-    __slots__ = ("domain_exp", "resolution_exp", "values")
-
-    def __init__(
-        self, domain_exp: int, resolution_exp: int, values: np.ndarray
-    ) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        cells = 1 << (domain_exp + resolution_exp)
-        if arr.shape != (cells,):
-            raise GridMismatch(f"expected shape ({cells},), got {arr.shape}")
-        object.__setattr__(self, "domain_exp", domain_exp)
-        object.__setattr__(self, "resolution_exp", resolution_exp)
-        object.__setattr__(self, "values", arr)
-        arr.setflags(write=False)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RealStepFunction is immutable")
-
-    def __repr__(self) -> str:
-        return (
-            f"RealStepFunction(J={self.domain_exp}, m={self.resolution_exp}, "
-            f"{len(self.values)} cells)"
-        )
+def _sign_step(
+    tile: Tile, amp: QuadScalar, domain_exp: int, resolution_exp: int
+) -> StepFunction:
+    """amp times the tile's sign row, as a step function."""
+    a, b, signs = sign_row(tile, domain_exp, resolution_exp)
+    values = [ZERO] * (1 << (domain_exp + resolution_exp))
+    neg = -amp
+    values[a:b] = [amp if s > 0 else neg for s in signs.tolist()]
+    return StepFunction(domain_exp, resolution_exp, values)
 
 
 def wavepacket_step(
     tile: Tile, domain_exp: int, resolution_exp: int
 ) -> StepFunction:
     """Render a tile's wave packet on the grid, clipped to the box."""
-    amp = inv_sqrt_pow2(tile.time.scale)
-    values = [ZERO] * (1 << (domain_exp + resolution_exp))
-    for a, b, sigma in wavepacket_pieces(tile, domain_exp, resolution_exp):
-        v = amp if sigma > 0 else -amp
-        for j in range(a, b):
-            values[j] = v
-    return StepFunction(domain_exp, resolution_exp, values)
+    return _sign_step(tile, inv_sqrt_pow2(tile.time.scale), domain_exp, resolution_exp)
 
 
 def inner_product(f: StepFunction, tile: Tile) -> QuadScalar:
@@ -469,26 +405,17 @@ def synthesize(
     resolution_exp: int,
 ) -> StepFunction:
     """Sum of coefficient times wave packet, rendered on the grid."""
-    values = [ZERO] * (1 << (domain_exp + resolution_exp))
-    for tile, coeff in terms:
-        c = QuadScalar.coerce(coeff)
-        if not c:
-            continue
-        scaled = c * inv_sqrt_pow2(tile.time.scale)
-        for a, b, sigma in wavepacket_pieces(tile, domain_exp, resolution_exp):
-            v = scaled if sigma > 0 else -scaled
-            for j in range(a, b):
-                values[j] = values[j] + v
-    return StepFunction(domain_exp, resolution_exp, values)
+    (row,) = kernels.packet_sums(
+        ((0, tile, QuadScalar.coerce(c)) for tile, c in terms),
+        1,
+        domain_exp,
+        resolution_exp,
+    )
+    return StepFunction(domain_exp, resolution_exp, row)
 
 
 def tree_sign_step(
     top_tile: Tile, domain_exp: int, resolution_exp: int
 ) -> StepFunction:
     """The sign of a top tile's packet: +-1 on its time interval, else 0."""
-    values = [ZERO] * (1 << (domain_exp + resolution_exp))
-    for a, b, sigma in wavepacket_pieces(top_tile, domain_exp, resolution_exp):
-        v = ONE if sigma > 0 else -ONE
-        for j in range(a, b):
-            values[j] = v
-    return StepFunction(domain_exp, resolution_exp, values)
+    return _sign_step(top_tile, ONE, domain_exp, resolution_exp)

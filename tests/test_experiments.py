@@ -363,12 +363,22 @@ def test_cli_select_trees_and_render_round_trip(tmp_path, rng):
 def test_cli_restricted_and_counting_and_theorem(tmp_path):
     for args in (
         ["restricted-type", "--trials", "3", "--grid-j", "2", "--grid-m", "4"],
-        ["counting", "--trials", "1", "--grid-j", "3", "--grid-m", "5"],
+        ["counting", "--trials", "1", "--grid-j", "3"],
         ["theorem1", "--trials", "2", "--grid-j", "3", "--grid-m", "5"],
     ):
         out = tmp_path / (args[0] + ".csv")
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_text().startswith("# report: ")
+
+
+def test_cli_counting_refuses_grid_m(tmp_path, capsys):
+    # Every counting grid comes from the box levels, so the flag would
+    # be silently ignored.
+    out = tmp_path / "report.csv"
+    args = ["counting", "--trials", "1", "--grid-m", "3", "--out", str(out)]
+    assert main(args) == 2
+    assert "--grid-m" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import inner_product_brute
+from oracles import inner_product_brute, packet_step
 from walshtf import (
     DyadicInterval,
     Linearization,
     QuadScalar,
+    Quartile,
     StepFunction,
     Tile,
     ZERO,
@@ -26,7 +27,7 @@ from walshtf import (
     wavepacket_step,
 )
 from walshtf import kernels
-from walshtf.errors import KernelUnsupported, ResolutionTooCoarse
+from walshtf.errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
 from walshtf.experiments.random_gen import (
     disjoint_collection,
     quartile_collection,
@@ -36,7 +37,7 @@ from walshtf.kernels import (
     batch_sup,
     batch_variation,
     integer_field,
-    render_packet_row,
+    packet_sums,
     render_partial_sum_field,
     walsh_tables,
 )
@@ -212,13 +213,69 @@ def test_walsh_tables_reject_out_of_range_tiles(rng):
         tables.coefficient(too_wiggly)
 
 
-def test_render_packet_row_matches_exact_packet(rng):
+def test_float_packet_sums_match_exact_packet(rng):
     for _ in range(25):
         tile = _random_tile(rng, 3, 4)
-        row = render_packet_row(tile, 3, 4)
+        (row,) = packet_sums([(0, tile, 1.0)], 1, 3, 4)
         exact = wavepacket_step(tile, 3, 4)
         expected = np.array([float(v) for v in exact.values])
         assert np.allclose(row, expected, rtol=1e-12, atol=1e-12)
+
+
+def _oracle_rows(terms, subtile_index, domain_exp, resolution_exp):
+    """Truncation rows as plain sums of closed-form packets."""
+    rows = []
+    for k in range(-resolution_exp, domain_exp + 1):
+        total = StepFunction.zero(domain_exp, resolution_exp)
+        for q, c in terms:
+            if q.time.scale > k:
+                total = total + packet_step(q.tile(subtile_index), domain_exp, resolution_exp) * c
+        rows.append(total)
+    return rows
+
+
+def _nested_quartiles(domain_exp, resolution_exp, count):
+    """Quartiles over the left end of the box, at every usable scale."""
+    out = []
+    for scale in range(domain_exp, 1 - resolution_exp, -1):
+        for n in range(min(count, 1 << (resolution_exp + scale - 2))):
+            out.append(Quartile(DyadicInterval(0, scale), DyadicInterval(n, 2 - scale)))
+    return out
+
+
+def test_exact_truncation_rows_match_summed_oracle_packets():
+    # sqrt2 multiples, non-dyadic values and parts near 2^70, on odd and
+    # even scales: the lifted planes need the sqrt2 plane and Python ints.
+    sqrt2 = QuadScalar(0, 1)
+    pool = [
+        QuadScalar(Fraction(1, 3)),
+        QuadScalar(Fraction(-1, 5), Fraction(2, 3)),
+        sqrt2 * 7,
+        QuadScalar((1 << 70) + 1, -(1 << 69)),
+        QuadScalar(Fraction(1, 5) - (1 << 70)),
+    ]
+    quartiles = _nested_quartiles(2, 4, 2)
+    terms = [(q, pool[i % len(pool)]) for i, q in enumerate(quartiles)]
+    field = partial_sum_field(terms, 3, 2, 4)
+    assert list(field.rows) == _oracle_rows(terms, 3, 2, 4)
+
+
+def test_exact_sums_leave_int64_when_only_the_total_outgrows_it():
+    # Four packets of scale 0 share cell 0 with sign +1; each part fits
+    # int64 by itself but their sum does not.
+    c = QuadScalar((1 << 61) + 1)
+    terms = [(Quartile(DyadicInterval(0, 0), DyadicInterval(n, 2)), c) for n in range(4)]
+    field = partial_sum_field(terms, 3, 2, 4)
+    assert field.row_at(-4).values[0] == QuadScalar(4 * ((1 << 61) + 1))
+    assert list(field.rows) == _oracle_rows(terms, 3, 2, 4)
+
+
+def test_both_lanes_refuse_a_quartile_above_the_box():
+    coarse = Quartile(DyadicInterval(0, 3), DyadicInterval(0, -1))
+    with pytest.raises(ScaleTooCoarse):
+        partial_sum_field([(coarse, QuadScalar(1))], 3, 2, 3)
+    with pytest.raises(ScaleTooCoarse):
+        render_partial_sum_field([(coarse, 1.0)], 3, 2, 3)
 
 
 def test_render_partial_sum_field_matches_exact_rows(rng):
@@ -271,7 +328,7 @@ def test_h_operators_agree_with_rendered_field(rng):
     )
     assert np.allclose(
         batch_variation(rendered, 3.0),
-        var.values,
+        var,
         rtol=1e-9,
         atol=1e-12,
     )

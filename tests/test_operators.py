@@ -71,13 +71,14 @@ def test_maximal_dominates_every_dyadic_average(rng):
                 width = 1 << (k + 3)
                 start = (cell // width) * width
                 best = max(best, cells[start : start + width].mean() ** (1.0 / q))
-            assert M.values[cell] == pytest.approx(best, rel=1e-12, abs=1e-12)
+            assert M[cell] == pytest.approx(best, rel=1e-12, abs=1e-12)
+        assert M.dtype == np.float64 and not M.flags.writeable
 
 
 def test_maximal_grows_with_the_exponent(rng):
     f = sign_function(rng, 3, 4)
     lo, hi = maximal(f, 1.0), maximal(f, 2.0)
-    assert (hi.values >= lo.values - 1e-12).all()
+    assert (hi >= lo - 1e-12).all()
 
 
 def test_freq_projection_keeps_and_kills_packets():
@@ -147,7 +148,8 @@ def test_h_operators_match_per_cell_recompute(rng):
         sups = max((abs(v) for v in column), default=ZERO)
         assert star.values[cell] == sups
         expected = variation_norm(column, 3, "exact").value
-        assert var.values[cell] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert var[cell] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert var.dtype == np.float64 and not var.flags.writeable
 
 
 def test_lambda_form_with_trivial_linearization(rng):

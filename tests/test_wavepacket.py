@@ -75,6 +75,11 @@ def test_packet_step_matches_closed_form(rng):
     for _ in range(40):
         tile = _random_tile(rng, 3, 4)
         assert wavepacket_step(tile, 3, 4) == packet_step(tile, 3, 4)
+    # Tiles around the box and beside it are clipped to it.
+    for time in (DyadicInterval(0, 4), DyadicInterval(0, 6), DyadicInterval(1, 4), DyadicInterval(9, 0)):
+        for n in (0, 1, 5):
+            tile = Tile(time, DyadicInterval(n, -time.scale))
+            assert wavepacket_step(tile, 3, 4) == packet_step(tile, 3, 4)
 
 
 def test_packet_norm_is_one(rng):
@@ -163,9 +168,13 @@ def test_dilate_rescales_the_grid(rng):
 
 def test_serialization_round_trips(rng):
     f = sign_function(rng, 2, 3)
-    assert StepFunction.from_csv(f.to_csv()) == f
     assert StepFunction.from_json_text(f.to_json_text()) == f
     assert StepFunction.from_json(f.to_json()) == f
+
+
+def test_a_grid_without_cells_is_refused():
+    with pytest.raises(ValueError, match="at least one cell"):
+        StepFunction(-2, 1, [])
 
 
 def test_dot_pairs_with_cell_weight(rng):
