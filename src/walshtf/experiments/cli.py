@@ -168,10 +168,12 @@ def _function_field(data: dict, key: str) -> StepFunction:
 
 
 def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
-    """The quartiles of data["collection"], each inside the box of f."""
+    """The quartiles of data["collection"], each inside the box of f and
+    no finer than its cells resolve (time scale at least 2 - m)."""
     if not isinstance(data["collection"], list):
         raise InvalidInput('field "collection" must be a list of quartiles')
     box = DyadicInterval(0, f.domain_exp)
+    finest = 2 - f.resolution_exp
     collection = []
     for i, item in enumerate(data["collection"]):
         try:
@@ -182,6 +184,11 @@ def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
             raise InvalidInput(
                 f'field "collection"[{i}] has time interval {q.time}, '
                 f"outside the box {box} of the grid"
+            )
+        if q.time.scale < finest:
+            raise InvalidInput(
+                f'field "collection"[{i}] has time scale {q.time.scale}, finer than '
+                f"the grid's cells allow: quartile scales start at 2 - m = {finest}"
             )
         collection.append(q)
     return collection

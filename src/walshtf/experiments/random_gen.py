@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from ..exact import pow2_fraction
 from ..geometry import DyadicInterval, Quartile, Tree, containing_interval
 from ..operators import FrequencySet
@@ -25,7 +27,7 @@ def sign_function(
     values = [
         rng.choice((-1, 0, 1)) for _ in range(1 << (domain_exp + resolution_exp))
     ]
-    return StepFunction(domain_exp, resolution_exp, values)
+    return StepFunction._from_planes(domain_exp, resolution_exp, np.array(values, np.int64))
 
 
 def dyadic_function(
@@ -36,11 +38,12 @@ def dyadic_function(
 ) -> StepFunction:
     """Cell values on the dyadic grid of step 2^-denom_exp inside [-1, 1]."""
     denom = 1 << denom_exp
-    values = [
-        Fraction(rng.randint(-denom, denom), denom)
-        for _ in range(1 << (domain_exp + resolution_exp))
+    numerators = [
+        rng.randint(-denom, denom) for _ in range(1 << (domain_exp + resolution_exp))
     ]
-    return StepFunction(domain_exp, resolution_exp, values)
+    return StepFunction._from_planes(
+        domain_exp, resolution_exp, np.array(numerators, np.int64), denominator=denom
+    )
 
 
 def dyadic_set(
@@ -51,16 +54,18 @@ def dyadic_set(
 ) -> StepFunction:
     """Indicator of a random union of grid cells, never empty."""
     total = 1 << (domain_exp + resolution_exp)
-    values = [1 if rng.random() < density else 0 for _ in range(total)]
-    if not any(values):
-        values[rng.randrange(total)] = 1
-    return StepFunction(domain_exp, resolution_exp, values)
+    rat = np.array([rng.random() < density for _ in range(total)], np.int64)
+    if not rat.any():
+        rat[rng.randrange(total)] = 1
+    return StepFunction._from_planes(domain_exp, resolution_exp, rat)
 
 
 def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
     """Random signs on the support of mask, zero elsewhere."""
-    values = [rng.choice((-1, 1)) if v else 0 for v in mask.values]
-    return StepFunction(mask.domain_exp, mask.resolution_exp, values)
+    support = mask.support_cells()
+    rat = np.zeros(mask.cell_count, np.int64)
+    rat[support] = [rng.choice((-1, 1)) for _ in support]
+    return StepFunction._from_planes(mask.domain_exp, mask.resolution_exp, rat)
 
 
 def _scale_bounds(

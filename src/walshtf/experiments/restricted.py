@@ -43,8 +43,7 @@ _COLUMNS = ("kind", "stage", "slot", "value", "reference", "ratio", "ok")
 
 
 def _support_measure(f: StepFunction) -> Fraction:
-    count = sum(1 for v in f.values if v)
-    return Fraction(count, 1 << f.resolution_exp)
+    return Fraction(len(f.support_cells()), 1 << f.resolution_exp)
 
 
 def _normalising_shift(measure: Fraction) -> int:
@@ -96,8 +95,11 @@ def _interval_inside(mask: np.ndarray, interval: DyadicInterval, resolution_exp:
 
 
 def _mask_out(f: StepFunction, mask: np.ndarray) -> StepFunction:
-    values = [ZERO if mask[i] else v for i, v in enumerate(f.values)]
-    return StepFunction(f.domain_exp, f.resolution_exp, values)
+    field = f.field
+    rat, surd = (np.where(mask, 0, plane) for plane in (field.rat, field.surd))
+    return StepFunction._from_planes(
+        f.domain_exp, f.resolution_exp, rat, surd, field.denominator
+    )
 
 
 def _dyadic_ceiling(x: float, grid_exp: int = 20) -> QuadScalar:

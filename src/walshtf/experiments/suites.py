@@ -76,6 +76,26 @@ def _nonzero_coefficients(
     }
 
 
+def _cell_columns(rows: list[StepFunction], unit: int) -> list[tuple[tuple[int, int], ...]]:
+    """Each cell's values down the rows, as integer (rat, surd) pairs over `unit`.
+
+    `unit` must be a multiple of every row's denominator; equal pairs
+    are then equal values.
+    """
+    lifted = []
+    for row in rows:
+        field = row.field
+        scale = unit // field.denominator
+        lifted.append(
+            [(r * scale, s * scale) for r, s in zip(field.rat.tolist(), field.surd.tolist())]
+        )
+    return list(zip(*lifted))
+
+
+def _pair_scalars(pairs: list[tuple[int, int]], unit: int) -> list[QuadScalar]:
+    return [QuadScalar(Fraction(r, unit), Fraction(s, unit)) for r, s in pairs]
+
+
 def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
     """Exercise the exact identities on randomized inputs.
 
@@ -142,8 +162,9 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
             strict = [field.row_at(k) for k in range(-resolution_exp, domain_exp + 1)]
             conjugated = []
             ok = True
+            signed = sign * full
             for k in range(-resolution_exp, domain_exp + 1):
-                rhs = sign * average(sign * full, k)
+                rhs = sign * average(signed, k)
                 conjugated.append(rhs)
                 pos = k + shift + resolution_exp
                 lhs = strict[pos] if pos < len(strict) else zero
@@ -170,13 +191,16 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 )
 
             ok_var = True
-            for cell in range(len(zero.values)):
-                seq_a = collapse_repeats([row.values[cell] for row in strict])
-                seq_b = collapse_repeats([row.values[cell] for row in conjugated])
-                if tuple(seq_a) == tuple(seq_b):
+            unit = math.lcm(*(row.field.denominator for row in strict + conjugated))
+            for col_a, col_b in zip(_cell_columns(strict, unit), _cell_columns(conjugated, unit)):
+                if col_a == col_b:
                     continue
-                pa = variation_norm(seq_a, int_r).power_sum
-                pb = variation_norm(seq_b, int_r).power_sum
+                seq_a = collapse_repeats(col_a)
+                seq_b = collapse_repeats(col_b)
+                if seq_a == seq_b:
+                    continue
+                pa = variation_norm(_pair_scalars(seq_a, unit), int_r).power_sum
+                pb = variation_norm(_pair_scalars(seq_b, unit), int_r).power_sum
                 if pa != pb:
                     ok_var = False
                     break

@@ -1,14 +1,17 @@
 """Vectorised kernels backing the exact layer.
 
-The integer lane runs the Walsh butterfly over integer planes (one for
-the rational part, one for the sqrt2 part of each cell value, over one
-common denominator) and reads packet coefficients back off exactly,
-since the butterfly only ever adds and subtracts; it is the only way an
-exact packet coefficient is computed.  `packet_sums` is the only way
-packet terms are summed on the grid: exactly on integer planes, or in
-floats when the coefficients are floats.  The float lane also batches
-the variation recursion over all grid cells at once; it trades
-exactness for speed and is meant for experiments, not proofs.
+Exact cell values live in integer planes (one for the rational part,
+one for the sqrt2 part of each cell value, over one common
+denominator): `IntegerField` is how a step function stores its values,
+and the `field_*` functions are its grid algebra, each checking that
+int64 cannot overflow before it uses int64.  The integer lane runs the
+Walsh butterfly over these planes and reads packet coefficients back
+off exactly, since the butterfly only ever adds and subtracts; it is
+the only way an exact packet coefficient is computed.  `packet_sums`
+is the only way packet terms are summed on the grid: exactly on integer
+planes, or in floats when the coefficients are floats.  The float lane
+also batches the variation recursion over all grid cells at once; it
+trades exactness for speed and is meant for experiments, not proofs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +34,10 @@ if TYPE_CHECKING:
 __all__ = [
     "IntegerField",
     "integer_field",
+    "field_sum",
     "field_product",
+    "field_scale",
+    "field_average",
     "WalshTables",
     "walsh_tables",
     "packet_sums",
@@ -45,13 +51,47 @@ __all__ = [
 _INT64_GUARD = 62
 
 
-@dataclass(frozen=True)
+def _headroom(domain_exp: int, resolution_exp: int) -> int:
+    """Bound on int64 plane entries: J + m butterfly doublings stay in int64."""
+    return 1 << (_INT64_GUARD - domain_exp - resolution_exp)
+
+
+def _magnitude(plane: np.ndarray) -> int:
+    """Largest |entry| of a plane as a Python int, 0 for an empty plane."""
+    return int(np.abs(plane).max()) if plane.size else 0
+
+
+def _as_plane(part: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Integers as an array, int64 where they fit and Python ints otherwise.
+
+    A list is never handed to numpy's own dtype guess, which turns
+    integers past int64 into floats.
+    """
+    if isinstance(part, np.ndarray):
+        return part
+    wide = bool(part) and max(max(part), -min(part)) >= 1 << 63
+    return np.array(part, dtype=object if wide else np.int64)
+
+
+def _widen(bound: int, domain_exp: int, resolution_exp: int, *planes: np.ndarray):
+    """The planes, as Python ints when a result up to `bound` could leave
+    the int64 headroom, so that no operation on them can wrap."""
+    if bound < _headroom(domain_exp, resolution_exp):
+        return planes
+    return tuple(p.astype(object) for p in planes)
+
+
+@dataclass(frozen=True, eq=False)
 class IntegerField:
     """Cell values (rat + surd sqrt2) / denominator as two integer planes.
 
-    The planes are int64 while J + m butterfly doublings of their
-    largest entry fit in int64, and arrays of Python ints otherwise, so
-    the butterfly stays exact whatever the values.
+    This is how a `StepFunction` stores its values.  The form is
+    canonical, so equal values give equal fields: the denominator is
+    positive and shares no factor with every entry at once, which makes
+    it the lcm of the denominators of all the parts (the convention of
+    `exact.common_lift`); both planes are int64 while J + m butterfly
+    doublings of their largest entry fit in int64, and arrays of Python
+    ints otherwise.  The planes are read-only.
     """
 
     rat: np.ndarray
@@ -61,21 +101,99 @@ class IntegerField:
     resolution_exp: int
 
     @classmethod
-    def from_ints(
-        cls, rat: list[int], surd: list[int], denominator: int,
-        domain_exp: int, resolution_exp: int,
+    def canonical(
+        cls, rat: Sequence[int] | np.ndarray, surd: Sequence[int] | np.ndarray,
+        denominator: int, domain_exp: int, resolution_exp: int,
     ) -> "IntegerField":
-        limit = 1 << (_INT64_GUARD - domain_exp - resolution_exp)
-        planes = []
-        for part in (rat, surd):
-            wide = bool(part) and max(max(part), -min(part)) >= limit
-            planes.append(np.array(part, dtype=object if wide else np.int64))
-        return cls(planes[0], planes[1], denominator, domain_exp, resolution_exp)
+        """The field of (rat + surd sqrt2) / denominator, brought to canonical form."""
+        rat, surd = _as_plane(rat), _as_plane(surd)
+        if not (rat.any() or surd.any()):
+            denominator = 1
+        elif denominator != 1:
+            g = math.gcd(denominator, int(np.gcd.reduce(rat)), int(np.gcd.reduce(surd)))
+            if g != 1:
+                rat, surd, denominator = rat // g, surd // g, denominator // g
+        wide = max(_magnitude(rat), _magnitude(surd)) >= _headroom(domain_exp, resolution_exp)
+        dtype = object if wide else np.int64
+        rat, surd = rat.astype(dtype, copy=False), surd.astype(dtype, copy=False)
+        for plane in (rat, surd):
+            plane.flags.writeable = False
+        return cls(rat, surd, denominator, domain_exp, resolution_exp)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntegerField):
+            return NotImplemented
+        return (
+            self.denominator == other.denominator
+            and self.domain_exp == other.domain_exp
+            and self.resolution_exp == other.resolution_exp
+            and np.array_equal(self.rat, other.rat)
+            and np.array_equal(self.surd, other.surd)
+        )
+
+    def __hash__(self) -> int:
+        planes = tuple(
+            p.tobytes() if p.dtype != object else tuple(p.tolist())
+            for p in (self.rat, self.surd)
+        )
+        return hash((self.denominator, self.domain_exp, self.resolution_exp, planes))
+
+    def distinct(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The distinct (rat, surd) pairs and, per cell, its pair's position."""
+        rat, surd = self.rat, self.surd
+        if rat.dtype != object:
+            r0, s0 = int(rat.min()), int(surd.min())
+            width = int(surd.max()) - s0 + 1
+            if (int(rat.max()) - r0 + 1) * width < 1 << 63:
+                # One int64 key per pair, so the pairs sort as numbers.
+                keys, inverse = np.unique(
+                    (rat - r0) * width + (surd - s0), return_inverse=True
+                )
+                pairs = [(k // width + r0, k % width + s0) for k in keys.tolist()]
+                return pairs, inverse.reshape(-1)
+        slots: dict[tuple[int, int], int] = {}
+        inverse = [
+            slots.setdefault(pair, len(slots))
+            for pair in zip(self.rat.tolist(), self.surd.tolist())
+        ]
+        return list(slots), np.array(inverse, dtype=np.intp)
+
+    def scalar(self, rat: int, surd: int) -> QuadScalar:
+        """The exact value of one (rat, surd) pair over the denominator."""
+        d = self.denominator
+        return QuadScalar(Fraction(rat, d), Fraction(surd, d))
+
+    def total(self) -> QuadScalar:
+        """The sum of every cell value, exactly.
+
+        An int64 plane has entries below 2^(62 - J - m) and 2^(J + m)
+        of them, so its sum stays in int64.
+        """
+        return self.scalar(int(self.rat.sum()), int(self.surd.sum()))
 
 
 def integer_field(f: StepFunction) -> IntegerField:
-    """Lift a step function to integer planes over one common denominator."""
-    return IntegerField.from_ints(*f.integer_lift(), f.domain_exp, f.resolution_exp)
+    """The integer planes of a step function, over their common denominator."""
+    return f.field
+
+
+def field_sum(a: IntegerField, b: IntegerField, sign: int = 1) -> IntegerField:
+    """a + sign * b cell-wise on one grid, over the lcm of the denominators."""
+    d = math.lcm(a.denominator, b.denominator)
+    fa, fb = d // a.denominator, d // b.denominator
+    # The factors themselves must fit too, even over a zero plane.
+    bound = max(
+        _magnitude(a.rat) * fa + _magnitude(b.rat) * fb,
+        _magnitude(a.surd) * fa + _magnitude(b.surd) * fb,
+        fa,
+        fb,
+    )
+    ra, sa, rb, sb = _widen(bound, a.domain_exp, a.resolution_exp, a.rat, a.surd, b.rat, b.surd)
+    if sign < 0:
+        rb, sb = -rb, -sb
+    return IntegerField.canonical(
+        ra * fa + rb * fb, sa * fa + sb * fb, d, a.domain_exp, a.resolution_exp
+    )
 
 
 def field_product(a: IntegerField, b: IntegerField) -> IntegerField:
@@ -83,15 +201,33 @@ def field_product(a: IntegerField, b: IntegerField) -> IntegerField:
 
     (R + S sqrt2)(r + s sqrt2) = (Rr + 2Ss) + (Rs + Sr) sqrt2 over the
     product of the denominators.  The planes move to Python ints when
-    the product could outgrow the butterfly's int64 headroom.
+    the product could outgrow the butterfly's int64 headroom.  A field
+    of one cell scales every cell of the other.
     """
-    ra, sa, rb, sb = a.rat, a.surd, b.rat, b.surd
-    pr, ps, qr, qs = (int(np.abs(p).max()) for p in (ra, sa, rb, sb))
-    limit = 1 << (_INT64_GUARD - a.domain_exp - a.resolution_exp)
-    if max(pr * qr + 2 * ps * qs, pr * qs + ps * qr) >= limit:
-        ra, sa, rb, sb = (p.astype(object) for p in (ra, sa, rb, sb))
+    pr, ps, qr, qs = (_magnitude(p) for p in (a.rat, a.surd, b.rat, b.surd))
+    bound = max(pr * qr + 2 * ps * qs, pr * qs + ps * qr)
+    ra, sa, rb, sb = _widen(bound, a.domain_exp, a.resolution_exp, a.rat, a.surd, b.rat, b.surd)
     rat, surd = ra * rb + 2 * sa * sb, ra * sb + sa * rb
-    return IntegerField(rat, surd, a.denominator * b.denominator, a.domain_exp, a.resolution_exp)
+    return IntegerField.canonical(
+        rat, surd, a.denominator * b.denominator, a.domain_exp, a.resolution_exp
+    )
+
+
+def field_scale(a: IntegerField, c: ScalarLike) -> IntegerField:
+    """Every cell of a times one exact scalar."""
+    (r,), (s,), d = common_lift([QuadScalar.coerce(c)])
+    scalar = IntegerField(_as_plane([r]), _as_plane([s]), d, a.domain_exp, a.resolution_exp)
+    return field_product(a, scalar)
+
+
+def field_average(a: IntegerField, block: int) -> IntegerField:
+    """Each run of `block` cells replaced by its mean: a reshape-sum."""
+    bound = block * max(_magnitude(a.rat), _magnitude(a.surd))
+    planes = _widen(bound, a.domain_exp, a.resolution_exp, a.rat, a.surd)
+    rat, surd = (np.repeat(p.reshape(-1, block).sum(axis=1), block) for p in planes)
+    return IntegerField.canonical(
+        rat, surd, a.denominator * block, a.domain_exp, a.resolution_exp
+    )
 
 
 def _butterfly_levels(plane: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -193,7 +329,7 @@ def packet_sums(
     rows: int,
     domain_exp: int,
     resolution_exp: int,
-) -> np.ndarray | list[list[QuadScalar]]:
+) -> np.ndarray | list[IntegerField]:
     """Sums of packet terms on the grid cells, one row per cut.
 
     A term (row, tile, c) adds c times the tile's packet, clipped to the
@@ -207,8 +343,8 @@ def packet_sums(
     Any other coefficients are exact: the weights are lifted over one
     common denominator into a rational and a sqrt2 integer plane, int64
     while the sum of the parts' sizes fits and Python ints past that,
-    and the result is rows of QuadScalars, each distinct value built
-    once.  An empty term list is the exact zero.
+    and the result is one canonical `IntegerField` per row.  An empty
+    term list is the exact zero.
     """
     terms = list(terms)
     cells = 1 << (domain_exp + resolution_exp)
@@ -237,10 +373,11 @@ def packet_sums(
         signs = signs.astype(dtype, copy=False)
         planes[0, row, a:b] += r * signs
         planes[1, row, a:b] += s * signs
-    rat, surd = np.cumsum(planes[:, ::-1], axis=1)[:, ::-1].tolist()
-    keys = {key for r_row, s_row in zip(rat, surd) for key in zip(r_row, s_row)}
-    quads = {(r, s): QuadScalar(Fraction(r, d), Fraction(s, d)) for r, s in keys}
-    return [[quads[key] for key in zip(r_row, s_row)] for r_row, s_row in zip(rat, surd)]
+    rat, surd = np.cumsum(planes[:, ::-1], axis=1)[:, ::-1]
+    return [
+        IntegerField.canonical(r_row, s_row, d, domain_exp, resolution_exp)
+        for r_row, s_row in zip(rat, surd)
+    ]
 
 
 def truncation_terms(

@@ -162,16 +162,7 @@ def average(f: StepFunction, scale: int) -> StepFunction:
     if scale > f.domain_exp:
         raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
     block = 1 << (scale + f.resolution_exp)
-    weight = Fraction(1, block)
-    out: list[QuadScalar] = []
-    for start in range(0, f.cell_count, block):
-        acc = ZERO
-        for j in range(start, start + block):
-            v = f.values[j]
-            if v:
-                acc = acc + v
-        out.extend([acc * weight] * block)
-    return StepFunction(f.domain_exp, f.resolution_exp, out)
+    return StepFunction._from_field(kernels.field_average(f.field, block))
 
 
 def maximal(f: StepFunction, q: float = 1.0) -> np.ndarray:
@@ -291,9 +282,7 @@ def partial_sum_field(
         domain_exp,
         resolution_exp,
     )
-    return TruncationField(
-        -resolution_exp, [StepFunction(domain_exp, resolution_exp, row) for row in rows]
-    )
+    return TruncationField(-resolution_exp, [StepFunction._from_field(row) for row in rows])
 
 
 def h_star(
@@ -358,7 +347,7 @@ class Linearization:
         field = self._weight_fields.get(scale)
         if field is None:
             weights = [self.weight_at(c, scale) for c in range(len(self.cell_weights))]
-            field = kernels.IntegerField.from_ints(
+            field = kernels.IntegerField.canonical(
                 *common_lift(weights), self.domain_exp, self.resolution_exp
             )
             self._weight_fields[scale] = field
@@ -460,7 +449,7 @@ def tilde_coefficients(
     by_scale: dict[int, list[Quartile]] = {}
     for q in quartiles:
         by_scale.setdefault(q.time.scale, []).append(q)
-    field = f.packet_tables().field
+    field = f.field
     out: dict[Quartile, QuadScalar] = {}
     for k, group in by_scale.items():
         tables = kernels.WalshTables(

@@ -3,9 +3,10 @@
 The r-variation of a sequence is the supremum of l^r norms of its
 difference vectors along increasing chains of indices.  One dynamic
 program computes it, exactly over quadratic scalars or in Python
-floats.  This module alone picks the lane: exact when every value is an
-exact scalar and r is an integer or infinite, floats otherwise (numpy
-arrays, float values or a fractional r).  Callers pass the values they
+floats.  This module alone picks the lane: exact when there are values,
+every one an exact scalar, and r is an integer or infinite; floats
+otherwise (an empty sequence, numpy arrays, float values or a
+fractional r).  Callers pass the values they
 have; the `method` option of the three entry points that take one only
 forces a lane.
 """
@@ -42,7 +43,7 @@ def _wants_exact(values: SequenceLike, r: float, method: str) -> bool:
         return False
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) or not len(values):
         return False
     if not (r == math.inf or (float(r).is_integer() and r >= 1)):
         return False

@@ -1,9 +1,10 @@
 """Walsh wave packets and exact step functions on a dyadic grid.
 
 A grid is the box [0, 2^J) cut into cells of width 2^-m.  Step functions
-carry one exact scalar per cell.  The wave packet of a tile I x omega is
-|I|^{-1/2} times a Walsh sign pattern on I; it is representable on the
-grid whenever the pattern is constant on cells.
+carry one exact scalar per cell, stored as integer planes.  The wave
+packet of a tile I x omega is |I|^{-1/2} times a Walsh sign pattern on
+I; it is representable on the grid whenever the pattern is constant on
+cells.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -126,34 +127,75 @@ def sign_row(
 class StepFunction:
     """An exact step function on the grid [0, 2^J) with cells 2^-m wide.
 
-    Values are quadratic scalars, one per cell, stored left to right.
-    Instances are immutable; all arithmetic returns new objects.  The
-    packet tables of a function are built on first use and kept.
+    The cell values, left to right, are stored as a canonical
+    `kernels.IntegerField`: a rational and a sqrt2 integer plane over
+    one denominator, so grid algebra runs on integer arrays and equal
+    functions have equal planes.  `values` gives them as a tuple of
+    quadratic scalars, built on first use.  Instances are immutable;
+    all arithmetic returns new objects.  The packet tables of a
+    function are built on first use and kept.
     """
 
-    __slots__ = ("domain_exp", "resolution_exp", "values", "_tables")
+    __slots__ = ("domain_exp", "resolution_exp", "field", "_values", "_tables")
 
     def __init__(
         self,
         domain_exp: int,
         resolution_exp: int,
-        values: Sequence[ScalarLike],
+        values: Iterable[ScalarLike],
     ) -> None:
         if domain_exp + resolution_exp < 0:
             raise ValueError("grid must contain at least one cell")
         cells = 1 << (domain_exp + resolution_exp)
-        coerced = tuple(QuadScalar.coerce(v) for v in values)
-        if len(coerced) != cells:
-            raise GridMismatch(
-                f"expected {cells} cell values, got {len(coerced)}"
-            )
-        object.__setattr__(self, "domain_exp", domain_exp)
-        object.__setattr__(self, "resolution_exp", resolution_exp)
-        object.__setattr__(self, "values", coerced)
+        rats, surds, d = common_lift([QuadScalar.coerce(v) for v in values])
+        if len(rats) != cells:
+            raise GridMismatch(f"expected {cells} cell values, got {len(rats)}")
+        self._set(kernels.IntegerField.canonical(rats, surds, d, domain_exp, resolution_exp))
+
+    def _set(self, field: kernels.IntegerField) -> None:
+        object.__setattr__(self, "domain_exp", field.domain_exp)
+        object.__setattr__(self, "resolution_exp", field.resolution_exp)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_values", None)
         object.__setattr__(self, "_tables", None)
+
+    @classmethod
+    def _from_field(cls, field: kernels.IntegerField) -> "StepFunction":
+        """Wrap a canonical field as a step function, without a copy."""
+        f = cls.__new__(cls)
+        f._set(field)
+        return f
+
+    @classmethod
+    def _from_planes(
+        cls,
+        domain_exp: int,
+        resolution_exp: int,
+        rat: np.ndarray,
+        surd: np.ndarray | None = None,
+        denominator: int = 1,
+    ) -> "StepFunction":
+        """The step function with values (rat + surd sqrt2) / denominator."""
+        if surd is None:
+            surd = np.zeros_like(rat)
+        return cls._from_field(
+            kernels.IntegerField.canonical(rat, surd, denominator, domain_exp, resolution_exp)
+        )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StepFunction is immutable")
+
+    @property
+    def values(self) -> tuple[QuadScalar, ...]:
+        """The cell values as quadratic scalars, each distinct one built once."""
+        values = self._values
+        if values is None:
+            field = self.field
+            pairs, inverse = field.distinct()
+            quads = [field.scalar(r, s) for r, s in pairs]
+            values = tuple(map(quads.__getitem__, inverse.tolist()))
+            object.__setattr__(self, "_values", values)
+        return values
 
     def packet_tables(self) -> kernels.WalshTables:
         """The exact packet coefficient tables of f, built once."""
@@ -165,8 +207,8 @@ class StepFunction:
 
     @classmethod
     def zero(cls, domain_exp: int, resolution_exp: int) -> "StepFunction":
-        return cls(
-            domain_exp, resolution_exp, [ZERO] * (1 << (domain_exp + resolution_exp))
+        return cls._from_planes(
+            domain_exp, resolution_exp, np.zeros(1 << (domain_exp + resolution_exp), np.int64)
         )
 
     @classmethod
@@ -174,12 +216,10 @@ class StepFunction:
         cls, interval: DyadicInterval, domain_exp: int, resolution_exp: int
     ) -> "StepFunction":
         """Indicator of a dyadic interval, clipped to the grid box."""
-        total = 1 << (domain_exp + resolution_exp)
+        rat = np.zeros(1 << (domain_exp + resolution_exp), np.int64)
         lo, hi = interval.cell_range(resolution_exp)
-        values = [ZERO] * total
-        for j in range(max(lo, 0), min(hi, total)):
-            values[j] = ONE
-        return cls(domain_exp, resolution_exp, values)
+        rat[max(lo, 0) : max(hi, 0)] = 1
+        return cls._from_planes(domain_exp, resolution_exp, rat)
 
     @classmethod
     def from_cells(
@@ -187,12 +227,12 @@ class StepFunction:
     ) -> "StepFunction":
         """Indicator of a union of grid cells given by index."""
         total = 1 << (domain_exp + resolution_exp)
-        values = [ZERO] * total
+        rat = np.zeros(total, np.int64)
         for j in cells:
             if not 0 <= j < total:
                 raise GridMismatch(f"cell {j} outside grid of {total} cells")
-            values[j] = ONE
-        return cls(domain_exp, resolution_exp, values)
+            rat[j] = 1
+        return cls._from_planes(domain_exp, resolution_exp, rat)
 
     @classmethod
     def sample(
@@ -208,7 +248,7 @@ class StepFunction:
 
     @property
     def cell_count(self) -> int:
-        return len(self.values)
+        return 1 << (self.domain_exp + self.resolution_exp)
 
     @property
     def cell_width(self) -> Fraction:
@@ -226,23 +266,16 @@ class StepFunction:
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         self._require_same_grid(other)
-        return StepFunction(
-            self.domain_exp,
-            self.resolution_exp,
-            [a + b for a, b in zip(self.values, other.values)],
-        )
+        return StepFunction._from_field(kernels.field_sum(self.field, other.field))
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         self._require_same_grid(other)
-        return StepFunction(
-            self.domain_exp,
-            self.resolution_exp,
-            [a - b for a, b in zip(self.values, other.values)],
-        )
+        return StepFunction._from_field(kernels.field_sum(self.field, other.field, -1))
 
     def __neg__(self) -> "StepFunction":
-        return StepFunction(
-            self.domain_exp, self.resolution_exp, [-a for a in self.values]
+        field = self.field
+        return StepFunction._from_planes(
+            self.domain_exp, self.resolution_exp, -field.rat, -field.surd, field.denominator
         )
 
     def __mul__(
@@ -250,15 +283,8 @@ class StepFunction:
     ) -> "StepFunction":
         if isinstance(other, StepFunction):
             self._require_same_grid(other)
-            return StepFunction(
-                self.domain_exp,
-                self.resolution_exp,
-                [a * b for a, b in zip(self.values, other.values)],
-            )
-        c = QuadScalar.coerce(other)
-        return StepFunction(
-            self.domain_exp, self.resolution_exp, [a * c for a in self.values]
-        )
+            return StepFunction._from_field(kernels.field_product(self.field, other.field))
+        return StepFunction._from_field(kernels.field_scale(self.field, other))
 
     def __rmul__(self, other: ScalarLike) -> "StepFunction":
         return self.__mul__(other)
@@ -266,68 +292,70 @@ class StepFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return (
-            self.domain_exp == other.domain_exp
-            and self.resolution_exp == other.resolution_exp
-            and self.values == other.values
-        )
+        return self.field == other.field
 
     def __hash__(self) -> int:
-        return hash((self.domain_exp, self.resolution_exp, self.values))
+        return hash(self.field)
 
     def value_at(self, x: PointLike) -> QuadScalar:
         x = _as_fraction(x)
         if not 0 <= x < (1 << self.domain_exp):
             return ZERO
-        return self.values[int(x * (1 << self.resolution_exp))]
+        j = int(x * (1 << self.resolution_exp))
+        return self.field.scalar(int(self.field.rat[j]), int(self.field.surd[j]))
 
     def restrict(self, interval: DyadicInterval) -> "StepFunction":
         """Zero out everything outside the given interval."""
-        total = self.cell_count
+        field = self.field
         lo, hi = interval.cell_range(self.resolution_exp)
-        values = [
-            v if max(lo, 0) <= j < min(hi, total) else ZERO
-            for j, v in enumerate(self.values)
-        ]
-        return StepFunction(self.domain_exp, self.resolution_exp, values)
+        lo, hi = max(lo, 0), max(hi, 0)
+        rat, surd = field.rat.copy(), field.surd.copy()
+        for plane in (rat, surd):
+            plane[:lo] = 0
+            plane[hi:] = 0
+        return StepFunction._from_planes(
+            self.domain_exp, self.resolution_exp, rat, surd, field.denominator
+        )
 
     def support_cells(self) -> list[int]:
-        return [j for j, v in enumerate(self.values) if v]
+        field = self.field
+        return np.flatnonzero((field.rat != 0) | (field.surd != 0)).tolist()
 
     def integral(self) -> QuadScalar:
-        total = ZERO
-        for v in self.values:
-            total = total + v
-        return total * self.cell_width
+        return self.field.total() * self.cell_width
 
     def dot(self, other: "StepFunction") -> QuadScalar:
         """The L2 pairing: sum of products weighted by cell width."""
         self._require_same_grid(other)
-        total = ZERO
-        for a, b in zip(self.values, other.values):
-            if a and b:
-                total = total + a * b
-        return total * self.cell_width
+        return kernels.field_product(self.field, other.field).total() * self.cell_width
 
     def l2_norm_sq(self) -> QuadScalar:
-        total = ZERO
-        for v in self.values:
-            if v:
-                total = total + v.square()
-        return total * self.cell_width
+        return self.dot(self)
 
     def dilate(self, shift: int) -> "StepFunction":
         """Precompose with x -> 2^shift x, keeping the same cell values.
 
         The box [0, 2^J) becomes [0, 2^(J-shift)) at resolution
-        m+shift; cells map one to one so values are reused as is.
+        m+shift; cells map one to one so the planes are reused as is.
         """
-        return StepFunction(
-            self.domain_exp - shift, self.resolution_exp + shift, self.values
+        field = self.field
+        return StepFunction._from_field(
+            kernels.IntegerField(
+                field.rat, field.surd, field.denominator,
+                self.domain_exp - shift, self.resolution_exp + shift,
+            )
         )
 
     def to_float_array(self) -> np.ndarray:
-        return np.array([v.to_float() for v in self.values], dtype=np.float64)
+        """The correctly rounded float of each cell value.
+
+        One `QuadScalar.to_float` per distinct value, scattered to the
+        cells, so the floats are those of the exact values bit for bit.
+        """
+        field = self.field
+        pairs, inverse = field.distinct()
+        floats = np.array([field.scalar(r, s).to_float() for r, s in pairs])
+        return floats[inverse]
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:
         """Cell values as integers over one common denominator.
@@ -335,7 +363,8 @@ class StepFunction:
         Returns (rational parts, sqrt2 parts, d) so that each value is
         (r + s sqrt2) / d, with d the lcm of every part's denominator.
         """
-        return common_lift(self.values)
+        field = self.field
+        return field.rat.tolist(), field.surd.tolist(), field.denominator
 
     def to_json(self) -> dict:
         return {
@@ -371,10 +400,10 @@ def _sign_step(
 ) -> StepFunction:
     """amp times the tile's sign row, as a step function."""
     a, b, signs = sign_row(tile, domain_exp, resolution_exp)
-    values = [ZERO] * (1 << (domain_exp + resolution_exp))
-    neg = -amp
-    values[a:b] = [amp if s > 0 else neg for s in signs.tolist()]
-    return StepFunction(domain_exp, resolution_exp, values)
+    rat = np.zeros(1 << (domain_exp + resolution_exp), np.int64)
+    rat[a:b] = signs
+    field = kernels.IntegerField(rat, np.zeros_like(rat), 1, domain_exp, resolution_exp)
+    return StepFunction._from_field(kernels.field_scale(field, amp))
 
 
 def wavepacket_step(
@@ -411,7 +440,7 @@ def synthesize(
         domain_exp,
         resolution_exp,
     )
-    return StepFunction(domain_exp, resolution_exp, row)
+    return StepFunction._from_field(row)
 
 
 def tree_sign_step(

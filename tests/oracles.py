@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from walshtf import (
@@ -65,6 +66,79 @@ def packet_step(tile: Tile, domain_exp: int, resolution_exp: int) -> StepFunctio
         for c in range(1 << (domain_exp + resolution_exp))
     ]
     return StepFunction(domain_exp, resolution_exp, values)
+
+
+class CellFunction:
+    """A step function as a plain list of QuadScalars, one per cell.
+
+    The reference for `StepFunction`'s grid algebra: every operation is
+    a loop over cells in QuadScalar arithmetic, with no integer planes.
+    """
+
+    def __init__(self, domain_exp: int, resolution_exp: int, values: Sequence) -> None:
+        self.domain_exp = domain_exp
+        self.resolution_exp = resolution_exp
+        self.values = [QuadScalar.coerce(v) for v in values]
+        assert len(self.values) == 1 << (domain_exp + resolution_exp)
+
+    def _like(self, values: Sequence) -> "CellFunction":
+        return CellFunction(self.domain_exp, self.resolution_exp, values)
+
+    def __add__(self, other: "CellFunction") -> "CellFunction":
+        return self._like([a + b for a, b in zip(self.values, other.values)])
+
+    def __sub__(self, other: "CellFunction") -> "CellFunction":
+        return self._like([a - b for a, b in zip(self.values, other.values)])
+
+    def __neg__(self) -> "CellFunction":
+        return self._like([-a for a in self.values])
+
+    def __mul__(self, other) -> "CellFunction":
+        if isinstance(other, CellFunction):
+            return self._like([a * b for a, b in zip(self.values, other.values)])
+        c = QuadScalar.coerce(other)
+        return self._like([a * c for a in self.values])
+
+    def average(self, scale: int) -> "CellFunction":
+        block = 1 << (scale + self.resolution_exp)
+        out = []
+        for start in range(0, len(self.values), block):
+            total = ZERO
+            for v in self.values[start : start + block]:
+                total = total + v
+            out.extend([total * Fraction(1, block)] * block)
+        return self._like(out)
+
+    def dot(self, other: "CellFunction") -> QuadScalar:
+        total = ZERO
+        for a, b in zip(self.values, other.values):
+            total = total + a * b
+        return total * pow2_fraction(-self.resolution_exp)
+
+    def integral(self) -> QuadScalar:
+        total = ZERO
+        for v in self.values:
+            total = total + v
+        return total * pow2_fraction(-self.resolution_exp)
+
+    def dilate(self, shift: int) -> "CellFunction":
+        return CellFunction(self.domain_exp - shift, self.resolution_exp + shift, self.values)
+
+    def restrict(self, interval: DyadicInterval) -> "CellFunction":
+        lo, hi = interval.cell_range(self.resolution_exp)
+        return self._like([v if lo <= j < hi else ZERO for j, v in enumerate(self.values)])
+
+    def lift(self) -> tuple[list[int], list[int], int]:
+        """(rats, surds, d): d the lcm of every part's denominator."""
+        d = lcm(*(q.denominator for v in self.values for q in (v.rat, v.surd)))
+        return (
+            [int(v.rat * d) for v in self.values],
+            [int(v.surd * d) for v in self.values],
+            d,
+        )
+
+    def floats(self) -> list[float]:
+        return [v.to_float() for v in self.values]
 
 
 def inner_product_brute(f: StepFunction, tile: Tile) -> QuadScalar:

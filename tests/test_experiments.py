@@ -434,6 +434,7 @@ def _restricted_file(tmp_path, **changes):
         ({"collection": {"time": {}}}, '"collection"'),
         ({"collection": [{"time": {"n": 0}}]}, '"collection"[0]'),
         ({"collection": [{"time": {"n": 0, "k": 4}, "freq": {"n": 0, "k": -2}}]}, "outside the box"),
+        ({"collection": [{"time": {"n": 0, "k": -2}, "freq": {"n": 0, "k": 4}}]}, "finer than"),
     ],
 )
 def test_cli_restricted_type_names_a_bad_field(tmp_path, capsys, changes, named):
@@ -493,6 +494,26 @@ def test_cli_select_trees_refuses_a_quartile_outside_the_box(tmp_path, rng, caps
     err = capsys.readouterr().err
     assert '"collection"[3]' in err
     assert "outside the box" in err
+
+
+def test_cli_select_trees_refuses_a_quartile_finer_than_the_cells(tmp_path, capsys):
+    # On a (J=1, m=1) grid quartile time scales start at 2 - m = 1; one
+    # at scale -1 used to be selected on silently.
+    request = {
+        "collection": [
+            {"time": {"n": 0, "k": 1}, "freq": {"n": 0, "k": 1}},
+            {"time": {"n": 0, "k": -1}, "freq": {"n": 0, "k": 3}},
+        ],
+        "f": {"grid": [1, 1], "cells": [0, 1, 2]},
+        "slot": 1,
+        "alpha": "1",
+    }
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"collection"[1]' in err
+    assert "finer than" in err
 
 
 def test_cli_select_trees_accepts_a_valid_file(tmp_path, rng):

@@ -83,6 +83,15 @@ def test_auto_method_picks_exact_only_when_it_can():
     assert not variation_norm(exact_in, 3, "float").is_exact
 
 
+def test_an_empty_sequence_follows_the_method_and_defaults_to_floats():
+    assert not variation_norm([], 3).is_exact
+    assert variation_norm([], 3).power_sum == 0.0
+    assert isinstance(sup_norm([]), float)
+    assert variation_norm([], 3, "exact").is_exact
+    assert sup_norm([], "exact") == QuadScalar(0)
+    assert not variation_norm([], 3, "float").is_exact
+
+
 def test_exact_method_refuses_fractional_exponent():
     with pytest.raises(ValueError):
         variation_norm([Fraction(0), Fraction(1)], 2.5, "exact")

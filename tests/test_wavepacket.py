@@ -5,11 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inner_product_brute, packet_step, packet_value, walsh_closed_form
+from oracles import CellFunction, inner_product_brute, packet_step, packet_value, walsh_closed_form
 from walshtf import (
     DyadicInterval,
     QuadScalar,
@@ -26,6 +27,7 @@ from walshtf import (
 )
 from walshtf.errors import GridMismatch
 from walshtf.experiments.random_gen import sign_function
+from walshtf.operators import average
 from walshtf.wavepacket import batch_inner_products, tree_sign_step
 
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=512).filter(
@@ -200,3 +202,127 @@ def test_tree_sign_step_is_a_sign_on_the_top():
             assert value == ZERO
     # The sign pattern is the packet's own, so the pairing is positive.
     assert inner_product(f, tile).sign() == 1
+
+
+# --- integer-plane storage against the per-cell oracle ----------------
+
+_GRIDS = [(0, 0), (1, 1), (2, 2), (0, 3), (3, -1), (1, 3)]
+_PARTS = {
+    "dyadic": st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8])),
+    "thirds": st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 5, 15])),
+    # Stored in int64, but a product of two leaves the int64 headroom.
+    "mid": st.integers(-3, 3).map(lambda n: n * ((1 << 29) + 7)),
+    # Past int64 from the start: near 2^70, or over the denominator 2^70.
+    "huge": st.integers(-3, 3).map(lambda n: n * (1 << 70) + 1),
+    "tiny": st.integers(-3, 3).map(lambda n: Fraction(n, 1 << 70)),
+}
+
+
+@st.composite
+def _cell_lists(draw, cells, kinds=tuple(_PARTS)):
+    rat = _PARTS[draw(st.sampled_from(kinds))]
+    surd = draw(st.sampled_from([st.just(0), rat, _PARTS["dyadic"]]))
+    return draw(st.lists(st.builds(QuadScalar, rat, surd), min_size=cells, max_size=cells))
+
+
+@st.composite
+def _function_pairs(draw):
+    domain_exp, resolution_exp = draw(st.sampled_from(_GRIDS))
+    cells = 1 << (domain_exp + resolution_exp)
+    xs, ys = draw(_cell_lists(cells)), draw(_cell_lists(cells))
+    return CellFunction(domain_exp, resolution_exp, xs), CellFunction(domain_exp, resolution_exp, ys)
+
+
+def _step(ref: CellFunction) -> StepFunction:
+    return StepFunction(ref.domain_exp, ref.resolution_exp, ref.values)
+
+
+def _assert_matches(f: StepFunction, ref: CellFunction) -> None:
+    assert (f.domain_exp, f.resolution_exp) == (ref.domain_exp, ref.resolution_exp)
+    assert f.values == tuple(ref.values)
+    assert f.integer_lift() == ref.lift()
+    assert f == _step(ref) and hash(f) == hash(_step(ref))
+    assert f.to_float_array().view(np.int64).tolist() == (
+        np.array(ref.floats()).view(np.int64).tolist()
+    )
+
+
+_SCALARS = st.sampled_from(
+    [0, 3, Fraction(1, 3), Fraction(-5, 8), QuadScalar(0, 1), QuadScalar(Fraction(1, 5), -2),
+     QuadScalar(1 << 70, 1), QuadScalar(Fraction(1, 1 << 70))]
+)
+
+
+@settings(max_examples=80)
+@given(_function_pairs(), _SCALARS)
+def test_plane_algebra_matches_the_cell_oracle(pair, c):
+    a, b = pair
+    f, g = _step(a), _step(b)
+    _assert_matches(f, a)
+    _assert_matches(f + g, a + b)
+    _assert_matches(f - g, a - b)
+    _assert_matches(-f, -a)
+    _assert_matches(f * g, a * b)
+    _assert_matches(f * c, a * c)
+    if not isinstance(c, QuadScalar):
+        _assert_matches(c * f, a * c)
+
+
+@settings(max_examples=60)
+@given(_function_pairs())
+def test_plane_averages_and_pairings_match_the_cell_oracle(pair):
+    a, b = pair
+    f, g = _step(a), _step(b)
+    for scale in range(-a.resolution_exp, a.domain_exp + 1):
+        _assert_matches(average(f, scale), a.average(scale))
+    assert f.dot(g) == a.dot(b)
+    assert f.integral() == a.integral()
+    assert f.l2_norm_sq() == a.dot(a)
+
+
+@settings(max_examples=60)
+@given(_function_pairs(), st.integers(-2, 2), st.data())
+def test_plane_dilation_and_restriction_match_the_cell_oracle(pair, shift, data):
+    a, _ = pair
+    f = _step(a)
+    _assert_matches(f.dilate(shift), a.dilate(shift))
+    scale = data.draw(st.integers(-a.resolution_exp, a.domain_exp + 1))
+    interval = DyadicInterval(data.draw(st.integers(0, 3)), scale)
+    _assert_matches(f.restrict(interval), a.restrict(interval))
+
+
+def test_equal_values_are_equal_whatever_the_route(rng):
+    # Each route ends on the same values over a different intermediate
+    # denominator or dtype; the stored planes must not remember it.
+    f = sign_function(rng, 2, 2)
+    routes = [
+        f * Fraction(1, 3) * 3,
+        (f * (1 << 70)) * Fraction(1, 1 << 70),
+        f * QuadScalar(0, 1) * QuadScalar(0, Fraction(1, 2)),
+        (f + f * Fraction(1, 5)) - f * Fraction(1, 5),
+        average(f, -2),
+    ]
+    for g in routes:
+        assert g == f and hash(g) == hash(f)
+        assert g.field.denominator == 1 and g.field.rat.dtype == np.int64
+    assert f * Fraction(1, 3) != f
+    half = StepFunction(2, 2, [Fraction(1, 2)] * 16)
+    assert half.field.denominator == 2
+    assert half * 2 == StepFunction(2, 2, [1] * 16)
+
+
+def test_sums_and_products_past_int64_headroom_move_to_python_ints():
+    # Lifting the zero function to the denominator 2^70 scales its
+    # planes by a factor that is itself past int64.
+    tiny = StepFunction(2, 2, [Fraction(1, 1 << 70)] * 16)
+    zero = StepFunction.zero(2, 2)
+    assert zero + tiny == tiny and tiny - tiny == zero
+    big = (1 << 40) + 3
+    f = StepFunction(2, 2, [big, -big] * 8)
+    assert f.field.rat.dtype == np.int64
+    square = f * f
+    assert square.field.rat.dtype == object
+    assert square.values == tuple([QuadScalar(big * big)] * 16)
+    assert (square - square).field.rat.dtype == np.int64
+    surd = f * QuadScalar(0, big)
+    assert surd.values[1] == QuadScalar(0, -big * big)
