@@ -27,7 +27,7 @@ def sign_function(
     values = [
         rng.choice((-1, 0, 1)) for _ in range(1 << (domain_exp + resolution_exp))
     ]
-    return StepFunction._from_planes(domain_exp, resolution_exp, np.array(values, np.int64))
+    return StepFunction(domain_exp, resolution_exp, np.array(values, np.int64))
 
 
 def dyadic_function(
@@ -41,8 +41,8 @@ def dyadic_function(
     numerators = [
         rng.randint(-denom, denom) for _ in range(1 << (domain_exp + resolution_exp))
     ]
-    return StepFunction._from_planes(
-        domain_exp, resolution_exp, np.array(numerators, np.int64), denominator=denom
+    return StepFunction(domain_exp, resolution_exp, np.array(numerators, np.int64)) * Fraction(
+        1, denom
     )
 
 
@@ -57,7 +57,7 @@ def dyadic_set(
     rat = np.array([rng.random() < density for _ in range(total)], np.int64)
     if not rat.any():
         rat[rng.randrange(total)] = 1
-    return StepFunction._from_planes(domain_exp, resolution_exp, rat)
+    return StepFunction(domain_exp, resolution_exp, rat)
 
 
 def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
@@ -65,7 +65,7 @@ def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
     support = mask.support_cells()
     rat = np.zeros(mask.cell_count, np.int64)
     rat[support] = [rng.choice((-1, 1)) for _ in support]
-    return StepFunction._from_planes(mask.domain_exp, mask.resolution_exp, rat)
+    return StepFunction(mask.domain_exp, mask.resolution_exp, rat)
 
 
 def _scale_bounds(

@@ -94,14 +94,6 @@ def _interval_inside(mask: np.ndarray, interval: DyadicInterval, resolution_exp:
     return bool(mask[lo:hi].all())
 
 
-def _mask_out(f: StepFunction, mask: np.ndarray) -> StepFunction:
-    field = f.field
-    rat, surd = (np.where(mask, 0, plane) for plane in (field.rat, field.surd))
-    return StepFunction._from_planes(
-        f.domain_exp, f.resolution_exp, rat, surd, field.denominator
-    )
-
-
 def _dyadic_ceiling(x: float, grid_exp: int = 20) -> QuadScalar:
     return QuadScalar.coerce(Fraction(math.ceil(x * (1 << grid_exp)), 1 << grid_exp))
 
@@ -147,7 +139,7 @@ def run_restricted_type(
     functions = {i + 1: masked_signs(rng, sets[i]) for i in range(3)}
     q_tilde = config.maximal_exp
     mask, constant, bad_measure = _exceptional_mask(sets, q_tilde)
-    functions[1] = _mask_out(functions[1], mask)
+    functions[1] = functions[1].mask_out(mask)
     kept = [
         q
         for q in members

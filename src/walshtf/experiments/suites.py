@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
-from ..kernels import batch_variation, lp_norm
+from ..kernels import batch_variation, cell_columns, lp_norm, pair_scalar
 from ..operators import FrequencySet, average, freq_projection, maximal, partial_sum_field
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
@@ -74,26 +74,6 @@ def _nonzero_coefficients(
     return {
         q: Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), 8) for q in members
     }
-
-
-def _cell_columns(rows: list[StepFunction], unit: int) -> list[tuple[tuple[int, int], ...]]:
-    """Each cell's values down the rows, as integer (rat, surd) pairs over `unit`.
-
-    `unit` must be a multiple of every row's denominator; equal pairs
-    are then equal values.
-    """
-    lifted = []
-    for row in rows:
-        field = row.field
-        scale = unit // field.denominator
-        lifted.append(
-            [(r * scale, s * scale) for r, s in zip(field.rat.tolist(), field.surd.tolist())]
-        )
-    return list(zip(*lifted))
-
-
-def _pair_scalars(pairs: list[tuple[int, int]], unit: int) -> list[QuadScalar]:
-    return [QuadScalar(Fraction(r, unit), Fraction(s, unit)) for r, s in pairs]
 
 
 def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
@@ -191,16 +171,17 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 )
 
             ok_var = True
-            unit = math.lcm(*(row.field.denominator for row in strict + conjugated))
-            for col_a, col_b in zip(_cell_columns(strict, unit), _cell_columns(conjugated, unit)):
+            by_cell, unit = cell_columns(strict + conjugated)
+            for column in by_cell:
+                col_a, col_b = column[: len(strict)], column[len(strict) :]
                 if col_a == col_b:
                     continue
                 seq_a = collapse_repeats(col_a)
                 seq_b = collapse_repeats(col_b)
                 if seq_a == seq_b:
                     continue
-                pa = variation_norm(_pair_scalars(seq_a, unit), int_r).power_sum
-                pb = variation_norm(_pair_scalars(seq_b, unit), int_r).power_sum
+                pa = variation_norm([pair_scalar(r, s, unit) for r, s in seq_a], int_r).power_sum
+                pb = variation_norm([pair_scalar(r, s, unit) for r, s in seq_b], int_r).power_sum
                 if pa != pb:
                     ok_var = False
                     break

@@ -34,6 +34,8 @@ if TYPE_CHECKING:
 __all__ = [
     "IntegerField",
     "integer_field",
+    "pair_scalar",
+    "cell_columns",
     "field_sum",
     "field_product",
     "field_scale",
@@ -139,29 +141,19 @@ class IntegerField:
         return hash((self.denominator, self.domain_exp, self.resolution_exp, planes))
 
     def distinct(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """The distinct (rat, surd) pairs and, per cell, its pair's position."""
-        rat, surd = self.rat, self.surd
-        if rat.dtype != object:
-            r0, s0 = int(rat.min()), int(surd.min())
-            width = int(surd.max()) - s0 + 1
-            if (int(rat.max()) - r0 + 1) * width < 1 << 63:
-                # One int64 key per pair, so the pairs sort as numbers.
-                keys, inverse = np.unique(
-                    (rat - r0) * width + (surd - s0), return_inverse=True
-                )
-                pairs = [(k // width + r0, k % width + s0) for k in keys.tolist()]
-                return pairs, inverse.reshape(-1)
-        slots: dict[tuple[int, int], int] = {}
-        inverse = [
-            slots.setdefault(pair, len(slots))
-            for pair in zip(self.rat.tolist(), self.surd.tolist())
-        ]
-        return list(slots), np.array(inverse, dtype=np.intp)
+        """The distinct (rat, surd) pairs and, per cell, its pair's position.
 
-    def scalar(self, rat: int, surd: int) -> QuadScalar:
-        """The exact value of one (rat, surd) pair over the denominator."""
-        d = self.denominator
-        return QuadScalar(Fraction(rat, d), Fraction(surd, d))
+        Each pair is packed into one integer key, so the pairs sort as
+        numbers; the keys are Python ints when int64 cannot hold them.
+        """
+        rat, surd = self.rat, self.surd
+        r0, s0 = int(rat.min()), int(surd.min())
+        width = int(surd.max()) - s0 + 1
+        if (int(rat.max()) - r0 + 1) * width >= 1 << 63:
+            rat, surd = rat.astype(object), surd.astype(object)
+        keys, inverse = np.unique((rat - r0) * width + (surd - s0), return_inverse=True)
+        pairs = [(k // width + r0, k % width + s0) for k in keys.tolist()]
+        return pairs, inverse.reshape(-1)
 
     def total(self) -> QuadScalar:
         """The sum of every cell value, exactly.
@@ -169,12 +161,37 @@ class IntegerField:
         An int64 plane has entries below 2^(62 - J - m) and 2^(J + m)
         of them, so its sum stays in int64.
         """
-        return self.scalar(int(self.rat.sum()), int(self.surd.sum()))
+        return pair_scalar(int(self.rat.sum()), int(self.surd.sum()), self.denominator)
+
+
+def pair_scalar(rat: int, surd: int, denominator: int) -> QuadScalar:
+    """The exact value (rat + surd sqrt2) / denominator of one integer pair."""
+    return QuadScalar(Fraction(rat, denominator), Fraction(surd, denominator))
 
 
 def integer_field(f: StepFunction) -> IntegerField:
     """The integer planes of a step function, over their common denominator."""
     return f.field
+
+
+def cell_columns(
+    functions: Sequence[StepFunction],
+) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """Each cell's values down the functions, as integer pairs over one denominator.
+
+    Returns the columns and that denominator d, the lcm of the
+    functions' own: equal pairs are equal values, and a pair (r, s)
+    has the value `pair_scalar(r, s, d)`.
+    """
+    d = math.lcm(*(f.field.denominator for f in functions))
+    lifted = []
+    for f in functions:
+        field = f.field
+        scale = d // field.denominator
+        lifted.append(
+            [(r * scale, s * scale) for r, s in zip(field.rat.tolist(), field.surd.tolist())]
+        )
+    return list(zip(*lifted)), d
 
 
 def field_sum(a: IntegerField, b: IntegerField, sign: int = 1) -> IntegerField:
@@ -321,7 +338,7 @@ class WalshTables:
 
 def walsh_tables(f: StepFunction) -> WalshTables:
     """Build the packet tables of f; `StepFunction.packet_tables` keeps one."""
-    return WalshTables(integer_field(f))
+    return WalshTables(f.field)
 
 
 def packet_sums(

@@ -134,6 +134,9 @@ class StepFunction:
     quadratic scalars, built on first use.  Instances are immutable;
     all arithmetic returns new objects.  The packet tables of a
     function are built on first use and kept.
+
+    The constructor takes any exact scalars; a numpy integer array is
+    taken as the rational plane as it is, without a scalar per cell.
     """
 
     __slots__ = ("domain_exp", "resolution_exp", "field", "_values", "_tables")
@@ -147,7 +150,11 @@ class StepFunction:
         if domain_exp + resolution_exp < 0:
             raise ValueError("grid must contain at least one cell")
         cells = 1 << (domain_exp + resolution_exp)
-        rats, surds, d = common_lift([QuadScalar.coerce(v) for v in values])
+        if isinstance(values, np.ndarray) and values.dtype.kind == "i" and values.ndim == 1:
+            rats = values.astype(np.int64)
+            surds, d = np.zeros_like(rats), 1
+        else:
+            rats, surds, d = common_lift([QuadScalar.coerce(v) for v in values])
         if len(rats) != cells:
             raise GridMismatch(f"expected {cells} cell values, got {len(rats)}")
         self._set(kernels.IntegerField.canonical(rats, surds, d, domain_exp, resolution_exp))
@@ -166,22 +173,6 @@ class StepFunction:
         f._set(field)
         return f
 
-    @classmethod
-    def _from_planes(
-        cls,
-        domain_exp: int,
-        resolution_exp: int,
-        rat: np.ndarray,
-        surd: np.ndarray | None = None,
-        denominator: int = 1,
-    ) -> "StepFunction":
-        """The step function with values (rat + surd sqrt2) / denominator."""
-        if surd is None:
-            surd = np.zeros_like(rat)
-        return cls._from_field(
-            kernels.IntegerField.canonical(rat, surd, denominator, domain_exp, resolution_exp)
-        )
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StepFunction is immutable")
 
@@ -192,7 +183,7 @@ class StepFunction:
         if values is None:
             field = self.field
             pairs, inverse = field.distinct()
-            quads = [field.scalar(r, s) for r, s in pairs]
+            quads = [kernels.pair_scalar(r, s, field.denominator) for r, s in pairs]
             values = tuple(map(quads.__getitem__, inverse.tolist()))
             object.__setattr__(self, "_values", values)
         return values
@@ -207,9 +198,7 @@ class StepFunction:
 
     @classmethod
     def zero(cls, domain_exp: int, resolution_exp: int) -> "StepFunction":
-        return cls._from_planes(
-            domain_exp, resolution_exp, np.zeros(1 << (domain_exp + resolution_exp), np.int64)
-        )
+        return cls(domain_exp, resolution_exp, np.zeros(1 << (domain_exp + resolution_exp), np.int64))
 
     @classmethod
     def indicator(
@@ -219,7 +208,7 @@ class StepFunction:
         rat = np.zeros(1 << (domain_exp + resolution_exp), np.int64)
         lo, hi = interval.cell_range(resolution_exp)
         rat[max(lo, 0) : max(hi, 0)] = 1
-        return cls._from_planes(domain_exp, resolution_exp, rat)
+        return cls(domain_exp, resolution_exp, rat)
 
     @classmethod
     def from_cells(
@@ -232,7 +221,7 @@ class StepFunction:
             if not 0 <= j < total:
                 raise GridMismatch(f"cell {j} outside grid of {total} cells")
             rat[j] = 1
-        return cls._from_planes(domain_exp, resolution_exp, rat)
+        return cls(domain_exp, resolution_exp, rat)
 
     @classmethod
     def sample(
@@ -273,10 +262,7 @@ class StepFunction:
         return StepFunction._from_field(kernels.field_sum(self.field, other.field, -1))
 
     def __neg__(self) -> "StepFunction":
-        field = self.field
-        return StepFunction._from_planes(
-            self.domain_exp, self.resolution_exp, -field.rat, -field.surd, field.denominator
-        )
+        return StepFunction._from_field(kernels.field_scale(self.field, -1))
 
     def __mul__(
         self, other: Union["StepFunction", ScalarLike]
@@ -302,19 +288,27 @@ class StepFunction:
         if not 0 <= x < (1 << self.domain_exp):
             return ZERO
         j = int(x * (1 << self.resolution_exp))
-        return self.field.scalar(int(self.field.rat[j]), int(self.field.surd[j]))
+        field = self.field
+        return kernels.pair_scalar(int(field.rat[j]), int(field.surd[j]), field.denominator)
 
     def restrict(self, interval: DyadicInterval) -> "StepFunction":
         """Zero out everything outside the given interval."""
-        field = self.field
         lo, hi = interval.cell_range(self.resolution_exp)
-        lo, hi = max(lo, 0), max(hi, 0)
-        rat, surd = field.rat.copy(), field.surd.copy()
-        for plane in (rat, surd):
-            plane[:lo] = 0
-            plane[hi:] = 0
-        return StepFunction._from_planes(
-            self.domain_exp, self.resolution_exp, rat, surd, field.denominator
+        outside = np.ones(self.cell_count, dtype=bool)
+        outside[max(lo, 0) : max(hi, 0)] = False
+        return self.mask_out(outside)
+
+    def mask_out(self, mask: np.ndarray) -> "StepFunction":
+        """Zero out the cells where the boolean mask is true."""
+        field = self.field
+        return StepFunction._from_field(
+            kernels.IntegerField.canonical(
+                np.where(mask, 0, field.rat),
+                np.where(mask, 0, field.surd),
+                field.denominator,
+                self.domain_exp,
+                self.resolution_exp,
+            )
         )
 
     def support_cells(self) -> list[int]:
@@ -340,7 +334,7 @@ class StepFunction:
         """
         field = self.field
         return StepFunction._from_field(
-            kernels.IntegerField(
+            kernels.IntegerField.canonical(
                 field.rat, field.surd, field.denominator,
                 self.domain_exp - shift, self.resolution_exp + shift,
             )
@@ -354,7 +348,8 @@ class StepFunction:
         """
         field = self.field
         pairs, inverse = field.distinct()
-        floats = np.array([field.scalar(r, s).to_float() for r, s in pairs])
+        d = field.denominator
+        floats = np.array([kernels.pair_scalar(r, s, d).to_float() for r, s in pairs])
         return floats[inverse]
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:
@@ -402,8 +397,7 @@ def _sign_step(
     a, b, signs = sign_row(tile, domain_exp, resolution_exp)
     rat = np.zeros(1 << (domain_exp + resolution_exp), np.int64)
     rat[a:b] = signs
-    field = kernels.IntegerField(rat, np.zeros_like(rat), 1, domain_exp, resolution_exp)
-    return StepFunction._from_field(kernels.field_scale(field, amp))
+    return StepFunction(domain_exp, resolution_exp, rat) * amp
 
 
 def wavepacket_step(

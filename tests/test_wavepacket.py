@@ -326,3 +326,31 @@ def test_sums_and_products_past_int64_headroom_move_to_python_ints():
     assert (square - square).field.rat.dtype == np.int64
     surd = f * QuadScalar(0, big)
     assert surd.values[1] == QuadScalar(0, -big * big)
+
+
+def test_distinct_pairs_whose_keys_leave_int64_keep_their_values():
+    # Both planes fit int64, but their ranges multiply past 2^63, so
+    # the packed (rat, surd) keys have to be Python ints.
+    big = (1 << 40) + 3
+    values = [QuadScalar(big, -big), QuadScalar(-big, big), QuadScalar(1, 1), QuadScalar(big, -big)]
+    f = StepFunction(1, 1, values)
+    assert f.field.rat.dtype == np.int64
+    assert f.values == tuple(values)
+    assert f.to_float_array().tolist() == [v.to_float() for v in values]
+
+
+def test_integer_arrays_are_taken_as_the_rational_plane():
+    cells = np.array([3, -1, 0, 6], dtype=np.int32)
+    f = StepFunction(1, 1, cells)
+    assert f == StepFunction(1, 1, [3, -1, 0, 6])
+    cells[0] = 5
+    assert f.values[0] == QuadScalar(3)
+    with pytest.raises(GridMismatch):
+        StepFunction(1, 1, np.arange(3))
+
+
+def test_mask_out_zeroes_the_masked_cells():
+    f = StepFunction(1, 1, [Fraction(1, 3), QuadScalar(0, 1), 2, -1])
+    g = f.mask_out(np.array([True, False, False, True]))
+    assert g.values == (ZERO, QuadScalar(0, 1), QuadScalar(2), ZERO)
+    assert g == StepFunction(1, 1, [0, QuadScalar(0, 1), 2, 0])
