@@ -181,6 +181,8 @@ class QuadScalar:
         return not self.is_zero
 
     def __add__(self, other: ScalarLike) -> "QuadScalar":
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         other = QuadScalar.coerce(other)
         return QuadScalar(self.rat + other.rat, self.surd + other.surd)
 
@@ -190,13 +192,19 @@ class QuadScalar:
         return QuadScalar(-self.rat, -self.surd)
 
     def __sub__(self, other: ScalarLike) -> "QuadScalar":
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         other = QuadScalar.coerce(other)
         return QuadScalar(self.rat - other.rat, self.surd - other.surd)
 
     def __rsub__(self, other: ScalarLike) -> "QuadScalar":
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return QuadScalar.coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "QuadScalar":
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         if isinstance(other, QuadScalar):
             return QuadScalar(
                 self.rat * other.rat + 2 * self.surd * other.surd,
@@ -211,6 +219,8 @@ class QuadScalar:
         return QuadScalar(self.rat, -self.surd)
 
     def __truediv__(self, other: ScalarLike) -> "QuadScalar":
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         if isinstance(other, QuadScalar):
             if other.is_zero:
                 raise ZeroDivisionError("division by zero in Q(sqrt2)")
@@ -274,15 +284,23 @@ class QuadScalar:
         return NotImplemented
 
     def __lt__(self, other: ScalarLike) -> bool:
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return (self - QuadScalar.coerce(other)).sign() < 0
 
     def __le__(self, other: ScalarLike) -> bool:
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return (self - QuadScalar.coerce(other)).sign() <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return (self - QuadScalar.coerce(other)).sign() > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return (self - QuadScalar.coerce(other)).sign() >= 0
 
     def __hash__(self) -> int:
@@ -338,6 +356,11 @@ class QuadScalar:
 ZERO = QuadScalar(0)
 ONE = QuadScalar(1)
 SQRT2 = QuadScalar(0, 1)
+
+
+# The operand types QuadScalar arithmetic accepts; any other operand gets
+# NotImplemented, so its own reflected method can answer.
+_SCALAR_TYPES = (int, Fraction, DyadicRational, QuadScalar)
 
 
 def common_lift(values: Sequence[QuadScalar]) -> tuple[list[int], list[int], int]:

@@ -54,12 +54,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             flag, dest=dest, type=kind, default=None, help=help_text
         )
-    parser.add_argument(
-        "--beta",
-        default=None,
-        metavar="A,B,C",
-        help="comma separated exponent triple",
-    )
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -73,11 +67,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, dest)
         if value is not None:
             overrides[dest] = value
-    if args.beta is not None:
-        parts = args.beta.split(",")
-        if len(parts) != 3:
-            raise ConfigError("beta needs exactly three comma separated values")
-        overrides["beta"] = tuple(float(p) for p in parts)
     return config.with_overrides(**overrides) if overrides else config
 
 
@@ -96,22 +85,6 @@ def _emit_report(report: ExperimentReport, out: str | None) -> int:
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _step_function_from_json(data: dict) -> StepFunction:
-    if "grid" in data:
-        domain_exp, resolution_exp = (int(v) for v in data["grid"])
-    else:
-        domain_exp, resolution_exp = int(data["J"]), int(data["m"])
-    if "cells" in data:
-        return StepFunction.from_cells(
-            domain_exp, resolution_exp, [int(c) for c in data["cells"]]
-        )
-    values = [
-        QuadScalar.from_text(v) if isinstance(v, str) else QuadScalar.coerce(v)
-        for v in data["values"]
-    ]
-    return StepFunction(domain_exp, resolution_exp, values)
 
 
 def _scalar_from_text(text: str) -> QuadScalar:
@@ -162,7 +135,7 @@ def _function_field(data: dict, key: str) -> StepFunction:
     if key not in data:
         raise InvalidInput(f'input lacks the field "{key}"')
     try:
-        return _step_function_from_json(data[key])
+        return StepFunction.from_json(data[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f'field "{key}" is not a step function: {exc!r}') from exc
 

@@ -19,10 +19,8 @@ class ExperimentConfig:
     the outer Lebesgue exponents, tied by 1/q = 1/p1 + 1/p2 with q
     above 2/3.  maximal_exp is the exponent of the maximal averages
     used to carve exceptional sets and cap sizes; it must exceed 1 and
-    sit close to it for the restricted runs to make sense.  beta is the
-    triple steering the per-function selection thresholds, each entry
-    in [0, 1] and the sum above twice maximal_exp.  grid_j and grid_m
-    fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.
+    sit close to it for the restricted runs to make sense.  grid_j and
+    grid_m fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.
     """
 
     r: float = 3.0
@@ -31,7 +29,6 @@ class ExperimentConfig:
     q: float = 2.0
     maximal_exp: float = 1.25
     epsilon: float = 0.5
-    beta: tuple[float, float, float] = (1.0, 1.0, 0.75)
     trials: int = 100
     seed: int = 0
     grid_j: int = 3
@@ -54,33 +51,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"maximal exponent must exceed 1, got {self.maximal_exp}"
             )
-        if len(self.beta) != 3 or any(not 0 <= b <= 1 for b in self.beta):
-            raise ConfigError("beta must be three entries in [0, 1]")
-        if sum(self.beta) <= 2 * self.maximal_exp:
-            raise ConfigError(
-                f"beta entries must sum above {2 * self.maximal_exp}, "
-                f"got {sum(self.beta)}"
-            )
         if self.trials < 1:
             raise ConfigError("at least one trial is required")
         if self.grid_j < 0 or self.grid_m < 2:
             raise ConfigError("grid needs grid_j >= 0 and grid_m >= 2")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-
-    @property
-    def gammas(self) -> tuple[float, float, float]:
-        """Selection threshold exponents derived from beta."""
-        total = sum(self.beta)
-        return tuple(2 * self.maximal_exp * b / total for b in self.beta)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """A copy with the given fields replaced; the copy revalidates."""
         return replace(self, **kwargs)
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        data["beta"] = list(self.beta)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -88,8 +69,6 @@ class ExperimentConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "beta" in known:
-            known["beta"] = tuple(known["beta"])
         return cls(**known)
 
     @classmethod

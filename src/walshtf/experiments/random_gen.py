@@ -128,10 +128,6 @@ def quartile_collection(
     return out
 
 
-def _quartiles_clash(a: Quartile, b: Quartile) -> bool:
-    return a.time.intersects(b.time) and a.freq.intersects(b.freq)
-
-
 def disjoint_collection(
     rng: random.Random,
     count: int,
@@ -158,7 +154,7 @@ def disjoint_collection(
             )
         budget -= 1
         q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
-        if all(not _quartiles_clash(q, p) for p in out):
+        if not any(q.intersects(p) for p in out):
             out.append(q)
     return out
 

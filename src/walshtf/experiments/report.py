@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from ..exact import DyadicRational, QuadScalar
@@ -91,6 +90,3 @@ class ExperimentReport:
         for row in self.rows:
             lines.append(",".join(format_value(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())

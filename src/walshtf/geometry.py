@@ -10,7 +10,6 @@ numbered 1 to 4 from left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -18,13 +17,6 @@ from .errors import InvalidTree, ResolutionTooCoarse
 from .exact import DyadicRational, _as_fraction, pow2_fraction
 
 PointLike = Union[int, Fraction, DyadicRational]
-
-
-class IntervalRelation(Enum):
-    DISJOINT = "disjoint"
-    EQUAL = "equal"
-    A_CONTAINS_B = "a_contains_b"
-    B_CONTAINS_A = "b_contains_a"
 
 
 @dataclass(frozen=True)
@@ -54,27 +46,16 @@ class DyadicInterval:
         x = _as_fraction(x)
         return self.left <= x < self.right
 
-    def relation(self, other: "DyadicInterval") -> IntervalRelation:
-        if self.scale == other.scale:
-            if self.index == other.index:
-                return IntervalRelation.EQUAL
-            return IntervalRelation.DISJOINT
-        if self.scale > other.scale:
-            if other.index >> (self.scale - other.scale) == self.index:
-                return IntervalRelation.A_CONTAINS_B
-            return IntervalRelation.DISJOINT
-        if self.index >> (other.scale - self.scale) == other.index:
-            return IntervalRelation.B_CONTAINS_A
-        return IntervalRelation.DISJOINT
-
     def contains(self, other: "DyadicInterval") -> bool:
-        return self.relation(other) in (
-            IntervalRelation.EQUAL,
-            IntervalRelation.A_CONTAINS_B,
-        )
+        """Whether other lies inside self: other is no longer than self and
+        its ancestor at self's scale is self."""
+        shift = self.scale - other.scale
+        return shift >= 0 and other.index >> shift == self.index
 
     def intersects(self, other: "DyadicInterval") -> bool:
-        return self.relation(other) is not IntervalRelation.DISJOINT
+        """Dyadic intervals are nested or disjoint, so they meet exactly
+        when one contains the other."""
+        return self.contains(other) or other.contains(self)
 
     @property
     def left_child(self) -> "DyadicInterval":
@@ -120,12 +101,39 @@ def containing_interval(x: PointLike, scale: int) -> DyadicInterval:
     return DyadicInterval(index, scale)
 
 
+def band_index(xi: DyadicRational, scale: int) -> int:
+    """Index of the dyadic interval of length 2^scale that contains xi.
+
+    With xi = n 2^e this is floor(n 2^(e - scale)), decided on integers.
+    """
+    n, e = xi.numerator, xi.exponent
+    return n << (e - scale) if e >= scale else n >> (scale - e)
+
+
 @dataclass(frozen=True)
-class Tile:
-    """An area-one rectangle: time x freq with |time| * |freq| = 1."""
+class _Rectangle:
+    """A dyadic time-frequency rectangle, the shared shape of tiles and
+    quartiles.  Two meet exactly when both their sides meet."""
 
     time: DyadicInterval
     freq: DyadicInterval
+
+    def intersects(self, other: "_Rectangle") -> bool:
+        return self.time.intersects(other.time) and self.freq.intersects(other.freq)
+
+    def to_json(self) -> dict:
+        return {"time": self.time.to_json(), "freq": self.freq.to_json()}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(
+            DyadicInterval.from_json(data["time"]), DyadicInterval.from_json(data["freq"])
+        )
+
+
+@dataclass(frozen=True)
+class Tile(_Rectangle):
+    """An area-one rectangle: time x freq with |time| * |freq| = 1."""
 
     def __post_init__(self) -> None:
         if self.time.scale + self.freq.scale != 0:
@@ -150,29 +158,14 @@ class Tile:
             )
         return exp
 
-    def intersects(self, other: "Tile") -> bool:
-        return self.time.intersects(other.time) and self.freq.intersects(other.freq)
-
-    def to_json(self) -> dict:
-        return {"time": self.time.to_json(), "freq": self.freq.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Tile":
-        return cls(
-            DyadicInterval.from_json(data["time"]), DyadicInterval.from_json(data["freq"])
-        )
-
 
 def tiles_disjoint(a: Tile, b: Tile) -> bool:
     return not a.intersects(b)
 
 
 @dataclass(frozen=True)
-class Quartile:
+class Quartile(_Rectangle):
     """An area-four rectangle whose four subtiles share the time interval."""
-
-    time: DyadicInterval
-    freq: DyadicInterval
 
     def __post_init__(self) -> None:
         if self.time.scale + self.freq.scale != 2:
@@ -201,15 +194,6 @@ class Quartile:
             return 0
         offset = int(xi * pow2_fraction(self.scale)) - 4 * self.freq.index
         return offset + 1
-
-    def to_json(self) -> dict:
-        return {"time": self.time.to_json(), "freq": self.freq.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Quartile":
-        return cls(
-            DyadicInterval.from_json(data["time"]), DyadicInterval.from_json(data["freq"])
-        )
 
 
 def quartile_sort_key(q: Quartile) -> tuple[int, int, int]:
@@ -249,12 +233,13 @@ class Tree:
         object.__setattr__(self, "quartiles", members)
         object.__setattr__(self, "top_interval", top_interval)
         object.__setattr__(self, "top_freq", top_freq)
-        xi = top_freq.as_fraction()
         for member in members:
             if not top_interval.contains(member.time):
                 raise InvalidTree(f"member time {member.time} escapes top {top_interval}")
-            if not member.freq.contains_point(xi):
-                raise InvalidTree(f"top frequency {xi} misses member {member.freq}")
+            if band_index(top_freq, member.freq.scale) != member.freq.index:
+                raise InvalidTree(
+                    f"top frequency {top_freq.as_fraction()} misses member {member.freq}"
+                )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Tree is immutable")
@@ -282,7 +267,8 @@ class Tree:
 
     @property
     def omega_top(self) -> DyadicInterval:
-        return containing_interval(self.top_freq.as_fraction(), -self.top_interval.scale)
+        scale = -self.top_interval.scale
+        return DyadicInterval(band_index(self.top_freq, scale), scale)
 
     @property
     def top_tile(self) -> Tile:
@@ -324,22 +310,14 @@ def maximal_tree(
     top_interval: DyadicInterval,
     top_freq: DyadicRational | Fraction | int,
 ) -> Tree:
-    """The largest tree with the given top inside the collection.
-
-    Membership is decided on integers: with xi = n 2^e, a band of
-    length 2^k contains xi exactly when floor(n 2^(e-k)) is its index.
-    """
+    """The largest tree with the given top inside the collection."""
     if not isinstance(top_freq, DyadicRational):
         top_freq = DyadicRational.from_fraction(_as_fraction(top_freq))
-    n, e = top_freq.numerator, top_freq.exponent
-
-    def band_index(k: int) -> int:
-        return n << (e - k) if e >= k else n >> (k - e)
-
     members = [
         q
         for q in quartiles
-        if top_interval.contains(q.time) and band_index(q.freq.scale) == q.freq.index
+        if top_interval.contains(q.time)
+        and band_index(top_freq, q.freq.scale) == q.freq.index
     ]
     return Tree(members, top_interval, top_freq)
 

@@ -9,7 +9,6 @@ cells.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Union
@@ -370,18 +369,20 @@ class StepFunction:
 
     @classmethod
     def from_json(cls, data: dict) -> "StepFunction":
+        """Read the grid as "J" and "m" or as "grid": [J, m], and the cells
+        as "values" (Q(sqrt2) text or integers) or as "cells", the indices
+        where an indicator is one."""
+        if "grid" in data:
+            domain_exp, resolution_exp = (int(v) for v in data["grid"])
+        else:
+            domain_exp, resolution_exp = int(data["J"]), int(data["m"])
+        if "cells" in data:
+            return cls.from_cells(domain_exp, resolution_exp, [int(c) for c in data["cells"]])
         return cls(
-            int(data["J"]),
-            int(data["m"]),
-            [QuadScalar.from_text(s) for s in data["values"]],
+            domain_exp,
+            resolution_exp,
+            [QuadScalar.from_text(v) if isinstance(v, str) else v for v in data["values"]],
         )
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "StepFunction":
-        return cls.from_json(json.loads(text))
 
     def __repr__(self) -> str:
         return (

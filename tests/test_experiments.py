@@ -38,7 +38,6 @@ from walshtf.experiments.report import ExperimentReport, format_value, median, t
 def test_default_config_is_consistent():
     cfg = ExperimentConfig()
     assert cfg.r == 3.0
-    assert sum(cfg.gammas) == pytest.approx(2 * cfg.maximal_exp)
     assert cfg.with_overrides(trials=7).trials == 7
 
 
@@ -50,8 +49,6 @@ def test_default_config_is_consistent():
         {"p1": -1.0},
         {"q": 3.0},
         {"maximal_exp": 1.0},
-        {"beta": (1.0, 1.0)},
-        {"beta": (0.5, 0.5, 0.5)},
         {"trials": 0},
         {"grid_m": 1},
     ],
@@ -302,13 +299,6 @@ def test_cli_rejects_unknown_lemma():
         main(["lemma", "nope"])
 
 
-def test_cli_bad_beta_is_an_error(capsys):
-    code = main(["identities", "--beta", "1,2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error:" in captured.err
-
-
 def test_cli_missing_config_file(capsys):
     code = main(["identities", "--config", "/nonexistent/cfg.json"])
     assert code == 2
@@ -339,7 +329,7 @@ def test_cli_select_trees_and_render_round_trip(tmp_path, rng):
         pytest.skip("degenerate draw")
     request = {
         "collection": [q.to_json() for q in coll],
-        "f": json.loads(f.to_json_text()),
+        "f": f.to_json(),
         "slot": 3,
         "alpha": alpha.to_text(),
         "domain_exp": 3,
@@ -455,7 +445,7 @@ def _selection_file(tmp_path, rng, **changes):
     f = sign_function(rng, 1, 3)
     request = {
         "collection": [q.to_json() for q in coll],
-        "f": json.loads(f.to_json_text()),
+        "f": f.to_json(),
         "slot": 2,
         "alpha": "64",
     }

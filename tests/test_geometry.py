@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from walshtf import (
     DyadicInterval,
-    IntervalRelation,
     Quartile,
     QuartileCollection,
     Tile,
@@ -55,26 +54,24 @@ def test_children_partition_parent(iv):
     assert not lo.intersects(hi)
 
 
-@given(intervals(), intervals())
-def test_nested_or_disjoint(a, b):
-    rel = a.relation(b)
-    if rel is IntervalRelation.DISJOINT:
-        assert a.right <= b.left or b.right <= a.left
-        assert not a.intersects(b)
-    else:
-        assert a.intersects(b)
-        if rel is IntervalRelation.EQUAL:
-            assert a == b
-        elif rel is IntervalRelation.A_CONTAINS_B:
-            assert a.contains(b) and not b.contains(a)
-        else:
-            assert b.contains(a) and not a.contains(b)
-    flipped = b.relation(a)
-    swap = {
-        IntervalRelation.A_CONTAINS_B: IntervalRelation.B_CONTAINS_A,
-        IntervalRelation.B_CONTAINS_A: IntervalRelation.A_CONTAINS_B,
-    }
-    assert flipped == swap.get(rel, rel)
+@st.composite
+def interval_pairs(draw):
+    """Two intervals, one inside the other (or equal) in half the draws."""
+    a = draw(intervals())
+    if draw(st.booleans()):
+        return a, draw(intervals())
+    down = draw(st.integers(min_value=0, max_value=4))
+    offset = draw(st.integers(min_value=0, max_value=(1 << down) - 1))
+    b = DyadicInterval((a.index << down) + offset, a.scale - down)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(interval_pairs())
+def test_nesting_matches_endpoints(pair):
+    a, b = pair
+    assert a.contains(b) == (a.left <= b.left and b.right <= a.right)
+    assert a.intersects(b) == (a.left < b.right and b.left < a.right)
+    assert a.intersects(b) == (a.contains(b) or b.contains(a))
 
 
 @given(intervals(), st.integers(min_value=0, max_value=8))
@@ -152,6 +149,18 @@ def test_grandchild_positions(q):
         assert q.grandchild_of(inside) == i
 
 
+@given(quartiles(), quartiles())
+def test_quartile_overlap_matches_rectangles(a, b):
+    overlap = (
+        a.time.left < b.time.right
+        and b.time.left < a.time.right
+        and a.freq.left < b.freq.right
+        and b.freq.left < a.freq.right
+    )
+    assert a.intersects(b) == overlap
+    assert b.intersects(a) == overlap
+
+
 @st.composite
 def tiles(draw):
     scale = draw(st.integers(min_value=-3, max_value=3))
@@ -225,6 +234,44 @@ def test_maximal_tree_collects_exactly_the_members_under_the_top(rng):
         q for q in pool if top.contains(q.time) and q.freq.contains_point(xi)
     }
     assert set(tree.quartiles) == expected
+
+
+@st.composite
+def tree_problems(draw):
+    """A top, a frequency xi and a pool of quartiles, each of whose time
+    and frequency intervals is drawn either around the top and xi or
+    anywhere, so that both members and strangers are common."""
+    xi = Fraction(draw(st.integers(min_value=0, max_value=255)), 32)
+    top = DyadicInterval(
+        draw(st.integers(min_value=0, max_value=3)), draw(st.integers(min_value=0, max_value=3))
+    )
+    pool = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        k = draw(st.integers(min_value=-2, max_value=4))
+        if k <= top.scale and draw(st.booleans()):
+            room = 1 << (top.scale - k)
+            time = DyadicInterval(top.index * room + draw(st.integers(0, room - 1)), k)
+        else:
+            time = DyadicInterval(draw(st.integers(min_value=0, max_value=15)), k)
+        if draw(st.booleans()):
+            freq = containing_interval(xi, 2 - k)
+        else:
+            freq = DyadicInterval(draw(st.integers(min_value=0, max_value=40)), 2 - k)
+        pool.append(Quartile(time, freq))
+    return pool, top, xi
+
+
+@given(tree_problems(), st.data())
+def test_tree_refuses_exactly_the_members_outside_the_maximal_tree(problem, data):
+    pool, top, xi = problem
+    maximal = maximal_tree(pool, top, xi).quartiles
+    assert maximal == {q for q in pool if top.contains(q.time) and q.freq.contains_point(xi)}
+    members = data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    if set(members) <= maximal:
+        assert Tree(members, top, xi).quartiles == frozenset(members)
+    else:
+        with pytest.raises(InvalidTree):
+            Tree(members, top, xi)
 
 
 def test_lacunary_tiles_are_disjoint(rng):

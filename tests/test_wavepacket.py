@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import CellFunction, inner_product_brute, packet_step, packet_value, walsh_closed_form
 from walshtf import (
     DyadicInterval,
+    SQRT2,
     QuadScalar,
     StepFunction,
     Tile,
@@ -170,8 +171,23 @@ def test_dilate_rescales_the_grid(rng):
 
 def test_serialization_round_trips(rng):
     f = sign_function(rng, 2, 3)
-    assert StepFunction.from_json_text(f.to_json_text()) == f
     assert StepFunction.from_json(f.to_json()) == f
+
+
+def test_json_reads_a_grid_with_cells_and_numeric_values():
+    indicator = StepFunction.from_json({"grid": [1, 2], "cells": [0, 5]})
+    assert indicator == StepFunction.from_cells(1, 2, [0, 5])
+    values = [0, 1, "1/2+0/1*sqrt2", 0, "0/1+1/1*sqrt2", -1, 0, 2]
+    f = StepFunction.from_json({"J": 1, "m": 2, "values": values})
+    assert f.values[2] == Fraction(1, 2) and f.values[4] == SQRT2 and f.values[7] == 2
+
+
+def test_quadratic_scalars_scale_step_functions_from_either_side(rng):
+    f = sign_function(rng, 2, 3)
+    assert SQRT2 * f == f * SQRT2
+    assert QuadScalar(1, 1) * f == f * QuadScalar(1, 1)
+    with pytest.raises(TypeError):
+        QuadScalar(1) + "x"
 
 
 def test_a_grid_without_cells_is_refused():
