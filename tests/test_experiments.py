@@ -49,6 +49,8 @@ def test_default_config_is_consistent():
         {"p1": -1.0},
         {"q": 3.0},
         {"maximal_exp": 1.0},
+        {"p2": 0.0},
+        {"grid_j": -1},
         {"trials": 0},
         {"grid_m": 1},
     ],
