@@ -58,6 +58,9 @@ class DyadicRational:
 
     @classmethod
     def from_fraction(cls, value: RationalLike) -> "DyadicRational":
+        """value as a dyadic rational; a dyadic rational comes back as is."""
+        if isinstance(value, DyadicRational):
+            return value
         frac = _as_fraction(value)
         if not is_power_of_two(frac.denominator):
             raise NotDyadicError(f"{frac} has a non power-of-two denominator")

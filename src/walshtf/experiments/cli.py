@@ -76,10 +76,7 @@ def _emit_report(report: ExperimentReport, out: str | None) -> int:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    for key, value in report.summary:
-        if key == "failures":
-            return 0 if int(float(value)) == 0 else 1
-    return 0 if report.failure_count == 0 else 1
+    return 0 if int(float(report.summary_value("failures"))) == 0 else 1
 
 
 def _load_json(path: str) -> dict:
@@ -181,11 +178,13 @@ def _restricted_request(data: object) -> tuple[list[StepFunction], list[Quartile
 
 def _selection_request(
     data: object,
-) -> tuple[list[Quartile], StepFunction, int, QuadScalar, int | None]:
+) -> tuple[list[Quartile], StepFunction, int, QuadScalar, int]:
     """Collection, function, slot, allowance and domain of a selection file.
 
     Every field is checked here, so a bad file is refused with an
-    InvalidInput naming the field rather than failing deep inside.
+    InvalidInput naming the field rather than failing deep inside.  The
+    optional domain_exp defaults to the grid's J and may not be smaller:
+    members coarser than the domain would never be candidates.
     """
     if not isinstance(data, dict):
         raise InvalidInput("select-trees input must be a JSON object")
@@ -204,7 +203,12 @@ def _selection_request(
     except ValueError as exc:
         raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
     collection = _collection_field(data, f)
-    domain_exp = int(data["domain_exp"]) if "domain_exp" in data else None
+    domain_exp = data.get("domain_exp", f.domain_exp)
+    if type(domain_exp) is not int or domain_exp < f.domain_exp:
+        raise InvalidInput(
+            f'field "domain_exp" must be an integer no smaller than the grid\'s '
+            f"J = {f.domain_exp}, got {domain_exp!r}"
+        )
     return collection, f, slot, alpha, domain_exp
 
 

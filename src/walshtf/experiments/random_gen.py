@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exact import pow2_fraction
+from ..exact import DyadicRational
 from ..geometry import DyadicInterval, Quartile, Tree, containing_interval
 from ..operators import FrequencySet
 from ..wavepacket import StepFunction
@@ -196,9 +196,7 @@ def pinned_tree(
     for j in range(k_min - 1, resolution_exp + 1):
         if j not in digits and rng.random() < 0.25:
             digits[j] = 1
-    xi = sum(
-        (pow2_fraction(-j) for j, d in digits.items() if d), Fraction(0)
-    )
+    xi = sum((DyadicRational(1, -j) for j, d in digits.items() if d), DyadicRational(0))
     top_scale = rng.randint(scales[-1], domain_exp)
     top = DyadicInterval(rng.randrange(1 << (domain_exp - top_scale)), top_scale)
     members: list[Quartile] = []
@@ -222,15 +220,14 @@ def pinned_forest(
 ) -> list[Tree]:
     """Several pin-overlapping trees with pairwise distinct top frequencies."""
     trees: list[Tree] = []
-    seen: set[Fraction] = set()
+    seen: set[DyadicRational] = set()
     attempts = 50 * count + 50
     while len(trees) < count and attempts:
         attempts -= 1
         tree = pinned_tree(rng, pin, domain_exp, resolution_exp, depth)
-        xi = tree.top_freq.as_fraction()
-        if xi in seen:
+        if tree.top_freq in seen:
             continue
-        seen.add(xi)
+        seen.add(tree.top_freq)
         trees.append(tree)
     if len(trees) < count:
         raise RuntimeError("could not draw enough distinct top frequencies")
@@ -254,6 +251,4 @@ def frequency_set(
     """Distinct dyadic frequencies in [0, 2^top_exp) at step 2^-resolution_exp."""
     total = 1 << (resolution_exp + top_exp)
     picks = rng.sample(range(total), min(count, total))
-    return FrequencySet(
-        Fraction(n, 1 << resolution_exp) for n in sorted(picks)
-    )
+    return FrequencySet(DyadicRational(n, -resolution_exp) for n in picks)

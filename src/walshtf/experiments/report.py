@@ -55,26 +55,14 @@ def trend_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 class ExperimentReport:
     """Per-trial rows plus an ordered summary, reproducible from the seed.
 
-    A column named "ok" marks pass/fail rows; failure_count counts the
-    rows where it is falsy.  Reports with identical inputs serialize to
-    identical bytes.
+    Every driver's summary carries a "failures" count.  Reports with
+    identical inputs serialize to identical bytes.
     """
 
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     summary: tuple[tuple[str, object], ...] = ()
-
-    @property
-    def failure_count(self) -> int:
-        if "ok" not in self.columns:
-            return 0
-        at = self.columns.index("ok")
-        return sum(1 for row in self.rows if not row[at])
-
-    def column(self, name: str) -> list:
-        at = self.columns.index(name)
-        return [row[at] for row in self.rows]
 
     def summary_value(self, key: str):
         for k, v in self.summary:

@@ -205,7 +205,7 @@ def run_restricted_type(
                     domain_exp,
                     linearization=linearization if i == 3 else None,
                 )
-                residual = sorted(result.residual.quartiles, key=quartile_sort_key)
+                residual = list(result.residual)
                 if result.grabs:
                     top_len = float(result.top_length())
                     rows.append(
@@ -370,7 +370,7 @@ def run_counting_experiment(
                         coefficients=by_slot[slot],
                     )
                     removed += result.top_length()
-                    residual = sorted(result.residual.quartiles, key=quartile_sort_key)
+                    residual = list(result.residual)
                 if n == 0:
                     continue
                 ratio = float(removed) * 4.0 ** (-1.5 * n) / float(measure)

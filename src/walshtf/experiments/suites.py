@@ -459,14 +459,7 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
         if not kept:
             rows.append((trial, str(lam), 0, 0.0, 0.0, "all-masked"))
             continue
-        tables = f.packet_tables()
-        worst = 0.0
-        for slot in range(1, 5):
-            coeffs = {q: tables.coefficient(q.tile(slot)) for q in kept}
-            worst = max(
-                worst,
-                size(kept, f, slot, domain_exp, coefficients=coeffs).value,
-            )
+        worst = max(size(kept, f, slot, domain_exp).value for slot in range(1, 5))
         ratio = worst / float(lam)
         ratios.append(ratio)
         rows.append((trial, str(lam), len(kept), ratio, worst, ""))

@@ -94,20 +94,24 @@ class DyadicInterval:
 
 def containing_interval(x: PointLike, scale: int) -> DyadicInterval:
     """The dyadic interval of length 2^scale containing x >= 0."""
-    x = _as_fraction(x)
-    if x < 0:
+    index = band_index(x, scale)
+    if index < 0:
         raise ValueError("points live on the positive half-line")
-    index = int(x * pow2_fraction(-scale))
     return DyadicInterval(index, scale)
 
 
-def band_index(xi: DyadicRational, scale: int) -> int:
-    """Index of the dyadic interval of length 2^scale that contains xi.
+def band_index(x: PointLike, scale: int) -> int:
+    """Index of the dyadic band of length 2^scale that holds x.
 
-    With xi = n 2^e this is floor(n 2^(e - scale)), decided on integers.
+    This is floor(x / 2^scale), decided on integers: one shift for
+    x = n 2^e, one floor division for an int or any Fraction.
     """
-    n, e = xi.numerator, xi.exponent
-    return n << (e - scale) if e >= scale else n >> (scale - e)
+    if isinstance(x, DyadicRational):
+        n, e = x.numerator, x.exponent
+        return n << (e - scale) if e >= scale else n >> (scale - e)
+    x = _as_fraction(x)
+    n, d = x.numerator, x.denominator
+    return (n << -scale) // d if scale < 0 else n // (d << scale)
 
 
 @dataclass(frozen=True)
@@ -189,15 +193,19 @@ class Quartile(_Rectangle):
 
     def grandchild_of(self, xi: PointLike) -> int:
         """Which subtile frequency interval contains xi (0 if none)."""
-        xi = _as_fraction(xi)
-        if not self.freq.contains_point(xi):
-            return 0
-        offset = int(xi * pow2_fraction(self.scale)) - 4 * self.freq.index
-        return offset + 1
+        offset = band_index(xi, self.freq.scale - 2) - 4 * self.freq.index
+        return offset + 1 if 0 <= offset < 4 else 0
 
 
 def quartile_sort_key(q: Quartile) -> tuple[int, int, int]:
     return (q.time.scale, q.time.index, q.freq.index)
+
+
+def _in_tree(q: Quartile, top_interval: DyadicInterval, top_freq: DyadicRational) -> bool:
+    """The tree membership rule: I_P inside I_T and xi_T in omega_P."""
+    return (
+        top_interval.contains(q.time) and band_index(top_freq, q.freq.scale) == q.freq.index
+    )
 
 
 @dataclass(frozen=True)
@@ -227,19 +235,22 @@ class Tree:
         top_interval: DyadicInterval,
         top_freq: DyadicRational | Fraction | int,
     ) -> None:
+        top_freq = DyadicRational.from_fraction(top_freq)
         members = frozenset(quartiles)
-        if not isinstance(top_freq, DyadicRational):
-            top_freq = DyadicRational.from_fraction(_as_fraction(top_freq))
+        for member in members:
+            if not _in_tree(member, top_interval, top_freq):
+                raise InvalidTree(
+                    f"{member.time} x {member.freq} lies outside the tree with top "
+                    f"{top_interval} and xi = {top_freq.as_fraction()}"
+                )
+        self._fill(members, top_interval, top_freq)
+
+    def _fill(
+        self, members: frozenset[Quartile], top_interval: DyadicInterval, top_freq: DyadicRational
+    ) -> None:
         object.__setattr__(self, "quartiles", members)
         object.__setattr__(self, "top_interval", top_interval)
         object.__setattr__(self, "top_freq", top_freq)
-        for member in members:
-            if not top_interval.contains(member.time):
-                raise InvalidTree(f"member time {member.time} escapes top {top_interval}")
-            if band_index(top_freq, member.freq.scale) != member.freq.index:
-                raise InvalidTree(
-                    f"top frequency {top_freq.as_fraction()} misses member {member.freq}"
-                )
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Tree is immutable")
@@ -277,8 +288,7 @@ class Tree:
     def classify(self) -> TreeKind:
         if not self.quartiles:
             return TreeKind(frozenset({1, 2, 3, 4}))
-        xi = self.top_freq.as_fraction()
-        positions = {member.grandchild_of(xi) for member in self.quartiles}
+        positions = {member.grandchild_of(self.top_freq) for member in self.quartiles}
         if len(positions) == 1:
             return TreeKind(frozenset(positions))
         return TreeKind(frozenset())
@@ -310,16 +320,19 @@ def maximal_tree(
     top_interval: DyadicInterval,
     top_freq: DyadicRational | Fraction | int,
 ) -> Tree:
-    """The largest tree with the given top inside the collection."""
-    if not isinstance(top_freq, DyadicRational):
-        top_freq = DyadicRational.from_fraction(_as_fraction(top_freq))
-    members = [
-        q
-        for q in quartiles
-        if top_interval.contains(q.time)
-        and band_index(top_freq, q.freq.scale) == q.freq.index
-    ]
-    return Tree(members, top_interval, top_freq)
+    """The largest tree with the given top inside the collection.
+
+    The members pass the membership rule here, so Tree.__init__, which
+    would test each of them again, is skipped.
+    """
+    top_freq = DyadicRational.from_fraction(top_freq)
+    tree = object.__new__(Tree)
+    tree._fill(
+        frozenset(q for q in quartiles if _in_tree(q, top_interval, top_freq)),
+        top_interval,
+        top_freq,
+    )
+    return tree
 
 
 def lacunary_tiles_disjoint(tree: Tree | Iterable[Quartile], i: int) -> bool:

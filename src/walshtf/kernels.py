@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "IntegerField",
-    "integer_field",
     "pair_scalar",
     "cell_columns",
     "field_sum",
@@ -167,11 +166,6 @@ class IntegerField:
 def pair_scalar(rat: int, surd: int, denominator: int) -> QuadScalar:
     """The exact value (rat + surd sqrt2) / denominator of one integer pair."""
     return QuadScalar(Fraction(rat, denominator), Fraction(surd, denominator))
-
-
-def integer_field(f: StepFunction) -> IntegerField:
-    """The integer planes of a step function, over their common denominator."""
-    return f.field
 
 
 def cell_columns(

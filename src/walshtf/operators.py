@@ -23,12 +23,10 @@ from .exact import (
     DyadicRational,
     QuadScalar,
     ScalarLike,
-    _as_fraction,
     common_lift,
     inv_sqrt_pow2,
-    pow2_fraction,
 )
-from .geometry import DyadicInterval, Quartile, Tile, containing_interval, quartile_sort_key
+from .geometry import DyadicInterval, Quartile, Tile, band_index, quartile_sort_key
 from .variation import linearize_weights
 from .wavepacket import StepFunction, batch_inner_products, synthesize
 
@@ -111,16 +109,10 @@ class FrequencySet:
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Union[DyadicRational, Fraction, int]]) -> None:
-        coerced = set()
-        for p in points:
-            if not isinstance(p, DyadicRational):
-                p = DyadicRational.from_fraction(_as_fraction(p))
-            if p.as_fraction() < 0:
-                raise ValueError("frequencies live on the positive half-line")
-            coerced.add(p)
-        object.__setattr__(
-            self, "points", tuple(sorted(coerced, key=lambda d: d.as_fraction()))
-        )
+        coerced = {DyadicRational.from_fraction(p) for p in points}
+        if any(p.numerator < 0 for p in coerced):
+            raise ValueError("frequencies live on the positive half-line")
+        object.__setattr__(self, "points", tuple(sorted(coerced)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FrequencySet is immutable")
@@ -133,8 +125,10 @@ class FrequencySet:
 
     def covering(self, scale: int) -> list[DyadicInterval]:
         """Distinct dyadic intervals of the given scale meeting the set."""
-        seen = {containing_interval(p.as_fraction(), scale) for p in self.points}
-        return sorted(seen, key=lambda iv: iv.index)
+        return [
+            DyadicInterval(index, scale)
+            for index in sorted({band_index(p, scale) for p in self.points})
+        ]
 
     def count_at(self, scale: int) -> int:
         return len(self.covering(scale))

@@ -599,11 +599,10 @@ def jump_times(freqs: FrequencySet, pad: int = 4) -> tuple[int, ...]:
     """
     if len(freqs) < 2:
         return ()
-    top = max(p.as_fraction() for p in freqs)
-    e = 0
-    while pow2_fraction(e) <= top:
-        e += 1
-    start = -e
+    # 2^-start is the least power of two, at least one, above the largest
+    # point n 2^e: its exponent is the bit length of n plus e.
+    top = freqs.points[-1]
+    start = -max(0, top.numerator.bit_length() + top.exponent)
     k = start
     while freqs.count_at(-k) < len(freqs):
         k += 1

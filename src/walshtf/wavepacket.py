@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -22,12 +22,11 @@ from .exact import (
     ZERO,
     QuadScalar,
     ScalarLike,
-    _as_fraction,
     common_lift,
     inv_sqrt_pow2,
     pow2_fraction,
 )
-from .geometry import DyadicInterval, PointLike, Tile
+from .geometry import DyadicInterval, PointLike, Tile, band_index
 
 __all__ = [
     "StepFunction",
@@ -70,15 +69,16 @@ def eval_walsh(freq_index: int, t: PointLike) -> int:
     with even index, -1 on the others; the factors used are those picked
     out by the binary digits of the index.
     """
-    t = _as_fraction(t)
-    if not 0 <= t < 1:
+    if freq_index < 0:
+        raise ValueError("frequency index must be nonnegative")
+    if band_index(t, 0) != 0:
         raise ValueError("Walsh functions are evaluated on [0, 1)")
     sign = 1
     j = 0
     b = freq_index
     while b:
         if b & 1:
-            if int(t * (1 << (j + 1))) & 1:
+            if band_index(t, -(j + 1)) & 1:
                 sign = -sign
         b >>= 1
         j += 1
@@ -93,7 +93,7 @@ def eval_wavepacket(tile: Tile, x: PointLike) -> QuadScalar:
     1/sqrt(2) to keep the L2 norm.  The recursion bottoms out at the
     lowest frequency over each time interval, a normalised indicator.
     """
-    if not tile.time.contains_point(x):
+    if band_index(x, tile.time.scale) != tile.time.index:
         return ZERO
     b = tile.freq_index
     if b == 0:
@@ -222,18 +222,6 @@ class StepFunction:
             rat[j] = 1
         return cls(domain_exp, resolution_exp, rat)
 
-    @classmethod
-    def sample(
-        cls,
-        domain_exp: int,
-        resolution_exp: int,
-        func: Callable[[Fraction], ScalarLike],
-    ) -> "StepFunction":
-        """Build from a callable evaluated at each cell's left endpoint."""
-        width = pow2_fraction(-resolution_exp)
-        total = 1 << (domain_exp + resolution_exp)
-        return cls(domain_exp, resolution_exp, [func(j * width) for j in range(total)])
-
     @property
     def cell_count(self) -> int:
         return 1 << (self.domain_exp + self.resolution_exp)
@@ -281,14 +269,6 @@ class StepFunction:
 
     def __hash__(self) -> int:
         return hash(self.field)
-
-    def value_at(self, x: PointLike) -> QuadScalar:
-        x = _as_fraction(x)
-        if not 0 <= x < (1 << self.domain_exp):
-            return ZERO
-        j = int(x * (1 << self.resolution_exp))
-        field = self.field
-        return kernels.pair_scalar(int(field.rat[j]), int(field.surd[j]), field.denominator)
 
     def restrict(self, interval: DyadicInterval) -> "StepFunction":
         """Zero out everything outside the given interval."""

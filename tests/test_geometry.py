@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from walshtf import (
     DyadicInterval,
+    DyadicRational,
     Quartile,
     QuartileCollection,
     Tile,
@@ -17,9 +18,11 @@ from walshtf import (
     containing_interval,
     lacunary_tiles_disjoint,
     maximal_tree,
+    pow2_fraction,
     tiles_disjoint,
 )
 from walshtf.errors import InvalidTree
+from walshtf.geometry import band_index
 from walshtf.experiments.random_gen import disjoint_collection, pinned_tree
 
 
@@ -300,3 +303,77 @@ def test_collection_set_behaviour():
     assert QuartileCollection.from_json(coll.to_json()) == coll
     assert (coll | QuartileCollection([a])) == coll
     assert (coll - QuartileCollection([a])) == QuartileCollection([b])
+
+
+def _value(x) -> Fraction:
+    return x.as_fraction() if isinstance(x, DyadicRational) else Fraction(x)
+
+
+def _kind_of(draw, x: Fraction):
+    """x as a Fraction, as its floor when an int is drawn, or as a
+    DyadicRational when its denominator is a power of two."""
+    kinds = ["fraction", "int"]
+    if x.denominator & (x.denominator - 1) == 0:
+        kinds.append("dyadic")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return x.numerator // x.denominator
+    return DyadicRational.from_fraction(x) if kind == "dyadic" else x
+
+
+@st.composite
+def points(draw):
+    """A point of any kind and sign, dyadic or not (1/3, -5/12, ...)."""
+    return _kind_of(draw, draw(st.fractions(min_value=-50, max_value=50, max_denominator=96)))
+
+
+@st.composite
+def points_near(draw, interval: DyadicInterval):
+    """A point of any kind within one length of the interval on either side."""
+    offset = draw(st.fractions(min_value=-1, max_value=2, max_denominator=24))
+    return _kind_of(draw, interval.left + offset * interval.length)
+
+
+scales_both_sides = st.integers(min_value=-6, max_value=5)
+
+
+@given(points(), scales_both_sides)
+def test_band_index_is_the_band_holding_the_point(x, scale):
+    index = band_index(x, scale)
+    width = pow2_fraction(scale)
+    assert index * width <= _value(x) < (index + 1) * width
+
+
+@given(points(), scales_both_sides)
+def test_containing_interval_holds_the_point_or_refuses_it(x, scale):
+    if _value(x) < 0:
+        with pytest.raises(ValueError):
+            containing_interval(x, scale)
+        return
+    iv = containing_interval(x, scale)
+    assert (iv.index, iv.scale) == (band_index(x, scale), scale)
+    assert iv.left <= _value(x) < iv.right
+
+
+def _grandchild_by_endpoints(q: Quartile, x: Fraction) -> int:
+    hits = [i for i in (1, 2, 3, 4) if q.tile(i).freq.left <= x < q.tile(i).freq.right]
+    return hits[0] if hits else 0
+
+
+@given(st.data())
+def test_grandchild_of_matches_the_subtile_endpoints(data):
+    q = data.draw(quartiles())
+    xi = data.draw(points_near(q.freq))
+    assert q.grandchild_of(xi) == _grandchild_by_endpoints(q, _value(xi))
+
+
+@given(tree_problems(), st.booleans())
+def test_classify_matches_the_subtile_endpoints(problem, as_dyadic):
+    pool, top, xi = problem
+    tree = maximal_tree(pool, top, DyadicRational.from_fraction(xi) if as_dyadic else xi)
+    positions = {_grandchild_by_endpoints(q, xi) for q in tree.quartiles}
+    if not positions:
+        expected = {1, 2, 3, 4}
+    else:
+        expected = positions if len(positions) == 1 else set()
+    assert tree.classify().overlap_indices == expected

@@ -36,7 +36,6 @@ from walshtf.experiments.random_gen import (
 from walshtf.kernels import (
     batch_sup,
     batch_variation,
-    integer_field,
     packet_sums,
     render_partial_sum_field,
     walsh_tables,
@@ -71,7 +70,7 @@ def test_pairings_of_non_dyadic_values(rng):
         Fraction(rng.randint(-6, 6), rng.choice((1, 3, 5, 12))) for _ in range(64)
     ]
     f = StepFunction(2, 4, values)
-    assert integer_field(f).denominator == 60
+    assert f.field.denominator == 60
     _oracle_check(rng, f)
     third = StepFunction(0, 2, [Fraction(1, 3)] * 4)
     box = Tile(DyadicInterval(0, 0), DyadicInterval(0, 0))
@@ -97,12 +96,12 @@ def test_pairings_beyond_int64_headroom(rng):
         for _ in range(64)
     ]
     f = StepFunction(2, 4, values)
-    field = integer_field(f)
+    field = f.field
     assert field.denominator == 1 << 80
     assert field.rat.dtype == object
     _oracle_check(rng, f)
     huge = StepFunction(2, 2, [rng.randint(-(1 << 70), 1 << 70) for _ in range(16)])
-    assert integer_field(huge).rat.dtype == object
+    assert huge.field.rat.dtype == object
     _oracle_check(rng, huge)
 
 

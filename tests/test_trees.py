@@ -5,10 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import brute_size_sq
 from walshtf import (
     DyadicInterval,
+    DyadicRational,
     FrequencySet,
     QuadScalar,
     Quartile,
@@ -20,6 +23,7 @@ from walshtf import (
     inner_product,
     jn_quantities,
     jump_times,
+    pow2_fraction,
     restricted_trees,
     select_trees,
     size,
@@ -202,6 +206,40 @@ def test_jump_times_are_sparse(rng):
             continue
         assert len(jumps) <= 8 * count
         assert list(jumps) == sorted(set(jumps))
+
+
+def _jump_times_by_fractions(points: list[Fraction], pad: int) -> tuple[int, ...]:
+    """jump_times on Fractions: the start exponent found by doubling a
+    power of two past the largest point, bands by truncating x 2^-scale."""
+    if len(points) < 2:
+        return ()
+
+    def count_at(scale: int) -> int:
+        return len({int(x * pow2_fraction(-scale)) for x in points})
+
+    top = max(points)
+    e = 0
+    while pow2_fraction(e) <= top:
+        e += 1
+    k = -e
+    while count_at(-k) < len(points):
+        k += 1
+    return tuple(
+        j for j in range(-e - pad, k + pad + 1) if count_at(-(j + pad)) > count_at(-(j - pad))
+    )
+
+
+@given(
+    st.lists(
+        st.builds(DyadicRational, st.integers(0, 4000), st.integers(-9, 4)),
+        max_size=10,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_jump_times_match_the_fraction_loop(points, pad):
+    freqs = FrequencySet(points)
+    expected = _jump_times_by_fractions([p.as_fraction() for p in freqs], pad)
+    assert jump_times(freqs, pad) == expected
 
 
 def test_counting_profile_layers(rng):
