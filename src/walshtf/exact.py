@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import NotDyadicError
@@ -24,14 +24,21 @@ _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
 _QUAD_RE = re.compile(r"^(-?\d+)/(\d+)([+-]\d+)/(\d+)\*sqrt2$")
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _parts(value: RationalLike) -> tuple[int, int]:
+    """An exact rational as (numerator, positive denominator), reduced."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     if isinstance(value, DyadicRational):
-        return value.as_fraction()
+        if value.exponent >= 0:
+            return value.numerator << value.exponent, 1
+        return value.numerator, 1 << -value.exponent
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _as_fraction(value: RationalLike) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(*_parts(value))
 
 
 def is_power_of_two(n: int) -> bool:
@@ -140,28 +147,53 @@ class DyadicRational:
         return self.to_text()
 
 
-# sqrt2 enclosures at fixed precisions, keyed by bit count.
-_SQRT2_BOUNDS: dict[int, tuple[Fraction, Fraction]] = {}
+def quad_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt2 for integers of any size."""
+    if not b:
+        return (a > 0) - (a < 0)
+    if not a or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Mixed signs: a^2 = 2 b^2 has no solution with b != 0.
+    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
 
 
-def _sqrt2_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    cached = _SQRT2_BOUNDS.get(bits)
-    if cached is None:
-        root = isqrt(2 << (2 * bits))
-        denom = 1 << bits
-        cached = (Fraction(root, denom), Fraction(root + 1, denom))
-        _SQRT2_BOUNDS[bits] = cached
-    return cached
+# bits -> root with root / 2^bits < sqrt2 < (root + 1) / 2^bits.
+_SQRT2_ROOTS = {bits: isqrt(2 << (2 * bits)) for bits in (64, 128, 256, 512)}
 
 
 class QuadScalar:
-    """An element rat + surd * sqrt2 of Q(sqrt2) with exact rational parts."""
+    """An element (r + s sqrt2) / d of Q(sqrt2), held as three integers.
 
-    __slots__ = ("rat", "surd")
+    The form is canonical, so equal values have equal integers: d is
+    positive, gcd(r, s, d) = 1 and zero is (0, 0, 1).  It is the form of
+    one cell of a `kernels.IntegerField`.  `rat` and `surd` give the
+    rational and sqrt2 parts as reduced fractions.
+    """
+
+    __slots__ = ("r", "s", "d")
 
     def __init__(self, rat: RationalLike = 0, surd: RationalLike = 0) -> None:
-        object.__setattr__(self, "rat", _as_fraction(rat))
-        object.__setattr__(self, "surd", _as_fraction(surd))
+        (a, p), (b, q) = _parts(rat), _parts(surd)
+        # Over the lcm of two reduced denominators no prime divides both
+        # numerators and d, so the triple is already canonical.
+        d = lcm(p, q)
+        object.__setattr__(self, "r", a * (d // p))
+        object.__setattr__(self, "s", b * (d // q))
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def from_ints(cls, r: int, s: int, d: int = 1) -> "QuadScalar":
+        """The value (r + s sqrt2) / d of integers, d nonzero, in canonical form."""
+        if d < 0:
+            r, s, d = -r, -s, -d
+        g = gcd(r, s, d)
+        if g != 1:
+            r, s, d = r // g, s // g, d // g
+        value = cls.__new__(cls)
+        object.__setattr__(value, "r", r)
+        object.__setattr__(value, "s", s)
+        object.__setattr__(value, "d", d)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadScalar is immutable")
@@ -170,15 +202,24 @@ class QuadScalar:
     def coerce(cls, value: ScalarLike) -> "QuadScalar":
         if isinstance(value, QuadScalar):
             return value
-        return cls(_as_fraction(value))
+        num, den = _parts(value)
+        return cls.from_ints(num, 0, den)
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.r, self.d)
+
+    @property
+    def surd(self) -> Fraction:
+        return Fraction(self.s, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.rat and not self.surd
+        return not self.r and not self.s
 
     @property
     def is_rational(self) -> bool:
-        return not self.surd
+        return not self.s
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -186,60 +227,56 @@ class QuadScalar:
     def __add__(self, other: ScalarLike) -> "QuadScalar":
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        other = QuadScalar.coerce(other)
-        return QuadScalar(self.rat + other.rat, self.surd + other.surd)
+        o = QuadScalar.coerce(other)
+        d = lcm(self.d, o.d)
+        fa, fb = d // self.d, d // o.d
+        return QuadScalar.from_ints(self.r * fa + o.r * fb, self.s * fa + o.s * fb, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self.rat, -self.surd)
+        return QuadScalar.from_ints(-self.r, -self.s, self.d)
 
     def __sub__(self, other: ScalarLike) -> "QuadScalar":
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        other = QuadScalar.coerce(other)
-        return QuadScalar(self.rat - other.rat, self.surd - other.surd)
+        return self + -QuadScalar.coerce(other)
 
     def __rsub__(self, other: ScalarLike) -> "QuadScalar":
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        return QuadScalar.coerce(other) - self
+        return -self + other
 
     def __mul__(self, other: ScalarLike) -> "QuadScalar":
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        if isinstance(other, QuadScalar):
-            return QuadScalar(
-                self.rat * other.rat + 2 * self.surd * other.surd,
-                self.rat * other.surd + self.surd * other.rat,
-            )
-        factor = _as_fraction(other)
-        return QuadScalar(self.rat * factor, self.surd * factor)
+        o = QuadScalar.coerce(other)
+        return QuadScalar.from_ints(
+            self.r * o.r + 2 * self.s * o.s, self.r * o.s + self.s * o.r, self.d * o.d
+        )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.rat, -self.surd)
+        return QuadScalar.from_ints(self.r, -self.s, self.d)
 
     def __truediv__(self, other: ScalarLike) -> "QuadScalar":
         if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
-        if isinstance(other, QuadScalar):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero in Q(sqrt2)")
-            # 1/(a + b sqrt2) = (a - b sqrt2)/(a^2 - 2 b^2)
-            norm = other.rat * other.rat - 2 * other.surd * other.surd
-            return QuadScalar(
-                (self.rat * other.rat - 2 * self.surd * other.surd) / norm,
-                (self.surd * other.rat - self.rat * other.surd) / norm,
-            )
-        factor = _as_fraction(other)
-        return QuadScalar(self.rat / factor, self.surd / factor)
+        o = QuadScalar.coerce(other)
+        if o.is_zero:
+            raise ZeroDivisionError("division by zero in Q(sqrt2)")
+        # 1/((a + b sqrt2)/e) = e (a - b sqrt2)/(a^2 - 2 b^2)
+        return QuadScalar.from_ints(
+            (self.r * o.r - 2 * self.s * o.s) * o.d,
+            (self.s * o.r - self.r * o.s) * o.d,
+            self.d * (o.r * o.r - 2 * o.s * o.s),
+        )
 
     def __pow__(self, power: int) -> "QuadScalar":
         if not isinstance(power, int) or power < 0:
             raise ValueError("only nonnegative integer powers are exact")
-        result = QuadScalar(1)
+        result = ONE
         base = self
         while power:
             if power & 1:
@@ -249,65 +286,49 @@ class QuadScalar:
         return result
 
     def mul_sqrt2(self) -> "QuadScalar":
-        return QuadScalar(2 * self.surd, self.rat)
+        return QuadScalar.from_ints(2 * self.s, self.r, self.d)
 
     def div_sqrt2(self) -> "QuadScalar":
-        return QuadScalar(self.surd, self.rat / 2)
+        return QuadScalar.from_ints(2 * self.s, self.r, 2 * self.d)
 
     def square(self) -> "QuadScalar":
-        return QuadScalar(
-            self.rat * self.rat + 2 * self.surd * self.surd, 2 * self.rat * self.surd
-        )
+        r, s = self.r, self.s
+        return QuadScalar.from_ints(r * r + 2 * s * s, 2 * r * s, self.d * self.d)
 
     def sign(self) -> int:
-        ra, su = self.rat, self.surd
-        if not su:
-            return (ra > 0) - (ra < 0)
-        if not ra:
-            return 1 if su > 0 else -1
-        if ra > 0 and su > 0:
-            return 1
-        if ra < 0 and su < 0:
-            return -1
-        # Mixed signs: compare ra^2 against 2 su^2; equality cannot occur
-        # for nonzero rationals since sqrt2 is irrational.
-        ra_sq, two_su_sq = ra * ra, 2 * su * su
-        if ra > 0:
-            return 1 if ra_sq > two_su_sq else -1
-        return -1 if ra_sq > two_su_sq else 1
+        return quad_sign(self.r, self.s)
 
     def __abs__(self) -> "QuadScalar":
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QuadScalar):
-            return self.rat == other.rat and self.surd == other.surd
-        if isinstance(other, (int, Fraction, DyadicRational)):
-            return self.surd == 0 and self.rat == _as_fraction(other)
+        if isinstance(other, _SCALAR_TYPES):
+            o = QuadScalar.coerce(other)
+            return self.r == o.r and self.s == o.s and self.d == o.d
         return NotImplemented
 
-    def __lt__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        return (self - QuadScalar.coerce(other)).sign() < 0
+    def _order(test):
+        """A comparison that applies test to the sign of self - other."""
 
-    def __le__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        return (self - QuadScalar.coerce(other)).sign() <= 0
+        def compare(self, other: ScalarLike) -> bool:
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
+            o = QuadScalar.coerce(other)
+            return test(quad_sign(self.r * o.d - o.r * self.d, self.s * o.d - o.s * self.d))
 
-    def __gt__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        return (self - QuadScalar.coerce(other)).sign() > 0
+        return compare
 
-    def __ge__(self, other: ScalarLike) -> bool:
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        return (self - QuadScalar.coerce(other)).sign() >= 0
+    __lt__ = _order(lambda sign: sign < 0)
+    __le__ = _order(lambda sign: sign <= 0)
+    __gt__ = _order(lambda sign: sign > 0)
+    __ge__ = _order(lambda sign: sign >= 0)
+    del _order
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.surd))
+        # A rational value hashes as the equal Fraction, int or dyadic.
+        if not self.s:
+            return hash(self.rat)
+        return hash((self.r, self.s, self.d))
 
     def __float__(self) -> float:
         return self.to_float()
@@ -317,26 +338,27 @@ class QuadScalar:
 
         The enclosure is tightened until both interval ends round to the
         same float, so the result is the correctly rounded value of
-        rat + surd*sqrt2 whenever the loop converges (always in practice;
-        the final fallback is off by at most one ulp).
+        (r + s*sqrt2) / d whenever the loop converges (always in
+        practice; the final fallback is off by at most one ulp).  Each
+        end is one int true division, which is correctly rounded.
         """
-        if not self.surd:
-            return float(self.rat)
-        for bits in (64, 128, 256, 512):
-            lo, hi = _sqrt2_bounds(bits)
-            if self.surd > 0:
-                a, b = self.rat + self.surd * lo, self.rat + self.surd * hi
-            else:
-                a, b = self.rat + self.surd * hi, self.rat + self.surd * lo
-            fa, fb = float(a), float(b)
+        r, s, d = self.r, self.s, self.d
+        if not s:
+            return r / d
+        for bits, root in _SQRT2_ROOTS.items():
+            # The ends are (r 2^bits + s root) and that plus s, over d 2^bits.
+            a = (r << bits) + s * root
+            den = d << bits
+            fa, fb = a / den, (a + s) / den
             if fa == fb:
                 return fa
-        return float((a + b) / 2)
+        return (2 * a + s) / (2 * den)
 
     def to_text(self) -> str:
+        rat, surd = self.rat, self.surd
         return (
-            f"{self.rat.numerator}/{self.rat.denominator}"
-            f"{self.surd.numerator:+d}/{self.surd.denominator}*sqrt2"
+            f"{rat.numerator}/{rat.denominator}"
+            f"{surd.numerator:+d}/{surd.denominator}*sqrt2"
         )
 
     @classmethod
@@ -369,20 +391,11 @@ _SCALAR_TYPES = (int, Fraction, DyadicRational, QuadScalar)
 def common_lift(values: Sequence[QuadScalar]) -> tuple[list[int], list[int], int]:
     """Integers (rats, surds, d) with values[i] = (rats[i] + surds[i] sqrt2) / d.
 
-    d is the lcm of the denominators of every part, found on the
-    integers: each numerator is scaled by d over its own denominator.
+    d is the lcm of the values' own denominators, which is the lcm of
+    the denominators of every part.
     """
-    rats = [v.rat for v in values]
-    surds = [v.surd for v in values]
-    dens = {q.denominator for q in rats}
-    dens.update(q.denominator for q in surds)
-    d = lcm(*dens)
-    factor = {e: d // e for e in dens}
-    return (
-        [q.numerator * factor[q.denominator] for q in rats],
-        [q.numerator * factor[q.denominator] for q in surds],
-        d,
-    )
+    d = lcm(*(v.d for v in values))
+    return [v.r * (d // v.d) for v in values], [v.s * (d // v.d) for v in values], d
 
 
 _INV_SQRT_POW2: dict[int, QuadScalar] = {}
@@ -392,15 +405,10 @@ def inv_sqrt_pow2(k: int) -> QuadScalar:
     """The exact value 2^(-k/2): rational for even k, a sqrt2 multiple otherwise."""
     cached = _INV_SQRT_POW2.get(k)
     if cached is None:
-        if k % 2 == 0:
-            half = -k // 2
-            cached = QuadScalar(Fraction(1 << half) if half >= 0 else Fraction(1, 1 << -half))
-        else:
-            # 2^(-k/2) = 2^(-(k+1)/2) * sqrt2
-            half = -(k + 1) // 2
-            cached = QuadScalar(
-                0, Fraction(1 << half) if half >= 0 else Fraction(1, 1 << -half)
-            )
+        # 2^(-k/2) = 2^half, times sqrt2 when k is odd.
+        half = -k >> 1
+        num, den = 1 << max(half, 0), 1 << max(-half, 0)
+        cached = QuadScalar.from_ints(0, num, den) if k & 1 else QuadScalar.from_ints(num, 0, den)
         _INV_SQRT_POW2[k] = cached
     return cached
 

@@ -4,8 +4,9 @@ Subcommands mirror the library operations: identity checks, single
 lemma experiments, the restricted-type pipeline, the strong-type
 operator run, the counting cascade, one-off tree selection on JSON
 input, and phase plane rendering.  Reports go to stdout as CSV unless
-an output path is given.  The exit status is zero exactly when the run
-reports no failures, so scripted callers can gate on the identity
+an output path is given.  The exit status is 0 when the run reports
+no failures, 1 when it reports some, 2 on bad input and 3 when the
+program itself fails, so scripted callers can gate on the identity
 suite directly.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,12 +130,16 @@ def _cmd_counting(args: argparse.Namespace) -> int:
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 
+# What a reader raises on a malformed JSON field.
+_PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
 def _function_field(data: dict, key: str) -> StepFunction:
     if key not in data:
         raise InvalidInput(f'input lacks the field "{key}"')
     try:
         return StepFunction.from_json(data[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _PARSE_ERRORS as exc:
         raise InvalidInput(f'field "{key}" is not a step function: {exc!r}') from exc
 
 
@@ -148,7 +154,7 @@ def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
     for i, item in enumerate(data["collection"]):
         try:
             q = Quartile.from_json(item)
-        except (KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             raise InvalidInput(f'field "collection"[{i}] is not a quartile: {exc}') from exc
         if not box.contains(q.time):
             raise InvalidInput(
@@ -192,15 +198,12 @@ def _selection_request(
         if key not in data:
             raise InvalidInput(f'select-trees input lacks the field "{key}"')
     f = _function_field(data, "f")
-    try:
-        slot = int(data["slot"])
-    except (TypeError, ValueError):
-        slot = None
-    if slot not in (1, 2, 3, 4):
-        raise InvalidInput(f'field "slot" must be 1, 2, 3 or 4, got {data["slot"]!r}')
+    slot = data["slot"]
+    if type(slot) is not int or slot not in (1, 2, 3, 4):
+        raise InvalidInput(f'field "slot" must be the integer 1, 2, 3 or 4, got {slot!r}')
     try:
         alpha = _scalar_from_text(str(data["alpha"]))
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
     collection = _collection_field(data, f)
     domain_exp = data.get("domain_exp", f.domain_exp)
@@ -224,7 +227,10 @@ def _cmd_select_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    selection = SelectionResult.from_json(_load_json(args.input))
+    try:
+        selection = SelectionResult.from_json(_load_json(args.input))
+    except _PARSE_ERRORS as exc:
+        raise InvalidInput(f"render input is not a selection: {exc!r}") from exc
     if args.out:
         render_phase_plane(selection, args.out)
     else:
@@ -301,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # A fault of the program, never to be read as a reported failure.
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -95,7 +95,7 @@ def _interval_inside(mask: np.ndarray, interval: DyadicInterval, resolution_exp:
 
 
 def _dyadic_ceiling(x: float, grid_exp: int = 20) -> QuadScalar:
-    return QuadScalar.coerce(Fraction(math.ceil(x * (1 << grid_exp)), 1 << grid_exp))
+    return QuadScalar.from_ints(math.ceil(x * (1 << grid_exp)), 0, 1 << grid_exp)
 
 
 def run_restricted_type(
@@ -357,7 +357,7 @@ def run_counting_experiment(
                 for slot in (1, 2, 3, 4)
             }
             for n in range(allowance_stages + 1):
-                allowance = QuadScalar.coerce(Fraction(1, 4**n))
+                allowance = QuadScalar.from_ints(1, 0, 4**n)
                 removed = Fraction(0)
                 for slot in (1, 2, 3, 4):
                     result = select_trees(

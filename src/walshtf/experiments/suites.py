@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
-from ..kernels import batch_variation, cell_columns, lp_norm, pair_scalar
+from ..kernels import batch_variation, cell_columns, lp_norm
 from ..operators import FrequencySet, average, freq_projection, maximal, partial_sum_field
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
@@ -180,8 +180,8 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 seq_b = collapse_repeats(col_b)
                 if seq_a == seq_b:
                     continue
-                pa = variation_norm([pair_scalar(r, s, unit) for r, s in seq_a], int_r).power_sum
-                pb = variation_norm([pair_scalar(r, s, unit) for r, s in seq_b], int_r).power_sum
+                pa = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_a], int_r).power_sum
+                pb = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_b], int_r).power_sum
                 if pa != pb:
                     ok_var = False
                     break
@@ -402,7 +402,7 @@ def _john_nirenberg(config: ExperimentConfig) -> ExperimentReport:
         count = rng.randint(1, min(20, capacity))
         quartiles = disjoint_collection(rng, count, domain_exp, resolution_exp)
         weights = [
-            QuadScalar.coerce(Fraction(rng.randint(-8, 8), 8)) for _ in quartiles
+            QuadScalar.from_ints(rng.randint(-8, 8), 0, 8) for _ in quartiles
         ]
         slot = 1 + trial % 4
         terms = list(zip(quartiles, weights))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "IntegerField",
-    "pair_scalar",
     "cell_columns",
     "field_sum",
     "field_product",
@@ -89,10 +87,11 @@ class IntegerField:
     This is how a `StepFunction` stores its values.  The form is
     canonical, so equal values give equal fields: the denominator is
     positive and shares no factor with every entry at once, which makes
-    it the lcm of the denominators of all the parts (the convention of
-    `exact.common_lift`); both planes are int64 while J + m butterfly
-    doublings of their largest entry fit in int64, and arrays of Python
-    ints otherwise.  The planes are read-only.
+    it the lcm of the denominators of all the parts (the form of one
+    `exact.QuadScalar`, and of `exact.common_lift`); both planes are
+    int64 while J + m butterfly doublings of their largest entry fit in
+    int64, and arrays of Python ints otherwise.  The planes are
+    read-only.
     """
 
     rat: np.ndarray
@@ -160,12 +159,7 @@ class IntegerField:
         An int64 plane has entries below 2^(62 - J - m) and 2^(J + m)
         of them, so its sum stays in int64.
         """
-        return pair_scalar(int(self.rat.sum()), int(self.surd.sum()), self.denominator)
-
-
-def pair_scalar(rat: int, surd: int, denominator: int) -> QuadScalar:
-    """The exact value (rat + surd sqrt2) / denominator of one integer pair."""
-    return QuadScalar(Fraction(rat, denominator), Fraction(surd, denominator))
+        return QuadScalar.from_ints(int(self.rat.sum()), int(self.surd.sum()), self.denominator)
 
 
 def cell_columns(
@@ -175,7 +169,7 @@ def cell_columns(
 
     Returns the columns and that denominator d, the lcm of the
     functions' own: equal pairs are equal values, and a pair (r, s)
-    has the value `pair_scalar(r, s, d)`.
+    has the value `QuadScalar.from_ints(r, s, d)`.
     """
     d = math.lcm(*(f.field.denominator for f in functions))
     lifted = []
@@ -226,8 +220,8 @@ def field_product(a: IntegerField, b: IntegerField) -> IntegerField:
 
 def field_scale(a: IntegerField, c: ScalarLike) -> IntegerField:
     """Every cell of a times one exact scalar."""
-    (r,), (s,), d = common_lift([QuadScalar.coerce(c)])
-    scalar = IntegerField(_as_plane([r]), _as_plane([s]), d, a.domain_exp, a.resolution_exp)
+    c = QuadScalar.coerce(c)
+    scalar = IntegerField(_as_plane([c.r]), _as_plane([c.s]), c.d, a.domain_exp, a.resolution_exp)
     return field_product(a, scalar)
 
 
@@ -327,7 +321,7 @@ class WalshTables:
             u_r, u_s = 2 * u_s, u_r
         shift = half >> 1
         d, up = field.denominator << max(shift, 0), 1 << max(-shift, 0)
-        return QuadScalar(Fraction(u_r * up, d), Fraction(u_s * up, d))
+        return QuadScalar.from_ints(u_r * up, u_s * up, d)
 
 
 def walsh_tables(f: StepFunction) -> WalshTables:

@@ -416,7 +416,7 @@ def optimal_linearization(
             continue
         jumps = tuple(field.scale_min + idx + 1 for idx in chain)
         snapped = tuple(
-            QuadScalar(Fraction(math.trunc(-w * grid), grid)) for w in weights
+            QuadScalar.from_ints(math.trunc(-w * grid), 0, grid) for w in weights
         )
         cell_jumps.append(jumps)
         cell_weights.append(snapped)

@@ -16,8 +16,8 @@ exactly for any rational coefficients, dyadic or not.
 Candidate tops are keyed by integer time coordinates and integer
 frequencies in units of one fixed power of two; totals are integer
 sums, and densities and thresholds are compared after shifting both
-sides to a common power of two, through the exact sign of
-a + b*sqrt2 on integers.  No decision goes through a float, and no
+sides to a common power of two, through `exact.quad_sign`, the exact
+sign of a + b*sqrt2 on integers.  No decision goes through a float, and no
 quantity is assumed to fit in 64 bits.
 """
 
@@ -33,7 +33,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionViolated
-from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike, common_lift, pow2_fraction
+from .exact import (
+    ZERO, DyadicRational, QuadScalar, ScalarLike, common_lift, pow2_fraction, quad_sign,
+)
 from .geometry import (
     DyadicInterval,
     Quartile,
@@ -112,16 +114,6 @@ def _slot_coefficients(
     return {q: paired[t] for q, t in zip(members, tiles)}
 
 
-def _quad_sign(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt2 for integers of any size."""
-    if not b:
-        return (a > 0) - (a < 0)
-    if not a or (a > 0) == (b > 0):
-        return 1 if b > 0 else -1
-    # Mixed signs: a^2 = 2 b^2 has no solution with b != 0.
-    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
-
-
 def _compare(r: int, s: int, scale: int, ref: tuple[int, int, int]) -> int:
     """Sign of (r + s sqrt2) 2^-scale minus (r' + s' sqrt2) 2^-scale'.
 
@@ -131,8 +123,8 @@ def _compare(r: int, s: int, scale: int, ref: tuple[int, int, int]) -> int:
     ref_r, ref_s, ref_scale = ref
     shift = scale - ref_scale
     if shift >= 0:
-        return _quad_sign(r - (ref_r << shift), s - (ref_s << shift))
-    return _quad_sign((r << -shift) - ref_r, (s << -shift) - ref_s)
+        return quad_sign(r - (ref_r << shift), s - (ref_s << shift))
+    return quad_sign((r << -shift) - ref_r, (s << -shift) - ref_s)
 
 
 def _integer_masses(
@@ -148,15 +140,6 @@ def _integer_masses(
     rats = [a * a + 2 * b * b for a, b in zip(lifted_r, lifted_s)]
     surds = [2 * a * b for a, b in zip(lifted_r, lifted_s)]
     return rats, surds, d * d
-
-
-def _mass_value(r: int, s: int, denominator: int, scale: int) -> QuadScalar:
-    """The exact scalar (r + s sqrt2) / (denominator 2^scale)."""
-    if scale >= 0:
-        denominator <<= scale
-    else:
-        r, s = r << -scale, s << -scale
-    return QuadScalar(Fraction(r, denominator), Fraction(s, denominator))
 
 
 def _freq_exp(members: Sequence[Quartile], domain_exp: int) -> int:
@@ -262,7 +245,8 @@ class _Candidates:
                 best_stamp = stamp
         if best_stamp is None:
             return SizeReport(ZERO, None, None)
-        value = _mass_value(best[0], best[1], self.denominator, best[2])
+        r, s, scale = best
+        value = QuadScalar.from_ints(r, s, self.denominator) * pow2_fraction(-scale)
         witness = self.tree(self.incidence[best_stamp], best_stamp)
         return SizeReport(value, best_stamp[2], witness)
 
@@ -465,8 +449,8 @@ def select_trees(
         # A stamp qualifies when its mass (r + s sqrt2) / denominator is at
         # least quarter 2^scale; both sides are scaled by the quarter's
         # own denominator to stay integral.
-        (bar_r,), (bar_s,), unit = common_lift([quarter])
-        bar = (bar_r * cands.denominator, bar_s * cands.denominator, 0)
+        unit = quarter.d
+        bar = (quarter.r * cands.denominator, quarter.s * cands.denominator, 0)
         position = {q: p for p, q in enumerate(members)}
         for j in pins:
             ends = {_pin_band(q, j, cands.freq_exp)[0] for q in members}
@@ -698,5 +682,6 @@ def jn_quantities(
                 best_weak_witness = interval
     if best_sq_top is None:
         return JNReport(ZERO, None, best_weak, best_weak_witness)
-    best_sq = _mass_value(best[0], best[1], cands.denominator, best[2])
+    r, s, scale = best
+    best_sq = QuadScalar.from_ints(r, s, cands.denominator) * pow2_fraction(-scale)
     return JNReport(best_sq, DyadicInterval(*best_sq_top), best_weak, best_weak_witness)

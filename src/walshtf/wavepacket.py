@@ -182,7 +182,7 @@ class StepFunction:
         if values is None:
             field = self.field
             pairs, inverse = field.distinct()
-            quads = [kernels.pair_scalar(r, s, field.denominator) for r, s in pairs]
+            quads = [QuadScalar.from_ints(r, s, field.denominator) for r, s in pairs]
             values = tuple(map(quads.__getitem__, inverse.tolist()))
             object.__setattr__(self, "_values", values)
         return values
@@ -302,9 +302,6 @@ class StepFunction:
         self._require_same_grid(other)
         return kernels.field_product(self.field, other.field).total() * self.cell_width
 
-    def l2_norm_sq(self) -> QuadScalar:
-        return self.dot(self)
-
     def dilate(self, shift: int) -> "StepFunction":
         """Precompose with x -> 2^shift x, keeping the same cell values.
 
@@ -328,7 +325,7 @@ class StepFunction:
         field = self.field
         pairs, inverse = field.distinct()
         d = field.denominator
-        floats = np.array([kernels.pair_scalar(r, s, d).to_float() for r, s in pairs])
+        floats = np.array([QuadScalar.from_ints(r, s, d).to_float() for r, s in pairs])
         return floats[inverse]
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from walshtf import (
@@ -25,6 +25,91 @@ from walshtf import (
     inv_sqrt_pow2,
     pow2_fraction,
 )
+
+
+class FractionQuad:
+    """rat + surd*sqrt2 with two `Fraction` parts: the reference scalar.
+
+    Plain rational arithmetic on the two parts, the sign decided on
+    Fractions, and floats from a tightening sqrt2 enclosure evaluated
+    through `float(Fraction)`.  `QuadScalar` holds the same values as
+    integers over one denominator and must agree with it exactly.
+    """
+
+    def __init__(self, rat=0, surd=0) -> None:
+        self.rat, self.surd = Fraction(rat), Fraction(surd)
+
+    @classmethod
+    def of(cls, value: QuadScalar) -> "FractionQuad":
+        return cls(value.rat, value.surd)
+
+    def parts(self) -> tuple[Fraction, Fraction]:
+        return self.rat, self.surd
+
+    def __add__(self, other: "FractionQuad") -> "FractionQuad":
+        return FractionQuad(self.rat + other.rat, self.surd + other.surd)
+
+    def __sub__(self, other: "FractionQuad") -> "FractionQuad":
+        return FractionQuad(self.rat - other.rat, self.surd - other.surd)
+
+    def __mul__(self, other: "FractionQuad") -> "FractionQuad":
+        return FractionQuad(
+            self.rat * other.rat + 2 * self.surd * other.surd,
+            self.rat * other.surd + self.surd * other.rat,
+        )
+
+    def __truediv__(self, other: "FractionQuad") -> "FractionQuad":
+        # 1/(a + b sqrt2) = (a - b sqrt2)/(a^2 - 2 b^2)
+        norm = other.rat * other.rat - 2 * other.surd * other.surd
+        return FractionQuad(
+            (self.rat * other.rat - 2 * self.surd * other.surd) / norm,
+            (self.surd * other.rat - self.rat * other.surd) / norm,
+        )
+
+    def __pow__(self, power: int) -> "FractionQuad":
+        result = FractionQuad(1)
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def sign(self) -> int:
+        return fraction_quad_sign(self.rat, self.surd)
+
+    def to_float(self) -> float:
+        if not self.surd:
+            return float(self.rat)
+        for bits in (64, 128, 256, 512):
+            root = isqrt(2 << (2 * bits))
+            lo, hi = Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
+            if self.surd > 0:
+                a, b = self.rat + self.surd * lo, self.rat + self.surd * hi
+            else:
+                a, b = self.rat + self.surd * hi, self.rat + self.surd * lo
+            if float(a) == float(b):
+                return float(a)
+        return float((a + b) / 2)
+
+    def to_text(self) -> str:
+        return (
+            f"{self.rat.numerator}/{self.rat.denominator}"
+            f"{self.surd.numerator:+d}/{self.surd.denominator}*sqrt2"
+        )
+
+
+def fraction_quad_sign(rat: Fraction, surd: Fraction) -> int:
+    """Sign of rat + surd*sqrt2 decided on the rational parts."""
+    if not surd:
+        return (rat > 0) - (rat < 0)
+    if not rat:
+        return 1 if surd > 0 else -1
+    if rat > 0 and surd > 0:
+        return 1
+    if rat < 0 and surd < 0:
+        return -1
+    # Mixed signs: rat^2 = 2 surd^2 has no rational solution with surd != 0.
+    if rat > 0:
+        return 1 if rat * rat > 2 * surd * surd else -1
+    return -1 if rat * rat > 2 * surd * surd else 1
 
 
 def walsh_closed_form(index: int, t: Fraction) -> int:

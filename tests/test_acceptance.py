@@ -85,7 +85,7 @@ def test_criterion_01_packet_orthonormality():
         pairs += 1
         fa = wavepacket_step(a, 6, 6)
         fb = wavepacket_step(b, 6, 6)
-        if fa.l2_norm_sq() != QuadScalar(1) or fb.l2_norm_sq() != QuadScalar(1):
+        if fa.dot(fa) != QuadScalar(1) or fb.dot(fb) != QuadScalar(1):
             failures += 1
             continue
         if tiles_disjoint(a, b):

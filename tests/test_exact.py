@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import FractionQuad
 from walshtf import ONE, SQRT2, ZERO, DyadicRational, QuadScalar, inv_sqrt_pow2, pow2_fraction
 from walshtf.errors import NotDyadicError
 
@@ -15,6 +17,12 @@ small_fractions = st.fractions(
     min_value=-8, max_value=8, max_denominator=64
 )
 scalars = st.builds(QuadScalar, small_fractions, small_fractions)
+# Any denominators, and numerators well past 2^64.
+wide_fractions = st.one_of(
+    small_fractions,
+    st.builds(Fraction, st.integers(-(1 << 90), 1 << 90), st.integers(1, 1 << 70)),
+)
+wide_scalars = st.builds(QuadScalar, wide_fractions, wide_fractions)
 
 
 @given(scalars, scalars, scalars)
@@ -26,6 +34,42 @@ def test_ring_axioms(a, b, c):
     assert a + ZERO == a
     assert a * ONE == a
     assert a - a == ZERO
+
+
+@given(wide_scalars, wide_scalars, st.integers(min_value=0, max_value=4))
+def test_integer_form_matches_the_fraction_reference(a, b, n):
+    ra, rb = FractionQuad.of(a), FractionQuad.of(b)
+    assert a.d > 0 and gcd(a.r, a.s, a.d) == 1
+    results = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, ra * rb),
+        (a**n, ra**n),
+        (a.square(), ra * ra),
+    ]
+    if not b.is_zero:
+        results.append((a / b, ra / rb))
+    for got, want in results:
+        assert (got.rat, got.surd) == want.parts()
+    assert a.sign() == ra.sign()
+    order = (ra - rb).sign()
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (
+        order < 0, order <= 0, order > 0, order >= 0, order == 0
+    )
+    assert a.to_float() == ra.to_float()
+    assert a.to_text() == ra.to_text()
+    assert QuadScalar.from_text(a.to_text()) == a
+
+
+@given(wide_scalars, wide_scalars, st.integers(min_value=-(1 << 70), max_value=1 << 70))
+def test_equal_values_hash_equal(a, b, k):
+    if k:
+        scaled = QuadScalar.from_ints(a.r * k, a.s * k, a.d * k)
+        assert scaled == a and hash(scaled) == hash(a)
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    if a.is_rational:
+        assert a == a.rat and hash(a) == hash(a.rat)
 
 
 @given(scalars)

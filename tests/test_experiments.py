@@ -526,3 +526,41 @@ def test_cli_select_trees_accepts_a_valid_file(tmp_path, rng):
     out = tmp_path / "sel.json"
     assert main(["select-trees", "--in", str(path), "--out", str(out)]) == 0
     assert SelectionResult.from_json(json.loads(out.read_text())).slot == 2
+
+
+@pytest.mark.parametrize("slot", [1.9, True, "1"], ids=["float", "bool", "string"])
+def test_cli_select_trees_refuses_a_slot_that_is_not_a_json_integer(tmp_path, capsys, slot):
+    # Each used to be truncated by int() and select as slot 1, exit 0.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "slot": slot}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert '"slot"' in capsys.readouterr().err
+
+
+def test_cli_render_refuses_a_malformed_selection(tmp_path, capsys):
+    # A selection without "slot" used to end in a KeyError traceback, exit 1.
+    path = tmp_path / "selection.json"
+    path.write_text(json.dumps({"grabs": []}))
+    assert main(["render", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: render input is not a selection")
+    assert "Traceback" not in err
+
+
+def test_cli_reports_a_crash_with_exit_3(monkeypatch, capsys):
+    def crash(config):
+        raise RuntimeError("driver fault")
+
+    monkeypatch.setattr("walshtf.experiments.cli.run_theorem1", crash)
+    assert main(["theorem1", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: driver fault" in err
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "1/0+0/1*sqrt2"], ids=["rational", "quadratic"])
+def test_cli_select_trees_refuses_an_alpha_with_a_zero_denominator(tmp_path, capsys, alpha):
+    # Fraction(1, 0) raised ZeroDivisionError past the boundary: a traceback, exit 1.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": alpha}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert '"alpha"' in capsys.readouterr().err

@@ -295,10 +295,12 @@ def test_restricted_trees_cap_the_counting_function(rng):
 
 
 def test_integer_sqrt2_sign_agrees_with_quadscalar(rng):
-    from walshtf.trees import _quad_sign
+    from oracles import fraction_quad_sign
+    from walshtf.exact import quad_sign
 
     def check(a, b):
-        assert _quad_sign(a, b) == QuadScalar(a, b).sign(), (a, b)
+        expected = fraction_quad_sign(Fraction(a), Fraction(b))
+        assert quad_sign(a, b) == QuadScalar(a, b).sign() == expected, (a, b)
 
     for a, b in ((0, 0), (0, 5), (0, -5), (7, 0), (-7, 0), (1, -1), (-1, 1)):
         check(a, b)

@@ -96,7 +96,7 @@ def test_packet_norm_is_one(rng):
     for _ in range(25):
         tile = _random_tile(rng, 3, 5)
         f = wavepacket_step(tile, 3, 5)
-        assert f.l2_norm_sq() == QuadScalar(1)
+        assert f.dot(f) == QuadScalar(1)
 
 
 def test_disjoint_packets_are_orthogonal(rng):
@@ -170,7 +170,7 @@ def test_dilate_rescales_the_grid(rng):
     g = f.dilate(1)
     assert (g.domain_exp, g.resolution_exp) == (2, 5)
     assert g.values == f.values
-    assert g.l2_norm_sq() == f.l2_norm_sq() * Fraction(1, 2)
+    assert g.dot(g) == f.dot(f) * Fraction(1, 2)
     assert g.dilate(-1) == f
 
 
@@ -298,7 +298,7 @@ def test_plane_averages_and_pairings_match_the_cell_oracle(pair):
         _assert_matches(average(f, scale), a.average(scale))
     assert f.dot(g) == a.dot(b)
     assert f.integral() == a.integral()
-    assert f.l2_norm_sq() == a.dot(a)
+    assert f.dot(f) == a.dot(a)
 
 
 @settings(max_examples=60)
