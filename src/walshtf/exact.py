@@ -11,6 +11,7 @@ after an explicit conversion to float with a proven error bound.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence, Union
@@ -22,6 +23,8 @@ ScalarLike = Union[int, Fraction, "DyadicRational", "QuadScalar"]
 
 _DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
 _QUAD_RE = re.compile(r"^(-?\d+)/(\d+)([+-]\d+)/(\d+)\*sqrt2$")
+# Hashes of numbers are residues mod 2^_HASH_BITS - 1, a Mersenne prime.
+_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 
 def _parts(value: RationalLike) -> tuple[int, int]:
@@ -118,27 +121,48 @@ class DyadicRational:
 
     __rmul__ = __mul__
 
+    def _aligned(self, other: RationalLike) -> tuple[RationalLike, RationalLike]:
+        """self and other as two numbers in the same order: integers
+        shifted to the lower exponent when other is a DyadicRational or
+        an int, Fractions otherwise."""
+        if isinstance(other, DyadicRational):
+            n, e = other.numerator, other.exponent
+        elif isinstance(other, int):
+            n, e = other, 0
+        else:
+            return self.as_fraction(), _as_fraction(other)
+        lo = min(self.exponent, e)
+        return self.numerator << (self.exponent - lo), n << (e - lo)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicRational):
             return self.numerator == other.numerator and self.exponent == other.exponent
         if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
+            a, b = self._aligned(other)
+            return a == b
         return NotImplemented
 
     def __lt__(self, other: RationalLike) -> bool:
-        return self.as_fraction() < _as_fraction(other)
+        a, b = self._aligned(other)
+        return a < b
 
     def __le__(self, other: RationalLike) -> bool:
-        return self.as_fraction() <= _as_fraction(other)
+        a, b = self._aligned(other)
+        return a <= b
 
     def __gt__(self, other: RationalLike) -> bool:
-        return self.as_fraction() > _as_fraction(other)
+        a, b = self._aligned(other)
+        return a > b
 
     def __ge__(self, other: RationalLike) -> bool:
-        return self.as_fraction() >= _as_fraction(other)
+        a, b = self._aligned(other)
+        return a >= b
 
     def __hash__(self) -> int:
-        return hash(self.as_fraction())
+        # The hash of the equal Fraction: |n| 2^e mod the hash modulus
+        # 2^B - 1, in which 2^e is 2^(e mod B), with the sign of n.
+        h = hash(abs(self.numerator) << (self.exponent % _HASH_BITS))
+        return h if self.numerator >= 0 else -h
 
     def __repr__(self) -> str:
         return f"DyadicRational({self.numerator}, {self.exponent})"
@@ -364,7 +388,7 @@ class QuadScalar:
     @classmethod
     def from_text(cls, text: str) -> "QuadScalar":
         match = _QUAD_RE.match(text.strip())
-        if match is None:
+        if match is None or not int(match.group(2)) or not int(match.group(4)):
             raise ValueError(f"not a Q(sqrt2) literal: {text!r}")
         return cls(
             Fraction(int(match.group(1)), int(match.group(2))),

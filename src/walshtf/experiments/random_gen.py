@@ -137,6 +137,21 @@ def disjoint_collection(
 ) -> list[Quartile]:
     """Pairwise disjoint quartiles by rejection sampling.
 
+    A candidate with time (n, k) and frequency (f, 2 - k) meets an
+    accepted quartile (n', k', f') exactly when their times are nested
+    and their frequencies are nested the other way: for k' <= k when
+    n' >> (k - k') == n and f >> (k - k') == f', for k' > k when
+    n >> (k' - k) == n' and f' >> (k' - k) == f.  Each accepted
+    quartile is therefore filed in two sets of integer keys, under its
+    time ancestor at every coarser or equal scale s, (s, n' >> (s - k'),
+    k', f'), and under its own time with its frequency ancestor at every
+    finer scale s, (k', n', s, f' >> (k' - s)).  A candidate is checked
+    with one lookup per scale in the box, J + m - 1 at most, whatever
+    the number accepted.  The draws, and which candidates are accepted
+    or rejected and in what order, are those of testing every candidate
+    against every accepted quartile, so the output and the `rng` state
+    it leaves are exactly the same.
+
     Raises RuntimeError when the box is too crowded to fit the request;
     callers should keep the fill factor modest.  Quartiles have area
     four, so a count above 2^(J+m-2) is refused before any draw.
@@ -146,6 +161,11 @@ def disjoint_collection(
     area_exp = domain_exp + resolution_exp
     if area_exp >= 2 and count > 1 << (area_exp - 2):
         budget = 0
+    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
+    # Keys under which a candidate finds the accepted quartiles whose
+    # time scale is at most its own, and those whose scale is above it.
+    finer: set[tuple[int, int, int, int]] = set()
+    coarser: set[tuple[int, int, int, int]] = set()
     while len(out) < count:
         if budget == 0:
             raise RuntimeError(
@@ -154,8 +174,14 @@ def disjoint_collection(
             )
         budget -= 1
         q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
-        if not any(q.intersects(p) for p in out):
-            out.append(q)
+        k, n, f = q.time.scale, q.time.index, q.freq.index
+        if any((k, n, s, f >> (k - s)) in finer for s in range(lo, k + 1)) or any(
+            (s, n >> (s - k), k, f) in coarser for s in range(k + 1, hi + 1)
+        ):
+            continue
+        finer.update((s, n >> (s - k), k, f) for s in range(k, hi + 1))
+        coarser.update((k, n, s, f >> (k - s)) for s in range(lo, k))
+        out.append(q)
     return out
 
 

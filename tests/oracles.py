@@ -3,13 +3,16 @@
 Everything here is deliberately naive.  Wave packets are evaluated from
 the closed digit-product formula, inner products by summing cells,
 variation norms by enumerating all increasing index chains, sizes by
-enumerating every subset of a collection that forms a pinned tree.  The
-only package imports are the primitive containers and exact scalars;
-none of the machinery under test is reused.
+enumerating every subset of a collection that forms a pinned tree,
+disjoint draws by testing every candidate against every accepted
+quartile.  The only package imports are the primitive containers and
+exact scalars, and the one-quartile sampler whose stream the disjoint
+draw must reproduce; none of the machinery under test is reused.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -25,6 +28,7 @@ from walshtf import (
     inv_sqrt_pow2,
     pow2_fraction,
 )
+from walshtf.experiments.random_gen import random_quartile
 
 
 class FractionQuad:
@@ -333,3 +337,31 @@ def brute_size_sq(
             if density > best:
                 best = density
     return best
+
+
+def naive_disjoint_collection(
+    rng: random.Random,
+    count: int,
+    domain_exp: int,
+    resolution_exp: int,
+    scale_range: tuple[int, int] | None = None,
+) -> list[Quartile]:
+    """Pairwise disjoint quartiles, each candidate tested against every
+    accepted one: the reference the indexed `disjoint_collection` must
+    reproduce draw for draw."""
+    out: list[Quartile] = []
+    budget = 300 * count + 300
+    area_exp = domain_exp + resolution_exp
+    if area_exp >= 2 and count > 1 << (area_exp - 2):
+        budget = 0
+    while len(out) < count:
+        if budget == 0:
+            raise RuntimeError(
+                f"could not place {count} disjoint quartiles "
+                f"in a (J={domain_exp}, m={resolution_exp}) box"
+            )
+        budget -= 1
+        q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
+        if not any(q.intersects(p) for p in out):
+            out.append(q)
+    return out

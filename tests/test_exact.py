@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import FractionQuad
@@ -136,6 +136,10 @@ def test_from_text_rejects_garbage():
         QuadScalar.from_text("garbage")
     with pytest.raises(ValueError):
         QuadScalar.from_text("1/4")
+    # A zero denominator is a bad literal too, not a ZeroDivisionError.
+    for text in ("1/0+0/1*sqrt2", "0/1+1/0*sqrt2", "0/0-0/0*sqrt2"):
+        with pytest.raises(ValueError, match="not a Q\\(sqrt2\\) literal"):
+            QuadScalar.from_text(text)
 
 
 @given(scalars, st.integers(min_value=0, max_value=5))
@@ -205,3 +209,27 @@ def test_dyadic_normalises_representation():
 def test_dyadic_compares_against_rationals(a, q):
     assert (a < q) == (a.as_fraction() < q)
     assert (a >= q) == (a.as_fraction() >= q)
+
+
+wide_dyadics = st.builds(
+    DyadicRational,
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.integers(min_value=-90, max_value=90),
+)
+
+
+@given(wide_dyadics, wide_dyadics, st.integers(-(1 << 100), 1 << 100), small_fractions)
+@example(DyadicRational(-1), DyadicRational(1, 61), -1, Fraction(-1))
+@example(DyadicRational(3, 61), DyadicRational(3, -61), 3 << 61, Fraction(3, 1 << 61))
+def test_dyadic_orders_and_hashes_like_the_equal_fraction(a, b, n, q):
+    x = a.as_fraction()
+    # a's floor and ceiling, and a number next to a at a finer scale.
+    floor = a.numerator >> -a.exponent if a.exponent < 0 else a.numerator << a.exponent
+    near = a + DyadicRational(1, a.exponent - 1)
+    for other in (b, n, floor, floor + 1, q, a, near, -a):
+        y = other.as_fraction() if isinstance(other, DyadicRational) else other
+        assert (a < other, a <= other, a > other, a >= other) == (x < y, x <= y, x > y, x >= y)
+        assert (other < a, other <= a, other > a, other >= a) == (y < x, y <= x, y > x, y >= x)
+        assert (a == other) == (x == y) and (other == a) == (y == x)
+    assert hash(a) == hash(x)
+    assert hash(DyadicRational(n)) == hash(n)

@@ -8,8 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cli_golden import SELECTION_INPUT
+from oracles import naive_disjoint_collection
 from walshtf import QuadScalar, SelectionResult, StepFunction
 from walshtf.errors import ConfigError, EmptySet
 from walshtf.experiments import (
@@ -126,6 +129,73 @@ def test_disjoint_collection_refuses_overfull_requests_before_drawing(rng):
     with pytest.raises(RuntimeError, match="could not place 9 disjoint quartiles"):
         disjoint_collection(rng, 9, 2, 3)
     assert rng.getstate() == state
+
+
+@st.composite
+def disjoint_requests(draw):
+    """(count, J, m, scale_range) over boxes with J + m from 3 to 12.
+
+    Counts run up to the box's capacity 2^(J+m-2) and one past it, but
+    stop at 64, because the pairwise oracle costs O(count) per draw:
+    boxes with J + m <= 8 are covered to capacity and beyond.  Scale
+    ranges may reach outside the box.
+    """
+    total = draw(st.integers(3, 12))
+    domain_exp = draw(st.integers(0, total))
+    resolution_exp = total - domain_exp
+    capacity = 1 << (total - 2)
+    count = draw(st.integers(0, min(capacity + 1, 64)))
+    lo, hi = 2 - resolution_exp, domain_exp
+    scale_range = None
+    if draw(st.booleans()):
+        first = draw(st.integers(lo - 1, hi))
+        scale_range = (first, draw(st.integers(max(first, lo), hi + 1)))
+    return count, domain_exp, resolution_exp, scale_range
+
+
+def _disjoint_outcome(sampler, seed, args):
+    """What sampler returns or raises on args, and the state it
+    leaves in a Random seeded with seed."""
+    rng = random.Random(seed)
+    try:
+        result = sampler(rng, *args)
+    except (RuntimeError, ValueError) as exc:
+        result = (type(exc), str(exc))
+    return result, rng.getstate()
+
+
+@given(disjoint_requests(), st.integers(0, 2**32))
+@example((9, 2, 3, None), 0)  # over capacity: refused before any draw
+@example((8, 2, 3, (0, 1)), 1)  # filled to capacity from two scales
+@example((64, 3, 5, None), 2)  # filled to capacity from every scale
+@example((12, 3, 5, (3, 1)), 2)  # empty scale range
+def test_disjoint_collection_matches_the_pairwise_scan(args, seed):
+    indexed = _disjoint_outcome(disjoint_collection, seed, args)
+    assert indexed == _disjoint_outcome(naive_disjoint_collection, seed, args)
+
+
+class _StuckRandom(random.Random):
+    """Draws the lowest value every time, so every candidate after the
+    first repeats it and a disjoint draw of two or more runs out of budget."""
+
+    draws = 0
+
+    def randrange(self, start, stop=None, step=1):
+        self.draws += 1
+        return 0 if stop is None else start
+
+
+@pytest.mark.parametrize("count", [2, 5])
+def test_disjoint_collection_runs_out_of_budget_like_the_pairwise_scan(count):
+    outcomes = []
+    for sampler in (disjoint_collection, naive_disjoint_collection):
+        rng = _StuckRandom(0)
+        with pytest.raises(RuntimeError) as info:
+            sampler(rng, count, 3, 5)
+        outcomes.append((str(info.value), rng.draws))
+    message = f"could not place {count} disjoint quartiles in a (J=3, m=5) box"
+    # Three integers per candidate, 300 count + 300 candidates.
+    assert outcomes[0] == outcomes[1] == (message, 3 * (300 * count + 300))
 
 
 def test_quartile_collection_refuses_counts_above_the_box_before_drawing(rng):

@@ -187,6 +187,13 @@ def test_json_reads_a_grid_with_cells_and_numeric_values():
     assert f.values[2] == Fraction(1, 2) and f.values[4] == SQRT2 and f.values[7] == 2
 
 
+def test_json_refuses_a_value_with_a_zero_denominator():
+    # The literal reader raised ZeroDivisionError, not the error of a bad literal.
+    values = [0, 1, "1/0+0/1*sqrt2", 0]
+    with pytest.raises(ValueError, match="not a Q\\(sqrt2\\) literal"):
+        StepFunction.from_json({"J": 1, "m": 1, "values": values})
+
+
 def test_quadratic_scalars_scale_step_functions_from_either_side(rng):
     f = sign_function(rng, 2, 3)
     assert SQRT2 * f == f * SQRT2
