@@ -121,41 +121,34 @@ class DyadicRational:
 
     __rmul__ = __mul__
 
-    def _aligned(self, other: RationalLike) -> tuple[RationalLike, RationalLike]:
-        """self and other as two numbers in the same order: integers
-        shifted to the lower exponent when other is a DyadicRational or
-        an int, Fractions otherwise."""
-        if isinstance(other, DyadicRational):
-            n, e = other.numerator, other.exponent
-        elif isinstance(other, int):
-            n, e = other, 0
-        else:
-            return self.as_fraction(), _as_fraction(other)
-        lo = min(self.exponent, e)
-        return self.numerator << (self.exponent - lo), n << (e - lo)
+    def _cross(self, other: RationalLike) -> tuple[int, int]:
+        """self and other cross-multiplied by each other's positive
+        denominator: two integers in the same order as the two numbers."""
+        (a, p), (b, q) = _parts(self), _parts(other)
+        return a * q, b * p
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicRational):
             return self.numerator == other.numerator and self.exponent == other.exponent
         if isinstance(other, (int, Fraction)):
-            a, b = self._aligned(other)
+            a, b = self._cross(other)
             return a == b
         return NotImplemented
 
     def __lt__(self, other: RationalLike) -> bool:
-        a, b = self._aligned(other)
+        a, b = self._cross(other)
         return a < b
 
     def __le__(self, other: RationalLike) -> bool:
-        a, b = self._aligned(other)
+        a, b = self._cross(other)
         return a <= b
 
     def __gt__(self, other: RationalLike) -> bool:
-        a, b = self._aligned(other)
+        a, b = self._cross(other)
         return a > b
 
     def __ge__(self, other: RationalLike) -> bool:
-        a, b = self._aligned(other)
+        a, b = self._cross(other)
         return a >= b
 
     def __hash__(self) -> int:
