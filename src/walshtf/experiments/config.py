@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -19,8 +20,12 @@ class ExperimentConfig:
     the outer Lebesgue exponents, tied by 1/q = 1/p1 + 1/p2 with q
     above 2/3.  maximal_exp is the exponent of the maximal averages
     used to carve exceptional sets and cap sizes; it must exceed 1 and
-    sit close to it for the restricted runs to make sense.  grid_j and
-    grid_m fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.
+    sit close to it for the restricted runs to make sense.  epsilon is
+    the growth exponent of the frequency-set bound.  grid_j and grid_m
+    fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.  Each
+    rule is checked in the form "the value satisfies it", so a NaN,
+    which satisfies no comparison, is refused; an infinite r is
+    accepted.
     """
 
     r: float = 3.0
@@ -35,22 +40,24 @@ class ExperimentConfig:
     grid_m: int = 5
 
     def __post_init__(self) -> None:
-        if self.r <= 2:
+        if not self.r > 2:
             raise ConfigError(f"variation exponent r must exceed 2, got {self.r}")
-        if min(self.p1, self.p2) <= 0:
+        if not (self.p1 > 0 and self.p2 > 0):
             raise ConfigError("p1 and p2 must be positive")
         if not 2.0 / 3.0 < self.q:
             raise ConfigError(f"q must exceed 2/3, got {self.q}")
         relation = 1.0 / self.p1 + 1.0 / self.p2
-        if abs(relation - 1.0 / self.q) > _REL_TOL * max(1.0, abs(relation)):
+        if not abs(relation - 1.0 / self.q) <= _REL_TOL * max(1.0, abs(relation)):
             raise ConfigError(
                 f"exponents must satisfy 1/q = 1/p1 + 1/p2; "
                 f"got 1/q = {1.0 / self.q}, 1/p1 + 1/p2 = {relation}"
             )
-        if self.maximal_exp <= 1:
+        if not self.maximal_exp > 1:
             raise ConfigError(
                 f"maximal exponent must exceed 1, got {self.maximal_exp}"
             )
+        if math.isnan(self.epsilon):
+            raise ConfigError("epsilon must be a number, got nan")
         if self.trials < 1:
             raise ConfigError("at least one trial is required")
         if self.grid_j < 0 or self.grid_m < 2:

@@ -431,20 +431,31 @@ def render_partial_sum_field(
 def batch_variation(field: np.ndarray, r: float) -> np.ndarray:
     """r-variation down each column of a (scales, cells) field.
 
-    The chain recursion runs vectorised over all cells; quadratic in
-    the number of scales, which stays small on any usable grid.
+    The chain recursion runs vectorised over cells; quadratic in the
+    number of scales, which stays small on any usable grid.  A field
+    built from packets is constant on blocks of cells, so the recursion
+    runs once per run of equal adjacent columns and each result is
+    repeated over its run.  Every column still gets the same arithmetic,
+    so the output is the same bit for bit.  Columns that compare equal
+    may differ in the sign of a zero, which the recursion never sees:
+    it reads only absolute differences.  A column holding a NaN never
+    compares equal, so it is never merged.
     """
-    t, _ = field.shape
+    t, cells = field.shape
     if r == math.inf:
         return np.max(field, axis=0) - np.min(field, axis=0)
-    if r < 1:
-        raise ValueError("variation exponent must be at least 1")
-    suffix = np.zeros_like(field)
+    if not r >= 1:
+        raise ValueError(f"variation exponent must be at least 1, got {r}")
+    new_run = np.ones(cells, bool)
+    new_run[1:] = np.any(field[:, 1:] != field[:, :-1], axis=0)
+    starts = np.flatnonzero(new_run)
+    runs = field[:, starts]
+    suffix = np.zeros_like(runs)
     for i in range(t - 2, -1, -1):
-        gains = np.abs(field[i + 1 :] - field[i]) ** r + suffix[i + 1 :]
+        gains = np.abs(runs[i + 1 :] - runs[i]) ** r + suffix[i + 1 :]
         suffix[i] = np.max(gains, axis=0)
     powers = np.max(suffix, axis=0)
-    return powers ** (1.0 / r)
+    return np.repeat(powers ** (1.0 / r), np.diff(starts, append=cells))
 
 
 def batch_sup(field: np.ndarray) -> np.ndarray:

@@ -141,8 +141,8 @@ def variation_norm(
     and value zero.  Exact arithmetic is used when the method allows it,
     which requires integer or infinite r.
     """
-    if r != math.inf and r < 1:
-        raise ValueError("variation exponent must be at least 1")
+    if not r >= 1:
+        raise ValueError(f"variation exponent must be at least 1, got {r}")
     lane, zero = _lane(values, r, method)
     return _chain_dp(lane, r, zero)
 

@@ -246,29 +246,30 @@ def inner_product_brute(f: StepFunction, tile: Tile) -> QuadScalar:
 def brute_variation_power(values: Sequence, r) -> Fraction | float:
     """Largest sum of r-th powers of increments over all index chains.
 
-    Exact fractions are kept when both the values and r are rational
-    with integer r; otherwise floats are used.  Constant sequences give
+    With integer r the answer is exact: the values are read as exact
+    rationals, the chains are enumerated on the integers D * v, where D
+    is the values' common denominator, and the best sum is returned
+    over D^r.  Otherwise floats are used.  Constant sequences give
     zero.
     """
     n = len(values)
     exact = isinstance(r, int) or (isinstance(r, Fraction) and r.denominator == 1)
-    best: Fraction | float = Fraction(0) if exact else 0.0
-    if n < 2:
-        return best
+    if exact:
+        fractions = [Fraction(v) for v in values]
+        scale = lcm(1, *(v.denominator for v in fractions))
+        points = [v.numerator * (scale // v.denominator) for v in fractions]
+        power = [[abs(b - a) ** int(r) for b in points] for a in points]
+    else:
+        power = [[abs(float(b - a)) ** float(r) for b in values] for a in values]
+    best: int | float = 0 if exact else 0.0
     for mask in range(3, 1 << n):
         if mask & (mask - 1) == 0:
             continue
         chain = [i for i in range(n) if mask >> i & 1]
-        total: Fraction | float = Fraction(0) if exact else 0.0
-        for a, b in zip(chain, chain[1:]):
-            step = values[b] - values[a]
-            if exact:
-                total += abs(Fraction(step)) ** int(r)
-            else:
-                total += abs(float(step)) ** float(r)
+        total = sum(power[a][b] for a, b in zip(chain, chain[1:]))
         if total > best:
             best = total
-    return best
+    return Fraction(best, scale ** int(r)) if exact else best
 
 
 def brute_sup(values: Iterable) -> Fraction:

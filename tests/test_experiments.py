@@ -27,6 +27,7 @@ from walshtf.experiments import (
 from walshtf.experiments.cli import main
 from walshtf.experiments.config import ExperimentConfig
 from walshtf.experiments.random_gen import (
+    _draw_below,
     disjoint_collection,
     dyadic_set,
     frequency_set,
@@ -43,6 +44,7 @@ def test_default_config_is_consistent():
     cfg = ExperimentConfig()
     assert cfg.r == 3.0
     assert cfg.with_overrides(trials=7).trials == 7
+    assert cfg.with_overrides(r=math.inf).r == math.inf
 
 
 @pytest.mark.parametrize(
@@ -57,6 +59,11 @@ def test_default_config_is_consistent():
         {"grid_j": -1},
         {"trials": 0},
         {"grid_m": 1},
+        {"r": math.nan},
+        {"p1": math.nan},
+        {"p2": math.nan},
+        {"maximal_exp": math.nan},
+        {"epsilon": math.nan},
     ],
 )
 def test_config_rejects_bad_fields(overrides):
@@ -235,6 +242,34 @@ def test_dyadic_set_and_masked_signs(rng):
             assert v in (QuadScalar(1), QuadScalar(-1))
 
 
+@given(
+    st.integers(min_value=0, max_value=2**64),
+    st.sampled_from([2, 3]),
+    st.integers(min_value=1, max_value=16384),
+)
+@example(seed=0, n=3, count=1)
+@example(seed=0, n=2, count=16384)
+def test_whole_word_draws_match_the_choice_loop(seed, n, count):
+    fast, slow = random.Random(seed), random.Random(seed)
+    got = _draw_below(fast, n, count)
+    assert got.tolist() == [slow.choice(range(n)) for _ in range(count)]
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sign_generators_keep_the_choice_stream(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    f = sign_function(fast, 2, 4)
+    want = [slow.choice((-1, 0, 1)) for _ in range(64)]
+    assert f == StepFunction(2, 4, want)
+    mask = dyadic_set(fast, 2, 4)
+    assert dyadic_set(slow, 2, 4) == mask
+    g = masked_signs(fast, mask)
+    signs = iter([slow.choice((-1, 1)) for _ in mask.support_cells()])
+    assert g == StepFunction(2, 4, [next(signs) if m else 0 for m in mask.values])
+    assert fast.getstate() == slow.getstate()
+
+
 def test_frequency_set_draws_distinct_points(rng):
     freqs = frequency_set(rng, 12, 5)
     assert freqs.count_at(-5) == 12
@@ -375,6 +410,14 @@ def test_cli_missing_config_file(capsys):
     code = main(["identities", "--config", "/nonexistent/cfg.json"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_nan_exponent_as_bad_input(capsys):
+    code = main(["theorem1", "--r", "nan", "--trials", "1", "--grid-j", "2", "--grid-m", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: variation exponent r must exceed 2")
 
 
 def test_cli_config_file_with_overrides(tmp_path):

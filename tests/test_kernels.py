@@ -301,6 +301,60 @@ def test_batch_variation_matches_per_cell_dp(rng):
             assert out[cell] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+def _dp_on_every_column(field: np.ndarray, r: float) -> np.ndarray:
+    """`batch_variation` as it was before runs of equal columns shared one DP."""
+    t, _ = field.shape
+    if r == math.inf:
+        return np.max(field, axis=0) - np.min(field, axis=0)
+    suffix = np.zeros_like(field)
+    for i in range(t - 2, -1, -1):
+        gains = np.abs(field[i + 1 :] - field[i]) ** r + suffix[i + 1 :]
+        suffix[i] = np.max(gains, axis=0)
+    powers = np.max(suffix, axis=0)
+    return powers ** (1.0 / r)
+
+
+def _fields_with_repeated_columns(rng):
+    """Fields whose columns repeat next to each other and far apart."""
+    gen = np.random.default_rng(rng.randrange(1 << 32))
+    for rows, cells in ((1, 5), (2, 9), (6, 40), (9, 64)):
+        pool = gen.uniform(-2, 2, size=(rows, 5))
+        picks = gen.integers(0, 5, size=cells)
+        runs = np.repeat(pool[:, picks], gen.integers(1, 4, size=cells), axis=1)
+        yield runs
+        yield np.asfortranarray(runs)
+        yield np.round(runs)  # small integers: more equal differences
+    zeros = np.zeros((4, 6))
+    zeros[:, 1::2] = -0.0
+    zeros[2] = [1.0, 1.0, -1.0, -1.0, 0.0, -0.0]
+    yield zeros
+    yield np.full((5, 7), 0.75)
+    yield gen.uniform(-2, 2, size=(6, 30))
+    yield np.zeros((3, 0))
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0, 2.5, math.inf])
+def test_batch_variation_equals_the_dp_on_every_column(rng, r):
+    for field in _fields_with_repeated_columns(rng):
+        got, want = batch_variation(field, r), _dp_on_every_column(field, r)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.all(got == want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batch_variation_never_merges_nan_columns():
+    field = np.array([[0.0, np.nan, np.nan, 1.0, 1.0], [2.0, 1.0, 1.0, np.nan, 3.0]])
+    got = batch_variation(field, 3.0)
+    assert got.tobytes() == _dp_on_every_column(field, 3.0).tobytes()
+    assert got[4] == 2.0
+
+
+@pytest.mark.parametrize("r", [math.nan, 0.5, -math.inf])
+def test_batch_variation_refuses_an_exponent_below_one(r):
+    with pytest.raises(ValueError, match="at least 1"):
+        batch_variation(np.zeros((3, 4)), r)
+
+
 def test_batch_sup_is_the_columnwise_maximum(rng):
     field = np.array(
         [[rng.uniform(-2, 2) for _ in range(10)] for _ in range(5)]

@@ -97,6 +97,12 @@ def test_exact_method_refuses_fractional_exponent():
         variation_norm([Fraction(0), Fraction(1)], 2.5, "exact")
 
 
+@pytest.mark.parametrize("r", [math.nan, 0.5, -math.inf])
+def test_variation_refuses_an_exponent_below_one(r):
+    with pytest.raises(ValueError, match="at least 1"):
+        variation_norm([0.0, 1.0, -1.0], r)
+
+
 def test_degenerate_sequences():
     for values in ([], [Fraction(7)], [Fraction(1)] * 5):
         cert = variation_norm(values, 3, "exact")
