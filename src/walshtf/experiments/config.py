@@ -5,11 +5,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from ..errors import ConfigError
 
 _REL_TOL = 1e-9
+# Field name -> the type its value must have, and that type's name.
+_FIELD_TYPES = {
+    **dict.fromkeys(("r", "p1", "p2", "q", "maximal_exp", "epsilon"), (Real, "a number")),
+    **dict.fromkeys(("trials", "seed", "grid_j", "grid_m"), (Integral, "an integer")),
+}
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,8 @@ class ExperimentConfig:
     fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.  Each
     rule is checked in the form "the value satisfies it", so a NaN,
     which satisfies no comparison, is refused; an infinite r is
-    accepted.
+    accepted.  The exponents must be real numbers (an int is one) and
+    the counts and grid exponents integers; a bool is neither.
     """
 
     r: float = 3.0
@@ -40,6 +47,10 @@ class ExperimentConfig:
     grid_m: int = 5
 
     def __post_init__(self) -> None:
+        for name, (kind, noun) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
         if not self.r > 2:
             raise ConfigError(f"variation exponent r must exceed 2, got {self.r}")
         if not (self.p1 > 0 and self.p2 > 0):

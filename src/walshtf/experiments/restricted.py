@@ -181,7 +181,8 @@ def run_restricted_type(
         for i in (1, 2, 3)
         if initial_sq[i] > ZERO
     ]
-    selected: list[tuple[int, int, object]] = []
+    # (stage, slot, grab, the grab's squared size in slots 1, 2 and 3)
+    selected: list[tuple[int, int, object, tuple[QuadScalar, ...]]] = []
     residual = list(kept)
     stage = 0
     if targets and residual:
@@ -219,17 +220,18 @@ def run_restricted_type(
                             True,
                         )
                     )
-                    for grab in result.grabs:
-                        selected.append((n, i, grab))
+                    grab_sizes = [
+                        tuple(slot_size_sq(grab.full.quartiles, j) for j in (1, 2, 3))
+                        for grab in result.grabs
+                    ]
+                    for grab, sizes in zip(result.grabs, grab_sizes):
+                        selected.append((n, i, grab, sizes))
                     for j in (1, 2, 3):
                         theta_j = (
                             2.0 ** (-n / (2.0 * q_tilde))
                             * float(measures[j - 1]) ** (1.0 / (2.0 * q_tilde))
                         )
-                        worst = max(
-                            slot_size_sq(grab.full.quartiles, j).to_float() ** 0.5
-                            for grab in result.grabs
-                        )
+                        worst = max(sizes[j - 1].to_float() ** 0.5 for sizes in grab_sizes)
                         rows.append(
                             ("tree_size", n, j, worst, theta_j, worst / theta_j, True)
                         )
@@ -245,7 +247,7 @@ def run_restricted_type(
     )
     recombined = ZERO
     estimate_ratios = []
-    for n, i, grab in selected:
+    for n, i, grab, sizes in selected:
         part = lambda_form(
             grab.full.quartiles,
             functions[1],
@@ -256,8 +258,8 @@ def run_restricted_type(
         recombined = recombined + part
         length = grab.full.top_interval.length
         product_sq = QuadScalar.coerce(16 * length * length)
-        for j in (1, 2, 3):
-            product_sq = product_sq * slot_size_sq(grab.full.quartiles, j)
+        for size_sq in sizes:
+            product_sq = product_sq * size_sq
         ok = part.square() <= product_sq
         bound = product_sq.to_float() ** 0.5
         ratio = abs(part).to_float() / bound if bound > 0 else 0.0

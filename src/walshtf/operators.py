@@ -306,10 +306,18 @@ class Linearization:
     at time scale k picks up the weight of the window [k_t, k_{t+1})
     containing k, or zero outside all windows.  Weights are dyadic so
     that downstream pairings stay exact.
+
+    Two things derived from the weights are memoised for the lifetime
+    of the object: the weight field of each scale (`weight_field`),
+    and every weight-modified pairing `tilde_coefficients` has
+    computed, keyed on the function's value (its integer field), the
+    subtile and the quartile.  Both hold exact values and change no
+    result; they only save recomputing one.
     """
 
     __slots__ = (
-        "domain_exp", "resolution_exp", "cell_jumps", "cell_weights", "_weight_fields"
+        "domain_exp", "resolution_exp", "cell_jumps", "cell_weights", "_weight_fields",
+        "_tilde",
     )
 
     def __init__(
@@ -332,6 +340,7 @@ class Linearization:
         object.__setattr__(self, "cell_jumps", tuple(cell_jumps))
         object.__setattr__(self, "cell_weights", tuple(cell_weights))
         object.__setattr__(self, "_weight_fields", {})
+        object.__setattr__(self, "_tilde", {})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Linearization is immutable")
@@ -402,25 +411,37 @@ def optimal_linearization(
     multiple of 2^-_WEIGHT_GRID_EXP.  Rounding toward zero keeps the
     conjugate power of every cell's weights at most one.  A cell whose
     sums never change gets no window.
+
+    The chain and the weights are solved once per distinct column of
+    the float field, keyed on the column's bytes, and shared by every
+    cell whose column has the same bytes: the solve is a function of
+    those bytes alone.  The memo lives for this call only.
     """
     field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
-    grid = 1 << _WEIGHT_GRID_EXP
-    cell_jumps: list[tuple[int, ...]] = []
-    cell_weights: list[tuple[QuadScalar, ...]] = []
-    for column in field.to_array().T.tolist():
-        try:
-            chain, weights = linearize_weights(column, r)
-        except ZeroVariation:
-            cell_jumps.append((field.scale_min,))
-            cell_weights.append(())
-            continue
-        jumps = tuple(field.scale_min + idx + 1 for idx in chain)
-        snapped = tuple(
-            QuadScalar.from_ints(math.trunc(-w * grid), 0, grid) for w in weights
-        )
-        cell_jumps.append(jumps)
-        cell_weights.append(snapped)
+    solved: dict[bytes, tuple[tuple[int, ...], tuple[QuadScalar, ...]]] = {}
+    cells = []
+    for column in np.ascontiguousarray(field.to_array().T):
+        key = column.tobytes()
+        windows = solved.get(key)
+        if windows is None:
+            windows = solved[key] = _column_windows(column.tolist(), r, field.scale_min)
+        cells.append(windows)
+    cell_jumps, cell_weights = zip(*cells)
     return Linearization(domain_exp, resolution_exp, cell_jumps, cell_weights)
+
+
+def _column_windows(
+    column: list[float], r: float, scale_min: int
+) -> tuple[tuple[int, ...], tuple[QuadScalar, ...]]:
+    """The jump scales and snapped weights of one cell's truncated sums."""
+    try:
+        chain, weights = linearize_weights(column, r)
+    except ZeroVariation:
+        return (scale_min,), ()
+    grid = 1 << _WEIGHT_GRID_EXP
+    jumps = tuple(scale_min + idx + 1 for idx in chain)
+    snapped = tuple(QuadScalar.from_ints(math.trunc(-w * grid), 0, grid) for w in weights)
+    return jumps, snapped
 
 
 def tilde_coefficients(
@@ -436,22 +457,30 @@ def tilde_coefficients(
     field is shared by all quartiles of one scale, f's integer planes
     are multiplied by it once per scale and every quartile of the scale
     is read from the one table of the product.
+
+    Every pairing is memoised on the linearization for its lifetime,
+    keyed on f's value (its integer field, so an equal function hits
+    the same entries), the subtile and the quartile.  A scale's product
+    table is built only when a requested quartile of that scale has no
+    entry yet, and dropped once those are read, so the memo holds one
+    scalar per pairing asked for and no table.
     """
     lin = linearization
     if (f.domain_exp, f.resolution_exp) != (lin.domain_exp, lin.resolution_exp):
         raise GridMismatch("f and the linearization live on different grids")
-    by_scale: dict[int, list[Quartile]] = {}
+    memo = lin._tilde.setdefault((f.field, subtile_index), {})
+    quartiles = list(quartiles)
+    missing: dict[int, list[Quartile]] = {}
     for q in quartiles:
-        by_scale.setdefault(q.time.scale, []).append(q)
-    field = f.field
-    out: dict[Quartile, QuadScalar] = {}
-    for k, group in by_scale.items():
+        if q not in memo:
+            missing.setdefault(q.time.scale, []).append(q)
+    for k, group in missing.items():
         tables = kernels.WalshTables(
-            kernels.field_product(field, lin.weight_field(k))
+            kernels.field_product(f.field, lin.weight_field(k))
         )
         for q in group:
-            out[q] = tables.pairing(q.tile(subtile_index))
-    return out
+            memo[q] = tables.pairing(q.tile(subtile_index))
+    return {q: memo[q] for q in quartiles}
 
 
 def tilde_inner_product(

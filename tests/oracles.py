@@ -5,18 +5,24 @@ the closed digit-product formula, inner products by summing cells,
 variation norms by enumerating all increasing index chains, sizes by
 enumerating every subset of a collection that forms a pinned tree,
 disjoint draws by testing every candidate against every accepted
-quartile.  The only package imports are the primitive containers and
-exact scalars, and the one-quartile sampler whose stream the disjoint
-draw must reproduce; none of the machinery under test is reused.
+quartile, linearizations by solving every cell's column on its own.
+The only package imports are the primitive containers and exact
+scalars, the one-quartile sampler whose stream the disjoint draw must
+reproduce, and the one-column weight solver whose per-cell results the
+linearization must reproduce; none of the machinery under test is
+reused.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from walshtf import (
     DyadicInterval,
@@ -28,7 +34,9 @@ from walshtf import (
     inv_sqrt_pow2,
     pow2_fraction,
 )
+from walshtf.errors import ZeroVariation
 from walshtf.experiments.random_gen import random_quartile
+from walshtf.variation import linearize_weights
 
 
 class FractionQuad:
@@ -270,6 +278,32 @@ def brute_variation_power(values: Sequence, r) -> Fraction | float:
         if total > best:
             best = total
     return Fraction(best, scale ** int(r)) if exact else best
+
+
+def per_column_linearization(
+    rows: np.ndarray, scale_min: int, r: float, grid_exp: int = 16
+) -> tuple[list[tuple[int, ...]], list[tuple[QuadScalar, ...]]]:
+    """Jump scales and snapped weights of every cell, one column at a time.
+
+    rows is the float truncation field, one row per cut from scale_min
+    up.  Each column is solved on its own, however many columns equal
+    it, and each weight rounded toward zero to a multiple of
+    2^-grid_exp; a column without variation gets no window.
+    """
+    grid = 1 << grid_exp
+    cell_jumps, cell_weights = [], []
+    for column in rows.T.tolist():
+        try:
+            chain, weights = linearize_weights(column, r)
+        except ZeroVariation:
+            cell_jumps.append((scale_min,))
+            cell_weights.append(())
+            continue
+        cell_jumps.append(tuple(scale_min + idx + 1 for idx in chain))
+        cell_weights.append(
+            tuple(QuadScalar.from_ints(math.trunc(-w * grid), 0, grid) for w in weights)
+        )
+    return cell_jumps, cell_weights
 
 
 def brute_sup(values: Iterable) -> Fraction:

@@ -45,6 +45,7 @@ def test_default_config_is_consistent():
     assert cfg.r == 3.0
     assert cfg.with_overrides(trials=7).trials == 7
     assert cfg.with_overrides(r=math.inf).r == math.inf
+    assert cfg.with_overrides(r=3, p1=4, p2=4, q=2) == cfg
 
 
 @pytest.mark.parametrize(
@@ -64,6 +65,13 @@ def test_default_config_is_consistent():
         {"p2": math.nan},
         {"maximal_exp": math.nan},
         {"epsilon": math.nan},
+        {"r": "3"},
+        {"epsilon": None},
+        {"p1": True},
+        {"trials": 2.5},
+        {"seed": 1.0},
+        {"grid_j": True},
+        {"grid_m": "5"},
     ],
 )
 def test_config_rejects_bad_fields(overrides):
@@ -418,6 +426,25 @@ def test_cli_refuses_a_nan_exponent_as_bad_input(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: variation exponent r must exceed 2")
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"r": "3"}, "r must be a number"),
+        ({"trials": 2.5, "grid_j": 2, "grid_m": 3}, "trials must be an integer"),
+        ({"grid_j": True, "grid_m": 3}, "grid_j must be an integer"),
+    ],
+    ids=["string-exponent", "fractional-trials", "bool-grid"],
+)
+def test_cli_refuses_a_config_field_of_the_wrong_type(tmp_path, capsys, fields, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    code = main(["theorem1", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}")
 
 
 def test_cli_config_file_with_overrides(tmp_path):

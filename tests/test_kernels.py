@@ -201,6 +201,50 @@ def test_tilde_coefficients_match_per_cell_reweighting(rng, weight):
         assert got[q] == _reweighted_oracle(f, q, lin)
 
 
+def test_tilde_memo_matches_fresh_pairings(rng, monkeypatch):
+    domain_exp, resolution_exp = 2, 4
+    lin = _random_linearization(
+        rng,
+        domain_exp,
+        resolution_exp,
+        lambda: QuadScalar(Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), 5)),
+    )
+    f, g = sign_function(rng, 2, 4), sign_function(rng, 2, 4)
+    assert f != g
+    same_as_f = StepFunction(2, 4, f.values)
+    coll = list(quartile_collection(rng, 30, domain_exp, resolution_exp))
+    first, overlapping, disjoint = coll[:18], coll[10:25], coll[18:]
+    builds = []
+    original = kernels.field_product
+
+    def counting(a, b):
+        builds.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(kernels, "field_product", counting)
+    requested = set()
+    for fn, subset, subtile in [
+        (f, first, 3),
+        (f, overlapping, 3),
+        (g, first, 3),
+        (f, disjoint, 3),
+        (f, overlapping, 2),
+        (same_as_f, coll, 3),  # an equal function: every pairing is memoised
+        (g, overlapping, 3),
+    ]:
+        missing = {q for q in subset if (fn, subtile, q) not in requested}
+        del builds[:]
+        got = tilde_coefficients(fn, subset, lin, subtile)
+        # A product table is built once per scale that has a missing quartile.
+        assert len(builds) == len({q.time.scale for q in missing})
+        requested |= {(fn, subtile, q) for q in subset}
+        fresh = Linearization(domain_exp, resolution_exp, lin.cell_jumps, lin.cell_weights)
+        assert got == tilde_coefficients(fn, subset, fresh, subtile)
+        assert list(got) == subset
+        for q in subset:
+            assert got[q] == _reweighted_oracle(fn, q, lin, subtile)
+
+
 def test_walsh_tables_reject_out_of_range_tiles(rng):
     f = sign_function(rng, 2, 3)
     tables = walsh_tables(f)

@@ -34,8 +34,14 @@ from walshtf import (
     variation_norm,
     wavepacket_step,
 )
+from oracles import per_column_linearization
 from walshtf.errors import GridMismatch, ScaleTooCoarse, ScaleTooFine
-from walshtf.experiments.random_gen import disjoint_collection, sign_function
+from walshtf.experiments.random_gen import (
+    disjoint_collection,
+    dyadic_set,
+    masked_signs,
+    sign_function,
+)
 
 
 def test_average_is_a_conditional_expectation(rng):
@@ -196,6 +202,31 @@ def test_optimal_linearization_has_admissible_weights(rng):
         L = optimal_linearization(model_terms(f1, f2, coll), 3, r, 2, 3)
         conj = r / (r - 1.0)
         assert L.dual_power(conj) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("r", [3.0, 2.5, 4.0])
+def test_optimal_linearization_matches_the_per_column_loop(r):
+    # Fields of the restricted-type shape: masked signs on a (3,5) grid
+    # and a dozen disjoint quartiles, so columns repeat, next to each
+    # other and far apart.  Keeping only the quartiles inside the left
+    # half of the box also gives columns that never change.
+    for seed in range(6):
+        rng = random.Random(seed)
+        support = dyadic_set(rng, 3, 5, density=0.5)
+        f1, f2 = masked_signs(rng, support), sign_function(rng, 3, 5)
+        terms = model_terms(f1, f2, disjoint_collection(rng, 12, 3, 5))
+        left = [(q, c) for q, c in terms if q.time.cell_range(5)[1] <= 128]
+        for chosen in (terms, left):
+            rows = partial_sum_field(chosen, 3, 3, 5).to_array()
+            columns = [col.tobytes() for col in np.ascontiguousarray(rows.T)]
+            adjacent_runs = 1 + sum(a != b for a, b in zip(columns, columns[1:]))
+            assert len(set(columns)) < adjacent_runs
+            jumps, weights = per_column_linearization(rows, -5, r)
+            if chosen is left:
+                assert not any(weights[128:])
+            lin = optimal_linearization(chosen, 3, r, 3, 5)
+            assert lin.cell_jumps == tuple(jumps)
+            assert lin.cell_weights == tuple(weights)
 
 
 def test_grid_refinement_leaves_the_form_unchanged(rng):
