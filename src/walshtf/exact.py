@@ -178,6 +178,30 @@ def quad_sign(a: int, b: int) -> int:
 _SQRT2_ROOTS = {bits: isqrt(2 << (2 * bits)) for bits in (64, 128, 256, 512)}
 
 
+def quad_to_float(r: int, s: int, d: int) -> float:
+    """The float nearest (r + s*sqrt2) / d for integers, d positive.
+
+    sqrt2 is resolved adaptively: the enclosure is tightened until both
+    interval ends round to the same float, so the result is the
+    correctly rounded value whenever the loop converges (always in
+    practice; the final fallback is off by at most one ulp).  Each end
+    is one int true division, which is correctly rounded.  Scaling
+    r, s and d by one factor scales both ends alike, so the result does
+    not depend on the representation: it is the same for any (r, s, d)
+    of one value, canonical or not.
+    """
+    if not s:
+        return r / d
+    for bits, root in _SQRT2_ROOTS.items():
+        # The ends are (r 2^bits + s root) and that plus s, over d 2^bits.
+        a = (r << bits) + s * root
+        den = d << bits
+        fa, fb = a / den, (a + s) / den
+        if fa == fb:
+            return fa
+    return (2 * a + s) / (2 * den)
+
+
 class QuadScalar:
     """An element (r + s sqrt2) / d of Q(sqrt2), held as three integers.
 
@@ -351,25 +375,8 @@ class QuadScalar:
         return self.to_float()
 
     def to_float(self) -> float:
-        """Convert to the nearest float, resolving sqrt2 adaptively.
-
-        The enclosure is tightened until both interval ends round to the
-        same float, so the result is the correctly rounded value of
-        (r + s*sqrt2) / d whenever the loop converges (always in
-        practice; the final fallback is off by at most one ulp).  Each
-        end is one int true division, which is correctly rounded.
-        """
-        r, s, d = self.r, self.s, self.d
-        if not s:
-            return r / d
-        for bits, root in _SQRT2_ROOTS.items():
-            # The ends are (r 2^bits + s root) and that plus s, over d 2^bits.
-            a = (r << bits) + s * root
-            den = d << bits
-            fa, fb = a / den, (a + s) / den
-            if fa == fb:
-                return fa
-        return (2 * a + s) / (2 * den)
+        """The nearest float, by `quad_to_float`."""
+        return quad_to_float(self.r, self.s, self.d)
 
     def to_text(self) -> str:
         rat, surd = self.rat, self.surd

@@ -19,7 +19,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError, InvalidInput
+from ..errors import ConfigError, InvalidInput, WalshtfError
 from ..exact import QuadScalar
 from ..geometry import DyadicInterval, Quartile
 from ..trees import SelectionResult, select_trees
@@ -129,6 +129,10 @@ def _cmd_counting(args: argparse.Namespace) -> int:
         raise ConfigError("counting derives every grid from its box levels; drop --grid-m")
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
+
+# Bad input: a broken contract, an unreadable file, or a file that is
+# not JSON text.
+_BAD_INPUT = (WalshtfError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 
 # What a reader raises on a malformed JSON field.
 _PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -304,11 +308,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except _BAD_INPUT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
-        # A fault of the program, never to be read as a reported failure.
+        # A fault of the program, never to be read as a reported failure
+        # or as bad input; a ValueError of no contract lands here too.
         traceback.print_exc()
         return 3
 

@@ -126,13 +126,42 @@ def random_quartile(
     resolution_exp: int,
     scale_range: tuple[int, int] | None = None,
 ) -> Quartile:
+    """One quartile of the box: a time scale, then a time and a frequency index.
+
+    The values, and the state `rng` is left in, are those of
+    `k = rng.randint(lo, hi)`, `rng.randrange(2^(J - k))` and
+    `rng.randrange(2^(m + k - 2))`, drawn here by their own rejection
+    loops.  This rests on two facts about CPython's `random.Random`
+    (3.10 to 3.13):
+
+    - `randint(a, b)` is `randrange(a, b + 1)`, and `randrange(a, b)`
+      and `randrange(b)` with b > a are a + `_randbelow(b - a)` and
+      `_randbelow(b)`;
+    - `_randbelow(n)` calls `getrandbits(n.bit_length())` until the
+      result is below n; for n = 2^s that is `getrandbits(s + 1)` until
+      the result's bit s is clear.
+
+    `rng` must not override `random` or `getrandbits`.
+    """
     lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
     if lo > hi:
         raise ValueError("empty quartile scale range")
-    k = rng.randint(lo, hi)
-    time = DyadicInterval(rng.randrange(1 << (domain_exp - k)), k)
-    freq = DyadicInterval(rng.randrange(1 << (resolution_exp + k - 2)), 2 - k)
-    return Quartile(time, freq)
+    getrandbits = rng.getrandbits
+    width = hi - lo + 1
+    bits = width.bit_length()
+    k = getrandbits(bits)
+    while k >= width:
+        k = getrandbits(bits)
+    k += lo
+    span = domain_exp - k
+    n = getrandbits(span + 1)
+    while n >> span:
+        n = getrandbits(span + 1)
+    span = resolution_exp + k - 2
+    f = getrandbits(span + 1)
+    while f >> span:
+        f = getrandbits(span + 1)
+    return Quartile(DyadicInterval(n, k), DyadicInterval(f, 2 - k))
 
 
 def quartile_collection(

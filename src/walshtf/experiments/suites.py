@@ -503,7 +503,7 @@ def run_lemma_experiment(which: str, config: ExperimentConfig) -> ExperimentRepo
     try:
         driver = _LEMMA_DRIVERS[which]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown lemma experiment {which!r}; pick one of {', '.join(LEMMA_NAMES)}"
         ) from None
     return driver(config)

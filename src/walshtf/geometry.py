@@ -149,18 +149,21 @@ class Tile(_Rectangle):
         return self.freq.index
 
     def piece_exp(self, resolution_exp: int) -> int:
-        """log2 of the cell count of each constant piece of the packet.
+        """log2 of the cell count of each constant piece of the packet."""
+        return piece_exp(self.time.scale, self.freq.index, resolution_exp)
 
-        The packet has 2^s sign pieces, s the bit length of the
-        frequency index, over 2^(k + m) cells; a grid of cells 2^-m wide
-        resolves it only if every piece spans whole cells.
-        """
-        exp = self.time.scale + resolution_exp - self.freq.index.bit_length()
-        if exp < 0:
-            raise ResolutionTooCoarse(
-                f"tile oscillates below cell width 2^-{resolution_exp}"
-            )
-        return exp
+
+def piece_exp(scale: int, freq_index: int, resolution_exp: int) -> int:
+    """log2 of the cell count of each constant piece of a packet.
+
+    The packet of a tile at time scale k with frequency index b has 2^s
+    sign pieces, s the bit length of b, over 2^(k + m) cells; a grid of
+    cells 2^-m wide resolves it only if every piece spans whole cells.
+    """
+    exp = scale + resolution_exp - freq_index.bit_length()
+    if exp < 0:
+        raise ResolutionTooCoarse(f"tile oscillates below cell width 2^-{resolution_exp}")
+    return exp
 
 
 def tiles_disjoint(a: Tile, b: Tile) -> bool:

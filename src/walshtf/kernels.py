@@ -7,9 +7,12 @@ and the `field_*` functions are its grid algebra, each checking that
 int64 cannot overflow before it uses int64.  The integer lane runs the
 Walsh butterfly over these planes and reads packet coefficients back
 off exactly, since the butterfly only ever adds and subtracts; it is
-the only way an exact packet coefficient is computed.  `packet_sums`
-is the only way packet terms are summed on the grid: exactly on integer
-planes, or in floats when the coefficients are floats.  The float lane
+the only way an exact packet coefficient is computed, one tile at a
+time or a whole array of tiles at once.  One summation, reached as
+`packet_sums` (terms named by tiles) or `truncated_sums` (quartile
+terms cut by scale), is the only way packet terms are summed on the
+grid: exactly on integer planes, or in floats when the coefficients are
+floats.  The float lane
 also batches the variation recursion over all grid cells at once; it
 trades exactness for speed and is meant for experiments, not proofs.
 """
@@ -18,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import wavepacket
-from .errors import KernelUnsupported, ScaleTooCoarse
+from .errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
 from .exact import ZERO, QuadScalar, ScalarLike, common_lift, inv_sqrt_pow2
 from .geometry import Quartile, Tile
 
@@ -40,7 +43,7 @@ __all__ = [
     "WalshTables",
     "walsh_tables",
     "packet_sums",
-    "truncation_terms",
+    "truncated_sums",
     "render_partial_sum_field",
     "batch_variation",
     "batch_sup",
@@ -282,6 +285,41 @@ class WalshTables:
             raise KernelUnsupported("tile sits outside the grid box")
         return self.pairing(tile)
 
+    def stage_entries(
+        self, scales: np.ndarray, indices: np.ndarray, freqs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The butterfly entries (u_r, u_s) of many tiles inside the box at once.
+
+        Tile i has time scale scales[i], time index indices[i] and
+        frequency index freqs[i], and its coefficient, the value
+        `coefficient` reads one tile at a time, is
+        (u_r[i] + u_s[i] sqrt2) 2^(-(2m + k)/2) / denominator with
+        k = scales[i].  The entries of one stage t = k + m are gathered
+        with one fancy index, in the tables' dtype.  Tiles outside the
+        table range or the box are refused, as `coefficient` refuses
+        them, and so are tiles the grid cannot resolve.
+        """
+        field = self.field
+        out_r = np.empty(scales.shape, self.rat_tables[0].dtype)
+        out_s = np.empty(scales.shape, self.surd_tables[0].dtype)
+        if not scales.size:
+            return out_r, out_s
+        if scales.min() < -field.resolution_exp or scales.max() > field.domain_exp:
+            raise KernelUnsupported("tile time scale outside the table range")
+        stages = scales + field.resolution_exp
+        if np.any(indices >> (field.domain_exp - scales)):
+            raise KernelUnsupported("tile sits outside the grid box")
+        if np.any(freqs >> stages):
+            raise ResolutionTooCoarse(
+                f"tile oscillates below cell width 2^-{field.resolution_exp}"
+            )
+        for t in np.unique(stages).tolist():
+            at = np.flatnonzero(stages == t)
+            slots = (indices[at] << t) + freqs[at]
+            out_r[at] = self.rat_tables[t][slots]
+            out_s[at] = self.surd_tables[t][slots]
+        return out_r, out_s
+
     def pairing(self, tile: Tile) -> QuadScalar:
         """The pairing with any resolvable tile's packet, clipped to the box.
 
@@ -329,6 +367,108 @@ def walsh_tables(f: StepFunction) -> WalshTables:
     return WalshTables(f.field)
 
 
+def _place(
+    terms: Iterable[tuple[int, object, float | QuadScalar]],
+    position: Callable[[object], tuple[int, int, int]],
+    domain_exp: int,
+    resolution_exp: int,
+) -> dict[int, list[tuple[int, int, int, int, float | QuadScalar]]]:
+    """The nonzero terms (row, tile, c) by row, in term order.
+
+    `position(tile)` gives the tile's time scale k, time index n and
+    frequency index f, read for nonzero terms only.  Each term becomes
+    (a, b, mask, k, c), with a, b and mask as `wavepacket._packet_span`
+    places the tile.  A term whose packet the
+    grid cannot resolve is refused; one at a negative row, or with no
+    cell in the box, lands in no row.
+    """
+    rows: dict[int, list] = {}
+    for row, tile, c in terms:
+        if c:
+            scale, index, freq = position(tile)
+            a, b, mask = wavepacket._packet_span(scale, index, freq, domain_exp, resolution_exp)
+            if row >= 0 and a < b:
+                rows.setdefault(row, []).append((a, b, mask, scale, c))
+    return rows
+
+
+# Covered cells per scatter: bounds the index arrays of one batch of terms.
+_SCATTER_CELLS = 1 << 16
+
+
+def _scatter(placed: list[tuple], weights: np.ndarray):
+    """Every covered cell of placed float terms, in batches of whole terms.
+
+    Yields, per batch of at most _SCATTER_CELLS cells (or one longer
+    term), the cells and each one's term weight times the sign of the
+    term's packet there; a term's cells are contiguous and the terms
+    come in order.
+    """
+    start, size = 0, 0
+    for stop, (a, b, *_) in enumerate(placed):
+        if size and size + b - a > _SCATTER_CELLS:
+            yield _batch(placed, weights, start, stop)
+            start, size = stop, 0
+        size += b - a
+    yield _batch(placed, weights, start, len(placed))
+
+
+def _batch(placed: list[tuple], weights: np.ndarray, start: int, stop: int):
+    first, last, mask = (np.array(part, np.int64) for part in list(zip(*placed[start:stop]))[:3])
+    lengths = last - first
+    cells = np.arange(int(lengths.sum()))
+    cells += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    values = np.repeat(weights[start:stop], lengths)
+    values *= wavepacket._walsh_signs(np.repeat(mask, lengths), cells)
+    return cells, values
+
+
+def _sum_rows(
+    terms: Iterable[tuple[int, object, float | ScalarLike]],
+    position: Callable[[object], tuple[int, int, int]],
+    rows: int,
+    domain_exp: int,
+    resolution_exp: int,
+) -> np.ndarray | list[IntegerField]:
+    """`packet_sums` of terms (row, tile, c), each tile read by `position`."""
+    terms = list(terms)
+    cells = 1 << (domain_exp + resolution_exp)
+    if terms and all(isinstance(c, float) for _, _, c in terms):
+        plane = np.zeros((rows, cells))
+        for row, placed in _place(terms, position, domain_exp, resolution_exp).items():
+            weights = np.array([c * 2.0 ** (-scale / 2.0) for *_, scale, c in placed])
+            # add.at adds in index order, so each cell sums in term order.
+            for where, values in _scatter(placed, weights):
+                np.add.at(plane[row], where, values)
+        return np.cumsum(plane[::-1], axis=0)[::-1]
+    by_row = _place(
+        [(row, tile, QuadScalar.coerce(c)) for row, tile, c in terms],
+        position,
+        domain_exp,
+        resolution_exp,
+    )
+    rats, surds, d = common_lift(
+        [c * inv_sqrt_pow2(scale) for group in by_row.values() for *_, scale, c in group]
+    )
+    # No cell sum exceeds the sum of the parts' sizes.
+    bound = max(sum(map(abs, rats)), sum(map(abs, surds)))
+    dtype = object if bound >= 1 << _INT64_GUARD else np.int64
+    planes = np.zeros((2, rows, cells), dtype=dtype)
+    placed = ((row, term) for row, group in by_row.items() for term in group)
+    # Integer sums do not depend on the order, and exact rows hold few
+    # terms, so each term is added on its own slice.
+    for (row, (a, b, mask, _, _)), r, s in zip(placed, rats, surds):
+        signs = wavepacket._walsh_signs(mask, np.arange(a, b, dtype=np.int64))
+        signs = signs.astype(dtype, copy=False)
+        planes[0, row, a:b] += r * signs
+        planes[1, row, a:b] += s * signs
+    rat, surd = np.cumsum(planes[:, ::-1], axis=1)[:, ::-1]
+    return [
+        IntegerField.canonical(r_row, s_row, d, domain_exp, resolution_exp)
+        for r_row, s_row in zip(rat, surd)
+    ]
+
+
 def packet_sums(
     terms: Iterable[tuple[int, Tile, float | ScalarLike]],
     rows: int,
@@ -344,67 +484,55 @@ def packet_sums(
     for resolvability but lands in no row.
 
     The coefficients pick the lane.  Python floats fill one float64
-    plane, each row summed in term order, and the result is its array.
-    Any other coefficients are exact: the weights are lifted over one
-    common denominator into a rational and a sqrt2 integer plane, int64
-    while the sum of the parts' sizes fits and Python ints past that,
-    and the result is one canonical `IntegerField` per row.  An empty
-    term list is the exact zero.
+    plane, and the result is its array: the signs of a row's cells come
+    from one `wavepacket._walsh_signs` call per batch of whole terms
+    (`_SCATTER_CELLS` cells at most, so the index arrays stay small),
+    and `np.add.at` adds them into the row in index order, that is term
+    by term, as a running sum would.  Any other coefficients are exact:
+    the weights are lifted over one common denominator into a rational
+    and a sqrt2 integer plane, int64 while the sum of the parts' sizes
+    fits and Python ints past that, each term is added on its own
+    slice, and the result is one canonical `IntegerField` per row.  An
+    empty term list is the exact zero.
     """
-    terms = list(terms)
-    cells = 1 << (domain_exp + resolution_exp)
-    if terms and all(isinstance(c, float) for _, _, c in terms):
-        plane = np.zeros((rows, cells))
-        for row, tile, c in terms:
-            if c:
-                a, b, signs = wavepacket.sign_row(tile, domain_exp, resolution_exp)
-                if row >= 0:
-                    plane[row, a:b] += signs * (c * 2.0 ** (-tile.time.scale / 2.0))
-        return np.cumsum(plane[::-1], axis=0)[::-1]
-    placed, weights = [], []
-    for row, tile, c in terms:
-        c = QuadScalar.coerce(c)
-        if c:
-            a, b, signs = wavepacket.sign_row(tile, domain_exp, resolution_exp)
-            if row >= 0:
-                placed.append((row, a, b, signs))
-                weights.append(c * inv_sqrt_pow2(tile.time.scale))
-    rats, surds, d = common_lift(weights)
-    # No cell sum exceeds the sum of the parts' sizes.
-    bound = max(sum(map(abs, rats)), sum(map(abs, surds)))
-    dtype = object if bound >= 1 << _INT64_GUARD else np.int64
-    planes = np.zeros((2, rows, cells), dtype=dtype)
-    for (row, a, b, signs), r, s in zip(placed, rats, surds):
-        signs = signs.astype(dtype, copy=False)
-        planes[0, row, a:b] += r * signs
-        planes[1, row, a:b] += s * signs
-    rat, surd = np.cumsum(planes[:, ::-1], axis=1)[:, ::-1]
-    return [
-        IntegerField.canonical(r_row, s_row, d, domain_exp, resolution_exp)
-        for r_row, s_row in zip(rat, surd)
-    ]
+    return _sum_rows(terms, _tile_position, rows, domain_exp, resolution_exp)
 
 
-def truncation_terms(
+def _tile_position(tile: Tile) -> tuple[int, int, int]:
+    return tile.time.scale, tile.time.index, tile.freq.index
+
+
+def truncated_sums(
     terms: Iterable[tuple[Quartile, float | ScalarLike]],
     subtile_index: int,
     domain_exp: int,
     resolution_exp: int,
-) -> list[tuple[int, Tile, float | ScalarLike]]:
-    """Quartile terms placed for `packet_sums` as truncated sums.
+) -> np.ndarray | list[IntegerField]:
+    """`packet_sums` of quartile terms cut at every scale, J + m + 1 rows.
 
-    A term at time scale k goes to row k + m - 1, so that result row j
-    sums the terms with time intervals strictly longer than 2^(j - m);
-    the last row, j = J + m, is an empty sum.  A quartile longer than
-    the box has no row and is refused.
+    A term at time scale k goes to row k + m - 1 with the quartile's
+    `subtile_index` tile, so that result row j sums the terms with time
+    intervals strictly longer than 2^(j - m); the last row, j = J + m,
+    is an empty sum.  The tiles are read off the quartiles' integers,
+    never built.  A quartile longer than the box has no row and is
+    refused.
     """
-    placed = []
-    for quartile, coeff in terms:
-        scale = quartile.time.scale
-        if scale > domain_exp:
-            raise ScaleTooCoarse(f"quartile at scale {scale} above the box 2^{domain_exp}")
-        placed.append((scale + resolution_exp - 1, quartile.tile(subtile_index), coeff))
-    return placed
+    def placed():
+        for quartile, coeff in terms:
+            scale = quartile.time.scale
+            if scale > domain_exp:
+                raise ScaleTooCoarse(f"quartile at scale {scale} above the box 2^{domain_exp}")
+            if subtile_index not in (1, 2, 3, 4):
+                raise ValueError("subtile index must be 1, 2, 3 or 4")
+            yield scale + resolution_exp - 1, quartile, coeff
+
+    def position(quartile: Quartile) -> tuple[int, int, int]:
+        time = quartile.time
+        return time.scale, time.index, 4 * quartile.freq.index + subtile_index - 1
+
+    return _sum_rows(
+        placed(), position, domain_exp + resolution_exp + 1, domain_exp, resolution_exp
+    )
 
 
 def render_partial_sum_field(
@@ -419,13 +547,10 @@ def render_partial_sum_field(
     strictly longer than 2^k, k = j - resolution_exp; the last row
     (k = domain_exp) is identically zero and anchors variation chains.
     """
-    rows = domain_exp + resolution_exp + 1
-    placed = truncation_terms(
-        ((q, float(c)) for q, c in terms), subtile_index, domain_exp, resolution_exp
-    )
-    if not placed:
-        return np.zeros((rows, 1 << (domain_exp + resolution_exp)))
-    return packet_sums(placed, rows, domain_exp, resolution_exp)
+    terms = [(q, float(c)) for q, c in terms]
+    if not terms:
+        return np.zeros((domain_exp + resolution_exp + 1, 1 << (domain_exp + resolution_exp)))
+    return truncated_sums(terms, subtile_index, domain_exp, resolution_exp)
 
 
 def batch_variation(field: np.ndarray, r: float) -> np.ndarray:

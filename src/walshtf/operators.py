@@ -270,12 +270,7 @@ def partial_sum_field(
 ) -> TruncationField:
     """Assemble the truncated sums of packet terms at every cut scale, exactly."""
     exact = ((q, QuadScalar.coerce(c)) for q, c in terms)
-    rows = kernels.packet_sums(
-        kernels.truncation_terms(exact, subtile_index, domain_exp, resolution_exp),
-        domain_exp + resolution_exp + 1,
-        domain_exp,
-        resolution_exp,
-    )
+    rows = kernels.truncated_sums(exact, subtile_index, domain_exp, resolution_exp)
     return TruncationField(-resolution_exp, [StepFunction._from_field(row) for row in rows])
 
 
@@ -346,15 +341,50 @@ class Linearization:
         raise AttributeError("Linearization is immutable")
 
     def weight_field(self, scale: int) -> kernels.IntegerField:
-        """The cell weights at one scale as integer planes, built once."""
-        field = self._weight_fields.get(scale)
+        """The cell weights at one scale as integer planes.
+
+        The first call paints every cell's windows once, over one common
+        denominator, onto one plane row per scale the windows reach, and
+        keeps each row's canonical field; a scale no window reaches has
+        weight zero everywhere.  The fields are those of `weight_at`
+        cell by cell, as canonical fields are unique.
+        """
+        fields = self._weight_fields
+        if not fields:
+            fields.update(self._paint_windows())
+        field = fields.get(scale)
         if field is None:
-            weights = [self.weight_at(c, scale) for c in range(len(self.cell_weights))]
-            field = kernels.IntegerField.canonical(
-                *common_lift(weights), self.domain_exp, self.resolution_exp
+            zero = np.zeros(len(self.cell_weights), np.int64)
+            field = fields[scale] = kernels.IntegerField.canonical(
+                zero, zero, 1, self.domain_exp, self.resolution_exp
             )
-            self._weight_fields[scale] = field
         return field
+
+    def _paint_windows(self) -> dict[int, kernels.IntegerField]:
+        windows = [
+            (cell, jumps[t], jumps[t + 1], w)
+            for cell, (jumps, weights) in enumerate(zip(self.cell_jumps, self.cell_weights))
+            for t, w in enumerate(weights)
+        ]
+        if not windows:
+            return {}
+        cell, start, stop, weights = zip(*windows)
+        cell, start, stop = (np.array(part, np.int64) for part in (cell, start, stop))
+        rats, surds, d = common_lift(weights)
+        rats, surds = kernels._as_plane(rats), kernels._as_plane(surds)
+        cells = len(self.cell_weights)
+        fields = {}
+        for scale in range(int(start.min()), int(stop.max())):
+            # Windows of one cell are disjoint, so each cell gets one at most.
+            inside = (start <= scale) & (scale < stop)
+            rat = np.zeros(cells, rats.dtype)
+            surd = np.zeros(cells, surds.dtype)
+            rat[cell[inside]] = rats[inside]
+            surd[cell[inside]] = surds[inside]
+            fields[scale] = kernels.IntegerField.canonical(
+                rat, surd, d, self.domain_exp, self.resolution_exp
+            )
+        return fields
 
     @classmethod
     def trivial(cls, domain_exp: int, resolution_exp: int) -> "Linearization":

@@ -25,8 +25,9 @@ from .exact import (
     common_lift,
     inv_sqrt_pow2,
     pow2_fraction,
+    quad_to_float,
 )
-from .geometry import DyadicInterval, PointLike, Tile, band_index
+from .geometry import DyadicInterval, PointLike, Tile, band_index, piece_exp
 
 __all__ = [
     "StepFunction",
@@ -42,24 +43,57 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=4096)
+def _reversed_bits(b: int) -> int:
+    """The bit_length() bits of b >= 0 in reverse order; 0 for 0."""
+    return int(bin(b)[:1:-1], 2)
+
+
+@lru_cache(maxsize=64)
+def _parity_signs(width: int) -> np.ndarray:
+    """(-1)^popcount(v) for every v < 2^width, as a read-only int64 array.
+
+    The bits of each v are folded in halves down to bit 0, which then
+    holds the parity of v.
+    """
+    signs = np.arange(1 << width, dtype=np.int64)
+    shift = 1
+    while shift < width:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        signs ^= signs >> shift
+    signs = 1 - 2 * (signs & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+def _walsh_signs(mask: int | np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The Walsh sign rule: (-1)^popcount(mask & j) for each cell j, as int64 +-1.
+
+    A packet of frequency index b, s its bit length, over 2^(k+m) cells
+    is constant on its 2^s pieces of 2^e cells each, e = k + m - s, and
+    its sign on piece p flips once for every set bit of b whose mirror
+    bit of p is set: appending a one bit to b repeats the pattern
+    negated, a zero bit repeats it.  With mask = rev_s(b) 2^e, the
+    reversed bits of b moved up to the piece bits, that is the parity
+    of mask & j for a cell j counted from any multiple of 2^(k+m).
+    `mask` is one per cell or one for all; entries are nonnegative and
+    fit in int64.
+    """
+    x = cells & mask
+    return _parity_signs(int(x.max()).bit_length() if x.size else 0)[x]
+
+
 def walsh_sign_pattern(freq_index: int) -> tuple[int, ...]:
     """Sign pattern of the Walsh function with the given index.
 
     Returns 2^s signs (s the bit length of the index) giving the value
-    on each piece of [0, 1) of width 2^-s.  Built by the doubling rules:
-    appending a zero bit repeats the pattern, appending a one bit
-    repeats it negated.
+    on each piece of [0, 1) of width 2^-s, by `_walsh_signs`.
     """
     if freq_index < 0:
         raise ValueError("frequency index must be nonnegative")
-    pattern = [1]
-    for position in range(freq_index.bit_length() - 1, -1, -1):
-        if (freq_index >> position) & 1:
-            pattern = pattern + [-s for s in pattern]
-        else:
-            pattern = pattern + pattern
-    return tuple(pattern)
+    pieces = np.arange(1 << freq_index.bit_length(), dtype=np.int64)
+    return tuple(_walsh_signs(_reversed_bits(freq_index), pieces).tolist())
 
 
 def eval_walsh(freq_index: int, t: PointLike) -> int:
@@ -106,6 +140,26 @@ def eval_wavepacket(tile: Tile, x: PointLike) -> QuadScalar:
     return (left + right).div_sqrt2()
 
 
+def _packet_span(
+    scale: int, index: int, freq_index: int, domain_exp: int, resolution_exp: int
+) -> tuple[int, int, int]:
+    """Where a packet's signs fall on the grid cells, clipped to the box.
+
+    Returns (a, b, mask) for the tile at time scale k, time index n and
+    frequency index f: cell j, a <= j < b, carries the sign
+    `_walsh_signs(mask, j)` and every other cell is zero.  The packet
+    starts at cell a = n 2^(k+m), a multiple of 2^(k+m); mask is f's
+    reversed bits moved up to the bits of the piece index, cut to the
+    J + m bits that a cell index in the box can have.  A packet the
+    grid cannot resolve is refused.
+    """
+    exp = piece_exp(scale, freq_index, resolution_exp)
+    cells = 1 << (domain_exp + resolution_exp)
+    a = index << (scale + resolution_exp)
+    b = max(a, min(a + (1 << (scale + resolution_exp)), cells))
+    return a, b, (_reversed_bits(freq_index) << exp) & (cells - 1)
+
+
 def sign_row(
     tile: Tile, domain_exp: int, resolution_exp: int
 ) -> tuple[int, int, np.ndarray]:
@@ -115,12 +169,10 @@ def sign_row(
     signs[j - a] = +-1 and every other cell zero.  The packet itself is
     2^(-k/2) times this row, k the time scale.
     """
-    exp = tile.piece_exp(resolution_exp)
-    lo, hi = tile.time.cell_range(resolution_exp)
-    a = max(lo, 0)
-    b = max(a, min(hi, 1 << (domain_exp + resolution_exp)))
-    pattern = np.array(walsh_sign_pattern(tile.freq_index), dtype=np.int64)
-    return a, b, pattern[(np.arange(a, b) - lo) >> exp]
+    a, b, mask = _packet_span(
+        tile.time.scale, tile.time.index, tile.freq_index, domain_exp, resolution_exp
+    )
+    return a, b, _walsh_signs(mask, np.arange(a, b, dtype=np.int64))
 
 
 class StepFunction:
@@ -319,14 +371,13 @@ class StepFunction:
     def to_float_array(self) -> np.ndarray:
         """The correctly rounded float of each cell value.
 
-        One `QuadScalar.to_float` per distinct value, scattered to the
+        One `exact.quad_to_float` per distinct value, scattered to the
         cells, so the floats are those of the exact values bit for bit.
         """
         field = self.field
         pairs, inverse = field.distinct()
         d = field.denominator
-        floats = np.array([QuadScalar.from_ints(r, s, d).to_float() for r, s in pairs])
-        return floats[inverse]
+        return np.array([quad_to_float(r, s, d) for r, s in pairs])[inverse]
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:
         """Cell values as integers over one common denominator.

@@ -5,12 +5,14 @@ the closed digit-product formula, inner products by summing cells,
 variation norms by enumerating all increasing index chains, sizes by
 enumerating every subset of a collection that forms a pinned tree,
 disjoint draws by testing every candidate against every accepted
-quartile, linearizations by solving every cell's column on its own.
-The only package imports are the primitive containers and exact
-scalars, the one-quartile sampler whose stream the disjoint draw must
-reproduce, and the one-column weight solver whose per-cell results the
-linearization must reproduce; none of the machinery under test is
-reused.
+quartile, each drawn through `randint` and `randrange`,
+linearizations by solving every cell's column on its own, float
+packet sums by adding one term's slice at a time, model coefficients
+by one `QuadScalar` product per quartile.  The only package imports
+are the primitive containers and exact scalars, the packet tables whose
+per-tile reads the gathered coefficients must reproduce, and the
+one-column weight solver whose per-cell results the linearization must
+reproduce; none of the machinery under test is reused.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from walshtf import (
     inv_sqrt_pow2,
     pow2_fraction,
 )
-from walshtf.errors import ZeroVariation
-from walshtf.experiments.random_gen import random_quartile
+from walshtf.errors import ResolutionTooCoarse, ZeroVariation
 from walshtf.variation import linearize_weights
 
 
@@ -396,7 +397,88 @@ def naive_disjoint_collection(
                 f"in a (J={domain_exp}, m={resolution_exp}) box"
             )
         budget -= 1
-        q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
+        q = reference_random_quartile(rng, domain_exp, resolution_exp, scale_range)
         if not any(q.intersects(p) for p in out):
             out.append(q)
     return out
+
+
+def reference_random_quartile(
+    rng: random.Random,
+    domain_exp: int,
+    resolution_exp: int,
+    scale_range: tuple[int, int] | None = None,
+) -> Quartile:
+    """A scale by `randint`, then a time and a frequency index by
+    `randrange`: the stream `random_quartile` must reproduce."""
+    lo, hi = 2 - resolution_exp, domain_exp
+    if scale_range is not None:
+        lo, hi = max(lo, scale_range[0]), min(hi, scale_range[1])
+    if lo > hi:
+        raise ValueError("empty quartile scale range")
+    k = rng.randint(lo, hi)
+    time = DyadicInterval(rng.randrange(1 << (domain_exp - k)), k)
+    freq = DyadicInterval(rng.randrange(1 << (resolution_exp + k - 2)), 2 - k)
+    return Quartile(time, freq)
+
+
+def walsh_pattern_by_doubling(freq_index: int) -> np.ndarray:
+    """The 2^s signs of a Walsh function, s the bit length of the index.
+
+    Built by the doubling rules, most significant bit first: a one bit
+    appends the pattern negated, a zero bit appends it again.
+    """
+    pattern = np.ones(1, np.int64)
+    for position in range(freq_index.bit_length() - 1, -1, -1):
+        tail = -pattern if (freq_index >> position) & 1 else pattern
+        pattern = np.concatenate((pattern, tail))
+    return pattern
+
+
+def float_packet_sums_by_term(
+    terms: Sequence[tuple[int, Tile, float]], rows: int, domain_exp: int, resolution_exp: int
+) -> np.ndarray:
+    """Float truncation rows adding one term's slice at a time.
+
+    Each nonzero term is checked for resolvability, then its doubling
+    pattern, clipped to the box and weighted by c 2^(-k/2), is added to
+    its row with one `+=`; row j of the result sums rows j and up.
+    """
+    cells = 1 << (domain_exp + resolution_exp)
+    plane = np.zeros((rows, cells))
+    for row, tile, c in terms:
+        if not c:
+            continue
+        k, b = tile.time.scale, tile.freq.index
+        piece = k + resolution_exp - b.bit_length()
+        if piece < 0:
+            raise ResolutionTooCoarse(f"tile oscillates below cell width 2^-{resolution_exp}")
+        lo, hi = tile.time.cell_range(resolution_exp)
+        a, stop = lo, max(lo, min(hi, cells))
+        if row >= 0:
+            signs = walsh_pattern_by_doubling(b)[(np.arange(a, stop) - lo) >> piece]
+            plane[row, a:stop] += signs * (c * 2.0 ** (-k / 2.0))
+    return np.cumsum(plane[::-1], axis=0)[::-1]
+
+
+def model_coefficients_by_tile(
+    f1: StepFunction, f2: StepFunction, quartiles: Sequence[Quartile]
+) -> list[float]:
+    """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> per quartile: two per-tile
+    table reads, one `QuadScalar` product and its `to_float`."""
+    tables1, tables2 = f1.packet_tables(), f2.packet_tables()
+    return [
+        (
+            tables1.coefficient(q.tile(1))
+            * tables2.coefficient(q.tile(2))
+            * inv_sqrt_pow2(q.time.scale)
+        ).to_float()
+        for q in quartiles
+    ]
+
+
+def weight_field_by_cell(lin, scale: int):
+    """A linearization's weights at one scale, one `weight_at` per cell."""
+    cells = range(1 << (lin.domain_exp + lin.resolution_exp))
+    weights = [lin.weight_at(c, scale) for c in cells]
+    return StepFunction(lin.domain_exp, lin.resolution_exp, weights).field

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import FractionQuad
 from walshtf import ONE, SQRT2, ZERO, DyadicRational, QuadScalar, inv_sqrt_pow2, pow2_fraction
+from walshtf.exact import quad_to_float
 from walshtf.errors import NotDyadicError
 
 small_fractions = st.fractions(
@@ -110,6 +111,32 @@ def test_sign_resolves_pell_neighbours():
     assert under.sign() == -1
     assert abs(over) == over
     assert abs(under) == -under
+
+
+def _pell_pairs(count: int):
+    """(p, q) with p^2 - 2 q^2 = +-1, so p / q approaches sqrt2."""
+    p, q = 1, 1
+    for _ in range(count):
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+@pytest.mark.parametrize("scale", [1, 3, 1 << 40, (1 << 200) + 7])
+def test_rounding_on_integers_matches_to_float_on_pell_pairs(scale):
+    # p - q sqrt2 = +-1 / (p + q sqrt2) lies ever closer to zero, so its
+    # enclosure must tighten far past double precision; scaled triples
+    # are the same value in another representation.
+    for p, q in _pell_pairs(330):
+        for r, s, d in ((p, -q, 1), (-p, q, 3), (p, q, 7), (2 * q, -p, 1 << 90)):
+            value = QuadScalar.from_ints(r, s, d)
+            expected = value.to_float()
+            assert quad_to_float(r * scale, s * scale, d * scale) == expected
+            assert expected == FractionQuad.of(value).to_float()
+
+
+@given(wide_scalars, st.integers(1, 1 << 80))
+def test_rounding_on_integers_ignores_the_representation(a, scale):
+    assert quad_to_float(a.r * scale, a.s * scale, a.d * scale) == a.to_float()
 
 
 @given(scalars, scalars)

@@ -12,9 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cli_golden import SELECTION_INPUT
-from oracles import naive_disjoint_collection
-from walshtf import QuadScalar, SelectionResult, StepFunction
-from walshtf.errors import ConfigError, EmptySet
+from oracles import naive_disjoint_collection, reference_random_quartile
+from walshtf import QuadScalar, SelectionResult, StepFunction, Tile, errors
+from walshtf.errors import ConfigError, EmptySet, WalshtfError
 from walshtf.experiments import (
     LEMMA_NAMES,
     run_counting_experiment,
@@ -26,6 +26,7 @@ from walshtf.experiments import (
 )
 from walshtf.experiments.cli import main
 from walshtf.experiments.config import ExperimentConfig
+from walshtf.experiments.theorem import _operator_fields
 from walshtf.experiments.random_gen import (
     _draw_below,
     disjoint_collection,
@@ -35,6 +36,7 @@ from walshtf.experiments.random_gen import (
     pinned_forest,
     pinned_tree,
     quartile_collection,
+    random_quartile,
     sign_function,
 )
 from walshtf.experiments.report import ExperimentReport, format_value, median, trend_slope
@@ -189,15 +191,78 @@ def test_disjoint_collection_matches_the_pairwise_scan(args, seed):
     assert indexed == _disjoint_outcome(naive_disjoint_collection, seed, args)
 
 
+@st.composite
+def quartile_boxes(draw):
+    """A box, a scale range that may be empty, stick out or be absent,
+    and a number of draws."""
+    domain_exp = draw(st.integers(-1, 7))
+    resolution_exp = draw(st.integers(max(2, 2 - domain_exp), 9))
+    scale_range = None
+    if draw(st.booleans()):
+        first = draw(st.integers(1 - resolution_exp, domain_exp + 1))
+        scale_range = (first, draw(st.integers(first - 1, domain_exp + 2)))
+    return domain_exp, resolution_exp, scale_range, draw(st.integers(1, 40))
+
+
+@given(quartile_boxes(), st.integers(0, 2**32))
+@example((0, 2, None, 30), 5)  # one scale: every time index is 0
+@example((3, 5, (2, 1), 3), 0)  # empty scale range
+def test_random_quartile_draws_what_randint_and_randrange_draw(box, seed):
+    domain_exp, resolution_exp, scale_range, draws = box
+    outcomes = []
+    for sampler in (random_quartile, reference_random_quartile):
+        rng = random.Random(seed)
+        try:
+            result = [
+                sampler(rng, domain_exp, resolution_exp, scale_range) for _ in range(draws)
+            ]
+        except ValueError as exc:
+            result = str(exc)
+        outcomes.append((result, rng.getstate()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_theorem1_builds_no_tile_and_no_scalar_per_quartile(monkeypatch, rng):
+    built = {"tiles": 0, "scalars": 0}
+    check_tile = Tile.__post_init__
+    from_ints = QuadScalar.from_ints.__func__
+    init = QuadScalar.__init__
+
+    def counted_tile(self):
+        built["tiles"] += 1
+        check_tile(self)
+
+    def counted_from_ints(cls, *args):
+        built["scalars"] += 1
+        return from_ints(cls, *args)
+
+    def counted_init(self, *args):
+        built["scalars"] += 1
+        init(self, *args)
+
+    f1, f2 = sign_function(rng, 4, 5), sign_function(rng, 4, 5)
+    coll = disjoint_collection(rng, 100, 4, 5)
+    f1.packet_tables(), f2.packet_tables()
+    monkeypatch.setattr(Tile, "__post_init__", counted_tile)
+    monkeypatch.setattr(QuadScalar, "from_ints", classmethod(counted_from_ints))
+    monkeypatch.setattr(QuadScalar, "__init__", counted_init)
+    _operator_fields(f1, f2, coll, 3.0, 4, 5)
+    assert built == {"tiles": 0, "scalars": 0}
+
+
 class _StuckRandom(random.Random):
-    """Draws the lowest value every time, so every candidate after the
-    first repeats it and a disjoint draw of two or more runs out of budget."""
+    """Draws zero bits every time, so every candidate after the first
+    repeats it and a disjoint draw of two or more runs out of budget.
+
+    Both samplers reach the generator through `getrandbits` alone:
+    `random_quartile` directly, the reference through `randint` and
+    `randrange`, which call it once for each draw that is accepted."""
 
     draws = 0
 
-    def randrange(self, start, stop=None, step=1):
+    def getrandbits(self, k):
         self.draws += 1
-        return 0 if stop is None else start
+        return 0
 
 
 @pytest.mark.parametrize("count", [2, 5])
@@ -695,6 +760,45 @@ def test_cli_reports_a_crash_with_exit_3(monkeypatch, capsys):
     assert main(["theorem1", "--trials", "1"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: driver fault" in err
+
+
+def test_cli_reports_an_internal_value_error_as_a_crash(monkeypatch, capsys):
+    # A ValueError of no contract is a fault of the program, not bad input.
+    def crash(config):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("walshtf.experiments.cli.run_theorem1", crash)
+    assert main(["theorem1", "--trials", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal fault" in err
+
+
+def test_cli_reports_a_contract_error_as_bad_input(monkeypatch, capsys):
+    def refuse(config):
+        raise errors.ScaleTooCoarse("quartile above the box")
+
+    monkeypatch.setattr("walshtf.experiments.cli.run_theorem1", refuse)
+    assert main(["theorem1", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == "error: quartile above the box\n"
+
+
+def test_cli_reports_a_file_that_is_not_json_as_bad_input(tmp_path, capsys):
+    for name, data in (("text.json", b"{not json"), ("binary.json", b"\xff\xfe\x00")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["select-trees", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_contract_error_derives_from_the_package_base():
+    classes = [
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, Exception)
+    ]
+    assert len(classes) == 14
+    for cls in classes:
+        assert issubclass(cls, WalshtfError) and issubclass(cls, ValueError)
 
 
 @pytest.mark.parametrize("alpha", ["1/0", "1/0+0/1*sqrt2"], ids=["rational", "quadratic"])

@@ -5,10 +5,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import inner_product_brute, packet_step
+from oracles import (
+    float_packet_sums_by_term,
+    inner_product_brute,
+    model_coefficients_by_tile,
+    packet_step,
+    walsh_pattern_by_doubling,
+)
 from walshtf import (
     DyadicInterval,
     Linearization,
@@ -33,6 +43,7 @@ from walshtf.experiments.random_gen import (
     quartile_collection,
     sign_function,
 )
+from walshtf.experiments.theorem import _model_coefficients
 from walshtf.kernels import (
     batch_sup,
     batch_variation,
@@ -41,6 +52,7 @@ from walshtf.kernels import (
     walsh_tables,
 )
 from walshtf.operators import tilde_coefficients
+from walshtf.wavepacket import sign_row, walsh_sign_pattern
 
 
 def _random_tile(rng, domain_exp, resolution_exp):
@@ -429,3 +441,161 @@ def test_h_operators_agree_with_rendered_field(rng):
         rtol=1e-9,
         atol=1e-12,
     )
+
+
+# --- whole-array sign rule, packet sums and model coefficients -------
+
+
+def test_the_sign_rule_matches_the_doubling_rule_for_every_index_below_2_to_12():
+    for b in range(1 << 12):
+        assert walsh_sign_pattern(b) == tuple(walsh_pattern_by_doubling(b).tolist()), b
+
+
+def test_sign_rows_match_the_doubling_pattern_clipped_to_the_box(rng):
+    for _ in range(200):
+        k = rng.randint(-3, 5)
+        tile = Tile(
+            DyadicInterval(rng.randrange((1 << max(2 - k, 0)) + 2), k),
+            DyadicInterval(rng.randrange(1 << (k + 3)), -k),
+        )
+        a, b, signs = sign_row(tile, 2, 3)
+        lo, hi = tile.time.cell_range(3)
+        assert (a, b) == (lo, max(lo, min(hi, 32)))
+        exp = tile.piece_exp(3)
+        pattern = walsh_pattern_by_doubling(tile.freq_index)
+        assert signs.tolist() == pattern[(np.arange(a, b) - lo) >> exp].tolist()
+
+
+_SUM_GRIDS = [(0, 2), (1, 3), (2, 2), (3, 1), (2, 5)]
+_FLOAT_COEFFS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, -1.0, 0.1, -2.5, 1e-300, 7e10]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _float_packet_terms(draw):
+    """Terms on a small grid: tiles inside, around, longer than and
+    outside the box, at every row and at row -1, with zero coefficients,
+    and runs of terms sharing one time interval and one row."""
+    domain_exp, resolution_exp = draw(st.sampled_from(_SUM_GRIDS))
+    rows = domain_exp + resolution_exp + 1
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(-resolution_exp, domain_exp + 2))
+        n = draw(st.integers(0, (1 << max(domain_exp - k, 0)) + 1))
+        row = draw(st.integers(-1, rows - 1))
+        for _ in range(draw(st.sampled_from([1, 1, 3, 4]))):
+            b = draw(st.integers(0, (1 << (k + resolution_exp)) - 1))
+            tile = Tile(DyadicInterval(n, k), DyadicInterval(b, -k))
+            terms.append((row, tile, draw(_FLOAT_COEFFS)))
+    return domain_exp, resolution_exp, rows, draw(st.permutations(terms))
+
+
+@settings(max_examples=300)
+@given(_float_packet_terms())
+def test_float_packet_sums_match_the_per_term_loop_bit_for_bit(case):
+    domain_exp, resolution_exp, rows, terms = case
+    got = packet_sums(terms, rows, domain_exp, resolution_exp)
+    want = float_packet_sums_by_term(terms, rows, domain_exp, resolution_exp)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float_packet_sums_sum_shared_cells_in_term_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit, so the
+    # summation order of terms over one interval shows in the bytes.
+    box = DyadicInterval(0, 0)
+    tiles = [Tile(box, DyadicInterval(b, 0)) for b in range(3)]
+    for coeffs in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [1e16, 1.0, -1e16]):
+        terms = [(0, tile, c) for tile, c in zip(tiles, coeffs)]
+        got = packet_sums(terms, 1, 0, 2)
+        assert got.tobytes() == float_packet_sums_by_term(terms, 1, 0, 2).tobytes()
+
+
+def test_float_packet_sums_refuse_unresolvable_terms_unless_zero():
+    wiggly = Tile(DyadicInterval(0, 0), DyadicInterval(8, 0))
+    assert not packet_sums([(0, wiggly, 0.0), (0, wiggly, 0.0)], 1, 1, 2).any()
+    for row in (0, -1):
+        with pytest.raises(ResolutionTooCoarse):
+            packet_sums([(row, wiggly, 1.0)], 1, 1, 2)
+        with pytest.raises(ResolutionTooCoarse):
+            float_packet_sums_by_term([(row, wiggly, 1.0)], 1, 1, 2)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([(1, 2), (2, 3), (3, 4), (0, 5)]),
+    st.integers(1, 40),
+    st.integers(0, 1 << 30),
+    st.sampled_from([1, 2, 3, 4]),
+)
+def test_rendered_truncation_rows_match_the_per_term_loop(grid, count, seed, subtile):
+    domain_exp, resolution_exp = grid
+    capacity = (domain_exp + resolution_exp - 1) << (domain_exp + resolution_exp - 2)
+    rng = random.Random(seed)
+    coll = quartile_collection(rng, min(count, capacity), domain_exp, resolution_exp)
+    terms = [(q, rng.choice([0.0, rng.uniform(-3, 3)])) for q in coll]
+    placed = [
+        (q.time.scale + resolution_exp - 1, q.tile(subtile), c) for q, c in terms
+    ]
+    rows = domain_exp + resolution_exp + 1
+    got = render_partial_sum_field(terms, subtile, domain_exp, resolution_exp)
+    want = float_packet_sums_by_term(placed, rows, domain_exp, resolution_exp)
+    assert got.tobytes() == want.tobytes()
+
+
+_CELL_KINDS = {
+    "signs": lambda rng: rng.choice((-1, 0, 1)),
+    "thirds": lambda rng: Fraction(rng.randint(-6, 6), rng.choice((1, 3, 5, 12))),
+    "sqrt2": lambda rng: QuadScalar(
+        Fraction(rng.randint(-4, 4), 4), Fraction(rng.randint(-3, 3), 3)
+    ),
+    # Past int64: the tables hold Python ints in object arrays.
+    "huge": lambda rng: QuadScalar(rng.randint(-(1 << 70), 1 << 70), rng.randint(-3, 3)),
+    "tiny": lambda rng: QuadScalar(rng.choice((-1, 0, 1)), Fraction(rng.randint(-1, 1), 1 << 80)),
+}
+
+
+@settings(max_examples=120)
+@given(
+    st.sampled_from([(0, 2), (1, 3), (2, 3), (3, 2), (2, 4)]),
+    st.sampled_from(sorted(_CELL_KINDS)),
+    st.sampled_from(sorted(_CELL_KINDS)),
+    st.integers(1, 30),
+    st.integers(0, 1 << 30),
+)
+def test_gathered_model_coefficients_match_the_per_tile_path(grid, kind1, kind2, count, seed):
+    domain_exp, resolution_exp = grid
+    rng = random.Random(seed)
+    cells = 1 << (domain_exp + resolution_exp)
+    f1 = StepFunction(domain_exp, resolution_exp, [_CELL_KINDS[kind1](rng) for _ in range(cells)])
+    f2 = StepFunction(domain_exp, resolution_exp, [_CELL_KINDS[kind2](rng) for _ in range(cells)])
+    capacity = (domain_exp + resolution_exp - 1) << (domain_exp + resolution_exp - 2)
+    coll = quartile_collection(rng, min(count, capacity), domain_exp, resolution_exp)
+    got = np.array(_model_coefficients(f1, f2, coll, resolution_exp))
+    want = np.array(model_coefficients_by_tile(f1, f2, coll))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_model_coefficients_see_tables_of_object_dtype_and_zero_planes(rng):
+    huge = StepFunction(2, 3, [rng.randint(-(1 << 70), 1 << 70) for _ in range(32)])
+    assert huge.packet_tables().rat_tables[0].dtype == object
+    zero = StepFunction.zero(2, 3)
+    coll = disjoint_collection(rng, 6, 2, 3)
+    for f1, f2 in ((huge, huge), (huge, zero), (zero, huge)):
+        got = _model_coefficients(f1, f2, coll, 3)
+        assert got == model_coefficients_by_tile(f1, f2, coll)
+    assert _model_coefficients(zero, huge, coll, 3) == [0.0] * 6
+
+
+def test_stage_entries_refuse_what_coefficient_refuses(rng):
+    tables = walsh_tables(sign_function(rng, 2, 3))
+    one = np.ones(1, np.int64)
+    with pytest.raises(KernelUnsupported):
+        tables.stage_entries(3 * one, 0 * one, 0 * one)
+    with pytest.raises(KernelUnsupported):
+        tables.stage_entries(0 * one, 4 * one, 0 * one)
+    with pytest.raises(ResolutionTooCoarse):
+        tables.stage_entries(0 * one, 0 * one, 8 * one)

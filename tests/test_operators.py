@@ -34,7 +34,7 @@ from walshtf import (
     variation_norm,
     wavepacket_step,
 )
-from oracles import per_column_linearization
+from oracles import per_column_linearization, weight_field_by_cell
 from walshtf.errors import GridMismatch, ScaleTooCoarse, ScaleTooFine
 from walshtf.experiments.random_gen import (
     disjoint_collection,
@@ -239,3 +239,40 @@ def test_grid_refinement_leaves_the_form_unchanged(rng):
         StepFunction(2, 4, [v for v in f.values for _ in range(2)]) for f in fs
     ]
     assert lambda_form(coll, *refined) == coarse
+
+
+_WEIGHT_KINDS = {
+    "dyadic": lambda rng: QuadScalar(Fraction(rng.randint(-8, 8), 1 << 16)),
+    "thirds": lambda rng: QuadScalar(Fraction(rng.randint(-6, 6), rng.choice((1, 3, 7)))),
+    "sqrt2": lambda rng: QuadScalar(
+        Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), rng.choice((1, 3)))
+    ),
+    # Parts past int64, so the painted planes hold Python ints.
+    "huge": lambda rng: QuadScalar(rng.randint(-(1 << 70), 1 << 70), rng.randint(-1, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHT_KINDS))
+def test_weight_fields_match_the_weight_at_loop(rng, kind):
+    for domain_exp, resolution_exp in ((2, 3), (0, 2), (3, 1)):
+        cells = 1 << (domain_exp + resolution_exp)
+        cell_jumps, cell_weights = [], []
+        for _ in range(cells):
+            windows = rng.randint(0, 3)
+            jumps = sorted(rng.sample(range(-resolution_exp, domain_exp + 2), windows + 1))
+            cell_jumps.append(tuple(jumps))
+            cell_weights.append(tuple(_WEIGHT_KINDS[kind](rng) for _ in range(windows)))
+        lin = Linearization(domain_exp, resolution_exp, cell_jumps, cell_weights)
+        for scale in range(-resolution_exp - 1, domain_exp + 3):
+            field = lin.weight_field(scale)
+            expected = weight_field_by_cell(lin, scale)
+            assert field == expected
+            assert (field.rat.dtype, field.surd.dtype) == (expected.rat.dtype, expected.surd.dtype)
+            assert lin.weight_field(scale) is field
+
+
+def test_weight_fields_of_a_linearization_without_windows_are_zero():
+    lin = Linearization(1, 2, [(-2,)] * 8, [()] * 8)
+    for scale in (-2, 0, 1):
+        assert lin.weight_field(scale) == weight_field_by_cell(lin, scale)
+        assert not lin.weight_field(scale).rat.any()
