@@ -258,10 +258,6 @@ class QuadScalar:
     def is_zero(self) -> bool:
         return not self.r and not self.s
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.s
-
     def __bool__(self) -> bool:
         return not self.is_zero
 
@@ -325,9 +321,6 @@ class QuadScalar:
             base = base * base
             power >>= 1
         return result
-
-    def mul_sqrt2(self) -> "QuadScalar":
-        return QuadScalar.from_ints(2 * self.s, self.r, self.d)
 
     def div_sqrt2(self) -> "QuadScalar":
         return QuadScalar.from_ints(2 * self.s, self.r, 2 * self.d)

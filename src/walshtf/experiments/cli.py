@@ -108,9 +108,7 @@ def _cmd_restricted(args: argparse.Namespace) -> int:
     if args.input:
         sets, collection = _restricted_request(_load_json(args.input))
     else:
-        import random
-
-        rng = random.Random(config.seed * 1_000_003 + 131)
+        rng = config.rng(131)
         sets = [
             dyadic_set(rng, config.grid_j, config.grid_m, density)
             for density in (0.8, 0.5, 0.35)

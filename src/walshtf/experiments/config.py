@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -78,11 +79,21 @@ class ExperimentConfig:
         """A copy with the given fields replaced; the copy revalidates."""
         return replace(self, **kwargs)
 
+    def rng(self, offset: int) -> random.Random:
+        """The random stream seeded with seed * 1_000_003 + offset.
+
+        Each driver draws from its own fixed offset, so for one seed the
+        streams of different drivers stay apart and each is reproducible.
+        """
+        return random.Random(self.seed * 1_000_003 + offset)
+
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
         known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:

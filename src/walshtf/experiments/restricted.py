@@ -17,7 +17,6 @@ against the inverse three-halves power of the allowance.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +120,7 @@ def run_restricted_type(
         if _support_measure(ind) == 0:
             raise EmptySet(f"{label} has measure zero")
 
-    rng = random.Random(config.seed * 1_000_003 + 97)
+    rng = config.rng(97)
     domain_exp, resolution_exp = e1.domain_exp, e1.resolution_exp
     shift = _normalising_shift(_support_measure(e1))
     sets = [e.dilate(shift) for e in (e1, e2, e3)]
@@ -335,7 +334,7 @@ def run_counting_experiment(
     those maxima increase monotonically with size, and their trend
     slope against log size.
     """
-    rng = random.Random(config.seed * 1_000_003 + 103)
+    rng = config.rng(103)
     rungs: list[tuple[int, int, int]] = []
     for level in sorted(dict.fromkeys(box_levels)):
         domain_exp = min(config.grid_j, level - 3)

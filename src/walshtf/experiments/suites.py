@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
-from ..kernels import batch_variation, cell_columns, lp_norm
+from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm
 from ..operators import FrequencySet, average, freq_projection, maximal, partial_sum_field
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
@@ -50,10 +50,6 @@ _STREAM_OFFSET = {
     "john_nirenberg": 59,
     "size_bound": 73,
 }
-
-
-def _suite_rng(config: ExperimentConfig, stream: str) -> random.Random:
-    return random.Random(config.seed * 1_000_003 + _STREAM_OFFSET[stream])
 
 
 def _random_tile(rng: random.Random, domain_exp: int, resolution_exp: int) -> Tile:
@@ -93,7 +89,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         # never pinned by a member, so two of them give pinned_forest
         # enough distinct trees to draw from.
         raise ConfigError("identities needs grid_m >= grid_j + 2 to draw distinct pinned trees")
-    rng = _suite_rng(config, "identities")
+    rng = config.rng(_STREAM_OFFSET["identities"])
     columns = ("check", "trial", "detail", "ok")
     rows: list[tuple] = []
 
@@ -253,21 +249,15 @@ def _lepingle(config: ExperimentConfig) -> ExperimentReport:
     as a field, its r-variation taken cell by cell, and the L^t norm of
     that compared with the L^t norm of the sample, t fixed at 2.
     """
-    rng = _suite_rng(config, "lepingle")
+    rng = config.rng(_STREAM_OFFSET["lepingle"])
     domain_exp, resolution_exp = config.grid_j, config.grid_m
-    cells = 1 << (domain_exp + resolution_exp)
     t = 2.0
     rows = []
     ratios = []
     for trial in range(config.trials):
         f = sign_function(rng, domain_exp, resolution_exp)
         arr = f.to_float_array()
-        field = np.empty((domain_exp + resolution_exp + 1, cells))
-        for idx, k in enumerate(range(-resolution_exp, domain_exp + 1)):
-            block = 1 << (k + resolution_exp)
-            means = arr.reshape(-1, block).mean(axis=1)
-            field[idx] = np.repeat(means, block)
-        lhs = lp_norm(batch_variation(field, config.r), t, resolution_exp)
+        lhs = lp_norm(batch_variation(average_ladder(arr), config.r), t, resolution_exp)
         rhs = lp_norm(arr, t, resolution_exp)
         if rhs == 0.0:
             rows.append((trial, 0.0, lhs, rhs, "zero-input"))
@@ -290,7 +280,7 @@ def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
     domain_exp, resolution_exp = config.grid_j, config.grid_m
     if resolution_exp < 3:
         raise ConfigError("bourgain_delta needs grid_m >= 3 to resolve its frequencies below 8")
-    rng = _suite_rng(config, "bourgain_delta")
+    rng = config.rng(_STREAM_OFFSET["bourgain_delta"])
     pool = [n for n in (2, 3, 4, 6, 8, 12, 16, 24, 32) if n <= 1 << resolution_exp]
     rows = []
     ratios = []
@@ -344,7 +334,7 @@ def _rademacher_menshov(config: ExperimentConfig) -> ExperimentReport:
     sums are anchored at zero; with a single summand the variation is
     the summand itself and the ratio stays at most one.
     """
-    rng = _suite_rng(config, "rademacher_menshov")
+    rng = config.rng(_STREAM_OFFSET["rademacher_menshov"])
     domain_exp, resolution_exp = 0, 9
     cells = 1 << resolution_exp
     population = [
@@ -395,7 +385,7 @@ def _john_nirenberg(config: ExperimentConfig) -> ExperimentReport:
     if domain_exp + resolution_exp < 3:
         raise ConfigError("john_nirenberg needs grid_j + grid_m >= 3 to fit one disjoint quartile")
     capacity = 1 << (domain_exp + resolution_exp - 3)  # half the box's quartiles
-    rng = _suite_rng(config, "john_nirenberg")
+    rng = config.rng(_STREAM_OFFSET["john_nirenberg"])
     rows = []
     ratios = []
     for trial in range(config.trials):
@@ -439,7 +429,7 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
     if domain_exp + resolution_exp < 6:
         raise ConfigError("size_bound needs grid_j + grid_m >= 6 to fit five disjoint quartiles")
     capacity = 1 << (domain_exp + resolution_exp - 3)  # half the box's quartiles
-    rng = _suite_rng(config, "size_bound")
+    rng = config.rng(_STREAM_OFFSET["size_bound"])
     thresholds = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
     rows = []
     ratios = []

@@ -12,57 +12,18 @@ quantity involved is a power of two.
 from __future__ import annotations
 
 import math
-import random
-
-import numpy as np
 
 from ..errors import ConfigError
 from ..exact import quad_to_float
 from ..geometry import DyadicInterval, Quartile
 from ..kernels import batch_sup, batch_variation, lp_norm, render_partial_sum_field
+from ..operators import model_coefficients
 from ..wavepacket import StepFunction, tree_sign_step, wavepacket_step
 from .config import ExperimentConfig
 from .random_gen import disjoint_collection, sign_function
 from .report import ExperimentReport, median, trend_slope
 
 __all__ = ["run_theorem1"]
-
-
-def _model_coefficients(
-    f1: StepFunction, f2: StepFunction, quartiles, resolution_exp: int
-) -> list[float]:
-    """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> of every quartile P, correctly rounded.
-
-    The slot 1 and slot 2 entries come from the butterfly tables in
-    whole arrays (`WalshTables.stage_entries`).  With
-    (u_r + u_s sqrt2)(v_r + v_s sqrt2) = a + b sqrt2, the coefficient at
-    time scale k is (a + b sqrt2) 2^(-(4m + 3k)/2) / (d1 d2): each read
-    carries 2^(-(2m + k)/2) / d_i and the quartile 2^(-k/2).  It is
-    rounded by `quad_to_float` on these integers, which gives the float
-    of the exact coefficient whatever its representation.
-    """
-    count = len(quartiles)
-    if not count:
-        return []
-    scales = np.fromiter((q.time.scale for q in quartiles), np.int64, count)
-    indices = np.fromiter((q.time.index for q in quartiles), np.int64, count)
-    freqs = 4 * np.fromiter((q.freq.index for q in quartiles), np.int64, count)
-    ur, us = f1.packet_tables().stage_entries(scales, indices, freqs)
-    vr, vs = f2.packet_tables().stage_entries(scales, indices, freqs + 1)
-    big = max(int(np.abs(p).max()) for p in (ur, us, vr, vs))
-    if 4 * big * big >= 1 << 63:
-        ur, us, vr, vs = (p.astype(object) for p in (ur, us, vr, vs))
-    a, b = ur * vr + 2 * us * vs, ur * vs + us * vr
-    # 2^(-e/2) for odd e is 2^(-(e + 1)/2) sqrt2, and (a + b sqrt2) sqrt2 = 2b + a sqrt2.
-    exps = 4 * resolution_exp + 3 * scales
-    odd = (exps & 1).astype(bool)
-    a, b = np.where(odd, 2 * b, a), np.where(odd, a, b)
-    d = f1.field.denominator * f2.field.denominator
-    # Quartile scales are at least 2 - m, so every exponent is positive.
-    return [
-        quad_to_float(r, s, d << h)
-        for r, s, h in zip(a.tolist(), b.tolist(), ((exps + 1) >> 1).tolist())
-    ]
 
 
 def _operator_fields(
@@ -73,8 +34,11 @@ def _operator_fields(
     domain_exp: int,
     resolution_exp: int,
 ):
-    """Variation and sup fields of the model operator on a collection."""
-    coefficients = _model_coefficients(f1, f2, quartiles, resolution_exp)
+    """Variation and sup fields of the model operator on a collection.
+
+    The terms keep the order of the quartiles, which fixes the float sums.
+    """
+    coefficients = [quad_to_float(*c) for c in model_coefficients(f1, f2, quartiles)]
     field = render_partial_sum_field(
         zip(quartiles, coefficients), 3, domain_exp, resolution_exp
     )
@@ -97,7 +61,7 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     domain_exp, resolution_exp = config.grid_j, config.grid_m
     if domain_exp + resolution_exp < 3:
         raise ConfigError("theorem1 needs grid_j + grid_m >= 3 to fit two disjoint quartiles")
-    rng = random.Random(config.seed * 1_000_003 + 113)
+    rng = config.rng(113)
     capacity = (1 << (domain_exp + resolution_exp - 2)) // 2
     sizes = tuple(
         dict.fromkeys(min(c, capacity) for c in (1, 10, 100, 500))

@@ -45,6 +45,7 @@ __all__ = [
     "packet_sums",
     "truncated_sums",
     "render_partial_sum_field",
+    "average_ladder",
     "batch_variation",
     "batch_sup",
     "lp_norm",
@@ -551,6 +552,20 @@ def render_partial_sum_field(
     if not terms:
         return np.zeros((domain_exp + resolution_exp + 1, 1 << (domain_exp + resolution_exp)))
     return truncated_sums(terms, subtile_index, domain_exp, resolution_exp)
+
+
+def average_ladder(values: np.ndarray) -> np.ndarray:
+    """Means of float cell values over every dyadic block, one row per block size.
+
+    Row j holds at each cell the mean over its block of 2^j cells, for
+    j = 0 up to the block of all cells, whose count must be a power of
+    two.  Row 0 is the values themselves: the mean of one cell is exact.
+    """
+    cells = len(values)
+    ladder = np.empty((cells.bit_length(), cells))
+    for j in range(cells.bit_length()):
+        ladder[j] = np.repeat(values.reshape(-1, 1 << j).mean(axis=1), 1 << j)
+    return ladder
 
 
 def batch_variation(field: np.ndarray, r: float) -> np.ndarray:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, ScaleTooCoarse, ScaleTooFine, ZeroVariation
+from .errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine, ZeroVariation
 from .exact import (
     ONE,
     ZERO,
@@ -39,14 +39,12 @@ __all__ = [
     "TruncationField",
     "partial_sum_field",
     "h_star",
-    "h_var",
     "Linearization",
     "optimal_linearization",
     "tilde_coefficients",
-    "tilde_inner_product",
     "lambda_form",
+    "model_coefficients",
     "model_terms",
-    "quartile_terms",
 ]
 
 TermList = Iterable[tuple[Quartile, ScalarLike]]
@@ -85,12 +83,6 @@ class QuartileCollection:
 
     def __sub__(self, other: "QuartileCollection") -> "QuartileCollection":
         return QuartileCollection(self.quartiles - other.quartiles)
-
-    def filter(self, keep) -> "QuartileCollection":
-        return QuartileCollection(q for q in self.quartiles if keep(q))
-
-    def time_scales(self) -> list[int]:
-        return sorted({q.time.scale for q in self.quartiles})
 
     def to_json(self) -> list[dict]:
         return [q.to_json() for q in self]
@@ -133,13 +125,6 @@ class FrequencySet:
     def count_at(self, scale: int) -> int:
         return len(self.covering(scale))
 
-    def min_gap(self) -> Fraction:
-        """Smallest spacing between distinct frequencies."""
-        if len(self.points) < 2:
-            raise ValueError("need two frequencies for a gap")
-        fracs = [p.as_fraction() for p in self.points]
-        return min(b - a for a, b in zip(fracs, fracs[1:]))
-
     def __repr__(self) -> str:
         return f"FrequencySet({len(self.points)} points)"
 
@@ -168,18 +153,10 @@ def maximal(f: StepFunction, q: float = 1.0) -> np.ndarray:
     """
     if q <= 0:
         raise ValueError("maximal exponent must be positive")
-    arr = np.abs(f.to_float_array()) ** q
-    best = arr.copy()
-    for scale in range(-f.resolution_exp + 1, f.domain_exp + 1):
-        block = 1 << (scale + f.resolution_exp)
-        means = arr.reshape(-1, block).mean(axis=1)
-        best = np.maximum(best, np.repeat(means, block))
-    return _read_only(best ** (1.0 / q))
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
+    ladder = kernels.average_ladder(np.abs(f.to_float_array()) ** q)
+    best = ladder.max(axis=0) ** (1.0 / q)
+    best.setflags(write=False)
+    return best
 
 
 def freq_projection(
@@ -257,10 +234,6 @@ class TruncationField:
             out.append(best)
         return StepFunction(self.domain_exp, self.resolution_exp, out)
 
-    def variation_field(self, r: float) -> np.ndarray:
-        """Per-cell r-variation across the rows, a read-only float64 array."""
-        return _read_only(kernels.batch_variation(self.to_array(), r))
-
 
 def partial_sum_field(
     terms: TermList,
@@ -280,18 +253,6 @@ def h_star(
     """Maximal truncated sum, computed exactly cell by cell."""
     field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
     return field.sup_field()
-
-
-def h_var(
-    terms: TermList,
-    subtile_index: int,
-    r: float,
-    domain_exp: int,
-    resolution_exp: int,
-) -> np.ndarray:
-    """r-variation of the truncated sums, cell by cell, in floats."""
-    field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
-    return field.variation_field(r)
 
 
 class Linearization:
@@ -406,14 +367,6 @@ class Linearization:
                 return weights[t]
         return ZERO
 
-    def dual_power(self, conjugate: float) -> float:
-        """Largest per-cell l^{conjugate} power of the weights."""
-        worst = 0.0
-        for weights in self.cell_weights:
-            total = sum(abs(w.to_float()) ** conjugate for w in weights)
-            worst = max(worst, total)
-        return worst
-
     def __repr__(self) -> str:
         windows = max((len(w) for w in self.cell_weights), default=0)
         return (
@@ -513,15 +466,6 @@ def tilde_coefficients(
     return {q: memo[q] for q in quartiles}
 
 
-def tilde_inner_product(
-    f: StepFunction,
-    quartile: Quartile,
-    linearization: Linearization,
-    subtile_index: int = 3,
-) -> QuadScalar:
-    return tilde_coefficients(f, [quartile], linearization, subtile_index)[quartile]
-
-
 def lambda_form(
     quartiles: Iterable[Quartile],
     f1: StepFunction,
@@ -554,26 +498,50 @@ def lambda_form(
     return total
 
 
-def quartile_terms(
-    f1: StepFunction,
-    f2: StepFunction,
-    quartiles: Iterable[Quartile],
-) -> list[tuple[Quartile, QuadScalar]]:
-    """Pair each quartile with the product of its first two slot pairings.
+def model_coefficients(
+    f1: StepFunction, f2: StepFunction, quartiles: Sequence[Quartile]
+) -> list[tuple[int, int, int]]:
+    """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> of every quartile P, exactly.
 
-    These products are the natural coefficients of the partial sum,
-    maximal and variation operators built on a quartile collection.
-    The result is sorted by quartile for determinism.
+    Each coefficient comes back as the integers (r, s, d) of
+    (r + s sqrt2) / d, not reduced, in the order the quartiles are
+    given.  The slot 1 and slot 2 entries come from the butterfly tables
+    in whole arrays (`WalshTables.stage_entries`), which refuse a
+    quartile outside the box.  With (u_r + u_s sqrt2)(v_r + v_s sqrt2)
+    = a + b sqrt2, the coefficient at time scale k is
+    (a + b sqrt2) 2^(-(4m + 3k)/2) / (d1 d2): each read carries
+    2^(-(2m + k)/2) / d_i and the quartile 2^(-k/2).
     """
-    members = sorted(set(quartiles), key=quartile_sort_key)
-    if f1.domain_exp != f2.domain_exp or f1.resolution_exp != f2.resolution_exp:
+    if (f1.domain_exp, f1.resolution_exp) != (f2.domain_exp, f2.resolution_exp):
         raise GridMismatch(
             f"grid ({f1.domain_exp}, {f1.resolution_exp}) vs "
             f"({f2.domain_exp}, {f2.resolution_exp})"
         )
-    c1 = batch_inner_products(f1, [q.tile(1) for q in members])
-    c2 = batch_inner_products(f2, [q.tile(2) for q in members])
-    return [(q, c1[q.tile(1)] * c2[q.tile(2)]) for q in members]
+    count = len(quartiles)
+    if not count:
+        return []
+    try:
+        scales = np.fromiter((q.time.scale for q in quartiles), np.int64, count)
+        indices = np.fromiter((q.time.index for q in quartiles), np.int64, count)
+        freqs = np.fromiter((4 * q.freq.index for q in quartiles), np.int64, count)
+    except OverflowError:
+        raise KernelUnsupported("a quartile index past int64 lies outside the tables") from None
+    ur, us = f1.packet_tables().stage_entries(scales, indices, freqs)
+    vr, vs = f2.packet_tables().stage_entries(scales, indices, freqs + 1)
+    big = max(int(np.abs(p).max()) for p in (ur, us, vr, vs))
+    if 4 * big * big >= 1 << 63:
+        ur, us, vr, vs = (p.astype(object) for p in (ur, us, vr, vs))
+    a, b = ur * vr + 2 * us * vs, ur * vs + us * vr
+    # 2^(-e/2) for odd e is 2^(-(e + 1)/2) sqrt2, and (a + b sqrt2) sqrt2 = 2b + a sqrt2.
+    exps = 4 * f1.resolution_exp + 3 * scales
+    odd = (exps & 1).astype(bool)
+    a, b = np.where(odd, 2 * b, a), np.where(odd, a, b)
+    d = f1.field.denominator * f2.field.denominator
+    # The tables refuse scales k below -m, so 4m + 3k >= m >= 0 and no shift is negative.
+    return [
+        (r, s, d << h)
+        for r, s, h in zip(a.tolist(), b.tolist(), ((exps + 1) >> 1).tolist())
+    ]
 
 
 def model_terms(
@@ -581,14 +549,13 @@ def model_terms(
     f2: StepFunction,
     quartiles: Iterable[Quartile],
 ) -> list[tuple[Quartile, QuadScalar]]:
-    """Quartile term products carrying the packet normalisation.
+    """Each distinct quartile with its model coefficient, sorted by quartile.
 
-    Multiplying each slot product by the inverse square root of the
-    time length makes the resulting partial sums the ones the trilinear
-    form pairs against, so a linearization built on these terms is the
-    one lambda_form expects.
+    The coefficient carries the packet normalisation |I_P|^(-1/2), so
+    the partial sums of these terms are the ones the trilinear form
+    pairs against, and a linearization built on them is the one
+    lambda_form expects.
     """
-    return [
-        (q, inv_sqrt_pow2(q.time.scale) * c)
-        for q, c in quartile_terms(f1, f2, quartiles)
-    ]
+    members = sorted(set(quartiles), key=quartile_sort_key)
+    coefficients = model_coefficients(f1, f2, members)
+    return [(q, QuadScalar.from_ints(*c)) for q, c in zip(members, coefficients)]

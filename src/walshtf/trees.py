@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -57,8 +56,6 @@ __all__ = [
     "SelectionResult",
     "size",
     "select_trees",
-    "CountingProfile",
-    "counting_profile",
     "counting_cells",
     "restricted_trees",
     "jump_times",
@@ -492,46 +489,6 @@ def select_trees(
         initial.value_sq,
         residual_size_sq,
     )
-
-
-@dataclass(frozen=True)
-class CountingProfile:
-    """Layered decomposition of a multiset of intervals.
-
-    Layer zero holds the distinct maximal intervals; each further layer
-    repeats the construction after removing one copy of each maximal
-    interval.  The number of layers equals the largest overlap count.
-    """
-
-    layers: tuple[tuple[DyadicInterval, ...], ...]
-    total_length: Fraction
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def __iter__(self):
-        return iter(self.layers)
-
-
-def counting_profile(intervals: Iterable[DyadicInterval]) -> CountingProfile:
-    remaining = Counter(intervals)
-    total = sum((iv.length * n for iv, n in remaining.items()), Fraction(0))
-    layers: list[tuple[DyadicInterval, ...]] = []
-    while remaining:
-        keys = list(remaining)
-        maximal = [
-            iv
-            for iv in keys
-            if not any(other != iv and other.contains(iv) for other in keys)
-        ]
-        maximal.sort(key=lambda iv: (iv.left, -iv.scale))
-        layers.append(tuple(maximal))
-        for iv in maximal:
-            remaining[iv] -= 1
-            if remaining[iv] == 0:
-                del remaining[iv]
-    return CountingProfile(tuple(layers), total)
 
 
 def counting_cells(

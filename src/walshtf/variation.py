@@ -7,7 +7,7 @@ floats.  This module alone picks the lane: exact when there are values,
 every one an exact scalar, and r is an integer or infinite; floats
 otherwise (an empty sequence, numpy arrays, float values or a
 fractional r).  Callers pass the values they
-have; the `method` option of the three entry points that take one only
+have; the `method` option of the two entry points that take one only
 forces a lane.
 """
 
@@ -26,7 +26,6 @@ from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike
 __all__ = [
     "VariationCertificate",
     "variation_norm",
-    "sup_norm",
     "linearize_weights",
     "LongShortSplit",
     "long_short_split",
@@ -145,12 +144,6 @@ def variation_norm(
         raise ValueError(f"variation exponent must be at least 1, got {r}")
     lane, zero = _lane(values, r, method)
     return _chain_dp(lane, r, zero)
-
-
-def sup_norm(values: SequenceLike, method: str = "auto") -> object:
-    """Largest |value| in the sequence; exact when the inputs are."""
-    lane, zero = _lane(values, math.inf, method)
-    return max((abs(v) for v in lane), default=zero)
 
 
 def linearize_weights(

@@ -8,7 +8,8 @@ disjoint draws by testing every candidate against every accepted
 quartile, each drawn through `randint` and `randrange`,
 linearizations by solving every cell's column on its own, float
 packet sums by adding one term's slice at a time, model coefficients
-by one `QuadScalar` product per quartile.  The only package imports
+by one `QuadScalar` product per quartile, the dyadic maximal function
+by a running maximum over one block size at a time.  The only package imports
 are the primitive containers and exact scalars, the packet tables whose
 per-tile reads the gathered coefficients must reproduce, and the
 one-column weight solver whose per-cell results the linearization must
@@ -307,16 +308,6 @@ def per_column_linearization(
     return cell_jumps, cell_weights
 
 
-def brute_sup(values: Iterable) -> Fraction:
-    """Largest absolute value, exactly."""
-    best = Fraction(0)
-    for v in values:
-        a = abs(Fraction(v))
-        if a > best:
-            best = a
-    return best
-
-
 def _common_ancestor(intervals: Sequence[DyadicInterval], domain_exp: int) -> DyadicInterval:
     """Smallest dyadic interval in the domain containing all the inputs."""
     first = intervals[0]
@@ -463,16 +454,14 @@ def float_packet_sums_by_term(
 
 def model_coefficients_by_tile(
     f1: StepFunction, f2: StepFunction, quartiles: Sequence[Quartile]
-) -> list[float]:
+) -> list[QuadScalar]:
     """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> per quartile: two per-tile
-    table reads, one `QuadScalar` product and its `to_float`."""
+    table reads and one `QuadScalar` product."""
     tables1, tables2 = f1.packet_tables(), f2.packet_tables()
     return [
-        (
-            tables1.coefficient(q.tile(1))
-            * tables2.coefficient(q.tile(2))
-            * inv_sqrt_pow2(q.time.scale)
-        ).to_float()
+        tables1.coefficient(q.tile(1))
+        * tables2.coefficient(q.tile(2))
+        * inv_sqrt_pow2(q.time.scale)
         for q in quartiles
     ]
 
@@ -482,3 +471,16 @@ def weight_field_by_cell(lin, scale: int):
     cells = range(1 << (lin.domain_exp + lin.resolution_exp))
     weights = [lin.weight_at(c, scale) for c in cells]
     return StepFunction(lin.domain_exp, lin.resolution_exp, weights).field
+
+
+def maximal_by_block(values: np.ndarray, q: float) -> np.ndarray:
+    """The dyadic maximal function of |values|^q, then the q-th root:
+    a running `np.maximum` over one reshape-mean per block size."""
+    arr = np.abs(values) ** q
+    best = arr.copy()
+    block = 2
+    while block <= len(arr):
+        means = arr.reshape(-1, block).mean(axis=1)
+        best = np.maximum(best, np.repeat(means, block))
+        block *= 2
+    return best ** (1.0 / q)

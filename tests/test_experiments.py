@@ -512,6 +512,17 @@ def test_cli_refuses_a_config_field_of_the_wrong_type(tmp_path, capsys, fields, 
     assert captured.err.startswith(f"error: {named}")
 
 
+@pytest.mark.parametrize("text", ["[]", '["r"]', "5", '"x"'])
+def test_cli_refuses_a_config_file_that_is_not_a_json_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(["theorem1", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: a config must be a JSON object")
+
+
 def test_cli_config_file_with_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 3, "grid_j": 2, "grid_m": 4, "seed": 5}))

@@ -298,8 +298,6 @@ def test_collection_set_behaviour():
     assert len(coll) == 2
     assert a in coll
     assert list(coll) == sorted([a, b], key=lambda q: (q.time.scale, q.time.index, q.freq.index))
-    assert coll.filter(lambda q: q.time.scale == 0) == QuartileCollection([a])
-    assert coll.time_scales() == [0, 1]
     assert QuartileCollection.from_json(coll.to_json()) == coll
     assert (coll | QuartileCollection([a])) == coll
     assert (coll - QuartileCollection([a])) == QuartileCollection([b])

@@ -29,7 +29,6 @@ from walshtf import (
     ZERO,
     batch_inner_products,
     h_star,
-    h_var,
     inner_product,
     model_terms,
     partial_sum_field,
@@ -38,12 +37,12 @@ from walshtf import (
 )
 from walshtf import kernels
 from walshtf.errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
+from walshtf.exact import quad_to_float
 from walshtf.experiments.random_gen import (
     disjoint_collection,
     quartile_collection,
     sign_function,
 )
-from walshtf.experiments.theorem import _model_coefficients
 from walshtf.kernels import (
     batch_sup,
     batch_variation,
@@ -51,7 +50,7 @@ from walshtf.kernels import (
     render_partial_sum_field,
     walsh_tables,
 )
-from walshtf.operators import tilde_coefficients
+from walshtf.operators import model_coefficients, tilde_coefficients
 from walshtf.wavepacket import sign_row, walsh_sign_pattern
 
 
@@ -344,6 +343,18 @@ def test_render_partial_sum_field_matches_exact_rows(rng):
     assert np.allclose(rendered, exact, rtol=1e-9, atol=1e-12)
 
 
+def test_average_ladder_holds_the_mean_of_every_dyadic_block(rng):
+    values = np.array([rng.uniform(-3, 3) for _ in range(16)])
+    ladder = kernels.average_ladder(values)
+    assert ladder.shape == (5, 16)
+    assert ladder[0].tobytes() == values.tobytes()
+    for j in range(5):
+        width = 1 << j
+        for cell in range(16):
+            start = cell - cell % width
+            assert ladder[j, cell] == pytest.approx(math.fsum(values[start : start + width]) / width)
+
+
 def test_batch_variation_matches_per_cell_dp(rng):
     # Rows run over scales, columns over cells.
     field = np.array(
@@ -426,7 +437,7 @@ def test_h_operators_agree_with_rendered_field(rng):
     f1, f2 = sign_function(rng, 3, 4), sign_function(rng, 3, 4)
     terms = model_terms(f1, f2, coll)
     star = h_star(terms, 3, 3, 4)
-    var = h_var(terms, 3, 3.0, 3, 4)
+    var = batch_variation(partial_sum_field(terms, 3, 3, 4).to_array(), 3.0)
     float_terms = [(q, float(c)) for q, c in terms]
     rendered = render_partial_sum_field(float_terms, 3, 3, 4)
     assert np.allclose(
@@ -574,9 +585,17 @@ def test_gathered_model_coefficients_match_the_per_tile_path(grid, kind1, kind2,
     f2 = StepFunction(domain_exp, resolution_exp, [_CELL_KINDS[kind2](rng) for _ in range(cells)])
     capacity = (domain_exp + resolution_exp - 1) << (domain_exp + resolution_exp - 2)
     coll = quartile_collection(rng, min(count, capacity), domain_exp, resolution_exp)
-    got = np.array(_model_coefficients(f1, f2, coll, resolution_exp))
-    want = np.array(model_coefficients_by_tile(f1, f2, coll))
-    assert got.tobytes() == want.tobytes()
+    _assert_model_coefficients_match_the_per_tile_path(f1, f2, coll)
+
+
+def _assert_model_coefficients_match_the_per_tile_path(f1, f2, quartiles):
+    # The exact lane: every triple is the per-tile product.  The float
+    # lane: rounding the triple gives the bytes of the product's float.
+    got = model_coefficients(f1, f2, quartiles)
+    want = model_coefficients_by_tile(f1, f2, quartiles)
+    assert [QuadScalar.from_ints(*c) for c in got] == want
+    floats = np.array([quad_to_float(*c) for c in got])
+    assert floats.tobytes() == np.array([w.to_float() for w in want]).tobytes()
 
 
 def test_model_coefficients_see_tables_of_object_dtype_and_zero_planes(rng):
@@ -585,9 +604,10 @@ def test_model_coefficients_see_tables_of_object_dtype_and_zero_planes(rng):
     zero = StepFunction.zero(2, 3)
     coll = disjoint_collection(rng, 6, 2, 3)
     for f1, f2 in ((huge, huge), (huge, zero), (zero, huge)):
-        got = _model_coefficients(f1, f2, coll, 3)
-        assert got == model_coefficients_by_tile(f1, f2, coll)
-    assert _model_coefficients(zero, huge, coll, 3) == [0.0] * 6
+        _assert_model_coefficients_match_the_per_tile_path(f1, f2, coll)
+    zeros = model_coefficients(zero, huge, coll)
+    assert [QuadScalar.from_ints(*c) for c in zeros] == [ZERO] * 6
+    assert [quad_to_float(*c) for c in zeros] == [0.0] * 6
 
 
 def test_stage_entries_refuse_what_coefficient_refuses(rng):

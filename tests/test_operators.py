@@ -8,19 +8,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshtf import (
     DyadicInterval,
     FrequencySet,
     Linearization,
     QuadScalar,
+    Quartile,
+    QuartileCollection,
     StepFunction,
     Tile,
     ZERO,
     average,
     freq_projection,
     h_star,
-    h_var,
     inner_product,
     inv_sqrt_pow2,
     lambda_form,
@@ -28,14 +31,14 @@ from walshtf import (
     model_terms,
     optimal_linearization,
     partial_sum_field,
-    quartile_terms,
     synthesize,
-    tilde_inner_product,
     variation_norm,
     wavepacket_step,
 )
-from oracles import per_column_linearization, weight_field_by_cell
-from walshtf.errors import GridMismatch, ScaleTooCoarse, ScaleTooFine
+from oracles import maximal_by_block, per_column_linearization, weight_field_by_cell
+from walshtf.errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine
+from walshtf.kernels import batch_variation
+from walshtf.operators import model_coefficients, tilde_coefficients
 from walshtf.experiments.random_gen import (
     disjoint_collection,
     dyadic_set,
@@ -81,6 +84,22 @@ def test_maximal_dominates_every_dyadic_average(rng):
         assert M.dtype == np.float64 and not M.flags.writeable
 
 
+@settings(max_examples=80)
+@given(
+    st.integers(0, 3),
+    st.integers(2, 5),
+    st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.7]),
+    st.integers(0, 1 << 30),
+)
+def test_maximal_matches_the_running_maximum_over_block_sizes(domain_exp, resolution_exp, q, seed):
+    rng = random.Random(seed)
+    cells = 1 << (domain_exp + resolution_exp)
+    values = [Fraction(rng.randint(-40, 40), rng.choice((1, 3, 8))) for _ in range(cells)]
+    f = StepFunction(domain_exp, resolution_exp, values)
+    want = maximal_by_block(f.to_float_array(), q)
+    assert maximal(f, q).tobytes() == want.tobytes()
+
+
 def test_maximal_grows_with_the_exponent(rng):
     f = sign_function(rng, 3, 4)
     lo, hi = maximal(f, 1.0), maximal(f, 2.0)
@@ -110,7 +129,6 @@ def test_frequency_set_bookkeeping():
     freqs = FrequencySet([Fraction(11, 2), Fraction(21, 4), Fraction(1)])
     assert freqs.count_at(0) == 2
     assert freqs.covering(0) == [DyadicInterval(1, 0), DyadicInterval(5, 0)]
-    assert FrequencySet([1, 4]).min_gap() == 3
 
 
 def test_partial_sum_rows_accumulate_coarser_scales(rng):
@@ -129,16 +147,38 @@ def test_partial_sum_rows_accumulate_coarser_scales(rng):
 def test_model_terms_carry_the_packet_normalisation(rng):
     coll = disjoint_collection(rng, 5, 2, 3)
     f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
-    raw = dict(quartile_terms(f1, f2, coll))
-    for q, c in model_terms(f1, f2, coll):
-        assert c == inv_sqrt_pow2(q.time.scale) * raw[q]
-        assert raw[q] == inner_product(f1, q.tile(1)) * inner_product(f2, q.tile(2))
+    terms = model_terms(f1, f2, coll)
+    assert [q for q, _ in terms] == list(QuartileCollection(coll))
+    for q, c in terms:
+        raw = inner_product(f1, q.tile(1)) * inner_product(f2, q.tile(2))
+        assert c == inv_sqrt_pow2(q.time.scale) * raw
 
 
-def test_quartile_terms_reject_mixed_grids(rng):
+def test_model_coefficients_reject_mixed_grids(rng):
     coll = disjoint_collection(rng, 3, 2, 3)
+    f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 4)
     with pytest.raises(GridMismatch):
-        quartile_terms(sign_function(rng, 2, 3), sign_function(rng, 2, 4), coll)
+        model_coefficients(f1, f2, coll)
+    with pytest.raises(GridMismatch):
+        model_terms(f1, f2, coll)
+
+
+@pytest.mark.parametrize(
+    "outside",
+    [
+        Quartile(DyadicInterval(4, 0), DyadicInterval(0, 2)),
+        Quartile(DyadicInterval(0, 3), DyadicInterval(0, -1)),
+        Quartile(DyadicInterval(1 << 70, 0), DyadicInterval(0, 2)),
+        # 4 * 2^62 would wrap to frequency 0 in int64, a slot inside the tables.
+        Quartile(DyadicInterval(0, 0), DyadicInterval(1 << 62, 2)),
+    ],
+    ids=["beside-the-box", "longer-than-the-box", "time-index-past-int64", "wrapping-frequency"],
+)
+def test_model_terms_refuse_a_quartile_outside_the_tables(rng, outside):
+    f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
+    inside = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    with pytest.raises(KernelUnsupported):
+        model_terms(f1, f2, [inside, outside])
 
 
 def test_h_operators_match_per_cell_recompute(rng):
@@ -147,7 +187,7 @@ def test_h_operators_match_per_cell_recompute(rng):
     terms = model_terms(f1, f2, coll)
     field = partial_sum_field(terms, 3, 2, 3)
     star = h_star(terms, 3, 2, 3)
-    var = h_var(terms, 3, 3.0, 2, 3)
+    var = batch_variation(field.to_array(), 3.0)
     rows = [field.row_at(k) for k in range(-3, field.scale_max + 1)]
     for cell in range(1 << 5):
         column = [row.values[cell] for row in rows]
@@ -155,7 +195,6 @@ def test_h_operators_match_per_cell_recompute(rng):
         assert star.values[cell] == sups
         expected = variation_norm(column, 3, "exact").value
         assert var[cell] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert var.dtype == np.float64 and not var.flags.writeable
 
 
 def test_lambda_form_with_trivial_linearization(rng):
@@ -183,7 +222,7 @@ def test_lambda_form_threads_the_linearization(rng):
             * inner_product(f1, q.tile(1))
             * inner_product(f2, q.tile(2))
         )
-        expected = expected + c * tilde_inner_product(f3, q, L)
+        expected = expected + c * tilde_coefficients(f3, [q], L)[q]
     assert lambda_form(coll, f1, f2, f3, L) == expected
 
 
@@ -192,7 +231,7 @@ def test_tilde_pairing_reduces_to_plain_for_trivial_weights(rng):
     f = sign_function(rng, 2, 3)
     triv = Linearization.trivial(2, 3)
     for q in coll:
-        assert tilde_inner_product(f, q, triv) == inner_product(f, q.tile(3))
+        assert tilde_coefficients(f, [q], triv)[q] == inner_product(f, q.tile(3))
 
 
 def test_optimal_linearization_has_admissible_weights(rng):
@@ -201,7 +240,8 @@ def test_optimal_linearization_has_admissible_weights(rng):
         f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
         L = optimal_linearization(model_terms(f1, f2, coll), 3, r, 2, 3)
         conj = r / (r - 1.0)
-        assert L.dual_power(conj) <= 1.0 + 1e-9
+        for weights in L.cell_weights:
+            assert sum(abs(w.to_float()) ** conj for w in weights) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("r", [3.0, 2.5, 4.0])

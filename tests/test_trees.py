@@ -19,7 +19,6 @@ from walshtf import (
     StepFunction,
     Tree,
     ZERO,
-    counting_profile,
     inner_product,
     jn_quantities,
     jump_times,
@@ -240,27 +239,6 @@ def test_jump_times_match_the_fraction_loop(points, pad):
     freqs = FrequencySet(points)
     expected = _jump_times_by_fractions([p.as_fraction() for p in freqs], pad)
     assert jump_times(freqs, pad) == expected
-
-
-def test_counting_profile_layers(rng):
-    from walshtf.trees import counting_cells
-
-    intervals = [
-        DyadicInterval(rng.randrange(1 << (3 - s)), s)
-        for s in (0, 0, 0, 1, 1, 2, 3)
-    ]
-    profile = counting_profile(intervals)
-    assert profile.total_length == sum((iv.length for iv in intervals), Fraction(0))
-    # Layers peel off the currently outermost intervals, so no layer
-    # member contains another, and the layer count is the deepest stack.
-    for layer in profile.layers:
-        for a in layer:
-            for b in layer:
-                if a != b:
-                    assert not a.contains(b)
-    assert sum(len(layer) for layer in profile.layers) == len(intervals)
-    counts = counting_cells(intervals, 3, 4)
-    assert len(profile.layers) == counts.max()
 
 
 def _stacked_trees(rng, count, domain_exp, resolution_exp):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_variation_power, brute_sup
+from oracles import brute_variation_power
 from walshtf import QuadScalar, linearize_weights, long_short_split, variation_norm
 from walshtf.errors import UnsortedBreakpoints, ZeroVariation
-from walshtf.variation import collapse_repeats, sup_norm
+from walshtf.variation import collapse_repeats
 
 short_sequences = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=16),
@@ -86,9 +86,7 @@ def test_auto_method_picks_exact_only_when_it_can():
 def test_an_empty_sequence_follows_the_method_and_defaults_to_floats():
     assert not variation_norm([], 3).is_exact
     assert variation_norm([], 3).power_sum == 0.0
-    assert isinstance(sup_norm([]), float)
     assert variation_norm([], 3, "exact").is_exact
-    assert sup_norm([], "exact") == QuadScalar(0)
     assert not variation_norm([], 3, "float").is_exact
 
 
@@ -116,11 +114,6 @@ def test_sup_variation_is_largest_gap():
     cert = variation_norm(values, math.inf, "exact")
     assert cert.power_sum == QuadScalar(4)
     assert cert.indices == (1, 2)
-
-
-@given(short_sequences)
-def test_sup_norm_matches_brute(values):
-    assert sup_norm(values, "exact") == QuadScalar(brute_sup(values))
 
 
 @given(short_sequences)
