@@ -415,6 +415,22 @@ def common_lift(values: Sequence[QuadScalar]) -> tuple[list[int], list[int], int
     return [v.r * (d // v.d) for v in values], [v.s * (d // v.d) for v in values], d
 
 
+def over_sqrt_pow2(r: int, s: int, d: int, e: int) -> tuple[int, int, int]:
+    """Integers (r', s', d') with (r' + s' sqrt2) / d' = (r + s sqrt2) 2^(-e/2) / d.
+
+    For odd e, 2^(-e/2) is 2^(-(e + 1)/2) sqrt2, and (r + s sqrt2) sqrt2
+    is 2s + r sqrt2.  The remaining power of two moves into d' when it
+    divides and into r' and s' when it multiplies, so d' keeps the sign
+    of d.  The triple is not reduced.
+    """
+    if e & 1:
+        r, s, e = 2 * s, r, e + 1
+    half = e >> 1
+    if half >= 0:
+        return r, s, d << half
+    return r << -half, s << -half, d
+
+
 _INV_SQRT_POW2: dict[int, QuadScalar] = {}
 
 
@@ -422,11 +438,7 @@ def inv_sqrt_pow2(k: int) -> QuadScalar:
     """The exact value 2^(-k/2): rational for even k, a sqrt2 multiple otherwise."""
     cached = _INV_SQRT_POW2.get(k)
     if cached is None:
-        # 2^(-k/2) = 2^half, times sqrt2 when k is odd.
-        half = -k >> 1
-        num, den = 1 << max(half, 0), 1 << max(-half, 0)
-        cached = QuadScalar.from_ints(0, num, den) if k & 1 else QuadScalar.from_ints(num, 0, den)
-        _INV_SQRT_POW2[k] = cached
+        cached = _INV_SQRT_POW2[k] = QuadScalar.from_ints(*over_sqrt_pow2(1, 0, 1, k))
     return cached
 
 

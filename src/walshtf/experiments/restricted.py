@@ -25,7 +25,7 @@ from ..errors import ConfigError, EmptySet, GridMismatch
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, quartile_sort_key
 from ..operators import lambda_form, maximal, model_terms, optimal_linearization
-from ..trees import select_trees, size
+from ..trees import _slot_coefficients, select_trees, size
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
 from .random_gen import (
@@ -151,21 +151,19 @@ def run_restricted_type(
         ("collection", "", "", len(kept), len(members), "", True),
     ]
 
-    linearization = optimal_linearization(
-        model_terms(functions[1], functions[2], kept),
-        3,
-        config.r,
-        domain_exp,
-        resolution_exp,
-    )
+    model = model_terms(functions[1], functions[2], kept)
+    linearization = optimal_linearization(model, 3, config.r, domain_exp, resolution_exp)
+
+    # Each slot's coefficients of the kept quartiles, read once for the
+    # run: every size and selection below reads a subset of them.
+    coefficients = {
+        slot: _slot_coefficients(kept, functions[slot], slot, linearization)
+        for slot in (1, 2, 3)
+    }
 
     def slot_size_sq(quartiles, slot: int) -> QuadScalar:
         report = size(
-            quartiles,
-            functions[slot],
-            slot,
-            domain_exp,
-            linearization=linearization if slot == 3 else None,
+            quartiles, functions[slot], slot, domain_exp, coefficients=coefficients[slot]
         )
         return report.value_sq
 
@@ -203,7 +201,7 @@ def run_restricted_type(
                     i,
                     allowance,
                     domain_exp,
-                    linearization=linearization if i == 3 else None,
+                    coefficients=coefficients[i],
                 )
                 residual = list(result.residual)
                 if result.grabs:
@@ -241,19 +239,19 @@ def run_restricted_type(
             if exhausted:
                 break
 
-    lam_total = lambda_form(
-        kept, functions[1], functions[2], functions[3], linearization
-    )
+    # Each kept quartile's term of the form, from the coefficients read
+    # above; the additivity row checks lambda_form over all of kept
+    # against these terms summed tree by tree and over the residual.
+    lam_terms = {q: c * coefficients[3][q] for q, c in model}
+
+    def lam_part(quartiles) -> QuadScalar:
+        return sum((lam_terms[q] for q in quartiles), ZERO)
+
+    lam_total = lambda_form(kept, functions[1], functions[2], functions[3], linearization)
     recombined = ZERO
     estimate_ratios = []
     for n, i, grab, sizes in selected:
-        part = lambda_form(
-            grab.full.quartiles,
-            functions[1],
-            functions[2],
-            functions[3],
-            linearization,
-        )
+        part = lam_part(grab.full.quartiles)
         recombined = recombined + part
         length = grab.full.top_interval.length
         product_sq = QuadScalar.coerce(16 * length * length)
@@ -266,9 +264,7 @@ def run_restricted_type(
             ok = part == ZERO
         estimate_ratios.append(ratio)
         rows.append(("tree_estimate", n, i, abs(part).to_float(), bound, ratio, ok))
-    recombined = recombined + lambda_form(
-        residual, functions[1], functions[2], functions[3], linearization
-    )
+    recombined = recombined + lam_part(residual)
     rows.append(
         (
             "lambda_additivity",
@@ -352,10 +348,8 @@ def run_counting_experiment(
             residual: list[Quartile] | tuple[Quartile, ...] = quartile_collection(
                 rng, count, domain_exp, resolution_exp
             )
-            tables = f.packet_tables()
             by_slot = {
-                slot: {q: tables.coefficient(q.tile(slot)) for q in residual}
-                for slot in (1, 2, 3, 4)
+                slot: _slot_coefficients(residual, f, slot, None) for slot in (1, 2, 3, 4)
             }
             for n in range(allowance_stages + 1):
                 allowance = QuadScalar.from_ints(1, 0, 4**n)

@@ -466,14 +466,6 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-LEMMA_NAMES = (
-    "lepingle",
-    "bourgain_delta",
-    "rademacher_menshov",
-    "john_nirenberg",
-    "size_bound",
-)
-
 _LEMMA_DRIVERS = {
     "lepingle": _lepingle,
     "bourgain_delta": _bourgain_delta,
@@ -481,6 +473,8 @@ _LEMMA_DRIVERS = {
     "john_nirenberg": _john_nirenberg,
     "size_bound": _size_bound,
 }
+
+LEMMA_NAMES = tuple(_LEMMA_DRIVERS)
 
 
 def run_lemma_experiment(which: str, config: ExperimentConfig) -> ExperimentReport:

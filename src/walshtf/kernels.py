@@ -6,15 +6,15 @@ denominator): `IntegerField` is how a step function stores its values,
 and the `field_*` functions are its grid algebra, each checking that
 int64 cannot overflow before it uses int64.  The integer lane runs the
 Walsh butterfly over these planes and reads packet coefficients back
-off exactly, since the butterfly only ever adds and subtracts; it is
-the only way an exact packet coefficient is computed, one tile at a
-time or a whole array of tiles at once.  One summation, reached as
-`packet_sums` (terms named by tiles) or `truncated_sums` (quartile
-terms cut by scale), is the only way packet terms are summed on the
-grid: exactly on integer planes, or in floats when the coefficients are
-floats.  The float lane
-also batches the variation recursion over all grid cells at once; it
-trades exactness for speed and is meant for experiments, not proofs.
+off exactly, since the butterfly only ever adds and subtracts; one
+read, `WalshTables.read`, clipped to the box and taking whole arrays of
+tiles, is the only way an exact packet coefficient is computed.  One
+summation, reached as `packet_sums` (terms named by tiles) or
+`truncated_sums` (quartile terms cut by scale), is the only way packet
+terms are summed on the grid: exactly on integer planes, or in floats
+when the coefficients are floats.  The float lane also batches the
+variation recursion over all grid cells at once; it trades exactness
+for speed and is meant for experiments, not proofs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import wavepacket
 from .errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
-from .exact import ZERO, QuadScalar, ScalarLike, common_lift, inv_sqrt_pow2
+from .exact import QuadScalar, ScalarLike, common_lift, inv_sqrt_pow2, over_sqrt_pow2
 from .geometry import Quartile, Tile
 
 if TYPE_CHECKING:
@@ -263,8 +263,21 @@ def _butterfly_levels(plane: np.ndarray, levels: int) -> list[np.ndarray]:
     return tables
 
 
+def _require_in_tables(
+    field: IntegerField, scales: Sequence[int], indices: Sequence[int], freqs: Sequence[int]
+) -> None:
+    """Refuse with KernelUnsupported a tile past the tables: they hold stages
+    0 to J + m of 2^(J+m) entries, and tile (k, n, b) is entry
+    n 2^(k+m) + b of stage k + m, so a tile in them lies inside the box."""
+    top = field.domain_exp + field.resolution_exp
+    for k, n, b in zip(scales, indices, freqs):
+        t = k + field.resolution_exp
+        if not 0 <= t <= top or ((n << t) + b) >> top:
+            raise KernelUnsupported("tile lies outside the grid box or past the tables")
+
+
 class WalshTables:
-    """Exact packet coefficients of one step function, all at once."""
+    """Exact packet coefficients of one step function: its planes' butterflies."""
 
     __slots__ = ("field", "rat_tables", "surd_tables")
 
@@ -279,88 +292,69 @@ class WalshTables:
 
     def coefficient(self, tile: Tile) -> QuadScalar:
         """One packet pairing of a tile inside the grid box, exactly."""
-        field, k = self.field, tile.time.scale
-        if not -field.resolution_exp <= k <= field.domain_exp:
-            raise KernelUnsupported("tile time scale outside the table range")
-        if tile.time.index >> (field.domain_exp - k):
-            raise KernelUnsupported("tile sits outside the grid box")
-        return self.pairing(tile)
+        position = ([tile.time.scale], [tile.time.index], [tile.freq_index])
+        _require_in_tables(self.field, *position)
+        return self.pairings(*position)[0]
 
-    def stage_entries(
-        self, scales: np.ndarray, indices: np.ndarray, freqs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The butterfly entries (u_r, u_s) of many tiles inside the box at once.
+    def read(
+        self, scales: Sequence[int], indices: Sequence[int], freqs: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The pairings of many tiles' packets with f, clipped to the box, on integers.
 
-        Tile i has time scale scales[i], time index indices[i] and
-        frequency index freqs[i], and its coefficient, the value
-        `coefficient` reads one tile at a time, is
-        (u_r[i] + u_s[i] sqrt2) 2^(-(2m + k)/2) / denominator with
-        k = scales[i].  The entries of one stage t = k + m are gathered
-        with one fancy index, in the tables' dtype.  Tiles outside the
-        table range or the box are refused, as `coefficient` refuses
-        them, and so are tiles the grid cannot resolve.
-        """
-        field = self.field
-        out_r = np.empty(scales.shape, self.rat_tables[0].dtype)
-        out_s = np.empty(scales.shape, self.surd_tables[0].dtype)
-        if not scales.size:
-            return out_r, out_s
-        if scales.min() < -field.resolution_exp or scales.max() > field.domain_exp:
-            raise KernelUnsupported("tile time scale outside the table range")
-        stages = scales + field.resolution_exp
-        if np.any(indices >> (field.domain_exp - scales)):
-            raise KernelUnsupported("tile sits outside the grid box")
-        if np.any(freqs >> stages):
-            raise ResolutionTooCoarse(
-                f"tile oscillates below cell width 2^-{field.resolution_exp}"
-            )
-        for t in np.unique(stages).tolist():
-            at = np.flatnonzero(stages == t)
-            slots = (indices[at] << t) + freqs[at]
-            out_r[at] = self.rat_tables[t][slots]
-            out_s[at] = self.surd_tables[t][slots]
-        return out_r, out_s
-
-    def pairing(self, tile: Tile) -> QuadScalar:
-        """The pairing with any resolvable tile's packet, clipped to the box.
+        Tile i has time scale k = scales[i], time index indices[i] and
+        frequency index freqs[i], Python ints of any size.  Returns the
+        butterfly entries u_r and u_s, in the tables' dtype, and the
+        exponents e = 2m + k (the cell width 2^-m times the amplitude
+        2^(-k/2)): the pairing is (u_r[i] + u_s[i] sqrt2) 2^(-e[i]/2) /
+        denominator, which `exact.over_sqrt_pow2` puts on integers.
 
         A tile whose time interval misses the box [0, 2^J) pairs to
-        zero.  One whose interval holds the box, K - J levels up, sees
-        only the first 2^-(K-J) of its Walsh pattern there, which is the
-        pattern of frequency index b >> (K-J) stretched: the pairing is
-        the box tile's coefficient at that index times 2^(-(K-J)/2).
+        zero.  One whose interval holds the box, lift = k - J levels up,
+        sees only the first 2^-lift of its Walsh pattern there, the
+        pattern of frequency index b >> lift stretched over the box, so
+        it reads that box tile.  Stages and slots are worked out on
+        Python ints, so an index of any size is read, and the tiles of
+        one stage are gathered with one fancy index per plane.  A tile
+        the grid cannot resolve is refused.
         """
         field = self.field
-        scale, b = tile.time.scale, tile.freq_index
-        tile.piece_exp(field.resolution_exp)
-        lift = scale - field.domain_exp
-        if lift > 0:
-            if tile.time.index:
-                return ZERO
-            top = field.domain_exp + field.resolution_exp
-            return self._read(0, top, b >> lift) * inv_sqrt_pow2(lift)
-        if tile.time.index >> -lift:
-            return ZERO
-        return self._read(tile.time.index, scale + field.resolution_exp, b)
+        domain_exp, resolution_exp = field.domain_exp, field.resolution_exp
+        by_stage: dict[int, tuple[list[int], list[int]]] = {}
+        for i, (k, n, b) in enumerate(zip(scales, indices, freqs)):
+            t = k + resolution_exp
+            if t < 0 or b >> t:
+                raise ResolutionTooCoarse(f"tile oscillates below cell width 2^-{resolution_exp}")
+            lift = k - domain_exp
+            if lift > 0:
+                if n:
+                    continue
+                t, slot = t - lift, b >> lift
+            elif n >> -lift:
+                continue
+            else:
+                slot = (n << t) + b
+            group = by_stage.get(t)
+            if group is None:
+                group = by_stage[t] = ([], [])
+            group[0].append(i)
+            group[1].append(slot)
+        u_r = np.zeros(len(scales), dtype=self.rat_tables[0].dtype)
+        u_s = np.zeros(len(scales), dtype=self.surd_tables[0].dtype)
+        for t, (at, slots) in by_stage.items():
+            u_r[at] = self.rat_tables[t][slots]
+            u_s[at] = self.surd_tables[t][slots]
+        return u_r, u_s, [2 * resolution_exp + k for k in scales]
 
-    def _read(self, index: int, t: int, b: int) -> QuadScalar:
-        """Coefficient of frequency b over interval index at stage t.
-
-        The stage entry u pairs the lifted cells with the unnormalised
-        pattern, so the coefficient is u 2^(-(m + t)/2) / denominator:
-        the cell width 2^-m times the amplitude 2^(-(t - m)/2).
-        """
-        field = self.field
-        slot = (index << t) + b
-        u_r = int(self.rat_tables[t][slot])
-        u_s = int(self.surd_tables[t][slot])
-        half = field.resolution_exp + t
-        if half & 1:  # 2^(-half/2) = 2^(-(half+1)/2) sqrt2
-            half += 1
-            u_r, u_s = 2 * u_s, u_r
-        shift = half >> 1
-        d, up = field.denominator << max(shift, 0), 1 << max(-shift, 0)
-        return QuadScalar.from_ints(u_r * up, u_s * up, d)
+    def pairings(
+        self, scales: Sequence[int], indices: Sequence[int], freqs: Sequence[int]
+    ) -> list[QuadScalar]:
+        """The `read` of many tiles as one exact scalar per tile."""
+        u_r, u_s, exps = self.read(scales, indices, freqs)
+        d = self.field.denominator
+        return [
+            QuadScalar.from_ints(*over_sqrt_pow2(r, s, d, e))
+            for r, s, e in zip(u_r.tolist(), u_s.tolist(), exps)
+        ]
 
 
 def walsh_tables(f: StepFunction) -> WalshTables:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine, ZeroVariation
+from .errors import GridMismatch, ScaleTooCoarse, ScaleTooFine, ZeroVariation
 from .exact import (
     ONE,
     ZERO,
@@ -24,7 +24,7 @@ from .exact import (
     QuadScalar,
     ScalarLike,
     common_lift,
-    inv_sqrt_pow2,
+    over_sqrt_pow2,
 )
 from .geometry import DyadicInterval, Quartile, Tile, band_index, quartile_sort_key
 from .variation import linearize_weights
@@ -438,8 +438,8 @@ def tilde_coefficients(
     The modified packet of a quartile is its packet times the cell-wise
     linearization weight at the quartile's scale; since that weight
     field is shared by all quartiles of one scale, f's integer planes
-    are multiplied by it once per scale and every quartile of the scale
-    is read from the one table of the product.
+    are multiplied by it once per scale, and the quartiles of the scale
+    are read from the tables of the product in one call.
 
     Every pairing is memoised on the linearization for its lifetime,
     keyed on f's value (its integer field, so an equal function hits
@@ -451,6 +451,8 @@ def tilde_coefficients(
     lin = linearization
     if (f.domain_exp, f.resolution_exp) != (lin.domain_exp, lin.resolution_exp):
         raise GridMismatch("f and the linearization live on different grids")
+    if subtile_index not in (1, 2, 3, 4):
+        raise ValueError("subtile index must be 1, 2, 3 or 4")
     memo = lin._tilde.setdefault((f.field, subtile_index), {})
     quartiles = list(quartiles)
     missing: dict[int, list[Quartile]] = {}
@@ -461,8 +463,12 @@ def tilde_coefficients(
         tables = kernels.WalshTables(
             kernels.field_product(f.field, lin.weight_field(k))
         )
-        for q in group:
-            memo[q] = tables.pairing(q.tile(subtile_index))
+        values = tables.pairings(
+            [k] * len(group),
+            [q.time.index for q in group],
+            [4 * q.freq.index + subtile_index - 1 for q in group],
+        )
+        memo.update(zip(group, values))
     return {q: memo[q] for q in quartiles}
 
 
@@ -475,26 +481,25 @@ def lambda_form(
 ) -> QuadScalar:
     """The trilinear packet form over a quartile collection.
 
-    Each quartile contributes |I|^{-1/2} times the pairing of f1, f2
-    and f3 with its first, second and (possibly weight-modified) third
-    subtile packet.  Without a linearization the plain third packet is
-    used.  Everything is exact.
+    Each quartile contributes its model coefficient, |I|^{-1/2} times
+    the pairings of f1 and f2 with its first and second subtile packets
+    (`model_coefficients`), times the pairing of f3 with its (possibly
+    weight-modified) third subtile packet.  Without a linearization the
+    plain third packet is used.  Everything is exact, and a quartile
+    outside the box is refused as `model_coefficients` refuses it.
     """
     quartiles = list(quartiles)
-    c1 = batch_inner_products(f1, [q.tile(1) for q in quartiles])
-    c2 = batch_inner_products(f2, [q.tile(2) for q in quartiles])
     if linearization is None:
-        c3_raw = batch_inner_products(f3, [q.tile(3) for q in quartiles])
-        c3 = {q: c3_raw[q.tile(3)] for q in quartiles}
+        tiles = [q.tile(3) for q in quartiles]
+        paired = batch_inner_products(f3, tiles)
+        thirds = [paired[t] for t in tiles]
     else:
-        c3 = tilde_coefficients(f3, quartiles, linearization, 3)
+        paired = tilde_coefficients(f3, quartiles, linearization, 3)
+        thirds = [paired[q] for q in quartiles]
     total = ZERO
-    for q in quartiles:
-        a = c1[q.tile(1)]
-        b = c2[q.tile(2)]
-        c = c3[q]
-        if a and b and c:
-            total = total + inv_sqrt_pow2(q.time.scale) * a * b * c
+    for (r, s, d), c in zip(model_coefficients(f1, f2, quartiles), thirds):
+        if (r or s) and c:
+            total = total + QuadScalar.from_ints(r, s, d) * c
     return total
 
 
@@ -505,42 +510,36 @@ def model_coefficients(
 
     Each coefficient comes back as the integers (r, s, d) of
     (r + s sqrt2) / d, not reduced, in the order the quartiles are
-    given.  The slot 1 and slot 2 entries come from the butterfly tables
-    in whole arrays (`WalshTables.stage_entries`), which refuse a
-    quartile outside the box.  With (u_r + u_s sqrt2)(v_r + v_s sqrt2)
-    = a + b sqrt2, the coefficient at time scale k is
-    (a + b sqrt2) 2^(-(4m + 3k)/2) / (d1 d2): each read carries
-    2^(-(2m + k)/2) / d_i and the quartile 2^(-k/2).
+    given.  The slot 1 and slot 2 pairings are one whole-array read
+    each (`WalshTables.read`), and a quartile whose entries lie outside
+    the tables, outside the box or past the grid, is refused.  Each read
+    carries 2^(-e/2) / d_i and the quartile 2^(-k/2), so with
+    (u_r + u_s sqrt2)(v_r + v_s sqrt2) = a + b sqrt2 the coefficient is
+    (a + b sqrt2) 2^(-(2e + k)/2) / (d1 d2), brought to integers by
+    `exact.over_sqrt_pow2`.
     """
     if (f1.domain_exp, f1.resolution_exp) != (f2.domain_exp, f2.resolution_exp):
         raise GridMismatch(
             f"grid ({f1.domain_exp}, {f1.resolution_exp}) vs "
             f"({f2.domain_exp}, {f2.resolution_exp})"
         )
-    count = len(quartiles)
-    if not count:
+    if not quartiles:
         return []
-    try:
-        scales = np.fromiter((q.time.scale for q in quartiles), np.int64, count)
-        indices = np.fromiter((q.time.index for q in quartiles), np.int64, count)
-        freqs = np.fromiter((4 * q.freq.index for q in quartiles), np.int64, count)
-    except OverflowError:
-        raise KernelUnsupported("a quartile index past int64 lies outside the tables") from None
-    ur, us = f1.packet_tables().stage_entries(scales, indices, freqs)
-    vr, vs = f2.packet_tables().stage_entries(scales, indices, freqs + 1)
+    scales = [q.time.scale for q in quartiles]
+    indices = [q.time.index for q in quartiles]
+    firsts = [4 * q.freq.index for q in quartiles]
+    seconds = [b + 1 for b in firsts]
+    kernels._require_in_tables(f1.field, scales, indices, seconds)
+    ur, us, exps = f1.packet_tables().read(scales, indices, firsts)
+    vr, vs, _ = f2.packet_tables().read(scales, indices, seconds)
     big = max(int(np.abs(p).max()) for p in (ur, us, vr, vs))
     if 4 * big * big >= 1 << 63:
         ur, us, vr, vs = (p.astype(object) for p in (ur, us, vr, vs))
     a, b = ur * vr + 2 * us * vs, ur * vs + us * vr
-    # 2^(-e/2) for odd e is 2^(-(e + 1)/2) sqrt2, and (a + b sqrt2) sqrt2 = 2b + a sqrt2.
-    exps = 4 * f1.resolution_exp + 3 * scales
-    odd = (exps & 1).astype(bool)
-    a, b = np.where(odd, 2 * b, a), np.where(odd, a, b)
     d = f1.field.denominator * f2.field.denominator
-    # The tables refuse scales k below -m, so 4m + 3k >= m >= 0 and no shift is negative.
     return [
-        (r, s, d << h)
-        for r, s, h in zip(a.tolist(), b.tolist(), ((exps + 1) >> 1).tolist())
+        over_sqrt_pow2(r, s, d, 2 * e + k)
+        for r, s, e, k in zip(a.tolist(), b.tolist(), exps, scales)
     ]
 
 

@@ -31,7 +31,6 @@ from .geometry import DyadicInterval, PointLike, Tile, band_index, piece_exp
 
 __all__ = [
     "StepFunction",
-    "walsh_sign_pattern",
     "sign_row",
     "eval_walsh",
     "eval_wavepacket",
@@ -82,18 +81,6 @@ def _walsh_signs(mask: int | np.ndarray, cells: np.ndarray) -> np.ndarray:
     """
     x = cells & mask
     return _parity_signs(int(x.max()).bit_length() if x.size else 0)[x]
-
-
-def walsh_sign_pattern(freq_index: int) -> tuple[int, ...]:
-    """Sign pattern of the Walsh function with the given index.
-
-    Returns 2^s signs (s the bit length of the index) giving the value
-    on each piece of [0, 1) of width 2^-s, by `_walsh_signs`.
-    """
-    if freq_index < 0:
-        raise ValueError("frequency index must be nonnegative")
-    pieces = np.arange(1 << freq_index.bit_length(), dtype=np.int64)
-    return tuple(_walsh_signs(_reversed_bits(freq_index), pieces).tolist())
 
 
 def eval_walsh(freq_index: int, t: PointLike) -> int:
@@ -399,24 +386,35 @@ class StepFunction:
     def from_json(cls, data: dict) -> "StepFunction":
         """Read the grid as "J" and "m" or as "grid": [J, m], and the cells
         as "values" (Q(sqrt2) text or integers) or as "cells", the indices
-        where an indicator is one."""
+        where an indicator is one.  J, m and the cell indices must be JSON
+        integers; a bool is refused everywhere, with a TypeError that
+        names its field."""
         if "grid" in data:
-            domain_exp, resolution_exp = (int(v) for v in data["grid"])
+            domain_exp, resolution_exp = (_json_int(v, "grid") for v in data["grid"])
         else:
-            domain_exp, resolution_exp = int(data["J"]), int(data["m"])
+            domain_exp, resolution_exp = _json_int(data["J"], "J"), _json_int(data["m"], "m")
         if "cells" in data:
-            return cls.from_cells(domain_exp, resolution_exp, [int(c) for c in data["cells"]])
-        return cls(
-            domain_exp,
-            resolution_exp,
-            [QuadScalar.from_text(v) if isinstance(v, str) else v for v in data["values"]],
-        )
+            cells = [_json_int(c, "cells") for c in data["cells"]]
+            return cls.from_cells(domain_exp, resolution_exp, cells)
+        values = []
+        for v in data["values"]:
+            if isinstance(v, bool):
+                raise TypeError(f'"values" holds the bool {v!r}, not a number')
+            values.append(QuadScalar.from_text(v) if isinstance(v, str) else v)
+        return cls(domain_exp, resolution_exp, values)
 
     def __repr__(self) -> str:
         return (
             f"StepFunction(J={self.domain_exp}, m={self.resolution_exp}, "
             f"{self.cell_count} cells)"
         )
+
+
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer that is not a bool; a TypeError naming the field otherwise."""
+    if type(value) is not int:
+        raise TypeError(f'"{field}" must hold integers, got {value!r}')
+    return value
 
 
 def _sign_step(
@@ -439,16 +437,21 @@ def wavepacket_step(
 def inner_product(f: StepFunction, tile: Tile) -> QuadScalar:
     """Exact pairing of a step function with a tile's wave packet.
 
-    A read from f's packet tables; the packet is clipped to the box.
+    The one-tile case of `batch_inner_products`; the packet is clipped
+    to the box.
     """
-    return f.packet_tables().pairing(tile)
+    return batch_inner_products(f, [tile])[tile]
 
 
 def batch_inner_products(
     f: StepFunction, tiles: Iterable[Tile]
 ) -> dict[Tile, QuadScalar]:
-    """Pair f with many packets, each a read from f's packet tables."""
-    return {tile: inner_product(f, tile) for tile in tiles}
+    """Pair f with many packets, clipped to the box, in one read of f's packet tables."""
+    tiles = list(tiles)
+    values = f.packet_tables().pairings(
+        [t.time.scale for t in tiles], [t.time.index for t in tiles], [t.freq.index for t in tiles]
+    )
+    return dict(zip(tiles, values))
 
 
 def synthesize(

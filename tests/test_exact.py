@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import FractionQuad
 from walshtf import ONE, SQRT2, ZERO, DyadicRational, QuadScalar, inv_sqrt_pow2, pow2_fraction
-from walshtf.exact import quad_to_float
+from walshtf.exact import over_sqrt_pow2, quad_sign, quad_to_float
 from walshtf.errors import NotDyadicError
 
 small_fractions = st.fractions(
@@ -190,6 +190,29 @@ def test_inv_sqrt_pow2_square(k):
         assert value.s == 0
     else:
         assert value.rat == 0
+
+
+wide_ints = st.integers(-(1 << 80), 1 << 80)
+
+
+@given(wide_ints, wide_ints, st.integers(1, 1 << 70), st.integers(-90, 90))
+@example(0, 0, 1, -3)
+@example(1, 0, 1, 1)
+@example(-(1 << 65), 1 << 64, 3, -1)
+def test_over_sqrt_pow2_scales_by_the_half_power_of_two(r, s, d, e):
+    # (r' + s' sqrt2) / d' = (r + s sqrt2) 2^(-e/2) / d: both sides are
+    # squared with Fractions, and the signs compared on the integers.
+    r2, s2, d2 = over_sqrt_pow2(r, s, d, e)
+    assert d2 > 0
+    scale = pow2_fraction(-e)
+    assert Fraction(r2 * r2 + 2 * s2 * s2, d2 * d2) == Fraction(r * r + 2 * s * s, d * d) * scale
+    assert Fraction(2 * r2 * s2, d2 * d2) == Fraction(2 * r * s, d * d) * scale
+    assert quad_sign(r2, s2) == quad_sign(r, s)
+
+
+def test_inv_sqrt_pow2_is_the_rule_on_one():
+    for k in range(-70, 71):
+        assert inv_sqrt_pow2(k) == QuadScalar.from_ints(*over_sqrt_pow2(1, 0, 1, k))
 
 
 def test_pow2_fraction_both_directions():

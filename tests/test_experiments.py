@@ -753,6 +753,32 @@ def test_cli_select_trees_refuses_a_slot_that_is_not_a_json_integer(tmp_path, ca
     assert '"slot"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "f, named",
+    [
+        ({"J": 2.7, "m": 3, "cells": [1.9]}, '"J"'),
+        ({"grid": [True, "3"], "cells": [1]}, '"grid"'),
+        ({"J": 1, "m": 1, "values": [True, 1, 0, 0]}, '"values"'),
+    ],
+    ids=["float-grid-and-cell", "bool-and-string-grid", "bool-value"],
+)
+def test_cli_select_trees_refuses_a_function_field_that_is_not_a_json_integer(
+    tmp_path, capsys, f, named
+):
+    # int() used to truncate each of these and the selection ran, exit 0.
+    request = {
+        "collection": [{"time": {"n": 0, "k": 1}, "freq": {"n": 0, "k": 1}}],
+        "f": f,
+        "slot": 1,
+        "alpha": "64",
+    }
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"f"' in err and named in err
+
+
 def test_cli_render_refuses_a_malformed_selection(tmp_path, capsys):
     # A selection without "slot" used to end in a KeyError traceback, exit 1.
     path = tmp_path / "selection.json"

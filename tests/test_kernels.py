@@ -51,7 +51,7 @@ from walshtf.kernels import (
     walsh_tables,
 )
 from walshtf.operators import model_coefficients, tilde_coefficients
-from walshtf.wavepacket import sign_row, walsh_sign_pattern
+from walshtf.wavepacket import sign_row
 
 
 def _random_tile(rng, domain_exp, resolution_exp):
@@ -143,10 +143,23 @@ def test_batch_pairings_match_the_oracle_on_mixed_tiles(rng):
     tiles = [_random_tile(rng, 2, 3) for _ in range(20)]
     tiles += [Tile(DyadicInterval(0, 4), DyadicInterval(b, -4)) for b in range(0, 128, 9)]
     tiles += [Tile(DyadicInterval(5, 0), DyadicInterval(1, 0))]
+    # Indices past int64: a time index far off the box, and a tile 78
+    # levels above the box whose frequency index shifts down to 0 there.
+    tiles += [
+        Tile(DyadicInterval(1 << 70, 0), DyadicInterval(1, 0)),
+        Tile(DyadicInterval(0, 80), DyadicInterval(1 << 75, -80)),
+    ]
     batch = batch_inner_products(f, tiles)
     assert set(batch) == set(tiles)
     for tile in tiles:
-        assert batch[tile] == inner_product_brute(f, tile)
+        assert batch[tile] == inner_product_brute(f, tile) == inner_product(f, tile)
+    assert batch[tiles[-2]] == ZERO and batch[tiles[-1]] != ZERO
+    # Finer than the cells: refused however it is read.
+    fine = Tile(DyadicInterval(0, -4), DyadicInterval(3, 4))
+    with pytest.raises(ResolutionTooCoarse):
+        batch_inner_products(f, tiles + [fine])
+    with pytest.raises(ResolutionTooCoarse):
+        inner_product(f, fine)
 
 
 def test_tables_are_built_once_per_function(rng, monkeypatch):
@@ -458,8 +471,12 @@ def test_h_operators_agree_with_rendered_field(rng):
 
 
 def test_the_sign_rule_matches_the_doubling_rule_for_every_index_below_2_to_12():
+    # The tile at scale 0 on a grid of 2^s unit-interval cells, s the
+    # bit length of b, has one cell per piece of its Walsh pattern.
     for b in range(1 << 12):
-        assert walsh_sign_pattern(b) == tuple(walsh_pattern_by_doubling(b).tolist()), b
+        tile = Tile(DyadicInterval(0, 0), DyadicInterval(b, 0))
+        _, _, signs = sign_row(tile, 0, b.bit_length())
+        assert signs.tolist() == walsh_pattern_by_doubling(b).tolist(), b
 
 
 def test_sign_rows_match_the_doubling_pattern_clipped_to_the_box(rng):
@@ -610,12 +627,23 @@ def test_model_coefficients_see_tables_of_object_dtype_and_zero_planes(rng):
     assert [quad_to_float(*c) for c in zeros] == [0.0] * 6
 
 
-def test_stage_entries_refuse_what_coefficient_refuses(rng):
+def test_reads_refuse_unresolvable_tiles_and_coefficient_tiles_off_the_tables(rng):
     tables = walsh_tables(sign_function(rng, 2, 3))
-    one = np.ones(1, np.int64)
-    with pytest.raises(KernelUnsupported):
-        tables.stage_entries(3 * one, 0 * one, 0 * one)
-    with pytest.raises(KernelUnsupported):
-        tables.stage_entries(0 * one, 4 * one, 0 * one)
+    # read clips a tile off the box or above it, and refuses one finer
+    # than the grid: a scale below -m, or a frequency past 2^(k + m).
+    u_r, u_s, exps = tables.read([0, 3, 80], [4, 0, 0], [0, 0, 1 << 75])
+    assert not u_r[0] and not u_s[0] and exps == [6, 9, 86]
+    for scale, freq in ((-4, 0), (0, 8)):
+        with pytest.raises(ResolutionTooCoarse):
+            tables.read([scale], [0], [freq])
+    # coefficient refuses every tile outside the tables, resolvable or not.
+    for tile in (
+        Tile(DyadicInterval(0, 3), DyadicInterval(0, -3)),
+        Tile(DyadicInterval(4, 0), DyadicInterval(0, 0)),
+        Tile(DyadicInterval(1 << 70, 0), DyadicInterval(0, 0)),
+        Tile(DyadicInterval(0, -4), DyadicInterval(0, 4)),
+    ):
+        with pytest.raises(KernelUnsupported):
+            tables.coefficient(tile)
     with pytest.raises(ResolutionTooCoarse):
-        tables.stage_entries(0 * one, 0 * one, 8 * one)
+        tables.coefficient(Tile(DyadicInterval(0, 0), DyadicInterval(8, 0)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -26,5 +28,6 @@ def test_every_spanned_name_resolves():
     assert _load("spans").targets()
 
 
-def test_cross_lane_checks_pass():
-    assert _load("checks").cross_lane_checks(0) == []
+@pytest.mark.parametrize("seed", range(8))
+def test_cross_lane_checks_pass(seed):
+    assert _load("checks").cross_lane_checks(seed) == []

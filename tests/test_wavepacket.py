@@ -23,13 +23,12 @@ from walshtf import (
     inner_product,
     synthesize,
     tiles_disjoint,
-    walsh_sign_pattern,
     wavepacket_step,
 )
 from walshtf.errors import GridMismatch
 from walshtf.experiments.random_gen import sign_function
 from walshtf.operators import average
-from walshtf.wavepacket import batch_inner_products, tree_sign_step
+from walshtf.wavepacket import batch_inner_products, sign_row, tree_sign_step
 
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=512).filter(
     lambda t: t < 1
@@ -57,7 +56,10 @@ def test_walsh_multiplicativity(a, b):
 
 @given(st.integers(min_value=0, max_value=63))
 def test_sign_pattern_samples_walsh(index):
-    pattern = walsh_sign_pattern(index)
+    # One cell per piece: the tile at scale 0 on a (0, bit length) grid.
+    tile = Tile(DyadicInterval(0, 0), DyadicInterval(index, 0))
+    _, _, signs = sign_row(tile, 0, index.bit_length())
+    pattern = signs.tolist()
     n = len(pattern)
     assert n & (n - 1) == 0
     for cell, sign in enumerate(pattern):
