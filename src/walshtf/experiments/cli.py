@@ -22,6 +22,7 @@ from pathlib import Path
 from ..errors import ConfigError, InvalidInput, WalshtfError
 from ..exact import QuadScalar
 from ..geometry import DyadicInterval, Quartile
+from ..operators import slot_coefficients
 from ..trees import SelectionResult, select_trees
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
@@ -219,7 +220,8 @@ def _selection_request(
 
 def _cmd_select_trees(args: argparse.Namespace) -> int:
     collection, f, slot, alpha, domain_exp = _selection_request(_load_json(args.input))
-    result = select_trees(collection, f, slot, alpha, domain_exp)
+    coefficients = slot_coefficients(f, collection, slot)
+    result = select_trees(collection, coefficients, slot, alpha, domain_exp)
     text = json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

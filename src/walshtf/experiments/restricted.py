@@ -24,8 +24,8 @@ import numpy as np
 from ..errors import ConfigError, EmptySet, GridMismatch
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, quartile_sort_key
-from ..operators import lambda_form, maximal, model_terms, optimal_linearization
-from ..trees import _slot_coefficients, select_trees, size
+from ..operators import lambda_form, maximal, model_terms, optimal_linearization, slot_coefficients
+from ..trees import select_trees, size
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
 from .random_gen import (
@@ -157,15 +157,12 @@ def run_restricted_type(
     # Each slot's coefficients of the kept quartiles, read once for the
     # run: every size and selection below reads a subset of them.
     coefficients = {
-        slot: _slot_coefficients(kept, functions[slot], slot, linearization)
+        slot: slot_coefficients(functions[slot], kept, slot, linearization)
         for slot in (1, 2, 3)
     }
 
     def slot_size_sq(quartiles, slot: int) -> QuadScalar:
-        report = size(
-            quartiles, functions[slot], slot, domain_exp, coefficients=coefficients[slot]
-        )
-        return report.value_sq
+        return size(quartiles, coefficients[slot], slot, domain_exp).value_sq
 
     initial_sq = {i: slot_size_sq(kept, i) for i in (1, 2, 3)}
     for i in (1, 2, 3):
@@ -195,14 +192,7 @@ def run_restricted_type(
                 else:
                     allowance = max(allowance, initial_sq[i])
                 allowances[i] = allowance
-                result = select_trees(
-                    residual,
-                    functions[i],
-                    i,
-                    allowance,
-                    domain_exp,
-                    coefficients=coefficients[i],
-                )
+                result = select_trees(residual, coefficients[i], i, allowance, domain_exp)
                 residual = list(result.residual)
                 if result.grabs:
                     top_len = float(result.top_length())
@@ -349,20 +339,14 @@ def run_counting_experiment(
                 rng, count, domain_exp, resolution_exp
             )
             by_slot = {
-                slot: _slot_coefficients(residual, f, slot, None) for slot in (1, 2, 3, 4)
+                slot: slot_coefficients(f, residual, slot) for slot in (1, 2, 3, 4)
             }
             for n in range(allowance_stages + 1):
                 allowance = QuadScalar.from_ints(1, 0, 4**n)
                 removed = Fraction(0)
                 for slot in (1, 2, 3, 4):
                     result = select_trees(
-                        residual,
-                        f,
-                        slot,
-                        allowance,
-                        domain_exp,
-                        verify=False,
-                        coefficients=by_slot[slot],
+                        residual, by_slot[slot], slot, allowance, domain_exp, verify=False
                     )
                     removed += result.top_length()
                     residual = list(result.residual)

@@ -24,7 +24,14 @@ from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
 from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm
-from ..operators import FrequencySet, average, freq_projection, maximal, partial_sum_field
+from ..operators import (
+    FrequencySet,
+    average,
+    freq_projection,
+    maximal,
+    partial_sum_field,
+    slot_coefficients,
+)
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
 from ..wavepacket import StepFunction, batch_inner_products, synthesize, tree_sign_step, wavepacket_step
@@ -449,7 +456,10 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
         if not kept:
             rows.append((trial, str(lam), 0, 0.0, 0.0, "all-masked"))
             continue
-        worst = max(size(kept, f, slot, domain_exp).value for slot in range(1, 5))
+        worst = max(
+            size(kept, slot_coefficients(f, kept, slot), slot, domain_exp).value
+            for slot in range(1, 5)
+        )
         ratio = worst / float(lam)
         ratios.append(ratio)
         rows.append((trial, str(lam), len(kept), ratio, worst, ""))

@@ -86,10 +86,17 @@ class DyadicInterval:
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicInterval":
-        return cls(int(data["n"]), int(data["k"]))
+        return cls(_json_int(data["n"], "n"), _json_int(data["k"], "k"))
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right})"
+
+
+def _json_int(value: object, field: str) -> int:
+    """A JSON integer that is not a bool; a TypeError naming the field otherwise."""
+    if type(value) is not int:
+        raise TypeError(f'"{field}" must hold integers, got {value!r}')
+    return value
 
 
 def containing_interval(x: PointLike, scale: int) -> DyadicInterval:

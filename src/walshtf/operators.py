@@ -42,6 +42,7 @@ __all__ = [
     "Linearization",
     "optimal_linearization",
     "tilde_coefficients",
+    "slot_coefficients",
     "lambda_form",
     "model_coefficients",
     "model_terms",
@@ -472,6 +473,28 @@ def tilde_coefficients(
     return {q: memo[q] for q in quartiles}
 
 
+def slot_coefficients(
+    f: StepFunction,
+    quartiles: Iterable[Quartile],
+    slot: int,
+    linearization: Linearization | None = None,
+) -> dict[Quartile, QuadScalar]:
+    """<f, phi_{P_slot}> of every quartile P, exactly, keyed by quartile.
+
+    These are the coefficients that size, tree selection and the
+    trilinear form read.  A linearization reweights slot three, where
+    the pairings are `tilde_coefficients`; the other slots ignore it and
+    read every packet in one `batch_inner_products` call.  A repeated
+    quartile is read once.
+    """
+    members = list(dict.fromkeys(quartiles))
+    if slot == 3 and linearization is not None:
+        return tilde_coefficients(f, members, linearization, 3)
+    tiles = [q.tile(slot) for q in members]
+    paired = batch_inner_products(f, tiles)
+    return {q: paired[t] for q, t in zip(members, tiles)}
+
+
 def lambda_form(
     quartiles: Iterable[Quartile],
     f1: StepFunction,
@@ -483,21 +506,16 @@ def lambda_form(
 
     Each quartile contributes its model coefficient, |I|^{-1/2} times
     the pairings of f1 and f2 with its first and second subtile packets
-    (`model_coefficients`), times the pairing of f3 with its (possibly
-    weight-modified) third subtile packet.  Without a linearization the
-    plain third packet is used.  Everything is exact, and a quartile
-    outside the box is refused as `model_coefficients` refuses it.
+    (`model_coefficients`), times its slot-3 coefficient of f3
+    (`slot_coefficients`, weight-modified when a linearization is
+    given).  Everything is exact, and a quartile outside the box is
+    refused as `model_coefficients` refuses it.
     """
     quartiles = list(quartiles)
-    if linearization is None:
-        tiles = [q.tile(3) for q in quartiles]
-        paired = batch_inner_products(f3, tiles)
-        thirds = [paired[t] for t in tiles]
-    else:
-        paired = tilde_coefficients(f3, quartiles, linearization, 3)
-        thirds = [paired[q] for q in quartiles]
+    thirds = slot_coefficients(f3, quartiles, 3, linearization)
     total = ZERO
-    for (r, s, d), c in zip(model_coefficients(f1, f2, quartiles), thirds):
+    for q, (r, s, d) in zip(quartiles, model_coefficients(f1, f2, quartiles)):
+        c = thirds[q]
         if (r or s) and c:
             total = total + QuadScalar.from_ints(r, s, d) * c
     return total

@@ -9,7 +9,9 @@ of a counting function, and evaluates John-Nirenberg style quantities
 of a weighted family.
 
 Size, selection and the quadratic John-Nirenberg quantity decide on
-exact integer masses.  Every member's coefficient is lifted to
+exact integer masses of coefficient maps; size and selection take
+theirs as `operators.slot_coefficients` reads them, and this module
+reads no packet itself.  Every member's coefficient is lifted to
 (a + b*sqrt2) / d over the lcm d of all coefficient denominators and
 squared once on Python ints, so its mass is (r + s*sqrt2) / d^2
 exactly for any rational coefficients, dyadic or not.
@@ -39,16 +41,11 @@ from .geometry import (
     DyadicInterval,
     Quartile,
     Tree,
+    _json_int,
     maximal_tree,
     quartile_sort_key,
 )
-from .operators import (
-    FrequencySet,
-    Linearization,
-    QuartileCollection,
-    tilde_coefficients,
-)
-from .wavepacket import StepFunction, batch_inner_products
+from .operators import FrequencySet, QuartileCollection
 
 __all__ = [
     "SizeReport",
@@ -86,29 +83,11 @@ class SizeReport:
         return math.sqrt(self.value_sq.to_float())
 
 
-def _slot_coefficients(
-    members: Sequence[Quartile],
-    f: StepFunction,
-    slot: int,
-    linearization: Linearization | None,
-    coefficients: Mapping[Quartile, QuadScalar] | None = None,
-) -> Mapping[Quartile, QuadScalar]:
-    """Pair f with the slot packet of every member, exactly.
-
-    A linearization reweights slot three only; the other slots ignore
-    it.  Precomputed coefficients, when given, are trusted as is; they
-    must cover every member.
-    """
-    if coefficients is not None:
-        missing = [q for q in members if q not in coefficients]
-        if missing:
-            raise KeyError(f"no precomputed coefficient for {missing[0]}")
-        return coefficients
-    if slot == 3 and linearization is not None:
-        return tilde_coefficients(f, members, linearization, 3)
-    tiles = [q.tile(slot) for q in members]
-    paired = batch_inner_products(f, tiles)
-    return {q: paired[t] for q, t in zip(members, tiles)}
+def _pins(slot: int) -> list[int]:
+    """The slots a candidate tree may be pinned through: all but slot."""
+    if slot not in (1, 2, 3, 4):
+        raise ValueError("packet slot must be 1, 2, 3 or 4")
+    return [j for j in (1, 2, 3, 4) if j != slot]
 
 
 def _compare(r: int, s: int, scale: int, ref: tuple[int, int, int]) -> int:
@@ -131,7 +110,8 @@ def _integer_masses(
 
     Each coefficient is lifted to (a + b sqrt2) / d, with d the lcm of
     all coefficient denominators, and squared once on the integers:
-    member p carries the mass (rats[p] + surds[p] sqrt2) / d^2.
+    member p carries the mass (rats[p] + surds[p] sqrt2) / d^2.  A
+    member without a coefficient raises the KeyError of its quartile.
     """
     lifted_r, lifted_s, d = common_lift([coeffs[q] for q in members])
     rats = [a * a + 2 * b * b for a, b in zip(lifted_r, lifted_s)]
@@ -250,35 +230,28 @@ class _Candidates:
 
 def size(
     collection: QuartileCollection | Iterable[Quartile],
-    f: StepFunction,
+    coefficients: Mapping[Quartile, QuadScalar],
     slot: int,
-    domain_exp: int | None = None,
-    linearization: Linearization | None = None,
-    coefficients: Mapping[Quartile, QuadScalar] | None = None,
+    domain_exp: int,
 ) -> SizeReport:
     """Largest square slot mass per unit top length over pinned trees.
 
-    Candidate trees overlap uniformly in one of the three other slots,
-    while the mass counted is always that of the slot packets, with the
-    linearization reweighting them when slot is three.  Tops range over
-    ancestors of member times paired with member band endpoints, which
-    realises the supremum.  An empty collection has size zero and no
-    witness.  Coefficients may be supplied to skip the exact pairings,
-    for callers that batch them elsewhere; any rational parts are
-    allowed.  The maximum is taken on exact integer masses over one
-    common denominator, in Python ints with no float in any comparison,
-    and the first candidate of strictly largest density is the witness.
+    coefficients maps every member to its slot coefficient, as
+    `operators.slot_coefficients` reads them; any rational parts are
+    allowed.  Candidate trees overlap uniformly in one of the three
+    other slots, while the mass counted is always the square of the
+    slot coefficients.  Tops range over ancestors of member times paired
+    with member band endpoints, which realises the supremum.  An empty
+    collection has size zero and no witness.  The maximum is taken on
+    exact integer masses over one common denominator, in Python ints
+    with no float in any comparison, and the first candidate of strictly
+    largest density is the witness.
     """
-    if slot not in (1, 2, 3, 4):
-        raise ValueError("packet slot must be 1, 2, 3 or 4")
+    pins = _pins(slot)
     members = sorted(set(collection), key=quartile_sort_key)
     if not members:
         return SizeReport(ZERO, None, None)
-    if domain_exp is None:
-        domain_exp = f.domain_exp
-    pins = [j for j in (1, 2, 3, 4) if j != slot]
-    coeffs = _slot_coefficients(members, f, slot, linearization, coefficients)
-    return _Candidates(members, coeffs, pins, domain_exp).densest()
+    return _Candidates(members, coefficients, pins, domain_exp).densest()
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ class SelectedTree:
         return cls(
             Tree.from_json(data["seed"]),
             Tree.from_json(data["full"]),
-            int(data["pass_slot"]),
+            _json_int(data["pass_slot"], "pass_slot"),
         )
 
 
@@ -380,7 +353,7 @@ class SelectionResult:
     @classmethod
     def from_json(cls, data: dict) -> "SelectionResult":
         return cls(
-            int(data["slot"]),
+            _json_int(data["slot"], "slot"),
             QuadScalar.from_text(data["alpha"]),
             tuple(SelectedTree.from_json(item) for item in data["grabs"]),
             QuartileCollection.from_json(data["residual"]),
@@ -395,13 +368,11 @@ class SelectionResult:
 
 def select_trees(
     collection: QuartileCollection | Iterable[Quartile],
-    f: StepFunction,
+    coefficients: Mapping[Quartile, QuadScalar],
     slot: int,
     alpha: ScalarLike | QuadScalar,
-    domain_exp: int | None = None,
-    linearization: Linearization | None = None,
+    domain_exp: int,
     verify: bool = True,
-    coefficients: Mapping[Quartile, QuadScalar] | None = None,
 ) -> SelectionResult:
     """Strip pinned trees of square slot density at least a quarter of alpha.
 
@@ -413,9 +384,10 @@ def select_trees(
     shrink as quartiles leave, so walking the candidates once in that
     order reproduces repeated extremal extraction.
 
-    The candidate tops of all pinning slots are built once per call;
-    each pass reads those whose frequency is an endpoint of its own
-    pinned bands.  Alive totals are integer sums of the exact masses
+    coefficients maps every member to its slot coefficient, as for
+    `size`.  The candidate tops of all pinning slots are built once per
+    call; each pass reads those whose frequency is an endpoint of its
+    own pinned bands.  Alive totals are integer sums of the exact masses
     described in the module docstring, and the quarter-allowance bar
     is tested by an exact integer sign, so any rational coefficients
     and allowances are handled without a float in any decision.
@@ -425,16 +397,11 @@ def select_trees(
     then at most a quarter of alpha, rechecked exactly unless verify is
     False.
     """
-    if slot not in (1, 2, 3, 4):
-        raise ValueError("packet slot must be 1, 2, 3 or 4")
+    pins = _pins(slot)
     members = sorted(set(collection), key=quartile_sort_key)
-    if domain_exp is None:
-        domain_exp = f.domain_exp
     alpha = QuadScalar.coerce(alpha)
     quarter = alpha * Fraction(1, 4)
-    pins = [j for j in (1, 2, 3, 4) if j != slot]
-    coeffs = _slot_coefficients(members, f, slot, linearization, coefficients)
-    cands = _Candidates(members, coeffs, pins, domain_exp)
+    cands = _Candidates(members, coefficients, pins, domain_exp)
     initial = cands.densest()
     if initial.value_sq > alpha:
         raise PreconditionViolated(
@@ -474,7 +441,7 @@ def select_trees(
     residual = QuartileCollection(left)
     residual_size_sq: QuadScalar | None = None
     if verify:
-        recheck = _Candidates(left, coeffs, pins, domain_exp).densest()
+        recheck = _Candidates(left, coefficients, pins, domain_exp).densest()
         residual_size_sq = recheck.value_sq
         if residual_size_sq > quarter:
             raise RuntimeError(
@@ -589,8 +556,7 @@ def jn_quantities(
     quadratic quantity averages its square, the weak one takes the best
     level of its distribution, both normalised by the top length.
     """
-    if slot not in (1, 2, 3, 4):
-        raise ValueError("packet slot must be 1, 2, 3 or 4")
+    pins = _pins(slot)
     weighted = [(q, QuadScalar.coerce(c)) for q, c in terms]
     if not weighted:
         return JNReport(ZERO, None, 0.0, None)
@@ -598,7 +564,6 @@ def jn_quantities(
     for q, c in weighted:
         weight[q] = weight.get(q, ZERO) + c
     members = sorted(weight, key=quartile_sort_key)
-    pins = [j for j in (1, 2, 3, 4) if j != slot]
     cands = _Candidates(members, weight, pins, domain_exp)
     best = (0, 0, 0)
     best_sq_top: tuple[int, int] | None = None

@@ -6,9 +6,8 @@ program computes it, exactly over quadratic scalars or in Python
 floats.  This module alone picks the lane: exact when there are values,
 every one an exact scalar, and r is an integer or infinite; floats
 otherwise (an empty sequence, numpy arrays, float values or a
-fractional r).  Callers pass the values they
-have; the `method` option of the two entry points that take one only
-forces a lane.
+fractional r).  Callers pass the values they have; the `method`
+option of `variation_norm` only forces a lane.
 """
 
 from __future__ import annotations
@@ -146,9 +145,7 @@ def variation_norm(
     return _chain_dp(lane, r, zero)
 
 
-def linearize_weights(
-    values: SequenceLike, r: float, method: str = "auto"
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def linearize_weights(values: SequenceLike, r: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Dual weights certifying the r-variation as a pairing.
 
     Returns (chain, weights) with one weight per chain step so that the
@@ -156,7 +153,7 @@ def linearize_weights(
     weights have unit l^{r'} norm, r' the conjugate exponent.  Raises
     ZeroVariation when the sequence has no variation to certify.
     """
-    cert = variation_norm(values, r, method)
+    cert = variation_norm(values, r)
     if not cert.indices:
         raise ZeroVariation("constant sequences admit no dual weights")
     floats = [float(v) for v in values]

@@ -27,7 +27,7 @@ from .exact import (
     pow2_fraction,
     quad_to_float,
 )
-from .geometry import DyadicInterval, PointLike, Tile, band_index, piece_exp
+from .geometry import DyadicInterval, PointLike, Tile, _json_int, band_index, piece_exp
 
 __all__ = [
     "StepFunction",
@@ -408,13 +408,6 @@ class StepFunction:
             f"StepFunction(J={self.domain_exp}, m={self.resolution_exp}, "
             f"{self.cell_count} cells)"
         )
-
-
-def _json_int(value: object, field: str) -> int:
-    """A JSON integer that is not a bool; a TypeError naming the field otherwise."""
-    if type(value) is not int:
-        raise TypeError(f'"{field}" must hold integers, got {value!r}')
-    return value
 
 
 def _sign_step(

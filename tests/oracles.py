@@ -8,12 +8,12 @@ disjoint draws by testing every candidate against every accepted
 quartile, each drawn through `randint` and `randrange`,
 linearizations by solving every cell's column on its own, float
 packet sums by adding one term's slice at a time, model coefficients
-by one `QuadScalar` product per quartile, the dyadic maximal function
-by a running maximum over one block size at a time.  The only package imports
-are the primitive containers and exact scalars, the packet tables whose
-per-tile reads the gathered coefficients must reproduce, and the
-one-column weight solver whose per-cell results the linearization must
-reproduce; none of the machinery under test is reused.
+by one `QuadScalar` product of two cell-by-cell pairings per quartile,
+the dyadic maximal function by a running maximum over one block size
+at a time.  The only package imports are the primitive containers and
+exact scalars, and the one-column weight solver whose per-cell results
+the linearization must reproduce; none of the machinery under test is
+reused.
 """
 
 from __future__ import annotations
@@ -455,12 +455,12 @@ def float_packet_sums_by_term(
 def model_coefficients_by_tile(
     f1: StepFunction, f2: StepFunction, quartiles: Sequence[Quartile]
 ) -> list[QuadScalar]:
-    """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> per quartile: two per-tile
-    table reads and one `QuadScalar` product."""
-    tables1, tables2 = f1.packet_tables(), f2.packet_tables()
+    """|I_P|^(-1/2) <f1, phi_P1> <f2, phi_P2> per quartile: two pairings
+    cell by cell against the closed-form packets (`inner_product_brute`,
+    no tables) and one `QuadScalar` product."""
     return [
-        tables1.coefficient(q.tile(1))
-        * tables2.coefficient(q.tile(2))
+        inner_product_brute(f1, q.tile(1))
+        * inner_product_brute(f2, q.tile(2))
         * inv_sqrt_pow2(q.time.scale)
         for q in quartiles
     ]

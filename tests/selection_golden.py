@@ -4,9 +4,10 @@ Every case is drawn from a fixed seed, so the JSON written here is a
 byte-for-byte fingerprint of the exact results: size values with their
 witness trees and overlap slots, whole selection results with grab
 order and residuals, and both John-Nirenberg quantities with their
-witnesses.  The cases cover every slot, precomputed and non-dyadic
-coefficients, the slot-three linearization, verify=False, an empty
-collection and non-positive allowances.
+witnesses.  The cases cover every slot, coefficients read by
+`slot_coefficients`, per tile from the tables and non-dyadic ones, the
+slot-three linearization, verify=False, an empty collection and
+non-positive allowances.
 
     PYTHONPATH=src python tests/selection_golden.py
 
@@ -22,7 +23,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from walshtf import QuadScalar, jn_quantities, select_trees, size
+from walshtf import QuadScalar, jn_quantities, select_trees, size, slot_coefficients
 from walshtf.errors import PreconditionViolated
 from walshtf.experiments.random_gen import (
     disjoint_collection,
@@ -66,14 +67,15 @@ def _jn_json(report) -> dict:
 def _slot_cases(label, coll, f, domain_exp, out) -> None:
     """Size and selection in every slot, at the size and at twice it."""
     for slot in (1, 2, 3, 4):
-        report = size(coll, f, slot, domain_exp)
+        coeffs = slot_coefficients(f, coll, slot)
+        report = size(coll, coeffs, slot, domain_exp)
         out[f"{label}/size/slot{slot}"] = _size_json(report)
         alpha = report.value_sq
         out[f"{label}/select/slot{slot}/alpha=size"] = _select_json(
-            coll, f, slot, alpha, domain_exp
+            coll, coeffs, slot, alpha, domain_exp
         )
         out[f"{label}/select/slot{slot}/alpha=2size"] = _select_json(
-            coll, f, slot, alpha * 2, domain_exp
+            coll, coeffs, slot, alpha * 2, domain_exp
         )
 
 
@@ -107,19 +109,15 @@ def golden_cases() -> dict:
             coeffs = {q: tables.coefficient(q.tile(slot)) for q in coll}
             alpha = QuadScalar(Fraction(1, 4**n))
             key = f"cached/stage{n}/slot{slot}"
-            out[key + "/size"] = _size_json(
-                size(residual, f, slot, 3, coefficients=coeffs)
-            )
-            result = select_trees(
-                residual, f, slot, alpha, 3, verify=False, coefficients=coeffs
-            )
+            out[key + "/size"] = _size_json(size(residual, coeffs, slot, 3))
+            result = select_trees(residual, coeffs, slot, alpha, 3, verify=False)
             out[key + "/select"] = result.to_json()
             residual = list(result.residual)
 
     # Supplied coefficients with non power-of-two denominators.
     rng = random.Random(7300)
     coll = quartile_collection(rng, 20, 3, 4)
-    f = sign_function(rng, 3, 4)
+    sign_function(rng, 3, 4)  # drawn only to keep the seeded stream of the fixture
     coeffs = {
         q: QuadScalar(
             Fraction(rng.randint(-9, 9), rng.choice((1, 3, 5, 7, 12))),
@@ -128,10 +126,10 @@ def golden_cases() -> dict:
         for q in coll
     }
     for slot in (1, 2, 3, 4):
-        report = size(coll, f, slot, 3, coefficients=coeffs)
+        report = size(coll, coeffs, slot, 3)
         out[f"rational/size/slot{slot}"] = _size_json(report)
         out[f"rational/select/slot{slot}"] = _select_json(
-            coll, f, slot, report.value_sq, 3, coefficients=coeffs
+            coll, coeffs, slot, report.value_sq, 3
         )
 
     # Slot three through a linearization.
@@ -139,11 +137,10 @@ def golden_cases() -> dict:
     coll = disjoint_collection(rng, 10, 3, 5)
     fs = [sign_function(rng, 3, 5) for _ in range(3)]
     lin = optimal_linearization(model_terms(fs[0], fs[1], coll), 3, 3.0, 3, 5)
-    report = size(coll, fs[2], 3, 3, linearization=lin)
+    coeffs = slot_coefficients(fs[2], coll, 3, lin)
+    report = size(coll, coeffs, 3, 3)
     out["linearized/size"] = _size_json(report)
-    out["linearized/select"] = _select_json(
-        coll, fs[2], 3, report.value_sq, 3, linearization=lin
-    )
+    out["linearized/select"] = _select_json(coll, coeffs, 3, report.value_sq, 3)
 
     # A domain exponent below some member scales leaves those members
     # without candidate tops.
@@ -151,21 +148,23 @@ def golden_cases() -> dict:
     coll = quartile_collection(rng, 16, 3, 4)
     f = sign_function(rng, 3, 4)
     for slot in (1, 4):
-        report = size(coll, f, slot, 2)
+        coeffs = slot_coefficients(f, coll, slot)
+        report = size(coll, coeffs, slot, 2)
         out[f"lowtop/size/slot{slot}"] = _size_json(report)
         out[f"lowtop/select/slot{slot}"] = _select_json(
-            coll, f, slot, report.value_sq, 2
+            coll, coeffs, slot, report.value_sq, 2
         )
 
     # Degenerate inputs: no members, zero and negative allowances.
     f = sign_function(random.Random(7600), 2, 3)
-    out["empty/size"] = _size_json(size([], f, 2, 2))
-    out["empty/select"] = _select_json([], f, 2, 1, 2)
+    out["empty/size"] = _size_json(size([], {}, 2, 2))
+    out["empty/select"] = _select_json([], {}, 2, 1, 2)
     coll = quartile_collection(random.Random(7601), 8, 2, 3)
-    zero = StepFunction.zero(2, 3)
+    zero = slot_coefficients(StepFunction.zero(2, 3), coll, 1)
     out["zero_f/select/alpha=0"] = _select_json(coll, zero, 1, 0, 2)
     out["zero_f/select/alpha<0"] = _select_json(coll, zero, 1, Fraction(-1, 2), 2)
-    out["sign_f/select/alpha=0"] = _select_json(coll, f, 1, 0, 2)
+    signs = slot_coefficients(f, coll, 1)
+    out["sign_f/select/alpha=0"] = _select_json(coll, signs, 1, 0, 2)
 
     # John-Nirenberg quantities, with repeated members whose weights add.
     for seed in range(4):

@@ -34,6 +34,7 @@ from walshtf import (
     restricted_trees,
     select_trees,
     size,
+    slot_coefficients,
     tiles_disjoint,
     variation_norm,
     wavepacket_step,
@@ -203,7 +204,7 @@ def test_criterion_06_linearization_attainment():
         trials += 1
         r = (2.5, 3.0, 4.0)[trials % 3]
         cert = variation_norm(values, r, "float")
-        chain, weights = linearize_weights(values, r, "float")
+        chain, weights = linearize_weights(values, r)
         paired = sum(
             w * (values[b] - values[a])
             for w, (a, b) in zip(weights, zip(chain, chain[1:]))
@@ -227,7 +228,8 @@ def test_criterion_07_size_against_subset_enumeration():
         coll = disjoint_collection(rng, rng.randint(1, 6), 3, 4)
         f = sign_function(rng, 3, 4)
         slot = 1 + trial % 4
-        if size(coll, f, slot, 3).value_sq != brute_size_sq(coll, f, slot, 3):
+        report = size(coll, slot_coefficients(f, coll, slot), slot, 3)
+        if report.value_sq != brute_size_sq(coll, f, slot, 3):
             failures += 1
     elapsed = time.monotonic() - started
     ok = failures == 0
@@ -251,12 +253,12 @@ def test_criterion_08_selection_contract():
         slot = 1 + trials % 4
         tables = walsh_tables(f)
         coeffs = {q: tables.coefficient(q.tile(slot)) for q in coll}
-        alpha = size(coll, f, slot, 3, coefficients=coeffs).value_sq
+        alpha = size(coll, coeffs, slot, 3).value_sq
         if alpha == ZERO:
             continue
         trials += 1
         alpha = alpha * (1, 1, 2, 4)[trials % 4]
-        sel = select_trees(coll, f, slot, alpha, 3, coefficients=coeffs)
+        sel = select_trees(coll, coeffs, slot, alpha, 3)
         grabbed: set[Quartile] = set()
         good = True
         for grab in sel.grabs:
@@ -278,8 +280,10 @@ def test_criterion_08_selection_contract():
                     if not tiles_disjoint(stamps[i], stamps[j]):
                         good = False
         if len(sel.residual):
-            # Independent recheck: the plain pairing path, no cache.
-            residual_sq = size(sel.residual, f, slot, 3).value_sq
+            # Independent recheck: the coefficients read afresh through
+            # the one reader, not the per-tile map selection used.
+            fresh = slot_coefficients(f, sel.residual, slot)
+            residual_sq = size(sel.residual, fresh, slot, 3).value_sq
             if not residual_sq <= alpha * Fraction(1, 4):
                 good = False
         if not good:
@@ -339,9 +343,10 @@ def test_criterion_10_single_tree_estimate():
         bound = QuadScalar(16 * tree.top_interval.length ** 2)
         for i in (1, 2, 3):
             # The third slot pairs through the same linearization as the
-            # form itself; its size has to as well.
-            slot_lin = lin if i == 3 else None
-            bound = bound * size(members, fs[i - 1], i, 3, linearization=slot_lin).value_sq
+            # form itself, and so does its size; the reader ignores the
+            # linearization in slots 1 and 2.
+            coeffs = slot_coefficients(fs[i - 1], members, i, lin)
+            bound = bound * size(members, coeffs, i, 3).value_sq
         if not lam.square() <= bound:
             violations += 1
     elapsed = time.monotonic() - started

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cli_golden import SELECTION_INPUT
+from cli_golden import FIXTURE as CLI_FIXTURE, SELECTION_INPUT
 from oracles import naive_disjoint_collection, reference_random_quartile
 from walshtf import QuadScalar, SelectionResult, StepFunction, Tile, errors
 from walshtf.errors import ConfigError, EmptySet, WalshtfError
@@ -425,14 +425,15 @@ def test_theorem1_unit_quartile_saturates():
 
 
 def _tiny_selection(rng):
-    from walshtf import select_trees, size
+    from walshtf import select_trees, size, slot_coefficients
 
     coll = disjoint_collection(rng, 6, 3, 4)
     f = sign_function(rng, 3, 4)
-    alpha = size(coll, f, 3, 3).value_sq
+    coeffs = slot_coefficients(f, coll, 3)
+    alpha = size(coll, coeffs, 3, 3).value_sq
     if alpha == QuadScalar(0):
         pytest.skip("degenerate draw")
-    return select_trees(coll, f, 3, alpha, 3)
+    return select_trees(coll, coeffs, 3, alpha, 3)
 
 
 def test_selection_svg_shape(rng):
@@ -540,9 +541,10 @@ def test_cli_config_file_with_overrides(tmp_path):
 def test_cli_select_trees_and_render_round_trip(tmp_path, rng):
     coll = disjoint_collection(rng, 6, 3, 4)
     f = sign_function(rng, 3, 4)
-    from walshtf import size
+    from walshtf import select_trees, size, slot_coefficients
 
-    alpha = size(coll, f, 3, 3).value_sq
+    coeffs = slot_coefficients(f, coll, 3)
+    alpha = size(coll, coeffs, 3, 3).value_sq
     if alpha == QuadScalar(0):
         pytest.skip("degenerate draw")
     request = {
@@ -558,7 +560,7 @@ def test_cli_select_trees_and_render_round_trip(tmp_path, rng):
     assert main(["select-trees", "--in", str(src), "--out", str(sel_out)]) == 0
     payload = json.loads(sel_out.read_text())
     sel = SelectionResult.from_json(payload)
-    direct = __import__("walshtf").select_trees(coll, f, 3, alpha, 3)
+    direct = select_trees(coll, coeffs, 3, alpha, 3)
     assert sel.to_json() == direct.to_json()
     svg1 = tmp_path / "one.svg"
     svg2 = tmp_path / "two.svg"
@@ -786,6 +788,45 @@ def test_cli_render_refuses_a_malformed_selection(tmp_path, capsys):
     assert main(["render", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: render input is not a selection")
+    assert "Traceback" not in err
+
+
+def _selection_of_one(time: dict, freq: dict) -> dict:
+    """The golden selection input with one quartile as its collection."""
+    return {**SELECTION_INPUT, "collection": [{"time": time, "freq": freq}]}
+
+
+def _selection_with(slot=None, pass_slot=None) -> dict:
+    """The golden selection output with its slot or first grab's pass slot replaced."""
+    golden = json.loads(CLI_FIXTURE.read_text(encoding="utf-8"))
+    selection = json.loads(golden["select-trees"]["out"])
+    if slot is not None:
+        selection["slot"] = slot
+    if pass_slot is not None:
+        selection["grabs"][0]["pass_slot"] = pass_slot
+    return selection
+
+
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("select-trees", _selection_of_one({"n": 1.9, "k": 0}, {"n": 0, "k": 2}), '"n"'),
+        ("select-trees", _selection_of_one({"n": True, "k": "0"}, {"n": 0, "k": 2}), '"n"'),
+        ("select-trees", _selection_of_one({"n": 0, "k": 0.5}, {"n": 0, "k": 2.7}), '"k"'),
+        ("render", _selection_with(slot=1.5), '"slot"'),
+        ("render", _selection_with(pass_slot=1.5), '"pass_slot"'),
+    ],
+    ids=["float-index", "bool-and-string", "float-scales", "render-slot", "render-pass-slot"],
+)
+def test_cli_refuses_a_quartile_or_selection_field_that_is_not_a_json_integer(
+    tmp_path, capsys, command, data, named
+):
+    # int() used to truncate each of these and the command ran, exit 0.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
 
 

@@ -31,6 +31,7 @@ from walshtf import (
     model_terms,
     optimal_linearization,
     partial_sum_field,
+    slot_coefficients,
     synthesize,
     variation_norm,
     wavepacket_step,
@@ -224,6 +225,14 @@ def test_lambda_form_threads_the_linearization(rng):
         )
         expected = expected + c * tilde_coefficients(f3, [q], L)[q]
     assert lambda_form(coll, f1, f2, f3, L) == expected
+    # The one reader behind lambda_form, size and selection: slot 3 is
+    # reweighted, the other slots ignore the linearization, and a
+    # repeated quartile is read once.
+    doubled = [*coll, *coll[::-1]]
+    assert slot_coefficients(f3, doubled, 3, L) == tilde_coefficients(f3, coll, L)
+    for slot in (1, 2, 4):
+        plain = {q: inner_product(f3, q.tile(slot)) for q in coll}
+        assert slot_coefficients(f3, doubled, slot, L) == plain
 
 
 def test_tilde_pairing_reduces_to_plain_for_trivial_weights(rng):

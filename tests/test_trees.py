@@ -26,6 +26,7 @@ from walshtf import (
     restricted_trees,
     select_trees,
     size,
+    slot_coefficients,
     tiles_disjoint,
 )
 from walshtf.errors import PreconditionViolated
@@ -43,14 +44,14 @@ def test_singleton_size_worked_example():
     # the size in slot one is one, witnessed through the second band.
     q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
     f = StepFunction.indicator(DyadicInterval(0, 0), 2, 3)
-    report = size([q], f, 1, 2)
+    report = size([q], slot_coefficients(f, [q], 1), 1, 2)
     assert report.value_sq == QuadScalar(1)
     assert report.value == 1.0
     assert report.overlap_index != 1
     assert set(report.tree.quartiles) == {q}
     # The third packet oscillates inside [0,1), so the indicator does
     # not see it at all.
-    assert size([q], f, 3, 2).value_sq == ZERO
+    assert size([q], slot_coefficients(f, [q], 3), 3, 2).value_sq == ZERO
 
 
 def test_size_matches_subset_enumeration(rng):
@@ -58,7 +59,7 @@ def test_size_matches_subset_enumeration(rng):
         coll = disjoint_collection(rng, rng.randint(1, 5), 2, 3)
         f = sign_function(rng, 2, 3)
         slot = 1 + trial % 4
-        report = size(coll, f, slot, 2)
+        report = size(coll, slot_coefficients(f, coll, slot), slot, 2)
         assert report.value_sq == brute_size_sq(coll, f, slot, 2)
 
 
@@ -67,7 +68,8 @@ def test_size_is_monotone_in_the_collection(rng):
     f = sign_function(rng, 3, 4)
     part = coll[:3]
     for slot in (1, 2, 3, 4):
-        assert size(part, f, slot, 3).value_sq <= size(coll, f, slot, 3).value_sq
+        coeffs = slot_coefficients(f, coll, slot)
+        assert size(part, coeffs, slot, 3).value_sq <= size(coll, coeffs, slot, 3).value_sq
 
 
 def test_size_witness_is_a_pinned_subtree(rng):
@@ -75,7 +77,7 @@ def test_size_witness_is_a_pinned_subtree(rng):
         coll = disjoint_collection(rng, 8, 3, 4)
         f = sign_function(rng, 3, 4)
         slot = 1 + trial % 4
-        report = size(coll, f, slot, 3)
+        report = size(coll, slot_coefficients(f, coll, slot), slot, 3)
         if report.value_sq == ZERO:
             continue
         tree = report.tree
@@ -90,28 +92,34 @@ def test_size_witness_is_a_pinned_subtree(rng):
 
 
 def test_size_accepts_precomputed_coefficients(rng):
+    # The one reader against per-tile table reads; a repeated quartile
+    # is read once and keeps its own coefficient.
     coll = disjoint_collection(rng, 8, 3, 4)
     f = sign_function(rng, 3, 4)
     tables = walsh_tables(f)
     for slot in (1, 2, 3, 4):
+        read = slot_coefficients(f, coll, slot)
         coeffs = {q: tables.coefficient(q.tile(slot)) for q in coll}
-        direct = size(coll, f, slot, 3)
-        cached = size(coll, f, slot, 3, coefficients=coeffs)
+        assert read == coeffs
+        assert slot_coefficients(f, [coll[0], *coll, coll[3]], slot) == read
+        direct = size(coll, read, slot, 3)
+        cached = size(coll, coeffs, slot, 3)
         assert cached.value_sq == direct.value_sq
         assert cached.overlap_index == direct.overlap_index
-    with pytest.raises(KeyError):
-        size(coll, f, 1, 3, coefficients={coll[0]: QuadScalar(1)})
+    with pytest.raises(KeyError) as missing:
+        size(coll, {coll[0]: QuadScalar(1)}, 1, 3)
+    assert missing.value.args[0] in coll[1:]
 
 
-def test_size_of_an_empty_collection_is_degenerate(rng):
-    report = size([], sign_function(rng, 2, 3), 1, 2)
+def test_size_of_an_empty_collection_is_degenerate():
+    report = size([], {}, 1, 2)
     assert report.value_sq == ZERO
     assert report.overlap_index is None
     assert report.tree is None
 
 
-def _check_selection_contract(coll, f, slot, alpha, domain_exp):
-    sel = select_trees(coll, f, slot, alpha, domain_exp)
+def _check_selection_contract(coll, coeffs, slot, alpha, domain_exp):
+    sel = select_trees(coll, coeffs, slot, alpha, domain_exp)
     grabbed = set()
     for grab in sel.grabs:
         assert grab.pass_slot != slot
@@ -123,7 +131,7 @@ def _check_selection_contract(coll, f, slot, alpha, domain_exp):
     assert not (grabbed & set(sel.residual))
     # Residual smallness re-checked through an independent size call.
     if len(sel.residual):
-        assert size(sel.residual, f, slot, domain_exp).value_sq <= alpha * Fraction(1, 4)
+        assert size(sel.residual, coeffs, slot, domain_exp).value_sq <= alpha * Fraction(1, 4)
     # Seed trees from one pass stamp disjoint tiles in the pass slot.
     for p in (1, 2, 3, 4):
         stamps = []
@@ -140,42 +148,47 @@ def test_selection_contract_small_grid(rng):
         coll = disjoint_collection(rng, rng.randint(2, 8), 3, 4)
         f = sign_function(rng, 3, 4)
         slot = 1 + trial % 4
-        alpha = size(coll, f, slot, 3).value_sq
+        coeffs = slot_coefficients(f, coll, slot)
+        alpha = size(coll, coeffs, slot, 3).value_sq
         if alpha == ZERO:
             continue
-        _check_selection_contract(coll, f, slot, alpha, 3)
+        _check_selection_contract(coll, coeffs, slot, alpha, 3)
 
 
 def test_selection_with_cached_coefficients_is_identical(rng):
     coll = disjoint_collection(rng, 8, 3, 4)
     f = sign_function(rng, 3, 4)
     tables = walsh_tables(f)
-    alpha = size(coll, f, 2, 3).value_sq
+    read = slot_coefficients(f, coll, 2)
+    alpha = size(coll, read, 2, 3).value_sq
     if alpha == ZERO:
         pytest.skip("degenerate draw")
     coeffs = {q: tables.coefficient(q.tile(2)) for q in coll}
-    a = select_trees(coll, f, 2, alpha, 3)
-    b = select_trees(coll, f, 2, alpha, 3, coefficients=coeffs)
+    assert read == coeffs
+    a = select_trees(coll, read, 2, alpha, 3)
+    b = select_trees(coll, coeffs, 2, alpha, 3)
     assert a.to_json() == b.to_json()
 
 
 def test_selection_requires_the_size_bound(rng):
     coll = disjoint_collection(rng, 6, 3, 4)
     f = sign_function(rng, 3, 4)
-    alpha = size(coll, f, 1, 3).value_sq
+    coeffs = slot_coefficients(f, coll, 1)
+    alpha = size(coll, coeffs, 1, 3).value_sq
     if alpha == ZERO:
         pytest.skip("degenerate draw")
     with pytest.raises(PreconditionViolated):
-        select_trees(coll, f, 1, alpha * Fraction(1, 64), 3)
+        select_trees(coll, coeffs, 1, alpha * Fraction(1, 64), 3)
 
 
 def test_selection_top_length_and_json_round_trip(rng):
     coll = disjoint_collection(rng, 8, 3, 4)
     f = sign_function(rng, 3, 4)
-    alpha = size(coll, f, 3, 3).value_sq
+    coeffs = slot_coefficients(f, coll, 3)
+    alpha = size(coll, coeffs, 3, 3).value_sq
     if alpha == ZERO:
         pytest.skip("degenerate draw")
-    sel = select_trees(coll, f, 3, alpha, 3)
+    sel = select_trees(coll, coeffs, 3, alpha, 3)
     expected = sum((g.full.top_interval.length for g in sel.grabs), Fraction(0))
     assert sel.top_length() == expected
     again = SelectionResult.from_json(sel.to_json())
@@ -343,9 +356,8 @@ def test_size_with_non_dyadic_coefficients_matches_a_quadscalar_fold(rng):
         coll = quartile_collection(rng, rng.randint(1, 10), 2, 3)
         coeffs = _non_dyadic_coefficients(rng, coll)
         coeffs[coll[0]] = QuadScalar(Fraction(1, 3), Fraction(2, 7))
-        f = sign_function(rng, 2, 3)
         slot = 1 + trial % 4
-        report = size(coll, f, slot, 2, coefficients=coeffs)
+        report = size(coll, coeffs, slot, 2)
         assert report.value_sq == _fold_size_sq(coll, coeffs, slot, 2)
         tree = report.tree
         mass = ZERO
@@ -361,13 +373,12 @@ def test_selection_with_non_dyadic_coefficients_matches_a_quadscalar_fold(rng):
     for trial in range(12):
         coll = quartile_collection(rng, rng.randint(2, 10), 2, 3)
         coeffs = _non_dyadic_coefficients(rng, coll)
-        f = sign_function(rng, 2, 3)
         slot = 1 + trial % 4
         alpha = _fold_size_sq(coll, coeffs, slot, 2)
         if alpha == ZERO:
             continue
         alpha = alpha * Fraction(5, 3)
-        sel = select_trees(coll, f, slot, alpha, 2, coefficients=coeffs)
+        sel = select_trees(coll, coeffs, slot, alpha, 2)
         assert sel.initial_size_sq == _fold_size_sq(coll, coeffs, slot, 2)
         quarter = alpha * Fraction(1, 4)
         for grab in sel.grabs:

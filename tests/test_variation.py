@@ -134,9 +134,9 @@ def test_dual_weights_certify_the_variation(values, r):
     cert = variation_norm(floats, r, "float")
     if not cert.indices:
         with pytest.raises(ZeroVariation):
-            linearize_weights(floats, r, "float")
+            linearize_weights(floats, r)
         return
-    chain, weights = linearize_weights(floats, r, "float")
+    chain, weights = linearize_weights(floats, r)
     assert chain == cert.indices
     paired = sum(
         w * (floats[b] - floats[a])
@@ -149,7 +149,7 @@ def test_dual_weights_certify_the_variation(values, r):
 
 def test_dual_weights_at_sup_exponent_are_signs():
     values = [0.0, 2.0, -1.0]
-    chain, weights = linearize_weights(values, math.inf, "float")
+    chain, weights = linearize_weights(values, math.inf)
     assert all(w in (-1.0, 1.0) for w in weights)
     paired = sum(
         w * (values[b] - values[a])
