@@ -19,7 +19,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ConfigError, InvalidInput, WalshtfError
+from ..errors import InvalidInput, WalshtfError
 from ..exact import QuadScalar
 from ..geometry import DyadicInterval, Quartile
 from ..operators import slot_coefficients
@@ -35,27 +35,31 @@ from .theorem import run_theorem1
 
 __all__ = ["main"]
 
-_CONFIG_FLAGS = (
-    ("--r", "r", float, "variation exponent"),
-    ("--p1", "p1", float, "first input exponent"),
-    ("--p2", "p2", float, "second input exponent"),
-    ("--q", "q", float, "target exponent"),
-    ("--epsilon", "epsilon", float, "frequency set growth exponent"),
-    ("--maximal-exp", "maximal_exp", float, "maximal function exponent"),
-    ("--trials", "trials", int, "number of randomized trials"),
-    ("--seed", "seed", int, "root seed of all random streams"),
-    ("--grid-j", "grid_j", int, "domain exponent of the grid box"),
-    ("--grid-m", "grid_m", int, "resolution exponent of the grid"),
-)
+# Config field -> the type of its flag and the flag's help.  Each
+# subcommand registers the flags of the fields its driver reads, so a
+# flag it would ignore is refused as bad input.
+_CONFIG_FLAGS = {
+    "r": (float, "variation exponent"),
+    "p1": (float, "first input exponent"),
+    "p2": (float, "second input exponent"),
+    "q": (float, "target exponent"),
+    "epsilon": (float, "frequency set growth exponent"),
+    "maximal_exp": (float, "maximal function exponent"),
+    "trials": (int, "number of randomized trials"),
+    "seed": (int, "root seed of all random streams"),
+    "grid_j": (int, "domain exponent of the grid box"),
+    "grid_m": (int, "resolution exponent of the grid"),
+}
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_config_arguments(parser: argparse.ArgumentParser, *fields: str) -> None:
     parser.add_argument(
         "--config", metavar="PATH", help="JSON file with configuration fields"
     )
-    for flag, dest, kind, help_text in _CONFIG_FLAGS:
+    for dest in fields:
+        kind, help_text = _CONFIG_FLAGS[dest]
         parser.add_argument(
-            flag, dest=dest, type=kind, default=None, help=help_text
+            "--" + dest.replace("_", "-"), dest=dest, type=kind, default=None, help=help_text
         )
 
 
@@ -66,8 +70,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         else ExperimentConfig()
     )
     overrides = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, dest)
+    for dest in _CONFIG_FLAGS:
+        value = getattr(args, dest, None)
         if value is not None:
             overrides[dest] = value
     return config.with_overrides(**overrides) if overrides else config
@@ -124,8 +128,6 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_counting(args: argparse.Namespace) -> int:
-    if args.grid_m is not None:
-        raise ConfigError("counting derives every grid from its box levels; drop --grid-m")
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 
@@ -250,20 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identities", help="run the exact identity suite")
-    _add_config_arguments(p)
+    _add_config_arguments(p, "r", "trials", "seed", "grid_j", "grid_m")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_identities)
 
     p = sub.add_parser("lemma", help="run one lemma-level experiment")
     p.add_argument("name", choices=LEMMA_NAMES)
-    _add_config_arguments(p)
+    _add_config_arguments(p, "r", "epsilon", "trials", "seed", "grid_j", "grid_m")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_lemma)
 
     p = sub.add_parser(
         "restricted-type", help="run the restricted-type decomposition"
     )
-    _add_config_arguments(p)
+    _add_config_arguments(p, "r", "maximal_exp", "trials", "seed", "grid_j", "grid_m")
     p.add_argument(
         "--in",
         dest="input",
@@ -274,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_restricted)
 
     p = sub.add_parser("theorem1", help="run the strong-type operator run")
-    _add_config_arguments(p)
+    _add_config_arguments(p, "r", "p1", "p2", "q", "trials", "seed", "grid_j", "grid_m")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_theorem1)
 
     p = sub.add_parser("counting", help="run the tree counting cascade")
-    _add_config_arguments(p)
+    _add_config_arguments(p, "trials", "seed", "grid_j")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_counting)
 

@@ -10,6 +10,7 @@ from numbers import Integral, Real
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..wavepacket import MAX_GRID_EXP
 
 _REL_TOL = 1e-9
 # Field name -> the type its value must have, and that type's name.
@@ -29,7 +30,8 @@ class ExperimentConfig:
     used to carve exceptional sets and cap sizes; it must exceed 1 and
     sit close to it for the restricted runs to make sense.  epsilon is
     the growth exponent of the frequency-set bound.  grid_j and grid_m
-    fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m.  Each
+    fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m, and
+    grid_j + grid_m may not exceed `wavepacket.MAX_GRID_EXP`.  Each
     rule is checked in the form "the value satisfies it", so a NaN,
     which satisfies no comparison, is refused; an infinite r is
     accepted.  The exponents must be real numbers (an int is one) and
@@ -74,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError("at least one trial is required")
         if self.grid_j < 0 or self.grid_m < 2:
             raise ConfigError("grid needs grid_j >= 0 and grid_m >= 2")
+        if self.grid_j + self.grid_m > MAX_GRID_EXP:
+            raise ConfigError(
+                f"grid_j + grid_m must be at most {MAX_GRID_EXP}, "
+                f"got {self.grid_j} + {self.grid_m}"
+            )
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """A copy with the given fields replaced; the copy revalidates."""

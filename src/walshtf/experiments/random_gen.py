@@ -70,18 +70,12 @@ def sign_function(
 
 
 def dyadic_function(
-    rng: random.Random,
-    domain_exp: int,
-    resolution_exp: int,
-    denom_exp: int = 3,
+    rng: random.Random, domain_exp: int, resolution_exp: int
 ) -> StepFunction:
-    """Cell values on the dyadic grid of step 2^-denom_exp inside [-1, 1]."""
-    denom = 1 << denom_exp
-    numerators = [
-        rng.randint(-denom, denom) for _ in range(1 << (domain_exp + resolution_exp))
-    ]
+    """Cell values on the dyadic grid of step 1/8 inside [-1, 1]."""
+    numerators = [rng.randint(-8, 8) for _ in range(1 << (domain_exp + resolution_exp))]
     return StepFunction(domain_exp, resolution_exp, np.array(numerators, np.int64)) * Fraction(
-        1, denom
+        1, 8
     )
 
 
@@ -110,26 +104,11 @@ def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
     return StepFunction(mask.domain_exp, mask.resolution_exp, rat)
 
 
-def _scale_bounds(
-    domain_exp: int, resolution_exp: int, scale_range: tuple[int, int] | None
-) -> tuple[int, int]:
-    """Lowest and highest quartile time scale in the box and the range."""
-    lo, hi = 2 - resolution_exp, domain_exp
-    if scale_range is not None:
-        lo, hi = max(lo, scale_range[0]), min(hi, scale_range[1])
-    return lo, hi
-
-
-def random_quartile(
-    rng: random.Random,
-    domain_exp: int,
-    resolution_exp: int,
-    scale_range: tuple[int, int] | None = None,
-) -> Quartile:
+def random_quartile(rng: random.Random, domain_exp: int, resolution_exp: int) -> Quartile:
     """One quartile of the box: a time scale, then a time and a frequency index.
 
     The values, and the state `rng` is left in, are those of
-    `k = rng.randint(lo, hi)`, `rng.randrange(2^(J - k))` and
+    `k = rng.randint(2 - m, J)`, `rng.randrange(2^(J - k))` and
     `rng.randrange(2^(m + k - 2))`, drawn here by their own rejection
     loops.  This rests on two facts about CPython's `random.Random`
     (3.10 to 3.13):
@@ -141,18 +120,18 @@ def random_quartile(
       result is below n; for n = 2^s that is `getrandbits(s + 1)` until
       the result's bit s is clear.
 
-    `rng` must not override `random` or `getrandbits`.
+    `rng` must not override `random` or `getrandbits`.  A box with
+    J + m < 2 holds no quartile and is refused with ValueError.
     """
-    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
-    if lo > hi:
-        raise ValueError("empty quartile scale range")
+    width = domain_exp + resolution_exp - 1
+    if width < 1:
+        raise ValueError("a box with J + m < 2 holds no quartile")
     getrandbits = rng.getrandbits
-    width = hi - lo + 1
     bits = width.bit_length()
     k = getrandbits(bits)
     while k >= width:
         k = getrandbits(bits)
-    k += lo
+    k += 2 - resolution_exp
     span = domain_exp - k
     n = getrandbits(span + 1)
     while n >> span:
@@ -165,11 +144,7 @@ def random_quartile(
 
 
 def quartile_collection(
-    rng: random.Random,
-    count: int,
-    domain_exp: int,
-    resolution_exp: int,
-    scale_range: tuple[int, int] | None = None,
+    rng: random.Random, count: int, domain_exp: int, resolution_exp: int
 ) -> list[Quartile]:
     """Distinct quartiles sampled without replacement; overlaps allowed.
 
@@ -182,12 +157,12 @@ def quartile_collection(
     seen: set[Quartile] = set()
     out: list[Quartile] = []
     budget = 60 * count + 60
-    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
-    if lo <= hi and count > (hi - lo + 1) << (domain_exp + resolution_exp - 2):
+    area_exp = domain_exp + resolution_exp
+    if area_exp >= 2 and count > (area_exp - 1) << (area_exp - 2):
         budget = 0
     while len(out) < count and budget:
         budget -= 1
-        q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
+        q = random_quartile(rng, domain_exp, resolution_exp)
         if q not in seen:
             seen.add(q)
             out.append(q)
@@ -200,11 +175,7 @@ def quartile_collection(
 
 
 def disjoint_collection(
-    rng: random.Random,
-    count: int,
-    domain_exp: int,
-    resolution_exp: int,
-    scale_range: tuple[int, int] | None = None,
+    rng: random.Random, count: int, domain_exp: int, resolution_exp: int
 ) -> list[Quartile]:
     """Pairwise disjoint quartiles by rejection sampling.
 
@@ -235,7 +206,7 @@ def disjoint_collection(
     area_exp = domain_exp + resolution_exp
     if area_exp >= 2 and count > 1 << (area_exp - 2):
         budget = 0
-    lo, hi = _scale_bounds(domain_exp, resolution_exp, scale_range)
+    lo, hi = 2 - resolution_exp, domain_exp
     # Keys under which a candidate finds the accepted quartiles whose
     # time scale is at most its own, and those whose scale is above it.
     finer: set[tuple[int, int, int, int]] = set()
@@ -247,7 +218,7 @@ def disjoint_collection(
                 f"in a (J={domain_exp}, m={resolution_exp}) box"
             )
         budget -= 1
-        q = random_quartile(rng, domain_exp, resolution_exp, scale_range)
+        q = random_quartile(rng, domain_exp, resolution_exp)
         k, n, f = q.time.scale, q.time.index, q.freq.index
         if any((k, n, s, f >> (k - s)) in finer for s in range(lo, k + 1)) or any(
             (s, n >> (s - k), k, f) in coarser for s in range(k + 1, hi + 1)
@@ -335,20 +306,14 @@ def pinned_forest(
 
 
 def tree_coefficients(
-    rng: random.Random, members: Sequence[Quartile], denom_exp: int = 3
+    rng: random.Random, members: Sequence[Quartile]
 ) -> dict[Quartile, Fraction]:
-    """Random dyadic weights in [-1, 1], one per member."""
-    denom = 1 << denom_exp
-    return {q: Fraction(rng.randint(-denom, denom), denom) for q in members}
+    """Random weights in [-1, 1] at step 1/8, one per member."""
+    return {q: Fraction(rng.randint(-8, 8), 8) for q in members}
 
 
-def frequency_set(
-    rng: random.Random,
-    count: int,
-    resolution_exp: int,
-    top_exp: int = 3,
-) -> FrequencySet:
-    """Distinct dyadic frequencies in [0, 2^top_exp) at step 2^-resolution_exp."""
-    total = 1 << (resolution_exp + top_exp)
+def frequency_set(rng: random.Random, count: int, resolution_exp: int) -> FrequencySet:
+    """Distinct dyadic frequencies in [0, 8) at step 2^-resolution_exp."""
+    total = 1 << (resolution_exp + 3)
     picks = rng.sample(range(total), min(count, total))
     return FrequencySet(DyadicRational(n, -resolution_exp) for n in picks)

@@ -45,17 +45,10 @@ def _support_measure(f: StepFunction) -> Fraction:
     return Fraction(len(f.support_cells()), 1 << f.resolution_exp)
 
 
-def _normalising_shift(measure: Fraction) -> int:
-    """Shift s with measure / 2^s in [1/2, 1)."""
-    s = 0
-    scaled = measure
-    while scaled >= 1:
-        scaled /= 2
-        s += 1
-    while scaled < Fraction(1, 2):
-        scaled *= 2
-        s -= 1
-    return s
+def _normalising_shift(cells: int, resolution_exp: int) -> int:
+    """Shift s with measure / 2^s in [1/2, 1) for a set of cells >= 1
+    grid cells of width 2^-m: the s with 2^(m+s-1) <= cells < 2^(m+s)."""
+    return cells.bit_length() - resolution_exp
 
 
 def _dilate_quartile(q: Quartile, shift: int) -> Quartile:
@@ -93,8 +86,9 @@ def _interval_inside(mask: np.ndarray, interval: DyadicInterval, resolution_exp:
     return bool(mask[lo:hi].all())
 
 
-def _dyadic_ceiling(x: float, grid_exp: int = 20) -> QuadScalar:
-    return QuadScalar.from_ints(math.ceil(x * (1 << grid_exp)), 0, 1 << grid_exp)
+def _dyadic_ceiling(x: float) -> QuadScalar:
+    """x rounded up to a multiple of 2^-20."""
+    return QuadScalar.from_ints(math.ceil(x * (1 << 20)), 0, 1 << 20)
 
 
 def run_restricted_type(
@@ -122,7 +116,7 @@ def run_restricted_type(
 
     rng = config.rng(97)
     domain_exp, resolution_exp = e1.domain_exp, e1.resolution_exp
-    shift = _normalising_shift(_support_measure(e1))
+    shift = _normalising_shift(len(e1.support_cells()), e1.resolution_exp)
     sets = [e.dilate(shift) for e in (e1, e2, e3)]
     domain_exp, resolution_exp = domain_exp - shift, resolution_exp + shift
     measures = [_support_measure(e) for e in sets]
@@ -297,35 +291,32 @@ def run_restricted_type(
 def run_counting_experiment(
     config: ExperimentConfig,
     box_levels: tuple[int, ...] = (6, 7, 8, 9),
-    size_cap: int = 500,
-    allowance_stages: int = 5,
 ) -> ExperimentReport:
     """Track removed top length against the allowance at constant density.
 
     Collection and box grow together: level b runs on a (J, b - J)
     grid with J = min(config.grid_j, b - 3) and draws half of the
-    quartile pool, capped at size_cap, without replacement.  Boxes of
+    quartile pool, capped at 500, without replacement.  Boxes of
     equal combined exponent are dilates of one another, so every rung
     samples at the same density and the removed-length statistics are
     comparable across collection sizes; growth of the per-size maxima
     would mean the counting constant degrades as collections scale up.
     Each trial pairs such a collection with the indicator of a random
-    cell set and walks the allowance down through 1, 1/4, ...,
-    4^-stages, selecting over all four slots at every step.  The top
-    length removed at each measured stage is scaled by the
-    three-halves power of that stage's allowance over the measure of
-    the set; the opening unit-allowance pass only establishes the
-    precondition for the first measured stage.  The summary reports
-    the worst ratio, the worst ratio per collection size, whether
-    those maxima increase monotonically with size, and their trend
-    slope against log size.
+    cell set and walks the allowance down through 1, 1/4, ..., 4^-5,
+    selecting over all four slots at every step.  The top length
+    removed at each measured stage is scaled by the three-halves power
+    of that stage's allowance over the measure of the set; the opening
+    unit-allowance pass only establishes the precondition for the first
+    measured stage.  The summary reports the worst ratio, the worst
+    ratio per collection size, whether those maxima increase
+    monotonically with size, and their trend slope against log size.
     """
     rng = config.rng(103)
     rungs: list[tuple[int, int, int]] = []
     for level in sorted(dict.fromkeys(box_levels)):
         domain_exp = min(config.grid_j, level - 3)
         pool = (level - 1) << (level - 2)
-        count = min(pool // 2, size_cap)
+        count = min(pool // 2, 500)
         if not any(count == c for c, _, _ in rungs):
             rungs.append((count, domain_exp, level - domain_exp))
     trials_per = max(1, config.trials // len(rungs))
@@ -341,7 +332,7 @@ def run_counting_experiment(
             by_slot = {
                 slot: slot_coefficients(f, residual, slot) for slot in (1, 2, 3, 4)
             }
-            for n in range(allowance_stages + 1):
+            for n in range(6):
                 allowance = QuadScalar.from_ints(1, 0, 4**n)
                 removed = Fraction(0)
                 for slot in (1, 2, 3, 4):

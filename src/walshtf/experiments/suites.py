@@ -34,7 +34,7 @@ from ..operators import (
 )
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
-from ..wavepacket import StepFunction, batch_inner_products, synthesize, tree_sign_step, wavepacket_step
+from ..wavepacket import StepFunction, synthesize, tree_sign_step, wavepacket_step
 from .config import ExperimentConfig
 from .random_gen import (
     disjoint_collection,
@@ -207,7 +207,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         )
         members = sorted({q for tree in forest for q in tree.quartiles}, key=quartile_sort_key)
         f = sign_function(rng, domain_exp, resolution_exp)
-        coeffs = batch_inner_products(f, [q.tile(3) for q in members])
+        coeffs = slot_coefficients(f, members, 3)
         freqs = FrequencySet(tree.top_freq for tree in forest)
         times = jump_times(freqs)
         checked = 0
@@ -215,7 +215,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         for start, stop in zip(times, times[1:]):
             window = synthesize(
                 [
-                    (q.tile(3), coeffs[q.tile(3)])
+                    (q.tile(3), coeffs[q])
                     for q in members
                     if start <= q.time.scale < stop
                 ],
@@ -227,7 +227,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
             for k in range(k_lo, k_hi):
                 truncated = synthesize(
                     [
-                        (q.tile(3), coeffs[q.tile(3)])
+                        (q.tile(3), coeffs[q])
                         for q in members
                         if k <= q.time.scale < stop
                     ],

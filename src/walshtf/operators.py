@@ -267,9 +267,9 @@ class Linearization:
     Two things derived from the weights are memoised for the lifetime
     of the object: the weight field of each scale (`weight_field`),
     and every weight-modified pairing `tilde_coefficients` has
-    computed, keyed on the function's value (its integer field), the
-    subtile and the quartile.  Both hold exact values and change no
-    result; they only save recomputing one.
+    computed, keyed on the function's value (its integer field) and the
+    quartile.  Both hold exact values and change no result; they only
+    save recomputing one.
     """
 
     __slots__ = (
@@ -432,11 +432,11 @@ def tilde_coefficients(
     f: StepFunction,
     quartiles: Iterable[Quartile],
     linearization: Linearization,
-    subtile_index: int = 3,
 ) -> dict[Quartile, QuadScalar]:
-    """Pairings of f with weight-modified packets, grouped per scale.
+    """Pairings of f with weight-modified slot-3 packets, grouped per scale.
 
-    The modified packet of a quartile is its packet times the cell-wise
+    The modified packet of a quartile is its third subtile's packet,
+    the one the truncated form linearizes, times the cell-wise
     linearization weight at the quartile's scale; since that weight
     field is shared by all quartiles of one scale, f's integer planes
     are multiplied by it once per scale, and the quartiles of the scale
@@ -444,17 +444,15 @@ def tilde_coefficients(
 
     Every pairing is memoised on the linearization for its lifetime,
     keyed on f's value (its integer field, so an equal function hits
-    the same entries), the subtile and the quartile.  A scale's product
-    table is built only when a requested quartile of that scale has no
-    entry yet, and dropped once those are read, so the memo holds one
-    scalar per pairing asked for and no table.
+    the same entries) and the quartile.  A scale's product table is
+    built only when a requested quartile of that scale has no entry
+    yet, and dropped once those are read, so the memo holds one scalar
+    per pairing asked for and no table.
     """
     lin = linearization
     if (f.domain_exp, f.resolution_exp) != (lin.domain_exp, lin.resolution_exp):
         raise GridMismatch("f and the linearization live on different grids")
-    if subtile_index not in (1, 2, 3, 4):
-        raise ValueError("subtile index must be 1, 2, 3 or 4")
-    memo = lin._tilde.setdefault((f.field, subtile_index), {})
+    memo = lin._tilde.setdefault(f.field, {})
     quartiles = list(quartiles)
     missing: dict[int, list[Quartile]] = {}
     for q in quartiles:
@@ -467,7 +465,7 @@ def tilde_coefficients(
         values = tables.pairings(
             [k] * len(group),
             [q.time.index for q in group],
-            [4 * q.freq.index + subtile_index - 1 for q in group],
+            [4 * q.freq.index + 2 for q in group],
         )
         memo.update(zip(group, values))
     return {q: memo[q] for q in quartiles}
@@ -489,10 +487,11 @@ def slot_coefficients(
     """
     members = list(dict.fromkeys(quartiles))
     if slot == 3 and linearization is not None:
-        return tilde_coefficients(f, members, linearization, 3)
-    tiles = [q.tile(slot) for q in members]
-    paired = batch_inner_products(f, tiles)
-    return {q: paired[t] for q, t in zip(members, tiles)}
+        return tilde_coefficients(f, members, linearization)
+    # Distinct quartiles have distinct tiles in one slot, so the values
+    # come back one per member, in order.
+    paired = batch_inner_products(f, [q.tile(slot) for q in members])
+    return dict(zip(members, paired.values()))
 
 
 def lambda_form(

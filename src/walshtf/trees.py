@@ -497,13 +497,12 @@ def restricted_trees(
     return kept
 
 
-def jump_times(freqs: FrequencySet, pad: int = 4) -> tuple[int, ...]:
+def jump_times(freqs: FrequencySet) -> tuple[int, ...]:
     """Scales where the frequency set resolves into strictly more clumps.
 
     A scale k is a jump time when the set meets more dyadic intervals
-    of length 2^-(k+pad) than of length 2^-(k-pad).  There are at most
-    2 * pad jumps per frequency beyond the first, so in particular no
-    more than 8 * |set| with the default padding.
+    of length 2^-(k+4) than of length 2^-(k-4).  There are at most 8
+    jumps per frequency beyond the first, so no more than 8 * |set|.
     """
     if len(freqs) < 2:
         return ()
@@ -515,6 +514,7 @@ def jump_times(freqs: FrequencySet, pad: int = 4) -> tuple[int, ...]:
     while freqs.count_at(-k) < len(freqs):
         k += 1
     stop = k
+    pad = 4  # how many scales to look on each side of k
     out = []
     for k in range(start - pad, stop + pad + 1):
         if freqs.count_at(-(k + pad)) > freqs.count_at(-(k - pad)):

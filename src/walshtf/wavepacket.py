@@ -41,6 +41,11 @@ __all__ = [
     "tree_sign_step",
 ]
 
+# The largest J + m a grid may have in a config or a JSON file: the
+# packet tables of a step function hold J + m + 1 stages of 2^(J+m)
+# entries per plane, 17 x 65536 at the cap.
+MAX_GRID_EXP = 16
+
 
 def _reversed_bits(b: int) -> int:
     """The bit_length() bits of b >= 0 in reverse order; 0 for 0."""
@@ -388,11 +393,16 @@ class StepFunction:
         as "values" (Q(sqrt2) text or integers) or as "cells", the indices
         where an indicator is one.  J, m and the cell indices must be JSON
         integers; a bool is refused everywhere, with a TypeError that
-        names its field."""
+        names its field.  A grid with J + m above MAX_GRID_EXP is refused
+        with a ValueError before any cell is allocated."""
         if "grid" in data:
             domain_exp, resolution_exp = (_json_int(v, "grid") for v in data["grid"])
         else:
             domain_exp, resolution_exp = _json_int(data["J"], "J"), _json_int(data["m"], "m")
+        if domain_exp + resolution_exp > MAX_GRID_EXP:
+            raise ValueError(
+                f"grid (J={domain_exp}, m={resolution_exp}) has J + m above {MAX_GRID_EXP}"
+            )
         if "cells" in data:
             cells = [_json_int(c, "cells") for c in data["cells"]]
             return cls.from_cells(domain_exp, resolution_exp, cells)

@@ -367,11 +367,7 @@ def brute_size_sq(
 
 
 def naive_disjoint_collection(
-    rng: random.Random,
-    count: int,
-    domain_exp: int,
-    resolution_exp: int,
-    scale_range: tuple[int, int] | None = None,
+    rng: random.Random, count: int, domain_exp: int, resolution_exp: int
 ) -> list[Quartile]:
     """Pairwise disjoint quartiles, each candidate tested against every
     accepted one: the reference the indexed `disjoint_collection` must
@@ -388,25 +384,20 @@ def naive_disjoint_collection(
                 f"in a (J={domain_exp}, m={resolution_exp}) box"
             )
         budget -= 1
-        q = reference_random_quartile(rng, domain_exp, resolution_exp, scale_range)
+        q = reference_random_quartile(rng, domain_exp, resolution_exp)
         if not any(q.intersects(p) for p in out):
             out.append(q)
     return out
 
 
 def reference_random_quartile(
-    rng: random.Random,
-    domain_exp: int,
-    resolution_exp: int,
-    scale_range: tuple[int, int] | None = None,
+    rng: random.Random, domain_exp: int, resolution_exp: int
 ) -> Quartile:
     """A scale by `randint`, then a time and a frequency index by
     `randrange`: the stream `random_quartile` must reproduce."""
     lo, hi = 2 - resolution_exp, domain_exp
-    if scale_range is not None:
-        lo, hi = max(lo, scale_range[0]), min(hi, scale_range[1])
     if lo > hi:
-        raise ValueError("empty quartile scale range")
+        raise ValueError("a box with J + m < 2 holds no quartile")
     k = rng.randint(lo, hi)
     time = DyadicInterval(rng.randrange(1 << (domain_exp - k)), k)
     freq = DyadicInterval(rng.randrange(1 << (resolution_exp + k - 2)), 2 - k)

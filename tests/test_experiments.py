@@ -26,6 +26,7 @@ from walshtf.experiments import (
 )
 from walshtf.experiments.cli import main
 from walshtf.experiments.config import ExperimentConfig
+from walshtf.experiments.restricted import _normalising_shift
 from walshtf.experiments.theorem import _operator_fields
 from walshtf.experiments.random_gen import (
     _draw_below,
@@ -74,6 +75,7 @@ def test_default_config_is_consistent():
         {"seed": 1.0},
         {"grid_j": True},
         {"grid_m": "5"},
+        {"grid_j": 12, "grid_m": 5},
     ],
 )
 def test_config_rejects_bad_fields(overrides):
@@ -150,24 +152,18 @@ def test_disjoint_collection_refuses_overfull_requests_before_drawing(rng):
 
 @st.composite
 def disjoint_requests(draw):
-    """(count, J, m, scale_range) over boxes with J + m from 3 to 12.
+    """(count, J, m) over boxes with J + m from 3 to 12.
 
     Counts run up to the box's capacity 2^(J+m-2) and one past it, but
     stop at 64, because the pairwise oracle costs O(count) per draw:
-    boxes with J + m <= 8 are covered to capacity and beyond.  Scale
-    ranges may reach outside the box.
+    boxes with J + m <= 8 are covered to capacity and beyond.
     """
     total = draw(st.integers(3, 12))
     domain_exp = draw(st.integers(0, total))
     resolution_exp = total - domain_exp
     capacity = 1 << (total - 2)
     count = draw(st.integers(0, min(capacity + 1, 64)))
-    lo, hi = 2 - resolution_exp, domain_exp
-    scale_range = None
-    if draw(st.booleans()):
-        first = draw(st.integers(lo - 1, hi))
-        scale_range = (first, draw(st.integers(max(first, lo), hi + 1)))
-    return count, domain_exp, resolution_exp, scale_range
+    return count, domain_exp, resolution_exp
 
 
 def _disjoint_outcome(sampler, seed, args):
@@ -182,10 +178,9 @@ def _disjoint_outcome(sampler, seed, args):
 
 
 @given(disjoint_requests(), st.integers(0, 2**32))
-@example((9, 2, 3, None), 0)  # over capacity: refused before any draw
-@example((8, 2, 3, (0, 1)), 1)  # filled to capacity from two scales
-@example((64, 3, 5, None), 2)  # filled to capacity from every scale
-@example((12, 3, 5, (3, 1)), 2)  # empty scale range
+@example((9, 2, 3), 0)  # over capacity: refused before any draw
+@example((8, 2, 3), 1)  # filled to capacity
+@example((64, 3, 5), 2)  # filled to capacity from every scale
 def test_disjoint_collection_matches_the_pairwise_scan(args, seed):
     indexed = _disjoint_outcome(disjoint_collection, seed, args)
     assert indexed == _disjoint_outcome(naive_disjoint_collection, seed, args)
@@ -193,29 +188,22 @@ def test_disjoint_collection_matches_the_pairwise_scan(args, seed):
 
 @st.composite
 def quartile_boxes(draw):
-    """A box, a scale range that may be empty, stick out or be absent,
-    and a number of draws."""
+    """A box, which may hold no quartile, and a number of draws."""
     domain_exp = draw(st.integers(-1, 7))
-    resolution_exp = draw(st.integers(max(2, 2 - domain_exp), 9))
-    scale_range = None
-    if draw(st.booleans()):
-        first = draw(st.integers(1 - resolution_exp, domain_exp + 1))
-        scale_range = (first, draw(st.integers(first - 1, domain_exp + 2)))
-    return domain_exp, resolution_exp, scale_range, draw(st.integers(1, 40))
+    resolution_exp = draw(st.integers(max(1, 1 - domain_exp), 9))
+    return domain_exp, resolution_exp, draw(st.integers(1, 40))
 
 
 @given(quartile_boxes(), st.integers(0, 2**32))
-@example((0, 2, None, 30), 5)  # one scale: every time index is 0
-@example((3, 5, (2, 1), 3), 0)  # empty scale range
+@example((0, 2, 30), 5)  # one scale: every time index is 0
+@example((0, 1, 3), 0)  # J + m < 2: no quartile fits
 def test_random_quartile_draws_what_randint_and_randrange_draw(box, seed):
-    domain_exp, resolution_exp, scale_range, draws = box
+    domain_exp, resolution_exp, draws = box
     outcomes = []
     for sampler in (random_quartile, reference_random_quartile):
         rng = random.Random(seed)
         try:
-            result = [
-                sampler(rng, domain_exp, resolution_exp, scale_range) for _ in range(draws)
-            ]
+            result = [sampler(rng, domain_exp, resolution_exp) for _ in range(draws)]
         except ValueError as exc:
             result = str(exc)
         outcomes.append((result, rng.getstate()))
@@ -283,11 +271,8 @@ def test_quartile_collection_refuses_counts_above_the_box_before_drawing(rng):
     state = rng.getstate()
     with pytest.raises(RuntimeError, match="could not draw 33 distinct quartiles"):
         quartile_collection(rng, 33, 2, 3)
-    with pytest.raises(RuntimeError, match="could not draw 17 distinct quartiles"):
-        quartile_collection(rng, 17, 2, 3, scale_range=(1, 5))
     assert rng.getstate() == state
     assert len(set(quartile_collection(rng, 32, 2, 3))) == 32
-    assert len(set(quartile_collection(rng, 16, 2, 3, scale_range=(1, 5)))) == 16
 
 
 def test_pinned_tree_overlaps_uniformly(rng):
@@ -409,12 +394,27 @@ def test_restricted_type_rejects_empty_sets(rng):
 
 def test_counting_experiment_reports_finite_ratios():
     cfg = _tiny_config(trials=2, grid_j=3, grid_m=5)
-    rep = run_counting_experiment(cfg, box_levels=(5, 6), allowance_stages=2)
+    rep = run_counting_experiment(cfg, box_levels=(5, 6))
     assert rep.summary_value("failures") == 0
     assert math.isfinite(rep.summary_value("max_ratio"))
-    assert rep.to_csv() == run_counting_experiment(
-        cfg, box_levels=(5, 6), allowance_stages=2
-    ).to_csv()
+    assert rep.to_csv() == run_counting_experiment(cfg, box_levels=(5, 6)).to_csv()
+
+
+def _normalising_shift_by_halving(cells, resolution_exp):
+    s, scaled = 0, Fraction(cells, 1 << resolution_exp)
+    while scaled >= 1:
+        scaled /= 2
+        s += 1
+    while scaled < Fraction(1, 2):
+        scaled *= 2
+        s -= 1
+    return s
+
+
+def test_normalising_shift_matches_the_halving_loop():
+    for cells in (*range(1, 1025), 2**40 - 1, 2**40, 2**40 + 1):
+        for m in range(13):
+            assert _normalising_shift(cells, m) == _normalising_shift_by_halving(cells, m)
 
 
 def test_theorem1_unit_quartile_saturates():
@@ -581,14 +581,36 @@ def test_cli_restricted_and_counting_and_theorem(tmp_path):
         assert out.read_text().startswith("# report: ")
 
 
-def test_cli_counting_refuses_grid_m(tmp_path, capsys):
-    # Every counting grid comes from the box levels, so the flag would
-    # be silently ignored.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem1", "--epsilon", "0.5"],
+        ["identities", "--epsilon", "0.25"],
+        ["restricted-type", "--q", "2"],
+        ["lemma", "size_bound", "--maximal-exp", "1.5"],
+        ["counting", "--r", "3"],
+        # Every counting grid comes from the box levels and grid_j.
+        ["counting", "--grid-m", "3"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:-1]),
+)
+def test_cli_refuses_a_flag_its_driver_does_not_read(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"
-    args = ["counting", "--trials", "1", "--grid-m", "3", "--out", str(out)]
-    assert main(args) == 2
-    assert "--grid-m" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--trials", "1", "--out", str(out)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_refuses_a_grid_above_the_cap(tmp_path, capsys):
+    # Refused before any allocation: these grids have 2^80 and 2^42 cells.
+    assert main(["theorem1", "--grid-j", "40", "--grid-m", "40"]) == 2
+    assert "grid_j + grid_m must be at most 16, got 40 + 40" in capsys.readouterr().err
+    path = _restricted_file(tmp_path, E1={"J": 40, "m": 2, "cells": [0]})
+    assert main(["restricted-type", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"E1"' in err and "grid (J=40, m=2) has J + m above 16" in err
 
 
 @pytest.mark.parametrize(

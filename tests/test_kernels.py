@@ -180,7 +180,7 @@ def test_tables_are_built_once_per_function(rng, monkeypatch):
     assert builds == [f]
 
 
-def _reweighted_oracle(f, q, lin, subtile_index=3):
+def _reweighted_oracle(f, q, lin):
     """Pairing with the packet reweighted cell by cell, in QuadScalar arithmetic."""
     k = q.time.scale
     weighted = StepFunction(
@@ -188,7 +188,7 @@ def _reweighted_oracle(f, q, lin, subtile_index=3):
         f.resolution_exp,
         [v * lin.weight_at(cell, k) for cell, v in enumerate(f.values)],
     )
-    return inner_product_brute(weighted, q.tile(subtile_index))
+    return inner_product_brute(weighted, q.tile(3))
 
 
 def _random_linearization(rng, domain_exp, resolution_exp, weight):
@@ -247,26 +247,25 @@ def test_tilde_memo_matches_fresh_pairings(rng, monkeypatch):
 
     monkeypatch.setattr(kernels, "field_product", counting)
     requested = set()
-    for fn, subset, subtile in [
-        (f, first, 3),
-        (f, overlapping, 3),
-        (g, first, 3),
-        (f, disjoint, 3),
-        (f, overlapping, 2),
-        (same_as_f, coll, 3),  # an equal function: every pairing is memoised
-        (g, overlapping, 3),
+    for fn, subset in [
+        (f, first),
+        (f, overlapping),
+        (g, first),
+        (f, disjoint),
+        (same_as_f, coll),  # an equal function: every pairing is memoised
+        (g, overlapping),
     ]:
-        missing = {q for q in subset if (fn, subtile, q) not in requested}
+        missing = {q for q in subset if (fn, q) not in requested}
         del builds[:]
-        got = tilde_coefficients(fn, subset, lin, subtile)
+        got = tilde_coefficients(fn, subset, lin)
         # A product table is built once per scale that has a missing quartile.
         assert len(builds) == len({q.time.scale for q in missing})
-        requested |= {(fn, subtile, q) for q in subset}
+        requested |= {(fn, q) for q in subset}
         fresh = Linearization(domain_exp, resolution_exp, lin.cell_jumps, lin.cell_weights)
-        assert got == tilde_coefficients(fn, subset, fresh, subtile)
+        assert got == tilde_coefficients(fn, subset, fresh)
         assert list(got) == subset
         for q in subset:
-            assert got[q] == _reweighted_oracle(fn, q, lin, subtile)
+            assert got[q] == _reweighted_oracle(fn, q, lin)
 
 
 def test_walsh_tables_reject_out_of_range_tiles(rng):

@@ -211,7 +211,7 @@ def test_john_nirenberg_quantities_on_a_singleton():
 def test_jump_times_are_sparse(rng):
     for _ in range(40):
         count = rng.randint(0, 24)
-        freqs = frequency_set(rng, count, 5, 3)
+        freqs = frequency_set(rng, count, 5)
         jumps = jump_times(freqs)
         if count < 2:
             assert jumps == ()
@@ -220,9 +220,10 @@ def test_jump_times_are_sparse(rng):
         assert list(jumps) == sorted(set(jumps))
 
 
-def _jump_times_by_fractions(points: list[Fraction], pad: int) -> tuple[int, ...]:
+def _jump_times_by_fractions(points: list[Fraction]) -> tuple[int, ...]:
     """jump_times on Fractions: the start exponent found by doubling a
     power of two past the largest point, bands by truncating x 2^-scale."""
+    pad = 4
     if len(points) < 2:
         return ()
 
@@ -246,12 +247,11 @@ def _jump_times_by_fractions(points: list[Fraction], pad: int) -> tuple[int, ...
         st.builds(DyadicRational, st.integers(0, 4000), st.integers(-9, 4)),
         max_size=10,
     ),
-    st.integers(min_value=1, max_value=5),
 )
-def test_jump_times_match_the_fraction_loop(points, pad):
+def test_jump_times_match_the_fraction_loop(points):
     freqs = FrequencySet(points)
-    expected = _jump_times_by_fractions([p.as_fraction() for p in freqs], pad)
-    assert jump_times(freqs, pad) == expected
+    expected = _jump_times_by_fractions([p.as_fraction() for p in freqs])
+    assert jump_times(freqs) == expected
 
 
 def _stacked_trees(rng, count, domain_exp, resolution_exp):
