@@ -24,7 +24,7 @@ from ..exact import QuadScalar
 from ..geometry import DyadicInterval, Quartile
 from ..operators import slot_coefficients
 from ..trees import SelectionResult, select_trees
-from ..wavepacket import StepFunction
+from ..wavepacket import MAX_GRID_EXP, StepFunction
 from .config import ExperimentConfig
 from .random_gen import dyadic_set
 from .render import render_phase_plane, selection_svg
@@ -195,7 +195,10 @@ def _selection_request(
     Every field is checked here, so a bad file is refused with an
     InvalidInput naming the field rather than failing deep inside.  The
     optional domain_exp defaults to the grid's J and may not be smaller:
-    members coarser than the domain would never be candidates.
+    members coarser than the domain would never be candidates.  Nor may
+    domain_exp + m pass MAX_GRID_EXP, the cap on the grid's J + m: each
+    member has one candidate top per scale from its own up to
+    domain_exp, so the cap bounds that count as it bounds the grid.
     """
     if not isinstance(data, dict):
         raise InvalidInput("select-trees input must be a JSON object")
@@ -212,10 +215,11 @@ def _selection_request(
         raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
     collection = _collection_field(data, f)
     domain_exp = data.get("domain_exp", f.domain_exp)
-    if type(domain_exp) is not int or domain_exp < f.domain_exp:
+    widest = MAX_GRID_EXP - f.resolution_exp
+    if type(domain_exp) is not int or not f.domain_exp <= domain_exp <= widest:
         raise InvalidInput(
-            f'field "domain_exp" must be an integer no smaller than the grid\'s '
-            f"J = {f.domain_exp}, got {domain_exp!r}"
+            f'field "domain_exp" must be an integer from the grid\'s J = {f.domain_exp} '
+            f"to {MAX_GRID_EXP} - m = {widest}, got {domain_exp!r}"
         )
     return collection, f, slot, alpha, domain_exp
 

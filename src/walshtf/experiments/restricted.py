@@ -146,7 +146,7 @@ def run_restricted_type(
     ]
 
     model = model_terms(functions[1], functions[2], kept)
-    linearization = optimal_linearization(model, 3, config.r, domain_exp, resolution_exp)
+    linearization = optimal_linearization(model, config.r, domain_exp, resolution_exp)
 
     # Each slot's coefficients of the kept quartiles, read once for the
     # run: every size and selection below reads a subset of them.

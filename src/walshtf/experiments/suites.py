@@ -26,6 +26,7 @@ from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_
 from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm
 from ..operators import (
     FrequencySet,
+    TruncationField,
     average,
     freq_projection,
     maximal,
@@ -34,7 +35,7 @@ from ..operators import (
 )
 from ..trees import jn_quantities, jump_times, size
 from ..variation import collapse_repeats, variation_norm
-from ..wavepacket import StepFunction, synthesize, tree_sign_step, wavepacket_step
+from ..wavepacket import StepFunction, tree_sign_step, wavepacket_step
 from .config import ExperimentConfig
 from .random_gen import (
     disjoint_collection,
@@ -77,6 +78,11 @@ def _nonzero_coefficients(
     return {
         q: Fraction(rng.choice((-1, 1)) * rng.randint(1, 8), 8) for q in members
     }
+
+
+def _from_scale(field: TruncationField, k: int) -> StepFunction:
+    """The field's terms at time scales k and up: its row at k - 1, clamped."""
+    return field.row_at(min(max(k - 1, field.scale_min), field.scale_max))
 
 
 def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
@@ -134,18 +140,14 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
             if subtile == pin:
                 continue
             shift = _nu(subtile, pin)
-            full = synthesize(
-                [(q.tile(subtile), coeffs[q]) for q in members],
-                domain_exp,
-                resolution_exp,
-            )
             field = partial_sum_field(
                 list(coeffs.items()), subtile, domain_exp, resolution_exp
             )
-            strict = [field.row_at(k) for k in range(-resolution_exp, domain_exp + 1)]
+            # No member is finer than 2^(2 - m), so row 0 holds every term.
+            strict = list(field.rows)
             conjugated = []
             ok = True
-            signed = sign * full
+            signed = sign * strict[0]
             for k in range(-resolution_exp, domain_exp + 1):
                 rhs = sign * average(signed, k)
                 conjugated.append(rhs)
@@ -208,32 +210,18 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         members = sorted({q for tree in forest for q in tree.quartiles}, key=quartile_sort_key)
         f = sign_function(rng, domain_exp, resolution_exp)
         coeffs = slot_coefficients(f, members, 3)
+        field = partial_sum_field(coeffs.items(), 3, domain_exp, resolution_exp)
         freqs = FrequencySet(tree.top_freq for tree in forest)
         times = jump_times(freqs)
         checked = 0
         ok = True
         for start, stop in zip(times, times[1:]):
-            window = synthesize(
-                [
-                    (q.tile(3), coeffs[q])
-                    for q in members
-                    if start <= q.time.scale < stop
-                ],
-                domain_exp,
-                resolution_exp,
-            )
+            beyond = _from_scale(field, stop)
+            window = _from_scale(field, start) - beyond
             k_lo = max(start, shift + 1 - resolution_exp)
             k_hi = min(stop, domain_exp + shift + 2)
             for k in range(k_lo, k_hi):
-                truncated = synthesize(
-                    [
-                        (q.tile(3), coeffs[q])
-                        for q in members
-                        if k <= q.time.scale < stop
-                    ],
-                    domain_exp,
-                    resolution_exp,
-                )
+                truncated = _from_scale(field, k) - beyond
                 recovered = freq_projection(window, freqs, k - shift - 1)
                 checked += 1
                 if recovered != truncated:

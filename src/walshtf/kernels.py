@@ -12,23 +12,25 @@ tiles, is the only way an exact packet coefficient is computed.  One
 summation, reached as `packet_sums` (terms named by tiles) or
 `truncated_sums` (quartile terms cut by scale), is the only way packet
 terms are summed on the grid: exactly on integer planes, or in floats
-when the coefficients are floats.  The float lane also batches the
-variation recursion over all grid cells at once; it trades exactness
-for speed and is meant for experiments, not proofs.
+when the coefficients are floats.  Its sign rule, `_walsh_signs` placed
+by `_packet_span`, is the one place that knows where a packet's signs
+fall, so a single packet is a one-term sum.  The float lane also
+batches the variation recursion over all grid cells at once; it trades
+exactness for speed and is meant for experiments, not proofs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import wavepacket
 from .errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
 from .exact import QuadScalar, ScalarLike, common_lift, inv_sqrt_pow2, over_sqrt_pow2
-from .geometry import Quartile, Tile
+from .geometry import Quartile, Tile, piece_exp
 
 if TYPE_CHECKING:
     from .wavepacket import StepFunction
@@ -362,6 +364,67 @@ def walsh_tables(f: StepFunction) -> WalshTables:
     return WalshTables(f.field)
 
 
+def _reversed_bits(b: int) -> int:
+    """The bit_length() bits of b >= 0 in reverse order; 0 for 0."""
+    return int(bin(b)[:1:-1], 2)
+
+
+@lru_cache(maxsize=64)
+def _parity_signs(width: int) -> np.ndarray:
+    """(-1)^popcount(v) for every v < 2^width, as a read-only int64 array.
+
+    The bits of each v are folded in halves down to bit 0, which then
+    holds the parity of v.
+    """
+    signs = np.arange(1 << width, dtype=np.int64)
+    shift = 1
+    while shift < width:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        signs ^= signs >> shift
+    signs = 1 - 2 * (signs & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+def _walsh_signs(mask: int | np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The Walsh sign rule: (-1)^popcount(mask & j) for each cell j, as int64 +-1.
+
+    A packet of frequency index b, s its bit length, over 2^(k+m) cells
+    is constant on its 2^s pieces of 2^e cells each, e = k + m - s, and
+    its sign on piece p flips once for every set bit of b whose mirror
+    bit of p is set: appending a one bit to b repeats the pattern
+    negated, a zero bit repeats it.  With mask = rev_s(b) 2^e, the
+    reversed bits of b moved up to the piece bits, that is the parity
+    of mask & j for a cell j counted from any multiple of 2^(k+m).
+    `mask` is one per cell or one for all; entries are nonnegative and
+    fit in int64.
+    """
+    x = cells & mask
+    return _parity_signs(int(x.max()).bit_length() if x.size else 0)[x]
+
+
+def _packet_span(
+    scale: int, index: int, freq_index: int, domain_exp: int, resolution_exp: int
+) -> tuple[int, int, int]:
+    """Where a packet's signs fall on the grid cells, clipped to the box.
+
+    Returns (a, b, mask) for the tile at time scale k, time index n and
+    frequency index f: cell j, a <= j < b, carries the sign
+    `_walsh_signs(mask, j)` and every other cell is zero.  The packet
+    starts at cell a = n 2^(k+m), a multiple of 2^(k+m); mask is f's
+    reversed bits moved up to the bits of the piece index, cut to the
+    J + m bits that a cell index in the box can have.  A packet the
+    grid cannot resolve is refused.
+    """
+    exp = piece_exp(scale, freq_index, resolution_exp)
+    cells = 1 << (domain_exp + resolution_exp)
+    a = index << (scale + resolution_exp)
+    b = max(a, min(a + (1 << (scale + resolution_exp)), cells))
+    return a, b, (_reversed_bits(freq_index) << exp) & (cells - 1)
+
+
 def _place(
     terms: Iterable[tuple[int, object, float | QuadScalar]],
     position: Callable[[object], tuple[int, int, int]],
@@ -372,16 +435,15 @@ def _place(
 
     `position(tile)` gives the tile's time scale k, time index n and
     frequency index f, read for nonzero terms only.  Each term becomes
-    (a, b, mask, k, c), with a, b and mask as `wavepacket._packet_span`
-    places the tile.  A term whose packet the
-    grid cannot resolve is refused; one at a negative row, or with no
-    cell in the box, lands in no row.
+    (a, b, mask, k, c), with a, b and mask as `_packet_span` places the
+    tile.  A term whose packet the grid cannot resolve is refused; one
+    at a negative row, or with no cell in the box, lands in no row.
     """
     rows: dict[int, list] = {}
     for row, tile, c in terms:
         if c:
             scale, index, freq = position(tile)
-            a, b, mask = wavepacket._packet_span(scale, index, freq, domain_exp, resolution_exp)
+            a, b, mask = _packet_span(scale, index, freq, domain_exp, resolution_exp)
             if row >= 0 and a < b:
                 rows.setdefault(row, []).append((a, b, mask, scale, c))
     return rows
@@ -414,7 +476,7 @@ def _batch(placed: list[tuple], weights: np.ndarray, start: int, stop: int):
     cells = np.arange(int(lengths.sum()))
     cells += np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
     values = np.repeat(weights[start:stop], lengths)
-    values *= wavepacket._walsh_signs(np.repeat(mask, lengths), cells)
+    values *= _walsh_signs(np.repeat(mask, lengths), cells)
     return cells, values
 
 
@@ -453,7 +515,7 @@ def _sum_rows(
     # Integer sums do not depend on the order, and exact rows hold few
     # terms, so each term is added on its own slice.
     for (row, (a, b, mask, _, _)), r, s in zip(placed, rats, surds):
-        signs = wavepacket._walsh_signs(mask, np.arange(a, b, dtype=np.int64))
+        signs = _walsh_signs(mask, np.arange(a, b, dtype=np.int64))
         signs = signs.astype(dtype, copy=False)
         planes[0, row, a:b] += r * signs
         planes[1, row, a:b] += s * signs
@@ -480,7 +542,7 @@ def packet_sums(
 
     The coefficients pick the lane.  Python floats fill one float64
     plane, and the result is its array: the signs of a row's cells come
-    from one `wavepacket._walsh_signs` call per batch of whole terms
+    from one `_walsh_signs` call per batch of whole terms
     (`_SCATTER_CELLS` cells at most, so the index arrays stay small),
     and `np.add.at` adds them into the row in index order, that is term
     by term, as a running sum would.  Any other coefficients are exact:

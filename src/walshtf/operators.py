@@ -380,19 +380,16 @@ _WEIGHT_GRID_EXP = 16
 
 
 def optimal_linearization(
-    terms: TermList,
-    subtile_index: int,
-    r: float,
-    domain_exp: int,
-    resolution_exp: int,
+    terms: TermList, r: float, domain_exp: int, resolution_exp: int
 ) -> Linearization:
     """Weights realising each cell's r-variation, snapped to a dyadic grid.
 
-    Per cell, the maximising chain of the truncated sums, in floats (the
-    correctly rounded values of the exact sums), yields dual weights;
-    bracketed window sums run against the scale direction, so the
-    weights change sign, and each is then rounded toward zero to a
-    multiple of 2^-_WEIGHT_GRID_EXP.  Rounding toward zero keeps the
+    The sums are those of the terms' slot-3 packets, the slot that
+    `tilde_coefficients` reweights.  Per cell, the maximising chain of
+    the truncated sums, in floats (the correctly rounded values of the
+    exact sums), yields dual weights; bracketed window sums run against
+    the scale direction, so the weights change sign, and each is then
+    rounded toward zero to a multiple of 2^-_WEIGHT_GRID_EXP.  Rounding toward zero keeps the
     conjugate power of every cell's weights at most one.  A cell whose
     sums never change gets no window.
 
@@ -401,7 +398,7 @@ def optimal_linearization(
     cell whose column has the same bytes: the solve is a function of
     those bytes alone.  The memo lives for this call only.
     """
-    field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
+    field = partial_sum_field(terms, 3, domain_exp, resolution_exp)
     solved: dict[bytes, tuple[tuple[int, ...], tuple[QuadScalar, ...]]] = {}
     cells = []
     for column in np.ascontiguousarray(field.to_array().T):

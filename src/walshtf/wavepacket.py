@@ -10,7 +10,6 @@ cells.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -27,11 +26,10 @@ from .exact import (
     pow2_fraction,
     quad_to_float,
 )
-from .geometry import DyadicInterval, PointLike, Tile, _json_int, band_index, piece_exp
+from .geometry import DyadicInterval, PointLike, Tile, _json_int, band_index
 
 __all__ = [
     "StepFunction",
-    "sign_row",
     "eval_walsh",
     "eval_wavepacket",
     "wavepacket_step",
@@ -45,47 +43,6 @@ __all__ = [
 # packet tables of a step function hold J + m + 1 stages of 2^(J+m)
 # entries per plane, 17 x 65536 at the cap.
 MAX_GRID_EXP = 16
-
-
-def _reversed_bits(b: int) -> int:
-    """The bit_length() bits of b >= 0 in reverse order; 0 for 0."""
-    return int(bin(b)[:1:-1], 2)
-
-
-@lru_cache(maxsize=64)
-def _parity_signs(width: int) -> np.ndarray:
-    """(-1)^popcount(v) for every v < 2^width, as a read-only int64 array.
-
-    The bits of each v are folded in halves down to bit 0, which then
-    holds the parity of v.
-    """
-    signs = np.arange(1 << width, dtype=np.int64)
-    shift = 1
-    while shift < width:
-        shift <<= 1
-    while shift > 1:
-        shift >>= 1
-        signs ^= signs >> shift
-    signs = 1 - 2 * (signs & 1)
-    signs.flags.writeable = False
-    return signs
-
-
-def _walsh_signs(mask: int | np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The Walsh sign rule: (-1)^popcount(mask & j) for each cell j, as int64 +-1.
-
-    A packet of frequency index b, s its bit length, over 2^(k+m) cells
-    is constant on its 2^s pieces of 2^e cells each, e = k + m - s, and
-    its sign on piece p flips once for every set bit of b whose mirror
-    bit of p is set: appending a one bit to b repeats the pattern
-    negated, a zero bit repeats it.  With mask = rev_s(b) 2^e, the
-    reversed bits of b moved up to the piece bits, that is the parity
-    of mask & j for a cell j counted from any multiple of 2^(k+m).
-    `mask` is one per cell or one for all; entries are nonnegative and
-    fit in int64.
-    """
-    x = cells & mask
-    return _parity_signs(int(x.max()).bit_length() if x.size else 0)[x]
 
 
 def eval_walsh(freq_index: int, t: PointLike) -> int:
@@ -130,41 +87,6 @@ def eval_wavepacket(tile: Tile, x: PointLike) -> QuadScalar:
     if b & 1:
         return (left - right).div_sqrt2()
     return (left + right).div_sqrt2()
-
-
-def _packet_span(
-    scale: int, index: int, freq_index: int, domain_exp: int, resolution_exp: int
-) -> tuple[int, int, int]:
-    """Where a packet's signs fall on the grid cells, clipped to the box.
-
-    Returns (a, b, mask) for the tile at time scale k, time index n and
-    frequency index f: cell j, a <= j < b, carries the sign
-    `_walsh_signs(mask, j)` and every other cell is zero.  The packet
-    starts at cell a = n 2^(k+m), a multiple of 2^(k+m); mask is f's
-    reversed bits moved up to the bits of the piece index, cut to the
-    J + m bits that a cell index in the box can have.  A packet the
-    grid cannot resolve is refused.
-    """
-    exp = piece_exp(scale, freq_index, resolution_exp)
-    cells = 1 << (domain_exp + resolution_exp)
-    a = index << (scale + resolution_exp)
-    b = max(a, min(a + (1 << (scale + resolution_exp)), cells))
-    return a, b, (_reversed_bits(freq_index) << exp) & (cells - 1)
-
-
-def sign_row(
-    tile: Tile, domain_exp: int, resolution_exp: int
-) -> tuple[int, int, np.ndarray]:
-    """The signs of a tile's packet on the grid cells, clipped to the box.
-
-    Returns (a, b, signs): cell j, a <= j < b, carries the sign
-    signs[j - a] = +-1 and every other cell zero.  The packet itself is
-    2^(-k/2) times this row, k the time scale.
-    """
-    a, b, mask = _packet_span(
-        tile.time.scale, tile.time.index, tile.freq_index, domain_exp, resolution_exp
-    )
-    return a, b, _walsh_signs(mask, np.arange(a, b, dtype=np.int64))
 
 
 class StepFunction:
@@ -393,16 +315,24 @@ class StepFunction:
         as "values" (Q(sqrt2) text or integers) or as "cells", the indices
         where an indicator is one.  J, m and the cell indices must be JSON
         integers; a bool is refused everywhere, with a TypeError that
-        names its field.  A grid with J + m above MAX_GRID_EXP is refused
-        with a ValueError before any cell is allocated."""
+        names its field.  A grid with J below 0, which `ExperimentConfig`
+        refuses too, or with J + m above MAX_GRID_EXP, and an object that
+        holds both "cells" and "values", are refused with a ValueError
+        before any cell is allocated."""
         if "grid" in data:
+            j_field = "grid"
             domain_exp, resolution_exp = (_json_int(v, "grid") for v in data["grid"])
         else:
+            j_field = "J"
             domain_exp, resolution_exp = _json_int(data["J"], "J"), _json_int(data["m"], "m")
+        if domain_exp < 0:
+            raise ValueError(f'"{j_field}" has J = {domain_exp}, below 0')
         if domain_exp + resolution_exp > MAX_GRID_EXP:
             raise ValueError(
                 f"grid (J={domain_exp}, m={resolution_exp}) has J + m above {MAX_GRID_EXP}"
             )
+        if "cells" in data and "values" in data:
+            raise ValueError('holds both "cells" and "values"; give one of them')
         if "cells" in data:
             cells = [_json_int(c, "cells") for c in data["cells"]]
             return cls.from_cells(domain_exp, resolution_exp, cells)
@@ -420,21 +350,11 @@ class StepFunction:
         )
 
 
-def _sign_step(
-    tile: Tile, amp: QuadScalar, domain_exp: int, resolution_exp: int
-) -> StepFunction:
-    """amp times the tile's sign row, as a step function."""
-    a, b, signs = sign_row(tile, domain_exp, resolution_exp)
-    rat = np.zeros(1 << (domain_exp + resolution_exp), np.int64)
-    rat[a:b] = signs
-    return StepFunction(domain_exp, resolution_exp, rat) * amp
-
-
 def wavepacket_step(
     tile: Tile, domain_exp: int, resolution_exp: int
 ) -> StepFunction:
     """Render a tile's wave packet on the grid, clipped to the box."""
-    return _sign_step(tile, inv_sqrt_pow2(tile.time.scale), domain_exp, resolution_exp)
+    return synthesize([(tile, ONE)], domain_exp, resolution_exp)
 
 
 def inner_product(f: StepFunction, tile: Tile) -> QuadScalar:
@@ -476,4 +396,5 @@ def tree_sign_step(
     top_tile: Tile, domain_exp: int, resolution_exp: int
 ) -> StepFunction:
     """The sign of a top tile's packet: +-1 on its time interval, else 0."""
-    return _sign_step(top_tile, ONE, domain_exp, resolution_exp)
+    amp = inv_sqrt_pow2(-top_tile.time.scale)  # the packet is 2^(-k/2) times its signs
+    return synthesize([(top_tile, amp)], domain_exp, resolution_exp)

@@ -136,7 +136,7 @@ def golden_cases() -> dict:
     rng = random.Random(7400)
     coll = disjoint_collection(rng, 10, 3, 5)
     fs = [sign_function(rng, 3, 5) for _ in range(3)]
-    lin = optimal_linearization(model_terms(fs[0], fs[1], coll), 3, 3.0, 3, 5)
+    lin = optimal_linearization(model_terms(fs[0], fs[1], coll), 3.0, 3, 5)
     coeffs = slot_coefficients(fs[2], coll, 3, lin)
     report = size(coll, coeffs, 3, 3)
     out["linearized/size"] = _size_json(report)

@@ -335,7 +335,7 @@ def test_criterion_10_single_tree_estimate():
         fs = [sign_function(rng, 3, 5) for _ in range(3)]
         if trial % 2:
             lin = optimal_linearization(
-                model_terms(fs[0], fs[1], members), 3, 3.0, 3, 5
+                model_terms(fs[0], fs[1], members), 3.0, 3, 5
             )
         else:
             lin = None

@@ -675,6 +675,40 @@ def test_cli_restricted_type_names_a_bad_field(tmp_path, capsys, changes, named)
     assert named in capsys.readouterr().err
 
 
+_NEGATIVE_J = [
+    {"J": -2, "m": 6, "cells": [0, 1, 2, 5, 9]},
+    {"J": -2, "m": 6, "cells": list(range(4, 12))},
+    {"J": -2, "m": 6, "cells": list(range(0, 16, 3))},
+]
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        (dict(zip(("E1", "E2", "E3"), _NEGATIVE_J), collection=None), ['"E1"', '"J"']),
+        (
+            {"E1": {"grid": [-1, 5], "cells": [0]}, "E2": {"grid": [-1, 5], "cells": [1]},
+             "E3": {"grid": [-1, 5], "cells": [2]}, "collection": None},
+            ['"E1"', '"grid"'],
+        ),
+        (
+            {"E2": {"grid": [2, 3], "cells": list(range(4, 20)), "values": ["1/0"]}},
+            ['"E2"', '"cells"', '"values"'],
+        ),
+    ],
+    ids=["negative-J", "negative-grid-J", "cells-and-values"],
+)
+def test_cli_refuses_a_function_the_config_refuses_or_reads_two_ways(
+    tmp_path, capsys, changes, named
+):
+    # Each ran to exit 0: J < 0 is refused as ExperimentConfig refuses
+    # grid_j < 0, and "values" beside "cells" was never parsed.
+    path = _restricted_file(tmp_path, **changes)
+    assert main(["restricted-type", "--in", str(path), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in named), err
+
+
 def test_cli_restricted_type_accepts_a_valid_file(tmp_path):
     out = tmp_path / "restricted.csv"
     path = _restricted_file(tmp_path)
@@ -715,16 +749,26 @@ def test_cli_select_trees_names_a_bad_slot(tmp_path, rng, capsys, slot):
 
 
 @pytest.mark.parametrize(
-    "domain_exp", [[2], None, -3, 0, 1], ids=["list", "null", "-3", "0", "1"]
+    "domain_exp",
+    [[2], None, -3, 0, 1, 13, 10**6],
+    ids=["list", "null", "-3", "0", "1", "13", "10**6"],
 )
 def test_cli_select_trees_refuses_a_bad_domain_exp(tmp_path, capsys, domain_exp):
-    # The golden selection input has J = 2.  A list or null used to end in
-    # a TypeError traceback; a domain below J ran on, never making the
-    # members coarser than it candidates (0 grabbed 3 trees instead of 1).
+    # The golden selection input has J = 2 and m = 4.  A list or null used
+    # to end in a TypeError traceback; a domain below J ran on, never
+    # making the members coarser than it candidates (0 grabbed 3 trees
+    # instead of 1).  A domain past 16 - m = 12 ran on too, in time that
+    # grows with it: 10**6 did not finish in 200 s.
     path = tmp_path / "request.json"
     path.write_text(json.dumps({**SELECTION_INPUT, "domain_exp": domain_exp}))
     assert main(["select-trees", "--in", str(path)]) == 2
     assert '"domain_exp"' in capsys.readouterr().err
+
+
+def test_cli_select_trees_accepts_a_domain_exp_at_the_cap(tmp_path):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "domain_exp": 12}))
+    assert main(["select-trees", "--in", str(path), "--out", str(tmp_path / "sel.json")]) == 0
 
 
 def test_cli_select_trees_refuses_a_quartile_outside_the_box(tmp_path, rng, capsys):

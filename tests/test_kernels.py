@@ -51,7 +51,7 @@ from walshtf.kernels import (
     walsh_tables,
 )
 from walshtf.operators import model_coefficients, tilde_coefficients
-from walshtf.wavepacket import sign_row
+from walshtf.wavepacket import tree_sign_step
 
 
 def _random_tile(rng, domain_exp, resolution_exp):
@@ -474,7 +474,7 @@ def test_the_sign_rule_matches_the_doubling_rule_for_every_index_below_2_to_12()
     # bit length of b, has one cell per piece of its Walsh pattern.
     for b in range(1 << 12):
         tile = Tile(DyadicInterval(0, 0), DyadicInterval(b, 0))
-        _, _, signs = sign_row(tile, 0, b.bit_length())
+        signs = tree_sign_step(tile, 0, b.bit_length()).field.rat
         assert signs.tolist() == walsh_pattern_by_doubling(b).tolist(), b
 
 
@@ -485,12 +485,14 @@ def test_sign_rows_match_the_doubling_pattern_clipped_to_the_box(rng):
             DyadicInterval(rng.randrange((1 << max(2 - k, 0)) + 2), k),
             DyadicInterval(rng.randrange(1 << (k + 3)), -k),
         )
-        a, b, signs = sign_row(tile, 2, 3)
+        field = tree_sign_step(tile, 2, 3).field
         lo, hi = tile.time.cell_range(3)
-        assert (a, b) == (lo, max(lo, min(hi, 32)))
+        a, b = lo, max(lo, min(hi, 32))
+        assert field.denominator == 1 and not field.surd.any()
+        assert not field.rat[:a].any() and not field.rat[b:].any()
         exp = tile.piece_exp(3)
         pattern = walsh_pattern_by_doubling(tile.freq_index)
-        assert signs.tolist() == pattern[(np.arange(a, b) - lo) >> exp].tolist()
+        assert field.rat[a:b].tolist() == pattern[(np.arange(a, b) - lo) >> exp].tolist()
 
 
 _SUM_GRIDS = [(0, 2), (1, 3), (2, 2), (3, 1), (2, 5)]

@@ -215,7 +215,7 @@ def test_lambda_form_with_trivial_linearization(rng):
 def test_lambda_form_threads_the_linearization(rng):
     coll = disjoint_collection(rng, 5, 2, 3)
     f1, f2, f3 = (sign_function(rng, 2, 3) for _ in range(3))
-    L = optimal_linearization(model_terms(f1, f2, coll), 3, 3.0, 2, 3)
+    L = optimal_linearization(model_terms(f1, f2, coll), 3.0, 2, 3)
     expected = ZERO
     for q in coll:
         c = (
@@ -247,7 +247,7 @@ def test_optimal_linearization_has_admissible_weights(rng):
     for r in (3.0, 4.0):
         coll = disjoint_collection(rng, 6, 2, 3)
         f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
-        L = optimal_linearization(model_terms(f1, f2, coll), 3, r, 2, 3)
+        L = optimal_linearization(model_terms(f1, f2, coll), r, 2, 3)
         conj = r / (r - 1.0)
         for weights in L.cell_weights:
             assert sum(abs(w.to_float()) ** conj for w in weights) <= 1.0 + 1e-9
@@ -273,7 +273,7 @@ def test_optimal_linearization_matches_the_per_column_loop(r):
             jumps, weights = per_column_linearization(rows, -5, r)
             if chosen is left:
                 assert not any(weights[128:])
-            lin = optimal_linearization(chosen, 3, r, 3, 5)
+            lin = optimal_linearization(chosen, r, 3, 5)
             assert lin.cell_jumps == tuple(jumps)
             assert lin.cell_weights == tuple(weights)
 

@@ -21,6 +21,7 @@ from walshtf import (
     eval_walsh,
     eval_wavepacket,
     inner_product,
+    inv_sqrt_pow2,
     synthesize,
     tiles_disjoint,
     wavepacket_step,
@@ -28,7 +29,7 @@ from walshtf import (
 from walshtf.errors import GridMismatch
 from walshtf.experiments.random_gen import sign_function
 from walshtf.operators import average
-from walshtf.wavepacket import batch_inner_products, sign_row, tree_sign_step
+from walshtf.wavepacket import batch_inner_products, tree_sign_step
 
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=512).filter(
     lambda t: t < 1
@@ -58,8 +59,7 @@ def test_walsh_multiplicativity(a, b):
 def test_sign_pattern_samples_walsh(index):
     # One cell per piece: the tile at scale 0 on a (0, bit length) grid.
     tile = Tile(DyadicInterval(0, 0), DyadicInterval(index, 0))
-    _, _, signs = sign_row(tile, 0, index.bit_length())
-    pattern = signs.tolist()
+    pattern = tree_sign_step(tile, 0, index.bit_length()).field.rat.tolist()
     n = len(pattern)
     assert n & (n - 1) == 0
     for cell, sign in enumerate(pattern):
@@ -84,14 +84,19 @@ def test_packet_values_match_closed_form(rng):
 
 
 def test_packet_step_matches_closed_form(rng):
+    # The sign step is the packet without its amplitude 2^(-k/2).
     for _ in range(40):
         tile = _random_tile(rng, 3, 4)
         assert wavepacket_step(tile, 3, 4) == packet_step(tile, 3, 4)
+        amp = inv_sqrt_pow2(-tile.time.scale)
+        assert tree_sign_step(tile, 3, 4) == packet_step(tile, 3, 4) * amp
     # Tiles around the box and beside it are clipped to it.
     for time in (DyadicInterval(0, 4), DyadicInterval(0, 6), DyadicInterval(1, 4), DyadicInterval(9, 0)):
         for n in (0, 1, 5):
             tile = Tile(time, DyadicInterval(n, -time.scale))
             assert wavepacket_step(tile, 3, 4) == packet_step(tile, 3, 4)
+            amp = inv_sqrt_pow2(-tile.time.scale)
+            assert tree_sign_step(tile, 3, 4) == packet_step(tile, 3, 4) * amp
 
 
 def test_packet_norm_is_one(rng):
