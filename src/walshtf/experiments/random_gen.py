@@ -17,7 +17,7 @@ import numpy as np
 from ..exact import DyadicRational
 from ..geometry import DyadicInterval, Quartile, Tree, containing_interval
 from ..operators import FrequencySet
-from ..wavepacket import StepFunction
+from ..wavepacket import MAX_GRID_EXP, StepFunction
 
 
 def _draw_below(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -183,17 +183,21 @@ def disjoint_collection(
     accepted quartile (n', k', f') exactly when their times are nested
     and their frequencies are nested the other way: for k' <= k when
     n' >> (k - k') == n and f >> (k - k') == f', for k' > k when
-    n >> (k' - k) == n' and f' >> (k' - k) == f.  Each accepted
-    quartile is therefore filed in two sets of integer keys, under its
-    time ancestor at every coarser or equal scale s, (s, n' >> (s - k'),
-    k', f'), and under its own time with its frequency ancestor at every
-    finer scale s, (k', n', s, f' >> (k' - s)).  A candidate is checked
-    with one lookup per scale in the box, J + m - 1 at most, whatever
-    the number accepted.  The draws, and which candidates are accepted
-    or rejected and in what order, are those of testing every candidate
+    n >> (k' - k) == n' and f' >> (k' - k) == f.  One byte per
+    candidate of the box, scale s after scale s - 1 and (n, f) at
+    n << (m + s - 2) | f within a scale, records whether it meets a
+    quartile accepted so far.  Accepting (n', k', f') sets, at each
+    scale s, the bytes of the candidates it meets: 2^(k' - s) rows
+    n' << (k' - s) onwards at column f' >> (k' - s) for s <= k', and
+    row n' >> (s - k'), columns f' << (s - k') onwards for s > k'.  A
+    candidate is then checked with one byte read, whatever the number
+    accepted.  The draws, and which candidates are accepted or
+    rejected and in what order, are those of testing every candidate
     against every accepted quartile, so the output and the `rng` state
     it leaves are exactly the same.
 
+    A box with J + m above `MAX_GRID_EXP` is refused with ValueError
+    before any draw, which keeps the bytes at 15 * 2^14 at most.
     Quartiles have area four, so a count above 2^(J+m-2) is refused
     with RuntimeError before any draw.  The same error is raised when
     300 * count + 300 draws do not place the request.  At or below
@@ -201,16 +205,18 @@ def disjoint_collection(
     even filling it exactly; the tests reach it only through a `Random`
     that repeats one draw.
     """
+    area_exp = domain_exp + resolution_exp
+    if area_exp > MAX_GRID_EXP:
+        raise ValueError(
+            f"a (J={domain_exp}, m={resolution_exp}) box has J + m above {MAX_GRID_EXP}"
+        )
     out: list[Quartile] = []
     budget = 300 * count + 300
-    area_exp = domain_exp + resolution_exp
     if area_exp >= 2 and count > 1 << (area_exp - 2):
         budget = 0
     lo, hi = 2 - resolution_exp, domain_exp
-    # Keys under which a candidate finds the accepted quartiles whose
-    # time scale is at most its own, and those whose scale is above it.
-    finer: set[tuple[int, int, int, int]] = set()
-    coarser: set[tuple[int, int, int, int]] = set()
+    width = 1 << max(area_exp - 2, 0)
+    met = bytearray(max(area_exp - 1, 0) * width)
     while len(out) < count:
         if budget == 0:
             raise RuntimeError(
@@ -220,12 +226,16 @@ def disjoint_collection(
         budget -= 1
         q = random_quartile(rng, domain_exp, resolution_exp)
         k, n, f = q.time.scale, q.time.index, q.freq.index
-        if any((k, n, s, f >> (k - s)) in finer for s in range(lo, k + 1)) or any(
-            (s, n >> (s - k), k, f) in coarser for s in range(k + 1, hi + 1)
-        ):
+        if met[(k - lo) * width + (n << (resolution_exp + k - 2) | f)]:
             continue
-        finer.update((s, n >> (s - k), k, f) for s in range(k, hi + 1))
-        coarser.update((k, n, s, f >> (k - s)) for s in range(lo, k))
+        for s in range(lo, hi + 1):
+            row_exp, gap = resolution_exp + s - 2, abs(k - s)
+            if s <= k:
+                start, step = (n << gap) << row_exp | f >> gap, 1 << row_exp
+            else:
+                start, step = (n >> gap) << row_exp | f << gap, 1
+            start += (s - lo) * width
+            met[start : start + (step << gap) : step] = b"\x01" * (1 << gap)
         out.append(q)
     return out
 

@@ -624,20 +624,41 @@ def average_ladder(values: np.ndarray) -> np.ndarray:
     return ladder
 
 
+def _distinct_rows(columns: np.ndarray) -> np.ndarray:
+    """Each column's rows that differ from the row above, in order,
+    padded with its last value to the depth of the deepest column."""
+    repeat = np.zeros(columns.shape, bool)
+    repeat[1:] = columns[1:] == columns[:-1]
+    depth = len(columns) - np.sum(repeat, axis=0)
+    rows = np.argsort(repeat, axis=0, kind="stable")[: depth.max(initial=1)]
+    distinct = np.take_along_axis(columns, rows, axis=0)
+    np.copyto(distinct, columns[-1:], where=np.arange(len(rows))[:, None] >= depth)
+    return distinct
+
+
 def batch_variation(field: np.ndarray, r: float) -> np.ndarray:
     """r-variation down each column of a (scales, cells) field.
 
     The chain recursion runs vectorised over cells; quadratic in the
     number of scales, which stays small on any usable grid.  A field
-    built from packets is constant on blocks of cells, so the recursion
-    runs once per run of equal adjacent columns and each result is
-    repeated over its run.  Every column still gets the same arithmetic,
-    so the output is the same bit for bit.  Columns that compare equal
-    may differ in the sign of a zero, which the recursion never sees:
-    it reads only absolute differences.  A column holding a NaN never
-    compares equal, so it is never merged.
+    built from packets is constant on blocks of cells and, down a
+    column, repeats its value at every scale where no term starts, so
+    the recursion runs once per run of equal adjacent columns, over
+    that column's rows that differ from the row above, and each result
+    is repeated over its run.  A chain through a repeated row adds the
+    same powers plus exact zeros in the same order, so the output is
+    that of the recursion on every row of every column, bit for bit.
+    Values that compare equal may differ in the sign of a zero, which
+    the recursion never sees: it reads only absolute differences.  A
+    NaN never compares equal, so it is never merged.
+
+    A column of finite nonzero span, its largest minus its smallest
+    value, whose largest power span^r is below 2^-969 or overflows,
+    alone or summed down the column, runs on its differences divided
+    by its span, and its result is multiplied back by the span.  Every
+    other column's result is unchanged.
     """
-    t, cells = field.shape
+    _, cells = field.shape
     if r == math.inf:
         return np.max(field, axis=0) - np.min(field, axis=0)
     if not r >= 1:
@@ -645,13 +666,21 @@ def batch_variation(field: np.ndarray, r: float) -> np.ndarray:
     new_run = np.ones(cells, bool)
     new_run[1:] = np.any(field[:, 1:] != field[:, :-1], axis=0)
     starts = np.flatnonzero(new_run)
-    runs = field[:, starts]
-    suffix = np.zeros_like(runs)
-    for i in range(t - 2, -1, -1):
-        gains = np.abs(runs[i + 1 :] - runs[i]) ** r + suffix[i + 1 :]
+    levels = _distinct_rows(field[:, starts])
+    span = np.max(levels, axis=0) - np.min(levels, axis=0)
+    with np.errstate(over="ignore"):
+        largest = span**r
+        fits = (largest >= 2.0**-969) & (largest * len(levels) < math.inf)
+    scale = np.where((span > 0) & (span < math.inf) & ~fits, span, 1.0)
+    suffix = np.zeros_like(levels)
+    for i in range(len(levels) - 2, -1, -1):
+        gains = np.abs(levels[i + 1 :] - levels[i])
+        gains /= scale
+        gains **= r
+        gains += suffix[i + 1 :]
         suffix[i] = np.max(gains, axis=0)
     powers = np.max(suffix, axis=0)
-    return np.repeat(powers ** (1.0 / r), np.diff(starts, append=cells))
+    return np.repeat(powers ** (1.0 / r) * scale, np.diff(starts, append=cells))
 
 
 def batch_sup(field: np.ndarray) -> np.ndarray:

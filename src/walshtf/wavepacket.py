@@ -303,6 +303,11 @@ class StepFunction:
         return field.rat.tolist(), field.surd.tolist(), field.denominator
 
     def to_json(self) -> dict:
+        """The grid as "J" and "m" and the cells as "values" text, which
+        `from_json` reads back.  A grid with J below 0, which a dilation
+        can leave and `from_json` refuses, is refused with ValueError."""
+        if self.domain_exp < 0:
+            raise ValueError(f'"J" would be {self.domain_exp}, below 0')
         return {
             "J": self.domain_exp,
             "m": self.resolution_exp,

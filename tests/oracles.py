@@ -282,6 +282,21 @@ def brute_variation_power(values: Sequence, r) -> Fraction | float:
     return Fraction(best, scale ** int(r)) if exact else best
 
 
+def dp_on_every_column(field: np.ndarray, r: float) -> np.ndarray:
+    """The variation recursion of `batch_variation` on every row of
+    every column: no run of equal columns shares one recursion, no
+    repeated row is dropped and no column is rescaled."""
+    t, _ = field.shape
+    if r == math.inf:
+        return np.max(field, axis=0) - np.min(field, axis=0)
+    suffix = np.zeros_like(field)
+    for i in range(t - 2, -1, -1):
+        gains = np.abs(field[i + 1 :] - field[i]) ** r + suffix[i + 1 :]
+        suffix[i] = np.max(gains, axis=0)
+    powers = np.max(suffix, axis=0)
+    return powers ** (1.0 / r)
+
+
 def per_column_linearization(
     rows: np.ndarray, scale_min: int, r: float, grid_exp: int = 16
 ) -> tuple[list[tuple[int, ...]], list[tuple[QuadScalar, ...]]]:

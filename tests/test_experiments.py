@@ -181,9 +181,20 @@ def _disjoint_outcome(sampler, seed, args):
 @example((9, 2, 3), 0)  # over capacity: refused before any draw
 @example((8, 2, 3), 1)  # filled to capacity
 @example((64, 3, 5), 2)  # filled to capacity from every scale
+@example((12, 9, 7), 3)  # J + m at the grid cap
+@example((6, 16, 0), 4)  # at the cap with m = 0
+@example((6, 0, 16), 5)  # at the cap with J = 0
 def test_disjoint_collection_matches_the_pairwise_scan(args, seed):
     indexed = _disjoint_outcome(disjoint_collection, seed, args)
     assert indexed == _disjoint_outcome(naive_disjoint_collection, seed, args)
+
+
+@pytest.mark.parametrize("box", [(9, 8), (0, 17), (17, 0)])
+def test_disjoint_collection_refuses_a_box_above_the_grid_cap_before_drawing(rng, box):
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="J \\+ m above 16"):
+        disjoint_collection(rng, 1, *box)
+    assert rng.getstate() == state
 
 
 @st.composite

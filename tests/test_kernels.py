@@ -9,10 +9,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dp_on_every_column,
     float_packet_sums_by_term,
     inner_product_brute,
     model_coefficients_by_tile,
@@ -380,19 +381,6 @@ def test_batch_variation_matches_per_cell_dp(rng):
             assert out[cell] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-def _dp_on_every_column(field: np.ndarray, r: float) -> np.ndarray:
-    """`batch_variation` as it was before runs of equal columns shared one DP."""
-    t, _ = field.shape
-    if r == math.inf:
-        return np.max(field, axis=0) - np.min(field, axis=0)
-    suffix = np.zeros_like(field)
-    for i in range(t - 2, -1, -1):
-        gains = np.abs(field[i + 1 :] - field[i]) ** r + suffix[i + 1 :]
-        suffix[i] = np.max(gains, axis=0)
-    powers = np.max(suffix, axis=0)
-    return powers ** (1.0 / r)
-
-
 def _fields_with_repeated_columns(rng):
     """Fields whose columns repeat next to each other and far apart."""
     gen = np.random.default_rng(rng.randrange(1 << 32))
@@ -415,7 +403,7 @@ def _fields_with_repeated_columns(rng):
 @pytest.mark.parametrize("r", [2.0, 3.0, 2.5, math.inf])
 def test_batch_variation_equals_the_dp_on_every_column(rng, r):
     for field in _fields_with_repeated_columns(rng):
-        got, want = batch_variation(field, r), _dp_on_every_column(field, r)
+        got, want = batch_variation(field, r), dp_on_every_column(field, r)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.all(got == want)
         assert got.tobytes() == want.tobytes()
@@ -424,8 +412,66 @@ def test_batch_variation_equals_the_dp_on_every_column(rng, r):
 def test_batch_variation_never_merges_nan_columns():
     field = np.array([[0.0, np.nan, np.nan, 1.0, 1.0], [2.0, 1.0, 1.0, np.nan, 3.0]])
     got = batch_variation(field, 3.0)
-    assert got.tobytes() == _dp_on_every_column(field, 3.0).tobytes()
+    assert got.tobytes() == dp_on_every_column(field, 3.0).tobytes()
     assert got[4] == 2.0
+
+
+@st.composite
+def repeating_fields(draw):
+    """Fields of at most five values, with whole rows and whole columns
+    repeated.  Values are +-0, NaN or between 1/64 and 2 in magnitude,
+    so every span is at least 2^-58 and at most 4: far from where
+    `batch_variation` rescales a column at the exponents tested."""
+    magnitudes = st.floats(1 / 64, 2)
+    pool = draw(
+        st.lists(
+            st.sampled_from([0.0, -0.0, math.nan]) | magnitudes | magnitudes.map(lambda v: -v),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rows, cells = draw(st.integers(1, 6)), draw(st.integers(0, 10))
+    size = rows * cells
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    base = np.array(pool)[np.array(picks, np.intp).reshape(rows, cells)]
+    row_repeats = draw(st.lists(st.integers(1, 3), min_size=rows, max_size=rows))
+    cell_repeats = draw(st.lists(st.integers(1, 3), min_size=cells, max_size=cells))
+    return np.repeat(np.repeat(base, row_repeats, axis=0), cell_repeats, axis=1)
+
+
+@settings(max_examples=300)
+@given(repeating_fields(), st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.0, math.inf]))
+@example(np.zeros((3, 0)), 3.0)
+@example(np.array([[1.0, math.nan, -0.0, 0.0]]), 2.5)  # one row: every chain is empty
+@example(np.array([[0.0, 1.0], [1.0, 1.0], [1.0, -0.0], [0.0, 0.0]]), 3.0)
+def test_batch_variation_is_the_dp_on_every_row_of_every_column(field, r):
+    got, want = batch_variation(field, r), dp_on_every_column(field, r)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "column, r",
+    [
+        ([0, 2**-10, 0], 120),  # 2^-1200 underflows to 0
+        ([0, 2**-10, 0, 2**-10, 2**-11], 120),
+        ([2**-500, 0, 2**-499], 3),  # 2^-1500: below the smallest float
+        ([0, 2**20, -(2**20)], 60),  # 2^1260 overflows
+        ([1, -1, 1, 0, 1], 1025),
+        ([3, -5, 2**-3, 7, -2], 400),
+    ],
+)
+def test_batch_variation_rescales_a_column_whose_powers_leave_the_floats(column, r):
+    # The exact lane's maximising power sum P, over the span's r-th
+    # power, is a moderate number even where P is not.
+    exact = variation_norm([Fraction(v) for v in column], r, "exact")
+    span = max(map(Fraction, column)) - min(map(Fraction, column))
+    want = float(exact.power_sum.rat / span**r) ** (1.0 / r) * float(span)
+    field = np.array(column, float)[:, None].repeat(3, axis=1)
+    field[:, 1] = 0.5  # a constant column beside them keeps its zero
+    got = batch_variation(field, float(r))
+    assert got[1] == 0.0 and got[0] == got[2]
+    assert got[0] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("r", [math.nan, 0.5, -math.inf])

@@ -186,6 +186,17 @@ def test_serialization_round_trips(rng):
     assert StepFunction.from_json(f.to_json()) == f
 
 
+def test_json_writer_refuses_the_negative_j_the_reader_refuses():
+    dilated = StepFunction(1, 3, [1] * 16).dilate(2)
+    assert dilated.domain_exp == -1
+    with pytest.raises(ValueError, match='"J"'):
+        dilated.to_json()
+    with pytest.raises(ValueError, match='"J"'):
+        StepFunction.from_json({"J": -1, "m": 5, "values": [1] * 16})
+    at_zero = StepFunction(1, 3, [1] * 16).dilate(1)
+    assert StepFunction.from_json(at_zero.to_json()) == at_zero
+
+
 def test_json_reads_a_grid_with_cells_and_numeric_values():
     indicator = StepFunction.from_json({"grid": [1, 2], "cells": [0, 5]})
     assert indicator == StepFunction.from_cells(1, 2, [0, 5])
