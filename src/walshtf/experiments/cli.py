@@ -18,16 +18,17 @@ import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 from ..errors import InvalidInput, WalshtfError
 from ..exact import QuadScalar
-from ..geometry import DyadicInterval, Quartile
+from ..geometry import MAX_GRID_EXP, DyadicInterval, Quartile, _json_int, _json_object
 from ..operators import slot_coefficients
 from ..trees import SelectionResult, select_trees
-from ..wavepacket import MAX_GRID_EXP, StepFunction
+from ..wavepacket import StepFunction
 from .config import ExperimentConfig
 from .random_gen import dyadic_set
-from .render import render_phase_plane, selection_svg
+from .render import selection_svg
 from .report import ExperimentReport
 from .restricted import run_counting_experiment, run_restricted_type
 from .suites import LEMMA_NAMES, run_identity_suite, run_lemma_experiment
@@ -64,31 +65,31 @@ def _add_config_arguments(parser: argparse.ArgumentParser, *fields: str) -> None
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = (
-        ExperimentConfig.from_file(args.config)
-        if args.config
-        else ExperimentConfig()
-    )
-    overrides = {}
-    for dest in _CONFIG_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    return config.with_overrides(**overrides) if overrides else config
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    flags = {dest: getattr(args, dest, None) for dest in _CONFIG_FLAGS}
+    return config.with_overrides(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _emit_report(report: ExperimentReport, out: str | None) -> int:
-    text = report.to_csv()
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(report: ExperimentReport, out: str | None) -> int:
+    _write(report.to_csv(), out)
     return 0 if int(float(report.summary_value("failures"))) == 0 else 1
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
+    """The JSON value in a file; one that is not UTF-8 JSON text, holds an
+    integer past the digit limit or nests too deep is bad input."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInput(f"{path} is not JSON text: {exc}") from exc
 
 
 def _scalar_from_text(text: str) -> QuadScalar:
@@ -131,21 +132,23 @@ def _cmd_counting(args: argparse.Namespace) -> int:
     return _emit_report(run_counting_experiment(_build_config(args)), args.out)
 
 
-# Bad input: a broken contract, an unreadable file, or a file that is
-# not JSON text.
-_BAD_INPUT = (WalshtfError, json.JSONDecodeError, UnicodeDecodeError, OSError)
+# Bad input: a broken contract or an unreadable file.
+_BAD_INPUT = (WalshtfError, OSError)
 
 # What a reader raises on a malformed JSON field.
 _PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
-def _function_field(data: dict, key: str) -> StepFunction:
-    if key not in data:
-        raise InvalidInput(f'input lacks the field "{key}"')
+def _parsed(read: Callable[..., Any], *args: Any, what: str = "") -> Any:
+    """read(*args), with what a reader refuses raised as InvalidInput, led by what."""
     try:
-        return StepFunction.from_json(data[key])
+        return read(*args)
     except _PARSE_ERRORS as exc:
-        raise InvalidInput(f'field "{key}" is not a step function: {exc!r}') from exc
+        raise InvalidInput(f"{what}: {exc}" if what else str(exc)) from exc
+
+
+def _function_field(data: dict, key: str) -> StepFunction:
+    return _parsed(StepFunction.from_json, data[key], what=f'field "{key}" is not a step function')
 
 
 def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
@@ -157,10 +160,7 @@ def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
     finest = 2 - f.resolution_exp
     collection = []
     for i, item in enumerate(data["collection"]):
-        try:
-            q = Quartile.from_json(item)
-        except _PARSE_ERRORS as exc:
-            raise InvalidInput(f'field "collection"[{i}] is not a quartile: {exc}') from exc
+        q = _parsed(Quartile.from_json, item, what=f'field "collection"[{i}] is not a quartile')
         if not box.contains(q.time):
             raise InvalidInput(
                 f'field "collection"[{i}] has time interval {q.time}, '
@@ -176,10 +176,16 @@ def _collection_field(data: dict, f: StepFunction) -> list[Quartile]:
 
 
 def _restricted_request(data: object) -> tuple[list[StepFunction], list[Quartile] | None]:
-    """Sets E1, E2, E3 on one grid and the optional collection inside its box."""
-    if not isinstance(data, dict):
-        raise InvalidInput("restricted-type input must be a JSON object")
-    sets = [_function_field(data, key) for key in ("E1", "E2", "E3")]
+    """Indicator sets E1, E2, E3 on one grid and the optional collection
+    inside its box.  An indicator has every value 0 or 1: integers over
+    the denominator 1, with no sqrt2 part."""
+    keys = ("E1", "E2", "E3")
+    _parsed(_json_object, data, "restricted-type input", keys, ("collection",))
+    sets = [_function_field(data, key) for key in keys]
+    for key, e in zip(keys, sets):
+        field = e.field
+        if field.denominator != 1 or field.surd.any() or field.rat.min() < 0 or field.rat.max() > 1:
+            raise InvalidInput(f'field "{key}" is not an indicator: a value is not 0 or 1')
     grids = [(e.domain_exp, e.resolution_exp) for e in sets]
     if len(set(grids)) > 1:
         raise InvalidInput(f'fields "E1", "E2", "E3" must share one grid, got {grids}')
@@ -190,37 +196,24 @@ def _restricted_request(data: object) -> tuple[list[StepFunction], list[Quartile
 def _selection_request(
     data: object,
 ) -> tuple[list[Quartile], StepFunction, int, QuadScalar, int]:
-    """Collection, function, slot, allowance and domain of a selection file.
-
-    Every field is checked here, so a bad file is refused with an
-    InvalidInput naming the field rather than failing deep inside.  The
-    optional domain_exp defaults to the grid's J and may not be smaller:
-    members coarser than the domain would never be candidates.  Nor may
-    domain_exp + m pass MAX_GRID_EXP, the cap on the grid's J + m: each
-    member has one candidate top per scale from its own up to
-    domain_exp, so the cap bounds that count as it bounds the grid.
+    """Collection, function, slot, allowance and domain of a selection file,
+    each refused with an InvalidInput that names its field.  domain_exp
+    defaults to the grid's J and runs from it, since a member coarser than
+    the domain is never a candidate, to MAX_GRID_EXP - m, since a member
+    has one candidate top per scale up to it.
     """
-    if not isinstance(data, dict):
-        raise InvalidInput("select-trees input must be a JSON object")
-    for key in ("collection", "f", "slot", "alpha"):
-        if key not in data:
-            raise InvalidInput(f'select-trees input lacks the field "{key}"')
+    required = ("collection", "f", "slot", "alpha")
+    _parsed(_json_object, data, "select-trees input", required, ("domain_exp",))
     f = _function_field(data, "f")
-    slot = data["slot"]
-    if type(slot) is not int or slot not in (1, 2, 3, 4):
-        raise InvalidInput(f'field "slot" must be the integer 1, 2, 3 or 4, got {slot!r}')
-    try:
-        alpha = _scalar_from_text(str(data["alpha"]))
-    except _PARSE_ERRORS as exc:
-        raise InvalidInput(f'field "alpha" is not an exact scalar: {exc}') from exc
+    slot = _parsed(_json_int, data["slot"], "slot", 1, 4)
+    alpha = _parsed(
+        _scalar_from_text, str(data["alpha"]), what='field "alpha" is not an exact scalar'
+    )
     collection = _collection_field(data, f)
-    domain_exp = data.get("domain_exp", f.domain_exp)
-    widest = MAX_GRID_EXP - f.resolution_exp
-    if type(domain_exp) is not int or not f.domain_exp <= domain_exp <= widest:
-        raise InvalidInput(
-            f'field "domain_exp" must be an integer from the grid\'s J = {f.domain_exp} '
-            f"to {MAX_GRID_EXP} - m = {widest}, got {domain_exp!r}"
-        )
+    domain_exp = _parsed(
+        _json_int, data.get("domain_exp", f.domain_exp), "domain_exp",
+        f.domain_exp, MAX_GRID_EXP - f.resolution_exp,
+    )
     return collection, f, slot, alpha, domain_exp
 
 
@@ -228,23 +221,15 @@ def _cmd_select_trees(args: argparse.Namespace) -> int:
     collection, f, slot, alpha, domain_exp = _selection_request(_load_json(args.input))
     coefficients = slot_coefficients(f, collection, slot)
     result = select_trees(collection, coefficients, slot, alpha, domain_exp)
-    text = json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    try:
-        selection = SelectionResult.from_json(_load_json(args.input))
-    except _PARSE_ERRORS as exc:
-        raise InvalidInput(f"render input is not a selection: {exc!r}") from exc
-    if args.out:
-        render_phase_plane(selection, args.out)
-    else:
-        sys.stdout.write(selection_svg(selection))
+    selection = _parsed(
+        SelectionResult.from_json, _load_json(args.input), what="render input is not a selection"
+    )
+    _write(selection_svg(selection), args.out)
     return 0
 
 
@@ -271,10 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_arguments(p, "r", "maximal_exp", "trials", "seed", "grid_j", "grid_m")
     p.add_argument(
-        "--in",
-        dest="input",
-        default=None,
-        help="JSON file with sets E1, E2, E3 and an optional collection",
+        "--in", dest="input", default=None,
+        help="JSON file with indicator sets E1, E2, E3 and an optional collection",
     )
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_restricted)
@@ -291,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-trees", help="select trees from JSON input")
     p.add_argument(
-        "--in",
-        dest="input",
-        required=True,
-        help="JSON with collection, f, slot and alpha",
+        "--in", dest="input", required=True,
+        help="JSON with collection, f, slot, alpha and an optional domain_exp",
     )
     p.add_argument("--out", default=None, help="JSON output path")
     p.set_defaults(handler=_cmd_select_trees)

@@ -5,19 +5,17 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..wavepacket import MAX_GRID_EXP
+from ..geometry import MAX_GRID_EXP, _json_int, _json_object
 
 _REL_TOL = 1e-9
-# Field name -> the type its value must have, and that type's name.
-_FIELD_TYPES = {
-    **dict.fromkeys(("r", "p1", "p2", "q", "maximal_exp", "epsilon"), (Real, "a number")),
-    **dict.fromkeys(("trials", "seed", "grid_j", "grid_m"), (Integral, "an integer")),
-}
+_NUMBER_FIELDS = ("r", "p1", "p2", "q", "maximal_exp", "epsilon")
+_FINITE = sys.float_info.max  # past it only an infinity, which r may be, is a float
 
 
 @dataclass(frozen=True)
@@ -31,11 +29,12 @@ class ExperimentConfig:
     sit close to it for the restricted runs to make sense.  epsilon is
     the growth exponent of the frequency-set bound.  grid_j and grid_m
     fix the dyadic box [0, 2^grid_j) at cell width 2^-grid_m, and
-    grid_j + grid_m may not exceed `wavepacket.MAX_GRID_EXP`.  Each
-    rule is checked in the form "the value satisfies it", so a NaN,
-    which satisfies no comparison, is refused; an infinite r is
-    accepted.  The exponents must be real numbers (an int is one) and
-    the counts and grid exponents integers; a bool is neither.
+    grid_j + grid_m may not exceed `MAX_GRID_EXP`.  Each rule is
+    checked in the form "the value satisfies it", so a NaN, which
+    satisfies no comparison, is refused; an infinite r is accepted.
+    The exponents must be real numbers (an int is one); trials (at
+    least 1), seed, grid_j and grid_m are read by `geometry._json_int`,
+    the integer rule of every input file.  A bool is neither.
     """
 
     r: float = 3.0
@@ -50,10 +49,18 @@ class ExperimentConfig:
     grid_m: int = 5
 
     def __post_init__(self) -> None:
-        for name, (kind, noun) in _FIELD_TYPES.items():
+        for name in _NUMBER_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            number = isinstance(value, Real) and not isinstance(value, bool)
+            if not number or _FINITE < abs(value) < math.inf:
+                raise ConfigError(f"{name} must be a number a float holds, got {value!r}")
+        try:
+            _json_int(self.trials, "trials", 1)
+            _json_int(self.seed, "seed")
+            _json_int(self.grid_j, "grid_j", 0, MAX_GRID_EXP - 2)  # room for grid_m >= 2
+            _json_int(self.grid_m, "grid_m", 2, MAX_GRID_EXP - self.grid_j)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.r > 2:
             raise ConfigError(f"variation exponent r must exceed 2, got {self.r}")
         if not (self.p1 > 0 and self.p2 > 0):
@@ -72,15 +79,6 @@ class ExperimentConfig:
             )
         if math.isnan(self.epsilon):
             raise ConfigError("epsilon must be a number, got nan")
-        if self.trials < 1:
-            raise ConfigError("at least one trial is required")
-        if self.grid_j < 0 or self.grid_m < 2:
-            raise ConfigError("grid needs grid_j >= 0 and grid_m >= 2")
-        if self.grid_j + self.grid_m > MAX_GRID_EXP:
-            raise ConfigError(
-                f"grid_j + grid_m must be at most {MAX_GRID_EXP}, "
-                f"got {self.grid_j} + {self.grid_m}"
-            )
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """A copy with the given fields replaced; the copy revalidates."""
@@ -99,18 +97,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"a config must be a JSON object, got {type(data).__name__}")
-        known = {f: data[f] for f in cls.__dataclass_fields__ if f in data}
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**known)
+        try:
+            _json_object(data, "a config", (), cls.__dataclass_fields__)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # as cli._load_json
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(data)

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
-from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm
+from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm, packet_sums
 from ..operators import (
     FrequencySet,
     TruncationField,
@@ -311,27 +311,19 @@ def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _haar_row(interval: DyadicInterval, resolution_exp: int, cells: int) -> np.ndarray:
-    lo, hi = interval.cell_range(resolution_exp)
-    row = np.zeros(cells)
-    amp = 2.0 ** (-interval.scale / 2.0)
-    half = (hi - lo) // 2
-    row[lo : lo + half] = amp
-    row[lo + half : hi] = -amp
-    return row
-
-
 def _rademacher_menshov(config: ExperimentConfig) -> ExperimentReport:
     """Square variation of Haar partial sums against (1 + log N) sqrt(N).
 
     The grid is fixed at [0, 1) with 512 cells so that every Haar
     function down to scale -8 still has resolvable halves.  Partial
     sums are anchored at zero; with a single summand the variation is
-    the summand itself and the ratio stays at most one.
+    the summand itself and the ratio stays at most one.  The Haar
+    function of I is the packet of the tile I x [2/|I|, 4/|I|), and
+    summand p goes to plane row n - 1 - p, so the rows read bottom up
+    are the partial sums after 0, 1, ..., n summands.
     """
     rng = config.rng(_STREAM_OFFSET["rademacher_menshov"])
     domain_exp, resolution_exp = 0, 9
-    cells = 1 << resolution_exp
     population = [
         DyadicInterval(n, s)
         for s in range(-(resolution_exp - 1), 1)
@@ -342,14 +334,9 @@ def _rademacher_menshov(config: ExperimentConfig) -> ExperimentReport:
     by_count: dict[int, list[float]] = {n: [] for n in counts}
     for trial in range(config.trials):
         n_funcs = counts[trial % len(counts)]
-        chosen = rng.sample(population, n_funcs)
-        field = np.zeros((n_funcs + 1, cells))
-        running = np.zeros(cells)
-        for pos, interval in enumerate(chosen):
-            running = running + rng.choice((-1.0, 1.0)) * _haar_row(
-                interval, resolution_exp, cells
-            )
-            field[pos + 1] = running
+        haar = [Tile(i, DyadicInterval(1, -i.scale)) for i in rng.sample(population, n_funcs)]
+        terms = [(n_funcs - 1 - p, t, rng.choice((-1.0, 1.0))) for p, t in enumerate(haar)]
+        field = packet_sums(terms, n_funcs + 1, domain_exp, resolution_exp)[::-1]
         lhs = lp_norm(batch_variation(field, 2.0), 2.0, resolution_exp)
         rhs = (1.0 + math.log2(n_funcs)) * math.sqrt(n_funcs)
         ratio = lhs / rhs

@@ -9,14 +9,22 @@ numbered 1 to 4 from left to right.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from numbers import Integral
+from typing import Collection, Iterable, Iterator, Union
 
 from .errors import InvalidTree, ResolutionTooCoarse
 from .exact import DyadicRational, _as_fraction, pow2_fraction
 
 PointLike = Union[int, Fraction, DyadicRational]
+
+# The largest J + m a grid may have in a config or a JSON file: the
+# packet tables of a step function hold J + m + 1 stages of 2^(J+m)
+# entries per plane, 17 x 65536 at the cap.
+MAX_GRID_EXP = 16
 
 
 @dataclass(frozen=True)
@@ -86,25 +94,53 @@ class DyadicInterval:
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicInterval":
-        return cls(_json_int(data["n"], "n"), _json_int(data["k"], "k"))
+        """Read {"n": n, "k": k} with |k| <= C and (n + 1) 2^k <= 2^C, that
+        is k <= C - bits(n), for C = 2 MAX_GRID_EXP.  Every interval the
+        program writes meets this bound: J <= MAX_GRID_EXP and
+        J + m <= MAX_GRID_EXP keep quartile scales in [-14, MAX_GRID_EXP - m],
+        and a selection's domain_exp <= MAX_GRID_EXP - m keeps its tops
+        inside [0, 2^C).  Past it a rendered end would overflow a float."""
+        _json_object(data, "an interval", ("n", "k"))
+        cap = 2 * MAX_GRID_EXP
+        n = _json_int(data["n"], "n", 0, (1 << 2 * cap) - 1)
+        return cls(n, _json_int(data["k"], "k", -cap, cap - n.bit_length()))
 
     def __str__(self) -> str:
         return f"[{self.left}, {self.right})"
 
 
-def _json_int(value: object, field: str) -> int:
-    """A JSON integer that is not a bool; a TypeError naming the field otherwise."""
-    if type(value) is not int:
-        raise TypeError(f'"{field}" must hold integers, got {value!r}')
-    return value
+def _json_int(value: object, field: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """The integer rule of every input reader: an Integral that is not a
+    bool (else a TypeError) from lo to hi (else a ValueError)."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        error: type[Exception] = TypeError
+    elif lo <= value <= hi:
+        return int(value)
+    else:
+        error = ValueError
+    raise error(f'"{field}" must be an integer from {lo} to {hi}, got {value!r}')
+
+
+def _json_object(
+    data: object, field: str, required: Collection[str], optional: Collection[str] = ()
+) -> dict:
+    """The key rule of every input reader: a dict (else a TypeError) with
+    every required key and no other than the optional ones (else a ValueError)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{field} must be a JSON object, got {type(data).__name__}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f'{field} lacks the field "{key}"')
+    extra = sorted(set(data).difference(required, optional))
+    if extra:  # keys as JSON strings, so that the message is one line
+        held, allowed = (", ".join(map(json.dumps, k)) for k in (extra, [*required, *optional]))
+        raise ValueError(f"{field} holds {held}; only {allowed} may appear")
+    return data
 
 
 def containing_interval(x: PointLike, scale: int) -> DyadicInterval:
-    """The dyadic interval of length 2^scale containing x >= 0."""
-    index = band_index(x, scale)
-    if index < 0:
-        raise ValueError("points live on the positive half-line")
-    return DyadicInterval(index, scale)
+    """The dyadic interval of length 2^scale containing x >= 0 (it refuses x < 0)."""
+    return DyadicInterval(band_index(x, scale), scale)
 
 
 def band_index(x: PointLike, scale: int) -> int:
@@ -137,6 +173,7 @@ class _Rectangle:
 
     @classmethod
     def from_json(cls, data: dict):
+        _json_object(data, "a rectangle", ("time", "freq"))
         return cls(
             DyadicInterval.from_json(data["time"]), DyadicInterval.from_json(data["freq"])
         )
@@ -312,6 +349,7 @@ class Tree:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tree":
+        _json_object(data, "a tree", ("quartiles", "top_interval", "xi"))
         return cls(
             (Quartile.from_json(item) for item in data["quartiles"]),
             DyadicInterval.from_json(data["top_interval"]),

@@ -42,6 +42,7 @@ from .geometry import (
     Quartile,
     Tree,
     _json_int,
+    _json_object,
     maximal_tree,
     quartile_sort_key,
 )
@@ -277,10 +278,11 @@ class SelectedTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "SelectedTree":
+        _json_object(data, "a grab", cls.__dataclass_fields__)
         return cls(
             Tree.from_json(data["seed"]),
             Tree.from_json(data["full"]),
-            _json_int(data["pass_slot"], "pass_slot"),
+            _json_int(data["pass_slot"], "pass_slot", 1, 4),
         )
 
 
@@ -337,32 +339,27 @@ class SelectionResult:
         return sum((g.full.top_interval.length for g in self.grabs), Fraction(0))
 
     def to_json(self) -> dict:
+        residual_sq = self.residual_size_sq
         return {
             "slot": self.slot,
             "alpha": self.alpha.to_text(),
             "grabs": [g.to_json() for g in self.grabs],
             "residual": self.residual.to_json(),
             "initial_size_sq": self.initial_size_sq.to_text(),
-            "residual_size_sq": (
-                None
-                if self.residual_size_sq is None
-                else self.residual_size_sq.to_text()
-            ),
+            "residual_size_sq": None if residual_sq is None else residual_sq.to_text(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "SelectionResult":
+        _json_object(data, "a selection", cls.__dataclass_fields__)
+        residual_sq = data["residual_size_sq"]
         return cls(
-            _json_int(data["slot"], "slot"),
+            _json_int(data["slot"], "slot", 1, 4),
             QuadScalar.from_text(data["alpha"]),
             tuple(SelectedTree.from_json(item) for item in data["grabs"]),
             QuartileCollection.from_json(data["residual"]),
             QuadScalar.from_text(data["initial_size_sq"]),
-            (
-                None
-                if data["residual_size_sq"] is None
-                else QuadScalar.from_text(data["residual_size_sq"])
-            ),
+            None if residual_sq is None else QuadScalar.from_text(residual_sq),
         )
 
 

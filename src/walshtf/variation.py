@@ -54,14 +54,17 @@ def _wants_exact(values: SequenceLike, r: float, method: str) -> bool:
 class VariationCertificate:
     """A maximising chain for the r-variation of a sequence.
 
-    power_sum is the sum of |difference|^r along the chain (for finite
-    r) or the single largest |difference| (for r infinite); it is a
-    quadratic scalar when computed exactly and a float otherwise.
+    power_sum is the sum of |difference / scale|^r along the chain (for
+    finite r) or the single largest |difference| (for r infinite); it
+    is a quadratic scalar when computed exactly and a float otherwise.
+    scale is 1 unless the float lane rescaled the sequence (see
+    `_lane`), so the r-variation is scale * power_sum^(1/r).
     """
 
     r: float
     indices: tuple[int, ...]
     power_sum: object
+    scale: float = 1.0
 
     @property
     def is_exact(self) -> bool:
@@ -72,28 +75,40 @@ class VariationCertificate:
         p = float(self.power_sum)
         if self.r == math.inf or p == 0.0:
             return p
-        return p ** (1.0 / self.r)
+        return self.scale * p ** (1.0 / self.r)
 
 
-def _lane(values: SequenceLike, r: float, method: str) -> tuple[list, object]:
-    """The values as QuadScalars or as Python floats, with that lane's zero.
+def _lane(values: SequenceLike, r: float, method: str) -> tuple[list, object, float]:
+    """The values as QuadScalars or as Python floats, with that lane's
+    zero and the scale its differences are divided by.
 
     This is the one place that decides between exact and float
     arithmetic; the floats are the correctly rounded values of exact
-    inputs.
+    inputs.  The scale is 1 but for floats of finite nonzero span
+    (largest minus smallest value) whose power span^r, alone or summed
+    down the sequence, is below 2^-969 or overflows: there it is the
+    span, as `kernels.batch_variation` rescales a column.
     """
     if _wants_exact(values, r, method):
         if r != math.inf and not float(r).is_integer():
             raise ValueError("exact variation needs an integer exponent")
-        return [QuadScalar.coerce(v) for v in values], ZERO
-    return [float(v) for v in values], 0.0
+        return [QuadScalar.coerce(v) for v in values], ZERO, 1.0
+    floats = [float(v) for v in values]
+    span = max(floats) - min(floats) if floats else 0.0
+    try:
+        largest = span**r
+    except OverflowError:
+        largest = math.inf
+    fits = 2.0**-969 <= largest and largest * len(floats) < math.inf
+    return floats, 0.0, span if r < math.inf and 0.0 < span < math.inf and not fits else 1.0
 
 
-def _chain_dp(values: list, r: float, zero: object) -> VariationCertificate:
+def _chain_dp(r: float, values: list, zero: object, scale: float) -> VariationCertificate:
     """The maximising chain over QuadScalars or Python floats alike.
 
     Float powers use Python's float pow, not numpy's, so results are
     reproducible bit for bit; exact powers take the integer exponent.
+    A scale of 1 divides nothing, so an unscaled result keeps its bits.
     """
     n = len(values)
     if r == math.inf:
@@ -111,7 +126,8 @@ def _chain_dp(values: list, r: float, zero: object) -> VariationCertificate:
     succ: list[int | None] = [None] * n
     for i in range(n - 2, -1, -1):
         for j in range(i + 1, n):
-            cand = abs(values[j] - values[i]) ** power + suffix[j]
+            d = abs(values[j] - values[i])
+            cand = (d if scale == 1 else d / scale) ** power + suffix[j]
             if cand > suffix[i]:
                 suffix[i] = cand
                 succ[i] = j
@@ -122,11 +138,11 @@ def _chain_dp(values: list, r: float, zero: object) -> VariationCertificate:
             total = suffix[i]
             start = i
     if start is None:
-        return VariationCertificate(r, (), zero)
+        return VariationCertificate(r, (), zero, scale)
     chain = [start]
     while succ[chain[-1]] is not None:
         chain.append(succ[chain[-1]])  # type: ignore[arg-type]
-    return VariationCertificate(r, tuple(chain), total)
+    return VariationCertificate(r, tuple(chain), total, scale)
 
 
 def variation_norm(
@@ -141,8 +157,7 @@ def variation_norm(
     """
     if not r >= 1:
         raise ValueError(f"variation exponent must be at least 1, got {r}")
-    lane, zero = _lane(values, r, method)
-    return _chain_dp(lane, r, zero)
+    return _chain_dp(r, *_lane(values, r, method))
 
 
 def linearize_weights(values: SequenceLike, r: float) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -164,7 +179,7 @@ def linearize_weights(values: SequenceLike, r: float) -> tuple[tuple[int, ...], 
         return cert.indices, tuple(math.copysign(1.0, d) for d in diffs)
     denom = float(cert.power_sum) ** (1.0 - 1.0 / r)
     weights = tuple(
-        math.copysign(abs(d) ** (r - 1.0), d) / denom for d in diffs
+        math.copysign((abs(d) / cert.scale) ** (r - 1.0), d) / denom for d in diffs
     )
     return cert.indices, weights
 
@@ -173,7 +188,8 @@ def linearize_weights(values: SequenceLike, r: float) -> tuple[tuple[int, ...], 
 class LongShortSplit:
     """Coarse and fine variation of a sequence across windows.
 
-    long_power and short_power are r-th powers; bound() gives
+    long_power and short_power are r-th powers of differences over
+    scale, as in `VariationCertificate`; bound() gives scale times
     3^{1/r'} (long + 2 short)^{1/r}, which dominates the full variation
     since a step across windows splits into short, long and short steps.
     """
@@ -181,11 +197,12 @@ class LongShortSplit:
     r: float
     long_power: object
     short_power: object
+    scale: float = 1.0
 
     def bound(self) -> float:
         combined = float(self.long_power) + 2.0 * float(self.short_power)
         conj = self.r / (self.r - 1.0)
-        return 3.0 ** (1.0 / conj) * combined ** (1.0 / self.r)
+        return 3.0 ** (1.0 / conj) * combined ** (1.0 / self.r) * self.scale
 
 
 def long_short_split(
@@ -198,7 +215,8 @@ def long_short_split(
     Windows are the half-open index ranges cut by the breakpoints, with
     the sequence ends always included as implicit boundaries.  The long
     part is the variation of the values at window starts; the short part
-    collects the variation inside each window.
+    collects the variation inside each window, all in the lane and at
+    the scale of the whole sequence.
     """
     if r == math.inf or r <= 1:
         raise ValueError("the split needs a finite exponent above one")
@@ -208,18 +226,12 @@ def long_short_split(
         raise UnsortedBreakpoints("breakpoints must be given in increasing order")
     bounds = [0] + inner + [n]
     bounds = sorted(set(bounds))
-    coarse = [values[b] for b in bounds[:-1]]
-    long_cert = variation_norm(coarse, r)
-    short_power: object | None = None
+    lane, zero, scale = _lane(values, r, "auto")
+    long_cert = _chain_dp(r, [lane[b] for b in bounds[:-1]], zero, scale)
+    short_power = zero
     for a, b in zip(bounds, bounds[1:]):
-        window_cert = variation_norm(list(values[a:b]), r)
-        if short_power is None:
-            short_power = window_cert.power_sum
-        else:
-            short_power = short_power + window_cert.power_sum  # type: ignore[operator]
-    if short_power is None:
-        short_power = long_cert.power_sum * 0  # type: ignore[operator]
-    return LongShortSplit(r, long_cert.power_sum, short_power)
+        short_power = short_power + _chain_dp(r, lane[a:b], zero, scale).power_sum
+    return LongShortSplit(r, long_cert.power_sum, short_power, scale)
 
 
 def collapse_repeats(values: Sequence[ScalarLike]) -> list:

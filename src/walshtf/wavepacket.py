@@ -26,7 +26,9 @@ from .exact import (
     pow2_fraction,
     quad_to_float,
 )
-from .geometry import DyadicInterval, PointLike, Tile, _json_int, band_index
+from .geometry import (
+    MAX_GRID_EXP, DyadicInterval, PointLike, Tile, _json_int, _json_object, band_index,
+)
 
 __all__ = [
     "StepFunction",
@@ -38,11 +40,6 @@ __all__ = [
     "synthesize",
     "tree_sign_step",
 ]
-
-# The largest J + m a grid may have in a config or a JSON file: the
-# packet tables of a step function hold J + m + 1 stages of 2^(J+m)
-# entries per plane, 17 x 65536 at the cap.
-MAX_GRID_EXP = 16
 
 
 def eval_walsh(freq_index: int, t: PointLike) -> int:
@@ -304,12 +301,10 @@ class StepFunction:
 
     def to_json(self) -> dict:
         """The grid as "J" and "m" and the cells as "values" text, which
-        `from_json` reads back.  A grid with J below 0, which a dilation
-        can leave and `from_json` refuses, is refused with ValueError."""
-        if self.domain_exp < 0:
-            raise ValueError(f'"J" would be {self.domain_exp}, below 0')
+        `from_json` reads back.  A J that `from_json` refuses, which a
+        dilation can leave, is refused with ValueError."""
         return {
-            "J": self.domain_exp,
+            "J": _json_int(self.domain_exp, "J", 0, MAX_GRID_EXP),
             "m": self.resolution_exp,
             "values": [v.to_text() for v in self.values],
         }
@@ -318,34 +313,24 @@ class StepFunction:
     def from_json(cls, data: dict) -> "StepFunction":
         """Read the grid as "J" and "m" or as "grid": [J, m], and the cells
         as "values" (Q(sqrt2) text or integers) or as "cells", the indices
-        where an indicator is one.  J, m and the cell indices must be JSON
-        integers; a bool is refused everywhere, with a TypeError that
-        names its field.  A grid with J below 0, which `ExperimentConfig`
-        refuses too, or with J + m above MAX_GRID_EXP, and an object that
-        holds both "cells" and "values", are refused with a ValueError
-        before any cell is allocated."""
-        if "grid" in data:
-            j_field = "grid"
-            domain_exp, resolution_exp = (_json_int(v, "grid") for v in data["grid"])
-        else:
-            j_field = "J"
-            domain_exp, resolution_exp = _json_int(data["J"], "J"), _json_int(data["m"], "m")
-        if domain_exp < 0:
-            raise ValueError(f'"{j_field}" has J = {domain_exp}, below 0')
-        if domain_exp + resolution_exp > MAX_GRID_EXP:
-            raise ValueError(
-                f"grid (J={domain_exp}, m={resolution_exp}) has J + m above {MAX_GRID_EXP}"
-            )
-        if "cells" in data and "values" in data:
-            raise ValueError('holds both "cells" and "values"; give one of them')
-        if "cells" in data:
-            cells = [_json_int(c, "cells") for c in data["cells"]]
-            return cls.from_cells(domain_exp, resolution_exp, cells)
-        values = []
-        for v in data["values"]:
-            if isinstance(v, bool):
-                raise TypeError(f'"values" holds the bool {v!r}, not a number')
-            values.append(QuadScalar.from_text(v) if isinstance(v, str) else v)
+        where an indicator is one; the object holds one form of each.
+        J runs from 0 to MAX_GRID_EXP and m from -J to MAX_GRID_EXP - J,
+        the grid cap; every refusal comes before any cell is allocated
+        and names its field."""
+        given = data if isinstance(data, dict) else {}
+        grid = ("grid",) if "grid" in given else ("J", "m")
+        cells = "cells" if "cells" in given else "values"
+        _json_object(data, "a step function", (*grid, cells))
+        j, m = data["grid"] if grid == ("grid",) else (data["J"], data["m"])
+        domain_exp = _json_int(j, grid[0], 0, MAX_GRID_EXP)
+        resolution_exp = _json_int(m, grid[-1], -domain_exp, MAX_GRID_EXP - domain_exp)
+        if cells == "cells":
+            indices = [_json_int(c, "cells") for c in data["cells"]]
+            return cls.from_cells(domain_exp, resolution_exp, indices)
+        values = [
+            QuadScalar.from_text(v) if isinstance(v, str) else _json_int(v, "values")
+            for v in data["values"]
+        ]
         return cls(domain_exp, resolution_exp, values)
 
     def __repr__(self) -> str:

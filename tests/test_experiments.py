@@ -509,8 +509,8 @@ def test_cli_refuses_a_nan_exponent_as_bad_input(capsys):
     "fields, named",
     [
         ({"r": "3"}, "r must be a number"),
-        ({"trials": 2.5, "grid_j": 2, "grid_m": 3}, "trials must be an integer"),
-        ({"grid_j": True, "grid_m": 3}, "grid_j must be an integer"),
+        ({"trials": 2.5, "grid_j": 2, "grid_m": 3}, '"trials" must be an integer'),
+        ({"grid_j": True, "grid_m": 3}, '"grid_j" must be an integer'),
     ],
     ids=["string-exponent", "fractional-trials", "bool-grid"],
 )
@@ -617,11 +617,11 @@ def test_cli_refuses_a_flag_its_driver_does_not_read(tmp_path, capsys, argv):
 def test_cli_refuses_a_grid_above_the_cap(tmp_path, capsys):
     # Refused before any allocation: these grids have 2^80 and 2^42 cells.
     assert main(["theorem1", "--grid-j", "40", "--grid-m", "40"]) == 2
-    assert "grid_j + grid_m must be at most 16, got 40 + 40" in capsys.readouterr().err
+    assert '"grid_j" must be an integer from 0 to 14, got 40' in capsys.readouterr().err
     path = _restricted_file(tmp_path, E1={"J": 40, "m": 2, "cells": [0]})
     assert main(["restricted-type", "--in", str(path)]) == 2
     err = capsys.readouterr().err
-    assert '"E1"' in err and "grid (J=40, m=2) has J + m above 16" in err
+    assert '"E1"' in err and '"J" must be an integer from 0 to 16, got 40' in err
 
 
 @pytest.mark.parametrize(
@@ -963,3 +963,115 @@ def test_cli_select_trees_refuses_an_alpha_with_a_zero_denominator(tmp_path, cap
     path.write_text(json.dumps({**SELECTION_INPUT, "alpha": alpha}))
     assert main(["select-trees", "--in", str(path)]) == 2
     assert '"alpha"' in capsys.readouterr().err
+
+
+def _residual_quartile(time: dict, freq: dict) -> dict:
+    """The golden selection output with one more residual quartile."""
+    selection = _selection_with()
+    selection["residual"].append({"time": time, "freq": freq})
+    return selection
+
+
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        # A KeyError traceback from the renderer's colour table, exit 3.
+        ("render", _selection_with(pass_slot=9), '"pass_slot" must be an integer from 1 to 4'),
+        # An OverflowError traceback from the float coordinates, exit 3.
+        (
+            "render",
+            _residual_quartile({"n": 0, "k": -1998}, {"n": 0, "k": 2000}),
+            '"k" must be an integer from -32 to 32',
+        ),
+        ("render", _selection_with(slot=9), '"slot" must be an integer from 1 to 4'),
+        # A misspelt domain_exp selected with the default, exit 0.
+        ("select-trees", {**SELECTION_INPUT, "domain_exq": 5}, '"domain_exq"'),
+    ],
+    ids=["pass-slot-9", "interval-past-2^32", "slot-9", "unknown-key"],
+)
+def test_cli_refuses_a_field_out_of_bounds_or_an_unknown_key(
+    tmp_path, capsys, command, data, named
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "e1, named",
+    [
+        # "J" and "m" were ignored beside "grid", exit 0.
+        ({"grid": [2, 3], "J": 9, "m": 0, "cells": [0]}, '"J", "m"'),
+        # Refused as ValueError('negative shift count'), naming no field.
+        ({"J": 2, "m": -5, "cells": [0]}, '"m" must be an integer from -2 to 14, got -5'),
+    ],
+    ids=["grid-and-J-m", "m-below-minus-J"],
+)
+def test_cli_restricted_type_names_the_grid_field_it_refuses(tmp_path, capsys, e1, named):
+    path = _restricted_file(tmp_path, E1=e1)
+    assert main(["restricted-type", "--in", str(path), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert '"E1"' in err and named in err
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("E1", ["1/2+0/1*sqrt2"] * 32),
+        ("E2", ["2/1+0/1*sqrt2"] + ["0/1+0/1*sqrt2"] * 31),
+        ("E3", ["0/1+1/1*sqrt2"] * 32),
+    ],
+    ids=["halves", "a-two", "sqrt2"],
+)
+def test_cli_restricted_type_refuses_a_set_that_is_not_an_indicator(tmp_path, capsys, key, values):
+    # Each ran to exit 0; the restricted-type estimate is stated for sets.
+    path = _restricted_file(tmp_path, **{key: {"grid": [2, 3], "values": values}})
+    assert main(["restricted-type", "--in", str(path), "--trials", "1"]) == 2
+    assert f'field "{key}" is not an indicator' in capsys.readouterr().err
+
+
+def test_cli_select_trees_at_the_widest_domain_writes_intervals_render_reads(tmp_path):
+    # J = 16 and m = -14 allow domain_exp = 30, the widest any grid
+    # allows; every interval written stays inside the reader's bound.
+    request = {
+        "collection": [{"time": {"n": 0, "k": 16}, "freq": {"n": 0, "k": -14}}],
+        "f": {"J": 16, "m": -14, "cells": [0, 1]},
+        "slot": 1,
+        "alpha": "1/4",
+        "domain_exp": 30,
+    }
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request))
+    selection = tmp_path / "selection.json"
+    assert main(["select-trees", "--in", str(path), "--out", str(selection)]) == 0
+    assert SelectionResult.from_json(json.loads(selection.read_text())).grabs
+    assert main(["render", "--in", str(selection), "--out", str(tmp_path / "plane.svg")]) == 0
+
+
+def test_config_refuses_an_unknown_field_and_a_grid_j_past_the_cap():
+    with pytest.raises(ConfigError, match='"trails"'):
+        ExperimentConfig.from_json({"trails": 3})
+    with pytest.raises(ConfigError, match='"grid_j" must be an integer from 0 to 14, got 15'):
+        ExperimentConfig(grid_j=15, grid_m=1)
+
+
+@pytest.mark.parametrize("field", ["r", "p1", "epsilon"])
+def test_cli_refuses_a_config_number_past_the_largest_float(tmp_path, capsys, field):
+    # An OverflowError traceback, exit 3, when the driver took its float.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: 10**400}))
+    assert main(["theorem1", "--trials", "1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a number a float holds")
+
+
+@pytest.mark.parametrize("command", ["render", "theorem1"])
+def test_cli_refuses_json_nested_past_the_recursion_limit(tmp_path, capsys, command):
+    # json.load raised RecursionError, a traceback with exit 3.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    flag = "--in" if command == "render" else "--config"
+    assert main([command, flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -22,7 +22,7 @@ from walshtf import (
     tiles_disjoint,
 )
 from walshtf.errors import InvalidTree
-from walshtf.geometry import band_index
+from walshtf.geometry import _json_int, _json_object, band_index
 from walshtf.experiments.random_gen import disjoint_collection, pinned_tree
 
 
@@ -375,3 +375,52 @@ def test_classify_matches_the_subtile_endpoints(problem, as_dyadic):
     else:
         expected = positions if len(positions) == 1 else set()
     assert tree.classify().overlap_indices == expected
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(True, TypeError), (2.0, TypeError), ("3", TypeError), (None, TypeError), (0, ValueError),
+     (5, ValueError), (10**40, ValueError)],
+)
+def test_json_int_refuses_a_non_integer_or_a_value_outside_its_bounds(value, error):
+    with pytest.raises(error, match='"slot" must be an integer from 1 to 4'):
+        _json_int(value, "slot", 1, 4)
+
+
+def test_json_int_takes_open_bounds():
+    assert _json_int(-(10**40), "seed") == -(10**40)
+    assert _json_int(10**400, "trials", 1) == 10**400
+    with pytest.raises(ValueError, match='"trials" must be an integer from 1 to inf, got 0'):
+        _json_int(0, "trials", 1)
+    with pytest.raises(ValueError, match='"k" must be an integer from -inf to 2, got 3'):
+        _json_int(3, "k", hi=2)
+    with pytest.raises(TypeError, match='"seed" must be an integer from -inf to inf, got 2.5'):
+        _json_int(2.5, "seed")
+
+
+def test_json_object_names_the_missing_and_the_extra_keys():
+    assert _json_object({"n": 0}, "an interval", ("n",), ("k",)) == {"n": 0}
+    with pytest.raises(TypeError, match="an interval must be a JSON object, got list"):
+        _json_object([], "an interval", ("n",))
+    with pytest.raises(ValueError, match='an interval lacks the field "k"'):
+        _json_object({"n": 0}, "an interval", ("n", "k"))
+    with pytest.raises(ValueError, match=r'holds "\\n", "z"; only "n", "k" may appear'):
+        _json_object({"n": 0, "k": 0, "z": 1, "\n": 2}, "an interval", ("n", "k"))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(0, 32), (1, 31), (2**64 - 1, -32), (3, 30), (0, -32)],
+)
+def test_interval_reader_accepts_every_interval_inside_its_bound(n, k):
+    assert DyadicInterval.from_json({"n": n, "k": k}) == DyadicInterval(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, named",
+    [(0, 33, '"k"'), (0, -33, '"k"'), (1, 32, '"k"'), (4, 30, '"k"'), (2**64, -32, '"n"'),
+     (-1, 0, '"n"')],
+)
+def test_interval_reader_refuses_an_interval_past_2_to_the_32(n, k, named):
+    # (n + 1) 2^k may not pass 2^32, and |k| may not pass 32.
+    with pytest.raises(ValueError, match=named):
+        DyadicInterval.from_json({"n": n, "k": k})

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_variation_power
@@ -177,3 +177,48 @@ def test_long_short_split_dominates_the_variation(values, pieces):
 def test_long_short_split_rejects_unsorted_breakpoints():
     with pytest.raises(UnsortedBreakpoints):
         long_short_split([1, 2, 3, 4], 3.0, [2, 0])
+
+
+# Dyadic steps whose r-th powers leave the float range: 2^-10 at r = 120
+# is 2^-1200, below the smallest subnormal, and 2^10 at r = 120 is
+# 2^1200, past the largest float.
+@pytest.mark.parametrize("unit", [Fraction(1, 1024), Fraction(1024)], ids=["tiny", "huge"])
+@given(steps=st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=6))
+def test_float_lane_at_large_r_matches_the_exact_lane(unit, steps):
+    r = 120
+    values = [unit * s for s in steps]
+    exact = variation_norm(values, r, "exact")
+    floats = variation_norm([float(v) for v in values], r, "float")
+    span = max(values) - min(values)
+    if span == 0:
+        assert floats.value == 0.0 and exact.power_sum == QuadScalar(0)
+        return
+    # The exact power sum over span^r is a ratio of small integers.
+    want = float(exact.power_sum.rat / span**r) ** (1.0 / r) * float(span)
+    assert floats.value == pytest.approx(want, rel=1e-12)
+
+
+def test_float_lane_reports_the_variation_where_powers_underflow_or_overflow():
+    # 0.0 and an OverflowError before the lane rescaled.
+    tiny = variation_norm([0.0, 1e-3, 0.0], 120.0)
+    assert tiny.value == pytest.approx(2 ** (1 / 120) * 1e-3, rel=1e-12)
+    huge = variation_norm([0.0, 1e3, 0.0], 120.5)
+    assert huge.value == pytest.approx(2 ** (1 / 120.5) * 1e3, rel=1e-12)
+    chain, weights = linearize_weights([0.0, 1e3, 0.0], 120.5)
+    assert chain == (0, 1, 2)
+    assert weights[0] * 1e3 - weights[1] * 1e3 == pytest.approx(huge.value, rel=1e-12)
+    conj = 120.5 / 119.5
+    assert sum(abs(w) ** conj for w in weights) == pytest.approx(1.0, rel=1e-12)
+    split = long_short_split([0.0, 1e3, 0.0, 1e3], 120.5, [2])
+    assert split.bound() >= variation_norm([0.0, 1e3, 0.0, 1e3], 120.5).value
+
+
+@given(st.lists(st.floats(min_value=-8, max_value=8), min_size=1, max_size=8))
+def test_float_lane_divides_by_nothing_where_the_powers_fit(values):
+    # Keeps the bits every r = 3 caller (restricted-type) had before.
+    span = max(values) - min(values)
+    assume(span == 0 or span**3 >= 2.0**-969)
+    cert = variation_norm(values, 3.0)
+    assert cert.scale == 1.0
+    total = sum(abs(values[b] - values[a]) ** 3.0 for a, b in zip(cert.indices, cert.indices[1:]))
+    assert cert.power_sum == pytest.approx(total, rel=1e-12, abs=0.0)

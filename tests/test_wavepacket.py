@@ -400,3 +400,26 @@ def test_mask_out_zeroes_the_masked_cells():
     g = f.mask_out(np.array([True, False, False, True]))
     assert g.values == (ZERO, QuadScalar(0, 1), QuadScalar(2), ZERO)
     assert g == StepFunction(1, 1, [0, QuadScalar(0, 1), 2, 0])
+
+
+@pytest.mark.parametrize(
+    "data, error, named",
+    [
+        ({"J": 17, "m": -1, "cells": [0]}, ValueError, '"J" must be an integer from 0 to 16'),
+        ({"J": 2, "m": -3, "cells": [0]}, ValueError, '"m" must be an integer from -2 to 14'),
+        ({"grid": [2, 15], "cells": [0]}, ValueError, '"grid" must be an integer from -2 to 14'),
+        ({"grid": [2, 3], "J": 2, "m": 3, "cells": [0]}, ValueError, '"J", "m"'),
+        ({"J": 2, "m": 3}, ValueError, 'lacks the field "values"'),
+        ({"J": 2, "cells": [0]}, ValueError, 'lacks the field "m"'),
+        ([2, 3], TypeError, "must be a JSON object"),
+    ],
+    ids=["J-past-cap", "m-below-minus-J", "m-past-cap", "two-grids", "no-cells", "no-m", "list"],
+)
+def test_json_reader_names_the_grid_field_it_refuses(data, error, named):
+    with pytest.raises(error, match=named):
+        StepFunction.from_json(data)
+
+
+def test_json_reads_a_grid_at_each_end_of_its_bounds():
+    assert StepFunction.from_json({"J": 16, "m": -16, "cells": [0]}).cell_count == 1
+    assert StepFunction.from_json({"grid": [0, 4], "cells": [15]}).cell_count == 16
