@@ -1,7 +1,7 @@
 """Randomized experiment drivers, reports and the command line entry."""
 
 from .config import ExperimentConfig
-from .render import render_phase_plane, selection_svg
+from .render import selection_svg
 from .report import ExperimentReport
 from .restricted import run_counting_experiment, run_restricted_type
 from .suites import LEMMA_NAMES, run_identity_suite, run_lemma_experiment
@@ -11,7 +11,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "LEMMA_NAMES",
-    "render_phase_plane",
     "run_counting_experiment",
     "run_identity_suite",
     "run_lemma_experiment",

@@ -93,10 +93,17 @@ def _load_json(path: str) -> object:
 
 
 def _scalar_from_text(text: str) -> QuadScalar:
+    """Q(sqrt2) text or a `Fraction` literal, whose parts Python can write
+    out: an exponent such as 1e-20000 can make more digits than that."""
     try:
-        return QuadScalar.from_text(text)
+        value = QuadScalar.from_text(text)
     except ValueError:
-        return QuadScalar.coerce(Fraction(text))
+        value = QuadScalar.coerce(Fraction(text))
+    limit = sys.get_int_max_str_digits()
+    parts = (n for part in (value.rat, value.surd) for n in part.as_integer_ratio())
+    if limit and max(map(abs, parts)) >= 10**limit:
+        raise ValueError(f"a part has more than {limit} digits")
+    return value
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:

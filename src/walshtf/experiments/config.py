@@ -68,7 +68,9 @@ class ExperimentConfig:
         if not 2.0 / 3.0 < self.q:
             raise ConfigError(f"q must exceed 2/3, got {self.q}")
         relation = 1.0 / self.p1 + 1.0 / self.p2
-        if not abs(relation - 1.0 / self.q) <= _REL_TOL * max(1.0, abs(relation)):
+        # A tiny p overflows 1/p to inf, which a tolerance scaled by it would pass.
+        close = abs(relation - 1.0 / self.q) <= _REL_TOL * max(1.0, abs(relation))
+        if not (math.isfinite(relation) and close):
             raise ConfigError(
                 f"exponents must satisfy 1/q = 1/p1 + 1/p2; "
                 f"got 1/q = {1.0 / self.q}, 1/p1 + 1/p2 = {relation}"

@@ -9,12 +9,10 @@ so rendering the same input twice gives identical bytes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..geometry import Quartile, quartile_sort_key
 from ..trees import SelectionResult
 
-__all__ = ["selection_svg", "render_phase_plane"]
+__all__ = ["selection_svg"]
 
 _WIDTH, _HEIGHT, _MARGIN = 720.0, 480.0, 48.0
 _PASS_COLORS = {1: "#1b9e77", 2: "#d95f02", 3: "#7570b3", 4: "#e7298a"}
@@ -106,8 +104,3 @@ def selection_svg(selection: SelectionResult) -> str:
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def render_phase_plane(selection: SelectionResult, path: str | Path) -> None:
-    """Write the phase plane picture of a selection to an SVG file."""
-    Path(path).write_text(selection_svg(selection), encoding="utf-8")

@@ -102,6 +102,9 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         # never pinned by a member, so two of them give pinned_forest
         # enough distinct trees to draw from.
         raise ConfigError("identities needs grid_m >= grid_j + 2 to draw distinct pinned trees")
+    if not (config.r == math.inf or float(config.r).is_integer()):
+        # The variation check runs in exact arithmetic, which takes these r only.
+        raise ConfigError(f"identities needs an integer or infinite r, got {config.r}")
     rng = config.rng(_STREAM_OFFSET["identities"])
     columns = ("check", "trial", "detail", "ok")
     rows: list[tuple] = []
@@ -120,7 +123,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
         rows.append(("orthonormality", trial, detail, ok))
 
     # --- tree truncation and variation invariance ---------------------
-    int_r = int(config.r) if float(config.r).is_integer() else 3
+    exact_r = config.r if config.r == math.inf else int(config.r)
     for trial in range(config.trials):
         pin = 2 if trial == 0 else rng.choice((1, 2, 3, 4))
         tree = pinned_tree(
@@ -185,13 +188,13 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                 seq_b = collapse_repeats(col_b)
                 if seq_a == seq_b:
                     continue
-                pa = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_a], int_r).power_sum
-                pb = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_b], int_r).power_sum
+                pa = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_a], exact_r).power_sum
+                pb = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_b], exact_r).power_sum
                 if pa != pb:
                     ok_var = False
                     break
             rows.append(
-                ("vartrunc", trial, f"subtile={subtile} r={int_r}", ok_var)
+                ("vartrunc", trial, f"subtile={subtile} r={exact_r}", ok_var)
             )
 
     # --- delta insertion on pinned families ---------------------------

@@ -28,7 +28,7 @@ from .exact import (
 )
 from .geometry import DyadicInterval, Quartile, Tile, band_index, quartile_sort_key
 from .variation import linearize_weights
-from .wavepacket import StepFunction, batch_inner_products, synthesize
+from .wavepacket import StepFunction, batch_inner_products, tree_sign_step
 
 __all__ = [
     "QuartileCollection",
@@ -165,22 +165,26 @@ def freq_projection(
 ) -> StepFunction:
     """Project f onto packets at one time scale near the given frequencies.
 
-    For each dyadic frequency interval of length 2^-scale that meets
-    the set, the packets over all time intervals of length 2^scale are
-    paired with f and resummed.  With the single frequency zero this
-    reduces to plain averaging at that scale.
+    Each dyadic frequency interval of length 2^-scale that meets the set
+    adds its packets over all time intervals of length 2^scale, each
+    times its pairing with f: the modulated average w * E(w * f), E the
+    average at that scale and w the +-1 signs of the box packet at
+    frequency index omega 2^(J - scale), the band's pattern repeated on
+    every such interval.  With the single frequency zero this is plain
+    averaging; a band finer than the cells is refused.
     """
     if scale < -f.resolution_exp:
         raise ScaleTooFine(f"no structure below cell width 2^-{f.resolution_exp}")
     if scale > f.domain_exp:
         raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
-    tiles = [
-        Tile(DyadicInterval(n, scale), omega)
-        for omega in freqs.covering(-scale)
-        for n in range(1 << (f.domain_exp - scale))
-    ]
-    coeffs = batch_inner_products(f, tiles)
-    return synthesize(coeffs.items(), f.domain_exp, f.resolution_exp)
+    domain_exp, resolution_exp = f.domain_exp, f.resolution_exp
+    box = DyadicInterval(0, domain_exp)
+    total = StepFunction.zero(domain_exp, resolution_exp)
+    for omega in freqs.covering(-scale):
+        top = Tile(box, DyadicInterval(omega.index << (domain_exp - scale), -domain_exp))
+        w = tree_sign_step(top, domain_exp, resolution_exp)
+        total = total + w * average(w * f, scale)
+    return total
 
 
 class TruncationField:

@@ -11,9 +11,10 @@ packet sums by adding one term's slice at a time, model coefficients
 by one `QuadScalar` product of two cell-by-cell pairings per quartile,
 the dyadic maximal function by a running maximum over one block size
 at a time.  The only package imports are the primitive containers and
-exact scalars, and the one-column weight solver whose per-cell results
-the linearization must reproduce; none of the machinery under test is
-reused.
+exact scalars, the one-column weight solver whose per-cell results the
+linearization must reproduce, and the packet pairing and resummation
+that the frequency projection by packets goes through; none of the
+machinery under test is reused.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ from walshtf import (
     StepFunction,
     Tile,
     ZERO,
+    batch_inner_products,
     inv_sqrt_pow2,
     pow2_fraction,
+    synthesize,
 )
-from walshtf.errors import ResolutionTooCoarse, ZeroVariation
+from walshtf.errors import ResolutionTooCoarse, ScaleTooCoarse, ScaleTooFine, ZeroVariation
 from walshtf.variation import linearize_weights
 
 
@@ -490,3 +493,20 @@ def maximal_by_block(values: np.ndarray, q: float) -> np.ndarray:
         best = np.maximum(best, np.repeat(means, block))
         block *= 2
     return best ** (1.0 / q)
+
+
+def projection_by_packets(f: StepFunction, freqs, scale: int) -> StepFunction:
+    """The frequency projection as a packet sum: every tile at the time
+    scale over a band of `freqs.covering(-scale)` paired with f in one
+    `batch_inner_products` call, and the pairs resummed by `synthesize`."""
+    if scale < -f.resolution_exp:
+        raise ScaleTooFine(f"no structure below cell width 2^-{f.resolution_exp}")
+    if scale > f.domain_exp:
+        raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
+    tiles = [
+        Tile(DyadicInterval(n, scale), omega)
+        for omega in freqs.covering(-scale)
+        for n in range(1 << (f.domain_exp - scale))
+    ]
+    coeffs = batch_inner_products(f, tiles)
+    return synthesize(coeffs.items(), f.domain_exp, f.resolution_exp)

@@ -76,6 +76,9 @@ def test_default_config_is_consistent():
         {"grid_j": True},
         {"grid_m": "5"},
         {"grid_j": 12, "grid_m": 5},
+        # 1/p1 overflowed to inf, and |inf - 1/q| <= 1e-9 * inf held.
+        {"p1": 5e-324},
+        {"p1": 5e-324, "p2": 5e-324},
     ],
 )
 def test_config_rejects_bad_fields(overrides):
@@ -1075,3 +1078,32 @@ def test_cli_refuses_json_nested_past_the_recursion_limit(tmp_path, capsys, comm
     flag = "--in" if command == "render" else "--config"
     assert main([command, flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("alpha", ["1e-20000", "1e20000"])
+def test_cli_select_trees_refuses_an_alpha_with_more_digits_than_python_writes(
+    tmp_path, capsys, alpha
+):
+    # Fraction read the exponent, and writing the allowance out, in the
+    # refusal or in the selection, raised ValueError: a traceback, exit 3.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": alpha}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert '"alpha"' in capsys.readouterr().err
+
+
+def test_cli_identities_refuses_a_fractional_r(tmp_path, capsys):
+    # It ran the variation check at r = 3, and its rows read r=3.
+    out = tmp_path / "report.csv"
+    assert main(["identities", "--trials", "1", "--r", "3.5", "--out", str(out)]) == 2
+    assert "integer or infinite r" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["inf", "4"])
+def test_cli_identities_runs_its_variation_check_at_the_given_r(tmp_path, r):
+    # An infinite r ran the check at r = 3, and its rows read r=3.
+    out = tmp_path / "report.csv"
+    assert main(["identities", "--trials", "1", "--r", r, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert {row[2].split()[-1] for row in rows if row[0] == "vartrunc"} == {f"r={r}"}

@@ -100,7 +100,10 @@ _FIELDS = {
     # select-trees problems and selections
     "slot": _int(1, 4),
     "pass_slot": _int(1, 4),
-    "alpha": _choice("25/64", "1/4", "25/64+0/1*sqrt2"),
+    # An exponent literal past Python's digit limit for int-to-text.
+    "alpha": st.one_of(
+        _choice("25/64", "1/4", "25/64+0/1*sqrt2"), st.sampled_from(["1e-20000", "1e20000"])
+    ),
     "domain_exp": _int(0, 6),
     "xi": _choice("1*2^-2", "3*2^-1", "0*2^0"),
     "top_interval": st.one_of(_INTERVAL, _NOT_INT),

@@ -36,7 +36,12 @@ from walshtf import (
     variation_norm,
     wavepacket_step,
 )
-from oracles import maximal_by_block, per_column_linearization, weight_field_by_cell
+from oracles import (
+    maximal_by_block,
+    per_column_linearization,
+    projection_by_packets,
+    weight_field_by_cell,
+)
 from walshtf.errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine
 from walshtf.kernels import batch_variation
 from walshtf.operators import model_coefficients, tilde_coefficients
@@ -124,6 +129,57 @@ def test_freq_projection_is_idempotent(rng):
     for scale in (-2, 0, 1):
         once = freq_projection(f, freqs, scale)
         assert freq_projection(once, freqs, scale) == once
+
+
+# Grids (J, m) the projection is checked on besides free ones: a negative
+# J is a dilated function.
+_PROJECTION_GRIDS = [
+    (3, 5), (2, 6), (0, 9), (4, 4), (1, 1), (0, 2), (5, 3), (-1, 3), (-2, 4), (-3, 3),
+]
+# Cell value parts: small integers, non-dyadic fractions, past int64.
+_PART = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-4, 4, max_denominator=12),
+    st.sampled_from([2**63 + 1, -(3**45), Fraction(2**70, 3)]),
+)
+_CELL_VALUE = st.builds(QuadScalar, _PART, st.one_of(st.just(0), _PART))
+
+
+@st.composite
+def _projection_case(draw):
+    """A function, a set of 0 to 6 frequencies and a scale from -m - 1 to J + 1."""
+    free = st.integers(-3, 5).flatmap(
+        lambda j: st.tuples(st.just(j), st.integers(max(-j, 0), 9 - j))
+    )
+    j, m = draw(st.one_of(st.sampled_from(_PROJECTION_GRIDS), free))
+    palette = draw(st.lists(_CELL_VALUE, min_size=2, max_size=4))
+    pick = draw(st.randoms(use_true_random=False))
+    values = [pick.choice(palette) for _ in range(1 << (j + m))]
+    f = StepFunction(0, j + m, values).dilate(-j) if j < 0 else StepFunction(j, m, values)
+    # Most points lie below 2^m, where every band is resolved; the rest
+    # reach 2^(J + m + 2), where some bands are finer than the cells.
+    inside = st.builds(Fraction, st.integers(0, (64 << max(m, 0)) - 1), st.just(64))
+    anywhere = st.builds(
+        Fraction, st.integers(0, 1 << (j + m + 2)), st.sampled_from([1, 2, 4, 8, 16, 64])
+    )
+    point = st.one_of(inside, inside, inside, anywhere)
+    freqs = FrequencySet(draw(st.lists(point, max_size=6)))
+    return f, freqs, draw(st.one_of(st.integers(-m, j), st.integers(-m - 1, j + 1)))
+
+
+def _projection_outcome(project, f, freqs, scale):
+    try:
+        return project(f, freqs, scale)
+    except Exception as exc:  # the class and the message must agree
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_projection_case())
+def test_freq_projection_is_the_packet_sum(case):
+    f, freqs, scale = case
+    want = _projection_outcome(projection_by_packets, f, freqs, scale)
+    assert _projection_outcome(freq_projection, f, freqs, scale) == want
 
 
 def test_frequency_set_bookkeeping():
