@@ -31,7 +31,7 @@ from .random_gen import dyadic_set
 from .render import selection_svg
 from .report import ExperimentReport
 from .restricted import run_counting_experiment, run_restricted_type
-from .suites import LEMMA_NAMES, run_identity_suite, run_lemma_experiment
+from .suites import _LEMMA_DRIVERS, LEMMA_NAMES, run_identity_suite, run_lemma_experiment
 from .theorem import run_theorem1
 
 __all__ = ["main"]
@@ -51,6 +51,14 @@ _CONFIG_FLAGS = {
     "grid_j": (int, "domain exponent of the grid box"),
     "grid_m": (int, "resolution exponent of the grid"),
 }
+
+# The `lemma` subcommand takes the flag of every field some lemma reads;
+# `_cmd_lemma` refuses one that the named lemma does not read.
+_LEMMA_FIELDS = [
+    dest
+    for dest in _CONFIG_FLAGS
+    if any(dest in fields for _, fields in _LEMMA_DRIVERS.values())
+]
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser, *fields: str) -> None:
@@ -111,6 +119,11 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
+    _, fields = _LEMMA_DRIVERS[args.name]
+    for dest in _LEMMA_FIELDS:
+        if dest not in fields and getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise InvalidInput(f"lemma {args.name} does not read {flag}")
     return _emit_report(
         run_lemma_experiment(args.name, _build_config(args)), args.out
     )
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", help="run one lemma-level experiment")
     p.add_argument("name", choices=LEMMA_NAMES)
-    _add_config_arguments(p, "r", "epsilon", "trials", "seed", "grid_j", "grid_m")
+    _add_config_arguments(p, *_LEMMA_FIELDS)
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(handler=_cmd_lemma)
 

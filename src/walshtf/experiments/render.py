@@ -47,7 +47,7 @@ def selection_svg(selection: SelectionResult) -> str:
         for grab in selection.grabs
         for q in sorted(grab.full.quartiles, key=quartile_sort_key)
     ]
-    residual = sorted(selection.residual.quartiles, key=quartile_sort_key)
+    residual = list(selection.residual)
     everything = [q for q, _ in grabbed] + residual
     time_extent = max(
         (float(q.time.right) for q in everything), default=1.0

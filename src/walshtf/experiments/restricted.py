@@ -174,6 +174,10 @@ def run_restricted_type(
     residual = list(kept)
     stage = 0
     if targets and residual:
+        if not all(map(math.isfinite, targets)):
+            raise ConfigError(
+                f"maximal_exp {q_tilde} is too large: the first stage index is not finite"
+            )
         n = math.floor(min(targets))
         allowances: dict[int, QuadScalar] = {}
         while residual and stage < 48:
@@ -187,7 +191,7 @@ def run_restricted_type(
                     allowance = max(allowance, initial_sq[i])
                 allowances[i] = allowance
                 result = select_trees(residual, coefficients[i], i, allowance, domain_exp)
-                residual = list(result.residual)
+                residual = result.residual
                 if result.grabs:
                     top_len = float(result.top_length())
                     rows.append(
@@ -197,7 +201,7 @@ def run_restricted_type(
                             i,
                             len(result.grabs),
                             top_len,
-                            top_len / 2.0**n,
+                            math.ldexp(top_len, -n),
                             True,
                         )
                     )
@@ -340,7 +344,7 @@ def run_counting_experiment(
                         residual, by_slot[slot], slot, allowance, domain_exp, verify=False
                     )
                     removed += result.top_length()
-                    residual = list(result.residual)
+                    residual = result.residual
                 if n == 0:
                     continue
                 ratio = float(removed) * 4.0 ** (-1.5 * n) / float(measure)

@@ -273,6 +273,14 @@ def _lepingle(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _power(base: int, exponent: float) -> float:
+    """base ** exponent, with inf where that overflows, as it is at inf."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
     """Variation of frequency projections against a power of the set size."""
     domain_exp, resolution_exp = config.grid_j, config.grid_m
@@ -292,7 +300,7 @@ def _bourgain_delta(config: ExperimentConfig) -> ExperimentReport:
             levels.append(freq_projection(f, freqs, k).to_float_array())
         field = np.asarray(levels)
         lhs = lp_norm(batch_variation(field, config.r), 2.0, resolution_exp)
-        rhs = count**config.epsilon * lp_norm(f.to_float_array(), 2.0, resolution_exp)
+        rhs = _power(count, config.epsilon) * lp_norm(f.to_float_array(), 2.0, resolution_exp)
         if rhs == 0.0:
             rows.append((trial, count, 0.0, lhs, rhs, "zero-input"))
             continue
@@ -454,12 +462,14 @@ def _size_bound(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+# Each lemma's driver and the config fields it reads; the `lemma`
+# subcommand takes the flags of these fields only.
 _LEMMA_DRIVERS = {
-    "lepingle": _lepingle,
-    "bourgain_delta": _bourgain_delta,
-    "rademacher_menshov": _rademacher_menshov,
-    "john_nirenberg": _john_nirenberg,
-    "size_bound": _size_bound,
+    "lepingle": (_lepingle, ("r", "trials", "seed", "grid_j", "grid_m")),
+    "bourgain_delta": (_bourgain_delta, ("r", "epsilon", "trials", "seed", "grid_j", "grid_m")),
+    "rademacher_menshov": (_rademacher_menshov, ("trials", "seed")),
+    "john_nirenberg": (_john_nirenberg, ("trials", "seed", "grid_j", "grid_m")),
+    "size_bound": (_size_bound, ("trials", "seed", "grid_j", "grid_m")),
 }
 
 LEMMA_NAMES = tuple(_LEMMA_DRIVERS)
@@ -473,7 +483,7 @@ def run_lemma_experiment(which: str, config: ExperimentConfig) -> ExperimentRepo
     always zero unless the run itself breaks.
     """
     try:
-        driver = _LEMMA_DRIVERS[which]
+        driver, _ = _LEMMA_DRIVERS[which]
     except KeyError:
         raise ConfigError(
             f"unknown lemma experiment {which!r}; pick one of {', '.join(LEMMA_NAMES)}"

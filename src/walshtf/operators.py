@@ -31,7 +31,6 @@ from .variation import linearize_weights
 from .wavepacket import StepFunction, batch_inner_products, tree_sign_step
 
 __all__ = [
-    "QuartileCollection",
     "FrequencySet",
     "average",
     "maximal",
@@ -49,51 +48,6 @@ __all__ = [
 ]
 
 TermList = Iterable[tuple[Quartile, ScalarLike]]
-
-
-class QuartileCollection:
-    """An immutable finite set of quartiles, iterated in a fixed order."""
-
-    __slots__ = ("quartiles",)
-
-    def __init__(self, quartiles: Iterable[Quartile]) -> None:
-        object.__setattr__(self, "quartiles", frozenset(quartiles))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuartileCollection is immutable")
-
-    def __len__(self) -> int:
-        return len(self.quartiles)
-
-    def __iter__(self) -> Iterator[Quartile]:
-        return iter(sorted(self.quartiles, key=quartile_sort_key))
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.quartiles
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuartileCollection):
-            return NotImplemented
-        return self.quartiles == other.quartiles
-
-    def __hash__(self) -> int:
-        return hash(self.quartiles)
-
-    def __or__(self, other: "QuartileCollection") -> "QuartileCollection":
-        return QuartileCollection(self.quartiles | other.quartiles)
-
-    def __sub__(self, other: "QuartileCollection") -> "QuartileCollection":
-        return QuartileCollection(self.quartiles - other.quartiles)
-
-    def to_json(self) -> list[dict]:
-        return [q.to_json() for q in self]
-
-    @classmethod
-    def from_json(cls, data: Sequence[dict]) -> "QuartileCollection":
-        return cls(Quartile.from_json(item) for item in data)
-
-    def __repr__(self) -> str:
-        return f"QuartileCollection({len(self.quartiles)} quartiles)"
 
 
 class FrequencySet:
@@ -508,10 +462,11 @@ def lambda_form(
     the pairings of f1 and f2 with its first and second subtile packets
     (`model_coefficients`), times its slot-3 coefficient of f3
     (`slot_coefficients`, weight-modified when a linearization is
-    given).  Everything is exact, and a quartile outside the box is
-    refused as `model_coefficients` refuses it.
+    given).  Everything is exact, a quartile outside the box is refused
+    as `model_coefficients` refuses it, and a repeated quartile counts
+    once.
     """
-    quartiles = list(quartiles)
+    quartiles = list(dict.fromkeys(quartiles))
     thirds = slot_coefficients(f3, quartiles, 3, linearization)
     total = ZERO
     for q, (r, s, d) in zip(quartiles, model_coefficients(f1, f2, quartiles)):

@@ -46,7 +46,7 @@ from .geometry import (
     maximal_tree,
     quartile_sort_key,
 )
-from .operators import FrequencySet, QuartileCollection
+from .operators import FrequencySet
 
 __all__ = [
     "SizeReport",
@@ -230,7 +230,7 @@ class _Candidates:
 
 
 def size(
-    collection: QuartileCollection | Iterable[Quartile],
+    collection: Iterable[Quartile],
     coefficients: Mapping[Quartile, QuadScalar],
     slot: int,
     domain_exp: int,
@@ -321,14 +321,16 @@ class SelectionResult:
     """Outcome of the greedy tree removal.
 
     Grabs appear in removal order; passes run through the pinning slots
-    in increasing order.  Size fields are exact squares, with
-    residual_size_sq None when verification was skipped.
+    in increasing order.  The residual holds the quartiles left, in
+    `quartile_sort_key` order, and is read back from JSON as a set.
+    Size fields are exact squares, with residual_size_sq None when
+    verification was skipped.
     """
 
     slot: int
     alpha: QuadScalar
     grabs: tuple[SelectedTree, ...]
-    residual: QuartileCollection
+    residual: tuple[Quartile, ...]
     initial_size_sq: QuadScalar
     residual_size_sq: QuadScalar | None
 
@@ -344,7 +346,7 @@ class SelectionResult:
             "slot": self.slot,
             "alpha": self.alpha.to_text(),
             "grabs": [g.to_json() for g in self.grabs],
-            "residual": self.residual.to_json(),
+            "residual": [q.to_json() for q in self.residual],
             "initial_size_sq": self.initial_size_sq.to_text(),
             "residual_size_sq": None if residual_sq is None else residual_sq.to_text(),
         }
@@ -357,14 +359,43 @@ class SelectionResult:
             _json_int(data["slot"], "slot", 1, 4),
             QuadScalar.from_text(data["alpha"]),
             tuple(SelectedTree.from_json(item) for item in data["grabs"]),
-            QuartileCollection.from_json(data["residual"]),
+            tuple(
+                sorted({Quartile.from_json(q) for q in data["residual"]}, key=quartile_sort_key)
+            ),
             QuadScalar.from_text(data["initial_size_sq"]),
             None if residual_sq is None else QuadScalar.from_text(residual_sq),
         )
 
 
+def _digit_count(n: int) -> int:
+    """The decimal digits of |n|, counted without writing n out."""
+    n = abs(n)
+    # n >= 2^(b-1) >= 10^(0.3 (b-1)) for a b-bit n, so this never overshoots.
+    count = max(n.bit_length() - 1, 0) * 3 // 10 + 1
+    while n >= 10**count:
+        count += 1
+    return count
+
+
+def _short_text(x: QuadScalar) -> str:
+    """x's exact text when that is at most 80 characters, else its nearest
+    float, infinite past the largest one, and the digit counts of the four
+    integers of that text."""
+    parts = [n for part in (x.rat, x.surd) for n in part.as_integer_ratio()]
+    if max(abs(n) for n in parts).bit_length() <= 256:
+        text = x.to_text()
+        if len(text) <= 80:
+            return text
+    try:
+        value = x.to_float()
+    except OverflowError:
+        value = math.copysign(math.inf, x.sign())
+    digits = ", ".join(str(_digit_count(n)) for n in parts)
+    return f"~{value:.6g} (exact text of integers with {digits} digits)"
+
+
 def select_trees(
-    collection: QuartileCollection | Iterable[Quartile],
+    collection: Iterable[Quartile],
     coefficients: Mapping[Quartile, QuadScalar],
     slot: int,
     alpha: ScalarLike | QuadScalar,
@@ -402,7 +433,7 @@ def select_trees(
     initial = cands.densest()
     if initial.value_sq > alpha:
         raise PreconditionViolated(
-            f"square size {initial.value_sq} exceeds the allowance {alpha}"
+            f"square size {initial.value_sq} exceeds the allowance {_short_text(alpha)}"
         )
     alive = [True] * len(members)
     grabs: list[SelectedTree] = []
@@ -435,7 +466,6 @@ def select_trees(
                 for q in full.quartiles:
                     alive[position[q]] = False
     left = [q for q, a in zip(members, alive) if a]
-    residual = QuartileCollection(left)
     residual_size_sq: QuadScalar | None = None
     if verify:
         recheck = _Candidates(left, coefficients, pins, domain_exp).densest()
@@ -449,7 +479,7 @@ def select_trees(
         slot,
         alpha,
         tuple(grabs),
-        residual,
+        tuple(left),
         initial.value_sq,
         residual_size_sq,
     )

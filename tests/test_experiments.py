@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -24,9 +26,10 @@ from walshtf.experiments import (
     run_theorem1,
     selection_svg,
 )
-from walshtf.experiments.cli import main
+from walshtf.experiments.cli import _CONFIG_FLAGS, build_parser, main
 from walshtf.experiments.config import ExperimentConfig
 from walshtf.experiments.restricted import _normalising_shift
+from walshtf.experiments.suites import _LEMMA_DRIVERS
 from walshtf.experiments.theorem import _operator_fields
 from walshtf.experiments.random_gen import (
     _draw_below,
@@ -1107,3 +1110,118 @@ def test_cli_identities_runs_its_variation_check_at_the_given_r(tmp_path, r):
     assert main(["identities", "--trials", "1", "--r", r, "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()]
     assert {row[2].split()[-1] for row in rows if row[0] == "vartrunc"} == {f"r={r}"}
+
+
+@pytest.mark.parametrize("maximal_exp", ["1000", "1e20", "1e300", "30"])
+def test_cli_restricted_type_runs_at_a_large_maximal_exp(tmp_path, maximal_exp):
+    # top_len / 2.0**n raised OverflowError: a traceback, exit 3.
+    out = tmp_path / "report.csv"
+    for seed in ("0", "1", "2"):
+        argv = ["restricted-type", "--trials", "4", "--seed", seed, "--maximal-exp", maximal_exp]
+        assert main([*argv, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("maximal_exp", ["1e308", "inf"])
+def test_cli_restricted_type_refuses_a_maximal_exp_with_no_finite_first_stage(
+    tmp_path, capsys, maximal_exp
+):
+    # math.floor of an infinite stage index raised OverflowError, exit 3.
+    out = tmp_path / "report.csv"
+    argv = ["restricted-type", "--trials", "4", "--maximal-exp", maximal_exp, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: maximal_exp") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_bourgain_delta_takes_an_overflowing_bound_as_infinite(tmp_path):
+    # count**epsilon raised OverflowError at 1e308, exit 3; inf already ran.
+    reports = []
+    for epsilon in ("1e308", "inf"):
+        out = tmp_path / f"{epsilon}.csv"
+        argv = ["lemma", "bourgain_delta", "--trials", "4", "--epsilon", epsilon]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+# A value each config flag accepts in every lemma that reads it.
+_LEMMA_FLAG_VALUES = {
+    "r": "3", "epsilon": "0.5", "trials": "1", "seed": "3", "grid_j": "1", "grid_m": "5",
+}
+
+
+def _lemma_flag_pairs(read: bool) -> list[tuple[str, str]]:
+    return [
+        (name, dest)
+        for name, (_, fields) in _LEMMA_DRIVERS.items()
+        for dest in _LEMMA_FLAG_VALUES
+        if (dest in fields) == read
+    ]
+
+
+@pytest.mark.parametrize("name, dest", _lemma_flag_pairs(read=False))
+def test_cli_lemma_refuses_a_flag_the_named_lemma_does_not_read(tmp_path, capsys, name, dest):
+    # The flag was accepted and ignored: the same report with or without it.
+    flag = "--" + dest.replace("_", "-")
+    out = tmp_path / "report.csv"
+    assert main(["lemma", name, flag, _LEMMA_FLAG_VALUES[dest], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: lemma {name} does not read {flag}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, dest", _lemma_flag_pairs(read=True))
+def test_cli_lemma_runs_with_each_flag_the_named_lemma_reads(tmp_path, name, dest):
+    flag = "--" + dest.replace("_", "-")
+    argv = ["lemma", name, "--trials", "1", flag, _LEMMA_FLAG_VALUES[dest]]
+    assert main([*argv, "--out", str(tmp_path / "report.csv")]) == 0
+
+
+def test_lemma_flag_pairs_cover_every_lemma():
+    assert len(_lemma_flag_pairs(read=True)) == 21
+    assert len(_lemma_flag_pairs(read=False)) == 9
+    assert {name for name, _ in _lemma_flag_pairs(read=True)} == set(LEMMA_NAMES)
+
+
+def test_the_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| subcommand | config flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        command, flags = line.strip("|").split("|")
+        rows[command.strip().strip("`")] = set(re.findall(r"`(--[a-z0-9-]+)`", flags))
+    expected = {}
+    commands = next(action for action in build_parser()._actions if action.dest == "command")
+    for command, parser in commands.choices.items():
+        flags = {
+            option
+            for act in parser._actions
+            if act.dest in _CONFIG_FLAGS
+            for option in act.option_strings
+        }
+        if command == "lemma":
+            for name, (_, fields) in _LEMMA_DRIVERS.items():
+                expected[f"lemma {name}"] = {"--" + f.replace("_", "-") for f in fields}
+            assert flags == set().union(*(rows[f"lemma {name}"] for name in LEMMA_NAMES))
+        elif flags:
+            expected[command] = flags
+    assert rows == expected
+
+
+def test_cli_select_trees_writes_a_long_allowance_short_in_its_refusal(tmp_path, capsys):
+    # The refusal wrote the 2001-digit denominator out: a 2071-character line.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1e-2000"}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "exceeds the allowance ~0 (exact text of integers with 1, 2001, 1, 1 digits)" in err
+    # One past the largest float is written as an infinity, not raised.
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "-1e400"}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "allowance ~-inf (exact text of integers with 401, 1, 1, 1 digits)" in err
+    # An allowance of at most 80 characters is written out as before.
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1/1000000"}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("exceeds the allowance 1/1000000+0/1*sqrt2\n")

@@ -12,7 +12,6 @@ from walshtf import (
     DyadicInterval,
     DyadicRational,
     Quartile,
-    QuartileCollection,
     Tile,
     Tree,
     containing_interval,
@@ -289,18 +288,6 @@ def test_lacunary_tiles_are_disjoint(rng):
             for a in range(len(stamps)):
                 for b in range(a + 1, len(stamps)):
                     assert tiles_disjoint(stamps[a], stamps[b])
-
-
-def test_collection_set_behaviour():
-    a = Quartile(DyadicInterval(0, 0), DyadicInterval(1, 2))
-    b = Quartile(DyadicInterval(0, 1), DyadicInterval(0, 1))
-    coll = QuartileCollection([a, b, a])
-    assert len(coll) == 2
-    assert a in coll
-    assert list(coll) == sorted([a, b], key=lambda q: (q.time.scale, q.time.index, q.freq.index))
-    assert QuartileCollection.from_json(coll.to_json()) == coll
-    assert (coll | QuartileCollection([a])) == coll
-    assert (coll - QuartileCollection([a])) == QuartileCollection([b])
 
 
 def _value(x) -> Fraction:

@@ -17,7 +17,6 @@ from walshtf import (
     Linearization,
     QuadScalar,
     Quartile,
-    QuartileCollection,
     StepFunction,
     Tile,
     ZERO,
@@ -43,6 +42,7 @@ from oracles import (
     weight_field_by_cell,
 )
 from walshtf.errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine
+from walshtf.geometry import quartile_sort_key
 from walshtf.kernels import batch_variation
 from walshtf.operators import model_coefficients, tilde_coefficients
 from walshtf.experiments.random_gen import (
@@ -205,7 +205,7 @@ def test_model_terms_carry_the_packet_normalisation(rng):
     coll = disjoint_collection(rng, 5, 2, 3)
     f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
     terms = model_terms(f1, f2, coll)
-    assert [q for q, _ in terms] == list(QuartileCollection(coll))
+    assert [q for q, _ in terms] == sorted(set(coll), key=quartile_sort_key)
     for q, c in terms:
         raw = inner_product(f1, q.tile(1)) * inner_product(f2, q.tile(2))
         assert c == inv_sqrt_pow2(q.time.scale) * raw
@@ -266,6 +266,16 @@ def test_lambda_form_with_trivial_linearization(rng):
     assert lambda_form(coll, f1, f2, f3) == direct
     triv = Linearization.trivial(2, 3)
     assert lambda_form(coll, f1, f2, f3, triv) == direct
+
+
+def test_lambda_form_counts_a_repeated_quartile_once():
+    # It summed the repeat's term twice: 5/512 became 5/256.
+    rng = random.Random(1)
+    coll = disjoint_collection(rng, 4, 2, 3)
+    fs = [sign_function(rng, 2, 3) for _ in range(3)]
+    assert lambda_form(coll, *fs) == QuadScalar(Fraction(5, 512))
+    assert lambda_form(coll + coll[:1], *fs) == lambda_form(coll, *fs)
+    assert lambda_form([*coll, *coll[::-1]], *fs) == lambda_form(coll, *fs)
 
 
 def test_lambda_form_threads_the_linearization(rng):
