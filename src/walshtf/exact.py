@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import NotDyadicError
@@ -177,29 +177,45 @@ def quad_sign(a: int, b: int) -> int:
 # bits -> root with root / 2^bits < sqrt2 < (root + 1) / 2^bits.
 _SQRT2_ROOTS = {bits: isqrt(2 << (2 * bits)) for bits in (64, 128, 256, 512)}
 
+# The least magnitude that rounds to an infinite float: halfway between
+# the largest float, 2^1024 - 2^971, and 2^1024, a tie that rounds to
+# the even significand of 2^1024.
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
+
+
+def _int_ratio(a: int, b: int) -> float:
+    """The float nearest a / b for integers, b positive: ±inf from
+    `_FLOAT_LIMIT` on, where int true division raises OverflowError."""
+    # |a| / b < 2^(len a - len b + 1), so only long quotients can reach it.
+    if a.bit_length() - b.bit_length() > 1021 and abs(a) >= _FLOAT_LIMIT * b:
+        return inf if a > 0 else -inf
+    return a / b
+
 
 def quad_to_float(r: int, s: int, d: int) -> float:
     """The float nearest (r + s*sqrt2) / d for integers, d positive.
 
-    sqrt2 is resolved adaptively: the enclosure is tightened until both
-    interval ends round to the same float, so the result is the
-    correctly rounded value whenever the loop converges (always in
+    Round to nearest, so a value of magnitude `_FLOAT_LIMIT` or more is
+    ±inf.  sqrt2 is resolved adaptively: the enclosure is tightened
+    until both interval ends round to the same float, so the result is
+    the correctly rounded value whenever the loop converges (always in
     practice; the final fallback is off by at most one ulp).  Each end
-    is one int true division, which is correctly rounded.  Scaling
+    is one `_int_ratio`, which is correctly rounded and decides
+    overflow on the integers before any true division.  Scaling
     r, s and d by one factor scales both ends alike, so the result does
     not depend on the representation: it is the same for any (r, s, d)
     of one value, canonical or not.
     """
     if not s:
-        return r / d
+        return _int_ratio(r, d)
     for bits, root in _SQRT2_ROOTS.items():
         # The ends are (r 2^bits + s root) and that plus s, over d 2^bits.
         a = (r << bits) + s * root
         den = d << bits
-        fa, fb = a / den, (a + s) / den
+        fa, fb = _int_ratio(a, den), _int_ratio(a + s, den)
         if fa == fb:
             return fa
-    return (2 * a + s) / (2 * den)
+    return _int_ratio(2 * a + s, 2 * den)
 
 
 class QuadScalar:

@@ -104,8 +104,13 @@ def masked_signs(rng: random.Random, mask: StepFunction) -> StepFunction:
     return StepFunction(mask.domain_exp, mask.resolution_exp, rat)
 
 
-def random_quartile(rng: random.Random, domain_exp: int, resolution_exp: int) -> Quartile:
-    """One quartile of the box: a time scale, then a time and a frequency index.
+def random_quartile(
+    rng: random.Random, domain_exp: int, resolution_exp: int
+) -> tuple[int, int, int]:
+    """One quartile of the box as the integers (k, n, f) of its time scale,
+    time index and frequency index: the quartile with time (n, k) and
+    frequency (f, 2 - k).  The callers build a `Quartile` only for a draw
+    they keep.
 
     The values, and the state `rng` is left in, are those of
     `k = rng.randint(2 - m, J)`, `rng.randrange(2^(J - k))` and
@@ -140,6 +145,11 @@ def random_quartile(rng: random.Random, domain_exp: int, resolution_exp: int) ->
     f = getrandbits(span + 1)
     while f >> span:
         f = getrandbits(span + 1)
+    return k, n, f
+
+
+def _quartile(k: int, n: int, f: int) -> Quartile:
+    """The quartile of a `random_quartile` draw."""
     return Quartile(DyadicInterval(n, k), DyadicInterval(f, 2 - k))
 
 
@@ -150,11 +160,12 @@ def quartile_collection(
 
     Every time scale carries the same number of grid quartiles, so the
     scale-then-position draw of random_quartile is uniform over the
-    whole box and rejection only has to dodge exact repeats.  Each
-    scale holds 2^(J+m-2) quartiles, so a count above that times the
-    number of scales is refused before any draw.
+    whole box and rejection only has to dodge exact repeats, which it
+    finds among the drawn (k, n, f) triples.  Each scale holds
+    2^(J+m-2) quartiles, so a count above that times the number of
+    scales is refused before any draw.
     """
-    seen: set[Quartile] = set()
+    seen: set[tuple[int, int, int]] = set()
     out: list[Quartile] = []
     budget = 60 * count + 60
     area_exp = domain_exp + resolution_exp
@@ -162,10 +173,10 @@ def quartile_collection(
         budget = 0
     while len(out) < count and budget:
         budget -= 1
-        q = random_quartile(rng, domain_exp, resolution_exp)
-        if q not in seen:
-            seen.add(q)
-            out.append(q)
+        draw = random_quartile(rng, domain_exp, resolution_exp)
+        if draw not in seen:
+            seen.add(draw)
+            out.append(_quartile(*draw))
     if len(out) < count:
         raise RuntimeError(
             f"could not draw {count} distinct quartiles "
@@ -191,10 +202,11 @@ def disjoint_collection(
     n' << (k' - s) onwards at column f' >> (k' - s) for s <= k', and
     row n' >> (s - k'), columns f' << (s - k') onwards for s > k'.  A
     candidate is then checked with one byte read, whatever the number
-    accepted.  The draws, and which candidates are accepted or
-    rejected and in what order, are those of testing every candidate
-    against every accepted quartile, so the output and the `rng` state
-    it leaves are exactly the same.
+    accepted, and its `Quartile` is built only once it is accepted.
+    The draws, and which candidates are accepted or rejected and in
+    what order, are those of testing every candidate against every
+    accepted quartile, so the output and the `rng` state it leaves are
+    exactly the same.
 
     A box with J + m above `MAX_GRID_EXP` is refused with ValueError
     before any draw, which keeps the bytes at 15 * 2^14 at most.
@@ -217,6 +229,7 @@ def disjoint_collection(
     lo, hi = 2 - resolution_exp, domain_exp
     width = 1 << max(area_exp - 2, 0)
     met = bytearray(max(area_exp - 1, 0) * width)
+    ones = [b"\x01" * (1 << gap) for gap in range(max(area_exp - 1, 0))]
     while len(out) < count:
         if budget == 0:
             raise RuntimeError(
@@ -224,19 +237,20 @@ def disjoint_collection(
                 f"in a (J={domain_exp}, m={resolution_exp}) box"
             )
         budget -= 1
-        q = random_quartile(rng, domain_exp, resolution_exp)
-        k, n, f = q.time.scale, q.time.index, q.freq.index
+        k, n, f = random_quartile(rng, domain_exp, resolution_exp)
         if met[(k - lo) * width + (n << (resolution_exp + k - 2) | f)]:
             continue
-        for s in range(lo, hi + 1):
-            row_exp, gap = resolution_exp + s - 2, abs(k - s)
-            if s <= k:
-                start, step = (n << gap) << row_exp | f >> gap, 1 << row_exp
-            else:
-                start, step = (n >> gap) << row_exp | f << gap, 1
-            start += (s - lo) * width
-            met[start : start + (step << gap) : step] = b"\x01" * (1 << gap)
-        out.append(q)
+        # At s <= k, 2^(k - s) rows of 2^(m + s - 2) bytes: one span for every s.
+        span = 1 << (resolution_exp + k - 2)
+        for s in range(lo, k + 1):
+            row_exp, gap = resolution_exp + s - 2, k - s
+            start = (s - lo) * width + ((n << gap) << row_exp | f >> gap)
+            met[start : start + span : 1 << row_exp] = ones[gap]
+        for s in range(k + 1, hi + 1):
+            gap = s - k
+            start = (s - lo) * width + ((n >> gap) << (resolution_exp + s - 2) | f << gap)
+            met[start : start + (1 << gap)] = ones[gap]
+        out.append(_quartile(k, n, f))
     return out
 
 

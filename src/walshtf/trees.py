@@ -386,12 +386,8 @@ def _short_text(x: QuadScalar) -> str:
         text = x.to_text()
         if len(text) <= 80:
             return text
-    try:
-        value = x.to_float()
-    except OverflowError:
-        value = math.copysign(math.inf, x.sign())
     digits = ", ".join(str(_digit_count(n)) for n in parts)
-    return f"~{value:.6g} (exact text of integers with {digits} digits)"
+    return f"~{x.to_float():.6g} (exact text of integers with {digits} digits)"
 
 
 def select_trees(
@@ -433,7 +429,8 @@ def select_trees(
     initial = cands.densest()
     if initial.value_sq > alpha:
         raise PreconditionViolated(
-            f"square size {initial.value_sq} exceeds the allowance {_short_text(alpha)}"
+            f"square size {_short_text(initial.value_sq)} exceeds the allowance "
+            f"{_short_text(alpha)}"
         )
     alive = [True] * len(members)
     grabs: list[SelectedTree] = []

@@ -282,12 +282,22 @@ class StepFunction:
     def to_float_array(self) -> np.ndarray:
         """The correctly rounded float of each cell value.
 
-        One `exact.quad_to_float` per distinct value, scattered to the
-        cells, so the floats are those of the exact values bit for bit.
+        A rational int64 plane whose entries and denominator are below
+        2^53 in magnitude converts to floats exactly, so one float
+        division per cell rounds correctly: it is `quad_to_float`'s
+        r / d bit for bit.  Any other field takes one
+        `exact.quad_to_float` per distinct value, scattered to the cells.
         """
         field = self.field
+        rat, d = field.rat, field.denominator
+        if (
+            rat.dtype == np.int64
+            and d < 1 << 53
+            and not field.surd.any()
+            and max(-int(rat.min()), int(rat.max())) < 1 << 53
+        ):
+            return rat / d
         pairs, inverse = field.distinct()
-        d = field.denominator
         return np.array([quad_to_float(r, s, d) for r, s in pairs])[inverse]
 
     def integer_lift(self) -> tuple[list[int], list[int], int]:

@@ -5,7 +5,8 @@ the closed digit-product formula, inner products by summing cells,
 variation norms by enumerating all increasing index chains, sizes by
 enumerating every subset of a collection that forms a pinned tree,
 disjoint draws by testing every candidate against every accepted
-quartile, each drawn through `randint` and `randrange`,
+quartile and distinct draws by a set of `Quartile`s, each drawn
+through `randint` and `randrange`,
 linearizations by solving every cell's column on its own, float
 packet sums by adding one term's slice at a time, model coefficients
 by one `QuadScalar` product of two cell-by-cell pairings per quartile,
@@ -49,7 +50,7 @@ class FractionQuad:
 
     Plain rational arithmetic on the two parts, the sign decided on
     Fractions, and floats from a tightening sqrt2 enclosure evaluated
-    through `float(Fraction)`.  `QuadScalar` holds the same values as
+    through `nearest_float`.  `QuadScalar` holds the same values as
     integers over one denominator and must agree with it exactly.
     """
 
@@ -94,7 +95,7 @@ class FractionQuad:
 
     def to_float(self) -> float:
         if not self.surd:
-            return float(self.rat)
+            return nearest_float(self.rat)
         for bits in (64, 128, 256, 512):
             root = isqrt(2 << (2 * bits))
             lo, hi = Fraction(root, 1 << bits), Fraction(root + 1, 1 << bits)
@@ -102,15 +103,29 @@ class FractionQuad:
                 a, b = self.rat + self.surd * lo, self.rat + self.surd * hi
             else:
                 a, b = self.rat + self.surd * hi, self.rat + self.surd * lo
-            if float(a) == float(b):
-                return float(a)
-        return float((a + b) / 2)
+            if nearest_float(a) == nearest_float(b):
+                return nearest_float(a)
+        return nearest_float((a + b) / 2)
 
     def to_text(self) -> str:
         return (
             f"{self.rat.numerator}/{self.rat.denominator}"
             f"{self.surd.numerator:+d}/{self.surd.denominator}*sqrt2"
         )
+
+
+def nearest_float(x: Fraction) -> float:
+    """The float nearest x, ±inf where `float(x)` raises OverflowError.
+
+    From 2^1000 on, x is scaled by 2^-100 first.  Rounding to 53 bits
+    commutes with a power-of-two scale, and the float product with
+    2^100 is infinite exactly when the rounded value reaches 2^1024.
+    """
+    if abs(x) < 1 << 1000:
+        return float(x)
+    if abs(x) >= 1 << 1100:
+        return math.inf if x > 0 else -math.inf
+    return float(x / (1 << 100)) * 2.0**100
 
 
 def fraction_quad_sign(rat: Fraction, surd: Fraction) -> int:
@@ -405,6 +420,32 @@ def naive_disjoint_collection(
         q = reference_random_quartile(rng, domain_exp, resolution_exp)
         if not any(q.intersects(p) for p in out):
             out.append(q)
+    return out
+
+
+def naive_quartile_collection(
+    rng: random.Random, count: int, domain_exp: int, resolution_exp: int
+) -> list[Quartile]:
+    """Distinct quartiles, each candidate looked up in a set of the
+    `Quartile`s kept so far: the reference `quartile_collection` must
+    reproduce draw for draw."""
+    seen: set[Quartile] = set()
+    out: list[Quartile] = []
+    budget = 60 * count + 60
+    area_exp = domain_exp + resolution_exp
+    if area_exp >= 2 and count > (area_exp - 1) << (area_exp - 2):
+        budget = 0
+    while len(out) < count and budget:
+        budget -= 1
+        q = reference_random_quartile(rng, domain_exp, resolution_exp)
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    if len(out) < count:
+        raise RuntimeError(
+            f"could not draw {count} distinct quartiles "
+            f"in a (J={domain_exp}, m={resolution_exp}) box"
+        )
     return out
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given
@@ -136,6 +137,47 @@ def test_rounding_on_integers_matches_to_float_on_pell_pairs(scale):
 @given(wide_scalars, st.integers(1, 1 << 80))
 def test_rounding_on_integers_ignores_the_representation(a, scale):
     assert quad_to_float(a.r * scale, a.s * scale, a.d * scale) == a.to_float()
+
+
+# The least magnitude that rounds to an infinite float.
+_LIMIT = (1 << 1024) - (1 << 970)
+_ROOT = isqrt(2 << 400)  # 2^200 sqrt2, rounded down
+huge_parts = st.one_of(
+    st.integers(-(1 << 1100), 1 << 1100),
+    st.integers(-(1 << 64), 1 << 64),
+    st.sampled_from([0, _LIMIT - 1, _LIMIT, -_LIMIT, 10**400]),
+)
+
+
+@given(huge_parts, huge_parts, st.one_of(st.integers(1, 1 << 64), st.integers(1, 1 << 1100)))
+@example(10**400, 0, 1)
+@example(0, 10**400, 1)
+@example(-(10**400), 1, 1)
+@example(_LIMIT - 1, 0, 1)  # the largest float
+@example(_LIMIT, 0, 1)  # halfway to 2^1024: a tie, rounded to the even inf
+@example(3 * _LIMIT - 1, 0, 3)
+@example(-3 * _LIMIT + 1, 0, 3)
+@example(_LIMIT - 2, 1, 1)  # 0.59 below the limit
+@example(_LIMIT - 1, 1, 1)  # 0.41 above it
+# Within 1 of the limit, below and above, while the 2^64 enclosure of
+# s sqrt2 is 2^136 wide: an end overflows before the value is decided.
+@example(_LIMIT - 1 - _ROOT, 1 << 200, 1)
+@example(_LIMIT - _ROOT, 1 << 200, 1)
+@example(-_LIMIT + 1 + _ROOT, -(1 << 200), 1)
+def test_rounding_on_integers_matches_fractions_past_the_float_range(r, s, d):
+    got = quad_to_float(r, s, d)
+    assert got == FractionQuad(Fraction(r, d), Fraction(s, d)).to_float()
+    if not s and math.isfinite(got):
+        assert got == r / d
+
+
+def test_rounding_past_the_largest_float_gives_an_infinity():
+    largest = 2.0**1023 * (2 - 2.0**-52)
+    assert quad_to_float(10**400, 0, 1) == quad_to_float(0, 10**400, 1) == math.inf
+    assert quad_to_float(-(10**400), 1, 1) == -math.inf
+    assert quad_to_float(_LIMIT - 1, 0, 1) == largest
+    assert quad_to_float(_LIMIT - 1 - _ROOT, 1 << 200, 1) == largest
+    assert quad_to_float(_LIMIT, 0, 1) == quad_to_float(_LIMIT - _ROOT, 1 << 200, 1) == math.inf
 
 
 @given(scalars, scalars)

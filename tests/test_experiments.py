@@ -14,8 +14,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cli_golden import FIXTURE as CLI_FIXTURE, SELECTION_INPUT
-from oracles import naive_disjoint_collection, reference_random_quartile
-from walshtf import QuadScalar, SelectionResult, StepFunction, Tile, errors
+from oracles import naive_disjoint_collection, naive_quartile_collection, reference_random_quartile
+from walshtf import Quartile, QuadScalar, SelectionResult, StepFunction, Tile, errors
 from walshtf.errors import ConfigError, EmptySet, WalshtfError
 from walshtf.experiments import (
     LEMMA_NAMES,
@@ -216,8 +216,13 @@ def quartile_boxes(draw):
 @example((0, 1, 3), 0)  # J + m < 2: no quartile fits
 def test_random_quartile_draws_what_randint_and_randrange_draw(box, seed):
     domain_exp, resolution_exp, draws = box
+
+    def reference(rng, domain_exp, resolution_exp):
+        q = reference_random_quartile(rng, domain_exp, resolution_exp)
+        return q.time.scale, q.time.index, q.freq.index
+
     outcomes = []
-    for sampler in (random_quartile, reference_random_quartile):
+    for sampler in (random_quartile, reference):
         rng = random.Random(seed)
         try:
             result = [sampler(rng, domain_exp, resolution_exp) for _ in range(draws)]
@@ -225,6 +230,43 @@ def test_random_quartile_draws_what_randint_and_randrange_draw(box, seed):
             result = str(exc)
         outcomes.append((result, rng.getstate()))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def distinct_requests(draw):
+    """(count, J, m) over boxes with J + m from 0 to 8.
+
+    Counts run up to the box's capacity (J+m-1) 2^(J+m-2) and one past
+    it, but stop at 80; a box with J + m < 2 holds no quartile.
+    """
+    total = draw(st.integers(0, 8))
+    domain_exp = draw(st.integers(0, total))
+    capacity = (total - 1) << (total - 2) if total >= 2 else 1
+    count = draw(st.integers(0, min(capacity + 1, 80)))
+    return count, domain_exp, total - domain_exp
+
+
+@given(distinct_requests(), st.integers(0, 2**32))
+@example((33, 2, 3), 0)  # over capacity: refused before any draw
+@example((32, 2, 3), 1)  # filled to capacity
+@example((1, 0, 1), 2)  # J + m < 2: no quartile fits
+def test_quartile_collection_matches_a_set_of_quartiles(args, seed):
+    indexed = _disjoint_outcome(quartile_collection, seed, args)
+    assert indexed == _disjoint_outcome(naive_quartile_collection, seed, args)
+
+
+def test_disjoint_collection_builds_a_quartile_only_for_an_accepted_draw(monkeypatch, rng):
+    built = []
+    check = Quartile.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Quartile, "__post_init__", counted)
+    coll = disjoint_collection(rng, 100, 4, 5)
+    assert len(built) == 100
+    assert [id(q) for q in built] == [id(q) for q in coll]
 
 
 def test_theorem1_builds_no_tile_and_no_scalar_per_quartile(monkeypatch, rng):
@@ -1225,3 +1267,22 @@ def test_cli_select_trees_writes_a_long_allowance_short_in_its_refusal(tmp_path,
     path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1/1000000"}))
     assert main(["select-trees", "--in", str(path)]) == 2
     assert capsys.readouterr().err.endswith("exceeds the allowance 1/1000000+0/1*sqrt2\n")
+
+
+def test_cli_select_trees_writes_a_long_square_size_short_in_its_refusal(tmp_path, capsys):
+    # The refusal wrote the square size out: an 871-character line.
+    cells = set(SELECTION_INPUT["f"]["cells"])
+    grid = SELECTION_INPUT["f"]["grid"]
+    f = {"grid": grid, "values": [10**400 if c in cells else 0 for c in range(64)]}
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({**SELECTION_INPUT, "f": f, "alpha": "1/1000"}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "square size ~inf (exact text of integers with " in err
+    assert err.endswith("exceeds the allowance 1/1000+0/1*sqrt2\n")
+    # A square size of at most 80 characters is written out as before.
+    path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1/1000"}))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("square size 25/64+0/1*sqrt2 exceeds the allowance 1/1000+0/1*sqrt2\n")

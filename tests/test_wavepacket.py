@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import CellFunction, inner_product_brute, packet_step, packet_value, walsh_closed_form
@@ -27,6 +27,7 @@ from walshtf import (
     wavepacket_step,
 )
 from walshtf.errors import GridMismatch
+from walshtf.exact import quad_to_float
 from walshtf.experiments.random_gen import sign_function
 from walshtf.operators import average
 from walshtf.wavepacket import batch_inner_products, tree_sign_step
@@ -383,6 +384,64 @@ def test_distinct_pairs_whose_keys_leave_int64_keep_their_values():
     assert f.field.rat.dtype == np.int64
     assert f.values == tuple(values)
     assert f.to_float_array().tolist() == [v.to_float() for v in values]
+
+
+def _floats_per_distinct_value(f: StepFunction) -> np.ndarray:
+    """One `quad_to_float` per distinct value of f, scattered to the cells."""
+    field = f.field
+    pairs, inverse = field.distinct()
+    return np.array([quad_to_float(r, s, field.denominator) for r, s in pairs])[inverse]
+
+
+_NEAR_2_53 = [(1 << 53) - 1, -(1 << 53) + 1, 1 << 53, -(1 << 53), (1 << 53) + 1, 1 << 70]
+_FACTORS = st.one_of(
+    st.just(1),
+    st.fractions(min_value=-8, max_value=8, max_denominator=1 << 60),
+    st.sampled_from(
+        [Fraction(1, 1 << 53), Fraction(-3, 1 << 53), Fraction(1, (1 << 53) - 1),
+         Fraction(5, (1 << 53) + 1), QuadScalar(0, 1), QuadScalar(Fraction(1, 3), -2)]
+    ),
+)
+
+
+@st.composite
+def _functions_for_floats(draw):
+    """Sign planes, or wider integers up to past int64, times a factor
+    that may hold a denominator near 2^53 or a sqrt2 part."""
+    domain_exp, resolution_exp = draw(st.sampled_from(_GRIDS))
+    entries = st.sampled_from([-1, 0, 1])
+    if draw(st.booleans()):
+        entries = st.one_of(
+            entries, st.integers(-(1 << 54), 1 << 54), st.sampled_from(_NEAR_2_53)
+        )
+    cells = 1 << (domain_exp + resolution_exp)
+    values = draw(st.lists(entries, min_size=cells, max_size=cells))
+    return StepFunction(domain_exp, resolution_exp, values) * draw(_FACTORS)
+
+
+@given(_functions_for_floats())
+@example(StepFunction(1, 1, [1, -1, 0, 1]))
+@example(StepFunction(0, 2, [(1 << 53) - 1, -(1 << 53) + 1, 3, 0]))
+@example(StepFunction(0, 2, [(1 << 53) - 1, 1 << 53, 3, 0]))
+# One float division rounds 2^53 + 1 before dividing: off by one ulp.
+@example(StepFunction(0, 1, [(1 << 53) + 1, 0]) * Fraction(1, 7))
+@example(StepFunction(0, 1, [1, 3]) * Fraction(1, (1 << 53) - 1))
+@example(StepFunction(0, 1, [1, 3]) * Fraction(1, 1 << 53))
+@example(StepFunction(0, 1, [1, 0]) * Fraction(1, (1 << 53) + 1))
+@example(StepFunction(0, 1, [1, 1 << 70]))
+@example(StepFunction(0, 12, [1 << 51] + [0] * 4095) * Fraction(1, 3))  # small, in an object plane
+@example(StepFunction(0, 1, [1, 2]) * QuadScalar(1, 1))
+def test_to_float_array_rounds_like_one_quad_to_float_per_distinct_value(f):
+    assert f.to_float_array().tobytes() == _floats_per_distinct_value(f).tobytes()
+
+
+def test_to_float_array_divides_a_sign_plane_without_finding_its_distinct_values(
+    monkeypatch, rng
+):
+    f = sign_function(rng, 4, 5) * Fraction(3, 1 << 20)
+    expected = _floats_per_distinct_value(f).tobytes()
+    monkeypatch.setattr(type(f.field), "distinct", None)
+    assert f.to_float_array().tobytes() == expected
 
 
 def test_integer_arrays_are_taken_as_the_rational_plane():
