@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..exact import ZERO, QuadScalar
 from ..geometry import DyadicInterval, Quartile, Tile, quartile_sort_key, tiles_disjoint
-from ..kernels import average_ladder, batch_variation, cell_columns, lp_norm, packet_sums
+from ..kernels import average_ladder, batch_variation, differing_columns, lp_norm, packet_sums
 from ..operators import (
     FrequencySet,
     TruncationField,
@@ -83,6 +83,25 @@ def _nonzero_coefficients(
 def _from_scale(field: TruncationField, k: int) -> StepFunction:
     """The field's terms at time scales k and up: its row at k - 1, clamped."""
     return field.row_at(min(max(k - 1, field.scale_min), field.scale_max))
+
+
+def _same_variation(a: list[StepFunction], b: list[StepFunction], r: int | float) -> bool:
+    """Whether every cell's values down a and down b have one r-variation.
+
+    Only the columns `differing_columns` keeps are decided, and a column
+    whose collapsed sequences agree needs no variation at all.
+    """
+    columns, unit = differing_columns(a, b)
+    for col_a, col_b in columns:
+        seq_a = collapse_repeats(col_a)
+        seq_b = collapse_repeats(col_b)
+        if seq_a == seq_b:
+            continue
+        pa = variation_norm([QuadScalar.from_ints(x, y, unit) for x, y in seq_a], r).power_sum
+        pb = variation_norm([QuadScalar.from_ints(x, y, unit) for x, y in seq_b], r).power_sum
+        if pa != pb:
+            return False
+    return True
 
 
 def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
@@ -178,21 +197,7 @@ def run_identity_suite(config: ExperimentConfig) -> ExperimentReport:
                     ("shift-table", trial, f"subtile={subtile}", not clean)
                 )
 
-            ok_var = True
-            by_cell, unit = cell_columns(strict + conjugated)
-            for column in by_cell:
-                col_a, col_b = column[: len(strict)], column[len(strict) :]
-                if col_a == col_b:
-                    continue
-                seq_a = collapse_repeats(col_a)
-                seq_b = collapse_repeats(col_b)
-                if seq_a == seq_b:
-                    continue
-                pa = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_a], exact_r).power_sum
-                pb = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_b], exact_r).power_sum
-                if pa != pb:
-                    ok_var = False
-                    break
+            ok_var = _same_variation(strict, conjugated, exact_r)
             rows.append(
                 ("vartrunc", trial, f"subtile={subtile} r={exact_r}", ok_var)
             )

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "IntegerField",
-    "cell_columns",
+    "differing_columns",
     "field_sum",
     "field_product",
     "field_scale",
@@ -168,24 +168,46 @@ class IntegerField:
         return QuadScalar.from_ints(int(self.rat.sum()), int(self.surd.sum()), self.denominator)
 
 
-def cell_columns(
-    functions: Sequence[StepFunction],
-) -> tuple[list[tuple[tuple[int, int], ...]], int]:
-    """Each cell's values down the functions, as integer pairs over one denominator.
+def differing_columns(
+    a: Sequence[StepFunction], b: Sequence[StepFunction]
+) -> tuple[list[tuple[list[tuple[int, int]], list[tuple[int, int]]]], int]:
+    """The cells whose values down a differ from their values down b.
 
-    Returns the columns and that denominator d, the lcm of the
-    functions' own: equal pairs are equal values, and a pair (r, s)
-    has the value `QuadScalar.from_ints(r, s, d)`.
+    Both lists are lifted over d, the lcm of their denominators, and
+    stacked into one rat and one surd plane with a row per function.
+    A cell is kept when its column differs between the lists (every
+    cell does when the lists differ in length) and, of a run of equal
+    adjacent columns, only the first is kept, since the run repeats
+    one column.  Returns each kept cell's two columns as integer pairs
+    (r, s) over one denominator, worth `QuadScalar.from_ints(r, s, d)`,
+    and that denominator d.
     """
-    d = math.lcm(*(f.field.denominator for f in functions))
-    lifted = []
-    for f in functions:
-        field = f.field
-        scale = d // field.denominator
-        lifted.append(
-            [(r * scale, s * scale) for r, s in zip(field.rat.tolist(), field.surd.tolist())]
-        )
-    return list(zip(*lifted)), d
+    fields = [f.field for f in (*a, *b)]
+    if not fields:
+        return [], 1
+    d = math.lcm(*(f.denominator for f in fields))
+    scales = [d // f.denominator for f in fields]
+    rat, surd = np.stack([f.rat for f in fields]), np.stack([f.surd for f in fields])
+    magnitudes = np.maximum(np.abs(rat).max(axis=1), np.abs(surd).max(axis=1)).tolist()
+    # The factors themselves must fit too, even over a zero plane.
+    bound = max(max(m * c, c) for m, c in zip(magnitudes, scales))
+    rat, surd = _widen(bound, fields[0].domain_exp, fields[0].resolution_exp, rat, surd)
+    lift = np.array(scales, dtype=rat.dtype)[:, None]
+    rat, surd = rat * lift, surd * lift
+    n = len(a)
+    if 2 * n == len(fields):
+        differs = (rat[:n] != rat[n:]).any(axis=0) | (surd[:n] != surd[n:]).any(axis=0)
+    else:
+        differs = np.ones(rat.shape[1], dtype=bool)
+    differs[1:] &= (rat[:, 1:] != rat[:, :-1]).any(axis=0) | (
+        surd[:, 1:] != surd[:, :-1]
+    ).any(axis=0)
+    keep = np.flatnonzero(differs)
+    columns = []
+    for r, s in zip(rat[:, keep].T.tolist(), surd[:, keep].T.tolist()):
+        pairs = list(zip(r, s))
+        columns.append((pairs[:n], pairs[n:]))
+    return columns, d
 
 
 def field_sum(a: IntegerField, b: IntegerField, sign: int = 1) -> IntegerField:

@@ -25,6 +25,7 @@ quantity is assumed to fit in 64 bits.
 
 from __future__ import annotations
 
+import decimal
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -176,9 +177,9 @@ class _Candidates:
 
     A size call builds one; a selection call builds one shared by its
     precondition check and all of its passes, and one more for the
-    residual recheck.  Everything downstream reads member positions and
-    integer keys, and only winning stamps are turned back into
-    intervals, dyadic frequencies and trees.
+    residual recheck when a pass grabbed a tree.  Everything downstream
+    reads member positions and integer keys, and only winning stamps
+    are turned back into intervals, dyadic frequencies and trees.
     """
 
     def __init__(
@@ -377,17 +378,35 @@ def _digit_count(n: int) -> int:
     return count
 
 
+def _six_digits(x: QuadScalar) -> str:
+    """Nonzero x to six significant digits, at any size.
+
+    The digits come from a decimal evaluation of (r + s sqrt2) / d to
+    2D + 12 digits, D the digits of the longest of r and s: a nonzero
+    r + s sqrt2 exceeds 1 / (3 10^D), since its product with
+    r - s sqrt2 is a nonzero integer, so six digits survive any
+    cancellation.
+    """
+    ctx = decimal.Context(
+        prec=2 * max(_digit_count(x.r), _digit_count(x.s)) + 12,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+    )
+    value = ctx.divide(ctx.fma(x.s, ctx.sqrt(2), x.r), x.d)
+    ctx.prec = 6
+    return f"{ctx.normalize(value):g}"
+
+
 def _short_text(x: QuadScalar) -> str:
-    """x's exact text when that is at most 80 characters, else its nearest
-    float, infinite past the largest one, and the digit counts of the four
-    integers of that text."""
+    """x's exact text when that is at most 80 characters, else six digits
+    of its value and the digit counts of the four integers of that text."""
     parts = [n for part in (x.rat, x.surd) for n in part.as_integer_ratio()]
     if max(abs(n) for n in parts).bit_length() <= 256:
         text = x.to_text()
         if len(text) <= 80:
             return text
     digits = ", ".join(str(_digit_count(n)) for n in parts)
-    return f"~{x.to_float():.6g} (exact text of integers with {digits} digits)"
+    return f"~{_six_digits(x)} (exact text of integers with {digits} digits)"
 
 
 def select_trees(
@@ -465,7 +484,10 @@ def select_trees(
     left = [q for q, a in zip(members, alive) if a]
     residual_size_sq: QuadScalar | None = None
     if verify:
-        recheck = _Candidates(left, coefficients, pins, domain_exp).densest()
+        # With nothing grabbed the residual is the input, already measured.
+        recheck = initial
+        if grabs:
+            recheck = _Candidates(left, coefficients, pins, domain_exp).densest()
         residual_size_sq = recheck.value_sq
         if residual_size_sq > quarter:
             raise RuntimeError(

@@ -11,11 +11,13 @@ linearizations by solving every cell's column on its own, float
 packet sums by adding one term's slice at a time, model coefficients
 by one `QuadScalar` product of two cell-by-cell pairings per quartile,
 the dyadic maximal function by a running maximum over one block size
-at a time.  The only package imports are the primitive containers and
-exact scalars, the one-column weight solver whose per-cell results the
-linearization must reproduce, and the packet pairing and resummation
-that the frequency projection by packets goes through; none of the
-machinery under test is reused.
+at a time, the identity suite's variation comparison by one tuple of
+integer pairs per cell.  The only package imports are the primitive
+containers and exact scalars, the one-column weight solver whose
+per-cell results the linearization must reproduce, the packet pairing
+and resummation that the frequency projection by packets goes through,
+and the scalar variation decision that the per-cell comparison shares
+with the suite; none of the machinery under test is reused.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from walshtf import (
     synthesize,
 )
 from walshtf.errors import ResolutionTooCoarse, ScaleTooCoarse, ScaleTooFine, ZeroVariation
-from walshtf.variation import linearize_weights
+from walshtf.variation import collapse_repeats, linearize_weights, variation_norm
 
 
 class FractionQuad:
@@ -551,3 +553,48 @@ def projection_by_packets(f: StepFunction, freqs, scale: int) -> StepFunction:
     ]
     coeffs = batch_inner_products(f, tiles)
     return synthesize(coeffs.items(), f.domain_exp, f.resolution_exp)
+
+
+def cell_columns(
+    functions: Sequence[StepFunction],
+) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """Each cell's values down the functions, as integer pairs over one denominator.
+
+    Returns the columns and that denominator d, the lcm of the
+    functions' own: equal pairs are equal values, and a pair (r, s)
+    has the value `QuadScalar.from_ints(r, s, d)`.
+    """
+    d = math.lcm(*(f.field.denominator for f in functions))
+    lifted = []
+    for f in functions:
+        field = f.field
+        scale = d // field.denominator
+        lifted.append(
+            [(r * scale, s * scale) for r, s in zip(field.rat.tolist(), field.surd.tolist())]
+        )
+    return list(zip(*lifted)), d
+
+
+def same_variation_by_cell(
+    strict: list[StepFunction], conjugated: list[StepFunction], exact_r
+) -> bool:
+    """The identity suite's variation check, one column per cell: every
+    cell whose column down strict differs from its column down
+    conjugated compares the collapsed columns, then their exact r-th
+    power sums."""
+    ok_var = True
+    by_cell, unit = cell_columns(strict + conjugated)
+    for column in by_cell:
+        col_a, col_b = column[: len(strict)], column[len(strict) :]
+        if col_a == col_b:
+            continue
+        seq_a = collapse_repeats(col_a)
+        seq_b = collapse_repeats(col_b)
+        if seq_a == seq_b:
+            continue
+        pa = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_a], exact_r).power_sum
+        pb = variation_norm([QuadScalar.from_ints(r, s, unit) for r, s in seq_b], exact_r).power_sum
+        if pa != pb:
+            ok_var = False
+            break
+    return ok_var

@@ -1257,12 +1257,12 @@ def test_cli_select_trees_writes_a_long_allowance_short_in_its_refusal(tmp_path,
     assert main(["select-trees", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200
-    assert "exceeds the allowance ~0 (exact text of integers with 1, 2001, 1, 1 digits)" in err
-    # One past the largest float is written as an infinity, not raised.
+    assert "exceeds the allowance ~1e-2000 (exact text of integers with 1, 2001, 1, 1 digits)" in err
+    # Past the float range the digits come from the integers, not an infinity.
     path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "-1e400"}))
     assert main(["select-trees", "--in", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "allowance ~-inf (exact text of integers with 401, 1, 1, 1 digits)" in err
+    assert "allowance ~-1e+400 (exact text of integers with 401, 1, 1, 1 digits)" in err
     # An allowance of at most 80 characters is written out as before.
     path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1/1000000"}))
     assert main(["select-trees", "--in", str(path)]) == 2
@@ -1279,7 +1279,7 @@ def test_cli_select_trees_writes_a_long_square_size_short_in_its_refusal(tmp_pat
     assert main(["select-trees", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200
-    assert "square size ~inf (exact text of integers with " in err
+    assert "square size ~3.90625e+799 (exact text of integers with 800, 1, 1, 1 digits)" in err
     assert err.endswith("exceeds the allowance 1/1000+0/1*sqrt2\n")
     # A square size of at most 80 characters is written out as before.
     path.write_text(json.dumps({**SELECTION_INPUT, "alpha": "1/1000"}))

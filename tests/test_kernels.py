@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     dp_on_every_column,
     float_packet_sums_by_term,
@@ -51,6 +52,7 @@ from walshtf.kernels import (
     render_partial_sum_field,
     walsh_tables,
 )
+from walshtf.experiments.suites import _same_variation
 from walshtf.operators import model_coefficients, tilde_coefficients
 from walshtf.wavepacket import tree_sign_step
 
@@ -694,3 +696,96 @@ def test_reads_refuse_unresolvable_tiles_and_coefficient_tiles_off_the_tables(rn
             tables.coefficient(tile)
     with pytest.raises(ResolutionTooCoarse):
         tables.coefficient(Tile(DyadicInterval(0, 0), DyadicInterval(8, 0)))
+
+
+# Numerators at and past the int64 edge, and past the headroom of an
+# 8-cell grid (2^59), so the lifted planes are sometimes Python ints.
+_EDGE_NUMERATORS = [2**31, 2**59 - 1, 2**59, 2**62, 2**63 - 1, 2**63, 2**70]
+_DENOMINATORS = [1, 2, 3, 5, 7, 12]
+
+
+@st.composite
+def _exact_values(draw):
+    numerator = st.integers(-3, 3) | st.sampled_from(
+        _EDGE_NUMERATORS + [-n for n in _EDGE_NUMERATORS]
+    )
+    rat = Fraction(draw(numerator), draw(st.sampled_from(_DENOMINATORS)))
+    surd = Fraction(draw(numerator), draw(st.sampled_from(_DENOMINATORS)))
+    return QuadScalar(rat, surd if draw(st.booleans()) else 0)
+
+
+@st.composite
+def _column_lists(draw):
+    """Two lists of functions on an 8-cell grid, built from a few column
+    templates laid out over the cells, so that runs of equal adjacent
+    columns and repeated columns elsewhere both occur.  A template's
+    column down b is its column down a (skipped by both), its
+    conjugate (a difference in the sqrt2 parts alone), its negation
+    plus a constant with repeats inserted (collapsed sequences that
+    differ, with equal power sums), or fresh values (power sums that
+    mostly differ)."""
+    len_a = draw(st.integers(0, 4))
+    len_b = draw(st.sampled_from([len_a, len_a, len_a + 1, draw(st.integers(0, 4))]))
+    templates = []
+    for _ in range(draw(st.integers(1, 3))):
+        col_a = [draw(_exact_values()) for _ in range(len_a)]
+        mode = draw(st.sampled_from(["same", "conjugate", "mirror", "fresh"]))
+        if mode == "same" and len_b == len_a:
+            col_b = list(col_a)
+        elif mode == "conjugate" and len_b == len_a:
+            col_b = [v.conjugate() for v in col_a]
+        elif mode == "mirror" and 0 < len_a <= len_b:
+            shift = draw(_exact_values())
+            col_b = [shift - v for v in col_a]
+            for _ in range(len_b - len_a):
+                at = draw(st.integers(0, len(col_b) - 1))
+                col_b.insert(at, col_b[at])
+        else:
+            col_b = [draw(_exact_values()) for _ in range(len_b)]
+        templates.append((col_a, col_b))
+    layout = draw(st.lists(st.integers(0, len(templates) - 1), min_size=8, max_size=8))
+
+    def rows(side, count):
+        return [
+            StepFunction(0, 3, [templates[t][side][i] for t in layout]) for i in range(count)
+        ]
+
+    return rows(0, len_a), rows(1, len_b)
+
+
+# Over the lcm 15, 1/3 and 1/5 lift to different numerators than their own.
+_LCM_CASE = (
+    [StepFunction(0, 3, [Fraction(1, 3)] * 4 + [Fraction(2, 5)] * 4)],
+    [StepFunction(0, 3, [Fraction(1, 5)] * 4 + [Fraction(2, 5)] * 4)],
+)
+# The lift factor of the zero function, 3^40, is past int64 by itself.
+_WIDE_FACTOR_CASE = (
+    [StepFunction.zero(0, 3)],
+    [StepFunction(0, 3, [Fraction(1, 3**40)] * 8)],
+)
+# 2^62 / 3 lifted over 15 is 5 2^62, past int64.
+_WIDE_CASE = (
+    [StepFunction(0, 3, [Fraction(2**62, 3)] * 8), StepFunction(0, 3, [Fraction(1, 5)] * 8)],
+    [StepFunction(0, 3, [Fraction(1, 5)] * 8), StepFunction(0, 3, [Fraction(2**62, 3)] * 8)],
+)
+
+
+@settings(max_examples=300)
+@given(_column_lists(), st.sampled_from([1, 2, 3, math.inf]))
+@example(_LCM_CASE, 2)
+@example(_WIDE_CASE, 3)
+@example(_WIDE_FACTOR_CASE, 2)
+@example(([], []), 2)
+def test_differing_columns_match_the_per_cell_comparison(case, r):
+    a, b = case
+    columns, d = kernels.differing_columns(a, b)
+    by_cell, unit = oracles.cell_columns(a + b)
+    assert d == unit
+    n = len(a)
+    expected = [
+        (list(column[:n]), list(column[n:]))
+        for i, column in enumerate(by_cell)
+        if column[:n] != column[n:] and (i == 0 or by_cell[i - 1] != column)
+    ]
+    assert columns == expected
+    assert _same_variation(a, b, r) == oracles.same_variation_by_cell(a, b, r)

@@ -8,12 +8,16 @@ rather than only when the benchmark runs.  Only `perfbench/` is read.
 The harness also counts the candidates that `disjoint_collection` draws
 as calls of the module attribute `random_gen.random_quartile`, which it
 replaces by a wrapper; a draw that bypasses the attribute would zero
-the per-layer `accept_ratio` without any error.
+the per-layer `accept_ratio` without any error.  Likewise the identity
+suite's variation check must reach `variation.collapse_repeats` through
+a binding the spans rebind, or the workload's `collapse_repeats` and
+`variation` span metrics would read zero.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 from pathlib import Path
 
@@ -21,6 +25,8 @@ import pytest
 
 import oracles
 from walshtf.experiments import random_gen
+from walshtf.experiments.config import ExperimentConfig
+from walshtf.experiments.suites import run_identity_suite
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +69,17 @@ def test_every_disjoint_candidate_is_one_random_quartile_call(monkeypatch, seed,
         oracles.naive_disjoint_collection(random.Random(seed), *args)
     )
     assert draws[0] == candidates[0] > args[0]
+
+
+def test_the_identity_check_calls_collapse_repeats_under_the_spans():
+    # The first input of the identities-exact workload, run through the
+    # spans' own wrappers as a traced benchmark call is.
+    spans, checks = _load("spans"), _load("checks")
+    ref = json.loads((PERFBENCH / "refs" / "identities-exact.json").read_text(encoding="utf-8"))
+    seed = ref["batches"][0][0]
+    recorder = spans.Recorder()
+    with spans.Tracer(recorder):
+        report = run_identity_suite(ExperimentConfig(seed=seed, **ref["config"]))
+    assert checks.digest(report.to_csv()) == ref["reports"][str(seed)]["sha256"]
+    calls, _, self_ns = recorder.spans["variation.collapse_repeats"]
+    assert calls > 0 and self_ns > 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from walshtf import (
     slot_coefficients,
     tiles_disjoint,
 )
+from walshtf import trees
 from walshtf.errors import PreconditionViolated
 from walshtf.geometry import quartile_sort_key
 from walshtf.experiments.random_gen import (
@@ -180,6 +183,88 @@ def test_selection_requires_the_size_bound(rng):
         pytest.skip("degenerate draw")
     with pytest.raises(PreconditionViolated):
         select_trees(coll, coeffs, 1, alpha * Fraction(1, 64), 3)
+
+
+def _counted_candidates(monkeypatch) -> list:
+    """Replace trees._Candidates by a subclass that records each build."""
+    built = []
+
+    class Counted(trees._Candidates):
+        def __init__(self, members, *args):
+            built.append(tuple(members))
+            super().__init__(members, *args)
+
+    monkeypatch.setattr(trees, "_Candidates", Counted)
+    return built
+
+
+@pytest.mark.parametrize("alpha, grabs", [(64, 0), (1, 1)])
+def test_selection_rebuilds_candidates_for_the_residual_only_after_a_grab(
+    monkeypatch, alpha, grabs
+):
+    # The worked example's one quartile has square size one: an allowance
+    # of 64 grabs nothing, one of 1 grabs it.
+    q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    coeffs = slot_coefficients(StepFunction.indicator(DyadicInterval(0, 0), 2, 3), [q], 1)
+    built = _counted_candidates(monkeypatch)
+    sel = select_trees([q], coeffs, 1, alpha, 2)
+    assert len(sel.grabs) == grabs
+    assert built == [(q,)] + [()] * grabs
+    assert sel.residual_size_sq == size(sel.residual, coeffs, 1, 2).value_sq
+    # Without verify only the input's candidates are built.
+    built.clear()
+    assert select_trees([q], coeffs, 1, alpha, 2, verify=False).residual_size_sq is None
+    assert built == [(q,)]
+
+
+def test_selection_without_a_grab_still_checks_the_residual(monkeypatch):
+    # A pass that skipped a qualifying top would leave the input as the
+    # residual; its size, taken from the initial measurement, is refused.
+    q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    coeffs = slot_coefficients(StepFunction.indicator(DyadicInterval(0, 0), 2, 3), [q], 1)
+    built = _counted_candidates(monkeypatch)
+    monkeypatch.setattr(trees, "_pass_order", lambda *args: [])
+    with pytest.raises(RuntimeError, match="this is a bug"):
+        select_trees([q], coeffs, 1, 1, 2)
+    assert built == [(q,)]
+
+
+def _pell(digits: int) -> tuple[int, int]:
+    """The first P + Q sqrt2 = (3 + 2 sqrt2)^n with P past 10^digits;
+    P^2 - 2 Q^2 = 1, so P - Q sqrt2 = 1 / (P + Q sqrt2)."""
+    p, q = 1, 0
+    while p < 10**digits:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    return p, q
+
+
+def _six_digits_by_isqrt(r: int, s: int, d: int) -> Decimal:
+    """(r + s sqrt2) / d to six significant digits, from integers only."""
+    k = 3 * max(len(str(abs(r))), len(str(abs(s))), len(str(d))) + 30
+    root = math.isqrt(2 * s * s * 10 ** (2 * k))
+    scaled = round(Fraction(r * 10**k + (root if s >= 0 else -root), d))
+    digits = str(abs(scaled))
+    lead = round(Fraction(abs(scaled), 10 ** (len(digits) - 6)))
+    return Decimal(f"{'-' if scaled < 0 else ''}{lead}e{len(digits) - 6 - k}")
+
+
+@pytest.mark.parametrize("which", ["P-Q", "-P+Q over 7", "P sqrt2-2Q", "P-Q in range", "P+Q over 3"])
+def test_short_text_keeps_six_digits_through_cancellation(which):
+    # r + s sqrt2 with |r| close to |s| sqrt2 cancels some 400 digits
+    # (100 for the case inside the float range).
+    p, q = _pell(100 if which == "P-Q in range" else 400)
+    r, s, d = {
+        "P-Q": (p, -q, 1),
+        "-P+Q over 7": (-p, q, 7),
+        "P sqrt2-2Q": (-2 * q, p, 1),
+        "P-Q in range": (p, -q, 1),
+        "P+Q over 3": (p, q, 3),
+    }[which]
+    text = trees._short_text(QuadScalar.from_ints(r, s, d))
+    assert text.startswith("~") and " (exact text of integers with " in text
+    estimate = text[1:].split(" ")[0]
+    assert Decimal(estimate) == _six_digits_by_isqrt(r, s, d)
+    assert len(estimate.split("e")[0].strip("-").replace(".", "")) <= 6
 
 
 def test_selection_top_length_and_json_round_trip(rng):
