@@ -215,12 +215,14 @@ def h_star(
 
 
 class Linearization:
-    """Per-cell scale windows and weights standing in for a variation sup.
+    """Scale windows and weights standing in for a variation sup, per class of cells.
 
-    Each cell stores jump scales k_0 < ... < k_N and N weights; a term
-    at time scale k picks up the weight of the window [k_t, k_{t+1})
-    containing k, or zero outside all windows.  Weights are dyadic so
-    that downstream pairings stay exact.
+    Every cell belongs to one class (`cell_class`, a read-only int64
+    array), and each class holds jump scales k_0 < ... < k_N and N
+    weights (`windows`, one pair per class); a term at time scale k
+    picks up the weight of the window [k_t, k_{t+1}) containing k, or
+    zero outside all windows.  Cells that share their windows share a
+    class, so the windows are held and checked once per class.
 
     Two things derived from the weights are memoised for the lifetime
     of the object: the weight field of each scale (`weight_field`),
@@ -231,29 +233,33 @@ class Linearization:
     """
 
     __slots__ = (
-        "domain_exp", "resolution_exp", "cell_jumps", "cell_weights", "_weight_fields",
-        "_tilde",
+        "domain_exp", "resolution_exp", "cell_class", "windows", "_weight_fields", "_tilde",
     )
 
     def __init__(
         self,
         domain_exp: int,
         resolution_exp: int,
-        cell_jumps: Sequence[tuple[int, ...]],
-        cell_weights: Sequence[tuple[QuadScalar, ...]],
+        cell_class: Sequence[int] | np.ndarray,
+        windows: Sequence[tuple[Sequence[int], Sequence[QuadScalar]]],
     ) -> None:
-        cells = 1 << (domain_exp + resolution_exp)
-        if len(cell_jumps) != cells or len(cell_weights) != cells:
-            raise GridMismatch("one jump tuple and one weight tuple per cell")
-        for jumps, weights in zip(cell_jumps, cell_weights):
+        classes = np.array(cell_class).astype(np.int64, casting="safe")
+        if classes.shape != (1 << (domain_exp + resolution_exp),):
+            raise GridMismatch("one class index per cell")
+        windows = tuple((tuple(jumps), tuple(weights)) for jumps, weights in windows)
+        # A negative index would wrap silently under numpy indexing.
+        if classes.min() < 0 or classes.max() >= len(windows):
+            raise ValueError("a class index names no window pair")
+        for jumps, weights in windows:
             if len(jumps) != len(weights) + 1:
                 raise ValueError("need exactly one more jump than weights")
             if any(a >= b for a, b in zip(jumps, jumps[1:])):
                 raise ValueError("jump scales must increase strictly")
+        classes.flags.writeable = False
         object.__setattr__(self, "domain_exp", domain_exp)
         object.__setattr__(self, "resolution_exp", resolution_exp)
-        object.__setattr__(self, "cell_jumps", tuple(cell_jumps))
-        object.__setattr__(self, "cell_weights", tuple(cell_weights))
+        object.__setattr__(self, "cell_class", classes)
+        object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "_weight_fields", {})
         object.__setattr__(self, "_tilde", {})
 
@@ -263,74 +269,39 @@ class Linearization:
     def weight_field(self, scale: int) -> kernels.IntegerField:
         """The cell weights at one scale as integer planes.
 
-        The first call paints every cell's windows once, over one common
-        denominator, onto one plane row per scale the windows reach, and
-        keeps each row's canonical field; a scale no window reaches has
-        weight zero everywhere.  The fields are those of `weight_at`
-        cell by cell, as canonical fields are unique.
+        Each class's weight at the scale, zero where no window reaches
+        it, is lifted once over one common denominator, and the cells
+        take their class's integers by one index into the planes; the
+        canonical field is kept for the next call.
         """
-        fields = self._weight_fields
-        if not fields:
-            fields.update(self._paint_windows())
-        field = fields.get(scale)
+        field = self._weight_fields.get(scale)
         if field is None:
-            zero = np.zeros(len(self.cell_weights), np.int64)
-            field = fields[scale] = kernels.IntegerField.canonical(
-                zero, zero, 1, self.domain_exp, self.resolution_exp
+            weights = [
+                next((w for t, w in enumerate(ws) if js[t] <= scale < js[t + 1]), ZERO)
+                for js, ws in self.windows
+            ]
+            rats, surds, d = common_lift(weights)
+            field = self._weight_fields[scale] = kernels.IntegerField.canonical(
+                kernels._as_plane(rats)[self.cell_class],
+                kernels._as_plane(surds)[self.cell_class],
+                d,
+                self.domain_exp,
+                self.resolution_exp,
             )
         return field
-
-    def _paint_windows(self) -> dict[int, kernels.IntegerField]:
-        windows = [
-            (cell, jumps[t], jumps[t + 1], w)
-            for cell, (jumps, weights) in enumerate(zip(self.cell_jumps, self.cell_weights))
-            for t, w in enumerate(weights)
-        ]
-        if not windows:
-            return {}
-        cell, start, stop, weights = zip(*windows)
-        cell, start, stop = (np.array(part, np.int64) for part in (cell, start, stop))
-        rats, surds, d = common_lift(weights)
-        rats, surds = kernels._as_plane(rats), kernels._as_plane(surds)
-        cells = len(self.cell_weights)
-        fields = {}
-        for scale in range(int(start.min()), int(stop.max())):
-            # Windows of one cell are disjoint, so each cell gets one at most.
-            inside = (start <= scale) & (scale < stop)
-            rat = np.zeros(cells, rats.dtype)
-            surd = np.zeros(cells, surds.dtype)
-            rat[cell[inside]] = rats[inside]
-            surd[cell[inside]] = surds[inside]
-            fields[scale] = kernels.IntegerField.canonical(
-                rat, surd, d, self.domain_exp, self.resolution_exp
-            )
-        return fields
 
     @classmethod
     def trivial(cls, domain_exp: int, resolution_exp: int) -> "Linearization":
         """One window covering every usable scale, with weight one."""
         cells = 1 << (domain_exp + resolution_exp)
-        jumps = (-resolution_exp, domain_exp + 1)
-        return cls(
-            domain_exp,
-            resolution_exp,
-            [jumps] * cells,
-            [(ONE,)] * cells,
-        )
-
-    def weight_at(self, cell: int, scale: int) -> QuadScalar:
-        jumps = self.cell_jumps[cell]
-        weights = self.cell_weights[cell]
-        for t in range(len(weights)):
-            if jumps[t] <= scale < jumps[t + 1]:
-                return weights[t]
-        return ZERO
+        window = ((-resolution_exp, domain_exp + 1), (ONE,))
+        return cls(domain_exp, resolution_exp, np.zeros(cells, np.int64), [window])
 
     def __repr__(self) -> str:
-        windows = max((len(w) for w in self.cell_weights), default=0)
+        windows = max(len(weights) for _, weights in self.windows)
         return (
             f"Linearization(J={self.domain_exp}, m={self.resolution_exp}, "
-            f"max {windows} windows)"
+            f"{len(self.windows)} classes, max {windows} windows)"
         )
 
 
@@ -352,21 +323,16 @@ def optimal_linearization(
     sums never change gets no window.
 
     The chain and the weights are solved once per distinct column of
-    the float field, keyed on the column's bytes, and shared by every
-    cell whose column has the same bytes: the solve is a function of
-    those bytes alone.  The memo lives for this call only.
+    the float field, and every cell whose column has the same bytes
+    shares that solve as its class: the solve is a function of those
+    bytes alone, so columns are grouped by bytes, not by value.
     """
     field = partial_sum_field(terms, 3, domain_exp, resolution_exp)
-    solved: dict[bytes, tuple[tuple[int, ...], tuple[QuadScalar, ...]]] = {}
-    cells = []
-    for column in np.ascontiguousarray(field.to_array().T):
-        key = column.tobytes()
-        windows = solved.get(key)
-        if windows is None:
-            windows = solved[key] = _column_windows(column.tolist(), r, field.scale_min)
-        cells.append(windows)
-    cell_jumps, cell_weights = zip(*cells)
-    return Linearization(domain_exp, resolution_exp, cell_jumps, cell_weights)
+    columns = np.ascontiguousarray(field.to_array().T)
+    keys = columns.view(np.dtype((np.void, columns.itemsize * columns.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    windows = [_column_windows(columns[i].tolist(), r, field.scale_min) for i in first]
+    return Linearization(domain_exp, resolution_exp, inverse, windows)
 
 
 def _column_windows(

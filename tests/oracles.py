@@ -518,10 +518,19 @@ def model_coefficients_by_tile(
     ]
 
 
+def weight_at(lin, cell: int, scale: int) -> QuadScalar:
+    """The weight of one cell at one scale: a scan of its class's windows."""
+    jumps, weights = lin.windows[lin.cell_class[cell]]
+    for t in range(len(weights)):
+        if jumps[t] <= scale < jumps[t + 1]:
+            return weights[t]
+    return ZERO
+
+
 def weight_field_by_cell(lin, scale: int):
     """A linearization's weights at one scale, one `weight_at` per cell."""
     cells = range(1 << (lin.domain_exp + lin.resolution_exp))
-    weights = [lin.weight_at(c, scale) for c in cells]
+    weights = [weight_at(lin, c, scale) for c in cells]
     return StepFunction(lin.domain_exp, lin.resolution_exp, weights).field
 
 

@@ -189,7 +189,7 @@ def _reweighted_oracle(f, q, lin):
     weighted = StepFunction(
         f.domain_exp,
         f.resolution_exp,
-        [v * lin.weight_at(cell, k) for cell, v in enumerate(f.values)],
+        [v * oracles.weight_at(lin, cell, k) for cell, v in enumerate(f.values)],
     )
     return inner_product_brute(weighted, q.tile(3))
 
@@ -201,7 +201,7 @@ def _random_linearization(rng, domain_exp, resolution_exp, weight):
         cut = rng.randint(-resolution_exp + 1, domain_exp)
         jumps.append((-resolution_exp, cut, domain_exp + 1))
         weights.append((weight(), weight()))
-    return Linearization(domain_exp, resolution_exp, jumps, weights)
+    return Linearization(domain_exp, resolution_exp, range(cells), list(zip(jumps, weights)))
 
 
 @pytest.mark.parametrize(
@@ -264,7 +264,7 @@ def test_tilde_memo_matches_fresh_pairings(rng, monkeypatch):
         # A product table is built once per scale that has a missing quartile.
         assert len(builds) == len({q.time.scale for q in missing})
         requested |= {(fn, q) for q in subset}
-        fresh = Linearization(domain_exp, resolution_exp, lin.cell_jumps, lin.cell_weights)
+        fresh = Linearization(domain_exp, resolution_exp, lin.cell_class, lin.windows)
         assert got == tilde_coefficients(fn, subset, fresh)
         assert list(got) == subset
         for q in subset:

@@ -44,6 +44,7 @@ from oracles import (
 from walshtf.errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine
 from walshtf.geometry import quartile_sort_key
 from walshtf.kernels import batch_variation
+from walshtf import operators
 from walshtf.operators import model_coefficients, tilde_coefficients
 from walshtf.experiments.random_gen import (
     disjoint_collection,
@@ -315,16 +316,25 @@ def test_optimal_linearization_has_admissible_weights(rng):
         f1, f2 = sign_function(rng, 2, 3), sign_function(rng, 2, 3)
         L = optimal_linearization(model_terms(f1, f2, coll), r, 2, 3)
         conj = r / (r - 1.0)
-        for weights in L.cell_weights:
+        for _, weights in L.windows:
             assert sum(abs(w.to_float()) ** conj for w in weights) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("r", [3.0, 2.5, 4.0])
-def test_optimal_linearization_matches_the_per_column_loop(r):
+def test_optimal_linearization_matches_the_per_column_loop(r, monkeypatch):
     # Fields of the restricted-type shape: masked signs on a (3,5) grid
     # and a dozen disjoint quartiles, so columns repeat, next to each
     # other and far apart.  Keeping only the quartiles inside the left
-    # half of the box also gives columns that never change.
+    # half of the box also gives columns that never change.  Each
+    # distinct column byte string is solved once, as one class.
+    solved = []
+    original = operators._column_windows
+
+    def counting(column, r, scale_min):
+        solved.append(column)
+        return original(column, r, scale_min)
+
+    monkeypatch.setattr(operators, "_column_windows", counting)
     for seed in range(6):
         rng = random.Random(seed)
         support = dyadic_set(rng, 3, 5, density=0.5)
@@ -339,9 +349,34 @@ def test_optimal_linearization_matches_the_per_column_loop(r):
             jumps, weights = per_column_linearization(rows, -5, r)
             if chosen is left:
                 assert not any(weights[128:])
+            del solved[:]
             lin = optimal_linearization(chosen, r, 3, 5)
-            assert lin.cell_jumps == tuple(jumps)
-            assert lin.cell_weights == tuple(weights)
+            assert [lin.windows[t] for t in lin.cell_class] == list(zip(jumps, weights))
+            assert not lin.cell_class.flags.writeable
+            assert len(solved) == len(lin.windows) == len(set(columns))
+
+
+_ONE_WINDOW = ((0, 2), (QuadScalar(Fraction(1, 2)),))
+
+
+@pytest.mark.parametrize(
+    "cell_class, windows, error",
+    [
+        (range(7), [_ONE_WINDOW] * 7, GridMismatch),
+        (range(9), [_ONE_WINDOW] * 9, GridMismatch),
+        ([0] * 7 + [-1], [_ONE_WINDOW], ValueError),
+        ([0] * 7 + [1], [_ONE_WINDOW], ValueError),
+        ([0.5] * 8, [_ONE_WINDOW], TypeError),
+        ([0] * 8, [((0, 2), (ZERO, ZERO))], ValueError),
+        ([0] * 8, [((1, 1, 2), (ZERO, ZERO))], ValueError),
+        ([0] * 8, [((2, 1), (ZERO,))], ValueError),
+    ],
+    ids=["too-few-cells", "too-many-cells", "negative-class", "class-past-windows",
+         "fractional-class", "jumps-as-many-as-weights", "repeated-jump", "falling-jumps"],
+)
+def test_linearization_refuses_malformed_classes_and_windows(cell_class, windows, error):
+    with pytest.raises(error):
+        Linearization(1, 2, cell_class, windows)
 
 
 def test_grid_refinement_leaves_the_form_unchanged(rng):
@@ -362,7 +397,7 @@ _WEIGHT_KINDS = {
     "sqrt2": lambda rng: QuadScalar(
         Fraction(rng.randint(-3, 3), 4), Fraction(rng.randint(-3, 3), rng.choice((1, 3)))
     ),
-    # Parts past int64, so the painted planes hold Python ints.
+    # Parts past int64, so the weight planes hold Python ints.
     "huge": lambda rng: QuadScalar(rng.randint(-(1 << 70), 1 << 70), rng.randint(-1, 1)),
 }
 
@@ -377,7 +412,9 @@ def test_weight_fields_match_the_weight_at_loop(rng, kind):
             jumps = sorted(rng.sample(range(-resolution_exp, domain_exp + 2), windows + 1))
             cell_jumps.append(tuple(jumps))
             cell_weights.append(tuple(_WEIGHT_KINDS[kind](rng) for _ in range(windows)))
-        lin = Linearization(domain_exp, resolution_exp, cell_jumps, cell_weights)
+        lin = Linearization(
+            domain_exp, resolution_exp, range(cells), list(zip(cell_jumps, cell_weights))
+        )
         for scale in range(-resolution_exp - 1, domain_exp + 3):
             field = lin.weight_field(scale)
             expected = weight_field_by_cell(lin, scale)
@@ -387,7 +424,7 @@ def test_weight_fields_match_the_weight_at_loop(rng, kind):
 
 
 def test_weight_fields_of_a_linearization_without_windows_are_zero():
-    lin = Linearization(1, 2, [(-2,)] * 8, [()] * 8)
+    lin = Linearization(1, 2, range(8), [((-2,), ())] * 8)
     for scale in (-2, 0, 1):
         assert lin.weight_field(scale) == weight_field_by_cell(lin, scale)
         assert not lin.weight_field(scale).rat.any()
