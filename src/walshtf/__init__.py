@@ -19,7 +19,6 @@ from .errors import (
     ResolutionTooCoarse,
     ScaleTooCoarse,
     ScaleTooFine,
-    UnsortedBreakpoints,
     WalshtfError,
     ZeroVariation,
 )
@@ -37,9 +36,7 @@ from .geometry import (
     Quartile,
     Tile,
     Tree,
-    TreeKind,
     containing_interval,
-    lacunary_tiles_disjoint,
     maximal_tree,
     tiles_disjoint,
 )
@@ -49,7 +46,6 @@ from .operators import (
     TruncationField,
     average,
     freq_projection,
-    h_star,
     lambda_form,
     maximal,
     model_terms,
@@ -71,13 +67,11 @@ from .trees import (
 from .variation import (
     VariationCertificate,
     linearize_weights,
-    long_short_split,
     variation_norm,
 )
 from .wavepacket import (
     StepFunction,
     batch_inner_products,
-    eval_walsh,
     eval_wavepacket,
     inner_product,
     synthesize,
@@ -113,9 +107,7 @@ __all__ = [
     "StepFunction",
     "Tile",
     "Tree",
-    "TreeKind",
     "TruncationField",
-    "UnsortedBreakpoints",
     "WalshtfError",
     "VariationCertificate",
     "ZERO",
@@ -123,19 +115,15 @@ __all__ = [
     "average",
     "batch_inner_products",
     "containing_interval",
-    "eval_walsh",
     "eval_wavepacket",
     "freq_projection",
-    "h_star",
     "inner_product",
     "inv_sqrt_pow2",
     "pow2_fraction",
     "jn_quantities",
     "jump_times",
-    "lacunary_tiles_disjoint",
     "lambda_form",
     "linearize_weights",
-    "long_short_split",
     "maximal",
     "maximal_tree",
     "optimal_linearization",

@@ -46,10 +46,6 @@ class ZeroVariation(WalshtfError):
     """A variation certificate was requested for a constant sequence."""
 
 
-class UnsortedBreakpoints(WalshtfError):
-    """Breakpoints must be strictly increasing and inside the scale range."""
-
-
 class PreconditionViolated(WalshtfError):
     """A documented operation precondition failed."""
 

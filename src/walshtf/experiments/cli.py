@@ -24,7 +24,7 @@ from ..errors import InvalidInput, WalshtfError
 from ..exact import QuadScalar
 from ..geometry import MAX_GRID_EXP, DyadicInterval, Quartile, _json_int, _json_object
 from ..operators import slot_coefficients
-from ..trees import SelectionResult, select_trees
+from ..trees import SelectionResult, _short_text, select_trees
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
 from .random_gen import dyadic_set
@@ -100,6 +100,14 @@ def _load_json(path: str) -> object:
             raise InvalidInput(f"{path} is not JSON text: {exc}") from exc
 
 
+def _past_digit_limit(value: QuadScalar) -> bool:
+    """Whether an integer of value's text has more digits than Python
+    writes out."""
+    limit = sys.get_int_max_str_digits()
+    parts = (n for part in (value.rat, value.surd) for n in part.as_integer_ratio())
+    return bool(limit) and max(map(abs, parts)) >= 10**limit
+
+
 def _scalar_from_text(text: str) -> QuadScalar:
     """Q(sqrt2) text or a `Fraction` literal, whose parts Python can write
     out: an exponent such as 1e-20000 can make more digits than that."""
@@ -107,10 +115,8 @@ def _scalar_from_text(text: str) -> QuadScalar:
         value = QuadScalar.from_text(text)
     except ValueError:
         value = QuadScalar.coerce(Fraction(text))
-    limit = sys.get_int_max_str_digits()
-    parts = (n for part in (value.rat, value.surd) for n in part.as_integer_ratio())
-    if limit and max(map(abs, parts)) >= 10**limit:
-        raise ValueError(f"a part has more than {limit} digits")
+    if _past_digit_limit(value):
+        raise ValueError(f"a part has more than {sys.get_int_max_str_digits()} digits")
     return value
 
 
@@ -241,6 +247,15 @@ def _cmd_select_trees(args: argparse.Namespace) -> int:
     collection, f, slot, alpha, domain_exp = _selection_request(_load_json(args.input))
     coefficients = slot_coefficients(f, collection, slot)
     result = select_trees(collection, coefficients, slot, alpha, domain_exp)
+    # A square size of the values' product denominators can outgrow the
+    # text a selection file holds, though each value fits.
+    for name in ("initial_size_sq", "residual_size_sq"):
+        value = getattr(result, name)
+        if value is not None and _past_digit_limit(value):
+            raise InvalidInput(
+                f"the selection's {name} {_short_text(value)} has an integer past the "
+                f"{sys.get_int_max_str_digits()}-digit limit: no selection file could hold it"
+            )
     _write(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -74,14 +74,14 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
     unit = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
     f1 = wavepacket_step(unit.tile(1), domain_exp, resolution_exp)
     f2 = wavepacket_step(unit.tile(2), domain_exp, resolution_exp)
-    var_field, sup_field = _operator_fields(
+    var_field, star_field = _operator_fields(
         f1, f2, [unit], config.r, domain_exp, resolution_exp
     )
     denom = lp_norm(f1.to_float_array(), config.p1, resolution_exp) * lp_norm(
         f2.to_float_array(), config.p2, resolution_exp
     )
     unit_ratio = lp_norm(var_field, config.q, resolution_exp) / denom
-    unit_star = lp_norm(sup_field, config.q, resolution_exp) / denom
+    unit_star = lp_norm(star_field, config.q, resolution_exp) / denom
     rows.append(
         ("unit", 1, "exact", unit_ratio, unit_star, "" if unit_ratio == 1.0 else "off")
     )
@@ -106,11 +106,11 @@ def run_theorem1(config: ExperimentConfig) -> ExperimentReport:
             if denom == 0.0:
                 rows.append((count, trial, kind, 0.0, 0.0, "zero-input"))
                 continue
-            var_field, sup_field = _operator_fields(
+            var_field, star_field = _operator_fields(
                 f1, f2, quartiles, config.r, domain_exp, resolution_exp
             )
             ratio = lp_norm(var_field, config.q, resolution_exp) / denom
-            star = lp_norm(sup_field, config.q, resolution_exp) / denom
+            star = lp_norm(star_field, config.q, resolution_exp) / denom
             maxima[count] = max(maxima.get(count, 0.0), ratio)
             ratios.append(ratio)
             rows.append((count, trial, kind, ratio, star, ""))

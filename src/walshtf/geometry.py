@@ -255,19 +255,6 @@ def _in_tree(q: Quartile, top_interval: DyadicInterval, top_freq: DyadicRational
     )
 
 
-@dataclass(frozen=True)
-class TreeKind:
-    """The set of subtile indices a tree overlaps uniformly."""
-
-    overlap_indices: frozenset[int]
-
-    def is_overlapping(self, i: int) -> bool:
-        return i in self.overlap_indices
-
-    def is_lacunary(self, i: int) -> bool:
-        return any(j != i for j in self.overlap_indices)
-
-
 class Tree:
     """A quartile set with top data (I_T, xi_T).
 
@@ -332,14 +319,6 @@ class Tree:
     def top_tile(self) -> Tile:
         return Tile(self.top_interval, self.omega_top)
 
-    def classify(self) -> TreeKind:
-        if not self.quartiles:
-            return TreeKind(frozenset({1, 2, 3, 4}))
-        positions = {member.grandchild_of(self.top_freq) for member in self.quartiles}
-        if len(positions) == 1:
-            return TreeKind(frozenset(positions))
-        return TreeKind(frozenset())
-
     def to_json(self) -> dict:
         return {
             "quartiles": [q.to_json() for q in self.sorted_quartiles()],
@@ -381,18 +360,3 @@ def maximal_tree(
         top_freq,
     )
     return tree
-
-
-def lacunary_tiles_disjoint(tree: Tree | Iterable[Quartile], i: int) -> bool:
-    """Whether the i-th subtiles are pairwise disjoint.
-
-    Accepts a plain iterable so corrupted inputs (for instance a repeated
-    quartile) can be probed; a genuine i-lacunary tree always passes.
-    """
-    members = list(tree.quartiles) if isinstance(tree, Tree) else list(tree)
-    subtiles = [member.tile(i) for member in members]
-    for a in range(len(subtiles)):
-        for b in range(a + 1, len(subtiles)):
-            if subtiles[a].intersects(subtiles[b]):
-                return False
-    return True

@@ -168,19 +168,24 @@ class IntegerField:
         return QuadScalar.from_ints(int(self.rat.sum()), int(self.surd.sum()), self.denominator)
 
 
+PairColumn = tuple[tuple[int, int], ...]
+
+
 def differing_columns(
     a: Sequence[StepFunction], b: Sequence[StepFunction]
-) -> tuple[list[tuple[list[tuple[int, int]], list[tuple[int, int]]]], int]:
-    """The cells whose values down a differ from their values down b.
+) -> tuple[list[tuple[PairColumn, PairColumn]], int]:
+    """The distinct columns of the cells whose values down a differ from
+    their values down b.
 
     Both lists are lifted over d, the lcm of their denominators, and
     stacked into one rat and one surd plane with a row per function.
     A cell is kept when its column differs between the lists (every
     cell does when the lists differ in length) and, of a run of equal
     adjacent columns, only the first is kept, since the run repeats
-    one column.  Returns each kept cell's two columns as integer pairs
-    (r, s) over one denominator, worth `QuadScalar.from_ints(r, s, d)`,
-    and that denominator d.
+    one column.  Kept cells apart that hold one column give it once, in
+    the order of its first cell.  Returns each such column's two halves
+    as tuples of integer pairs (r, s) over one denominator, worth
+    `QuadScalar.from_ints(r, s, d)`, and that denominator d.
     """
     fields = [f.field for f in (*a, *b)]
     if not fields:
@@ -203,11 +208,8 @@ def differing_columns(
         surd[:, 1:] != surd[:, :-1]
     ).any(axis=0)
     keep = np.flatnonzero(differs)
-    columns = []
-    for r, s in zip(rat[:, keep].T.tolist(), surd[:, keep].T.tolist()):
-        pairs = list(zip(r, s))
-        columns.append((pairs[:n], pairs[n:]))
-    return columns, d
+    kept = (tuple(zip(r, s)) for r, s in zip(rat[:, keep].T.tolist(), surd[:, keep].T.tolist()))
+    return [(column[:n], column[n:]) for column in dict.fromkeys(kept)], d
 
 
 def field_sum(a: IntegerField, b: IntegerField, sign: int = 1) -> IntegerField:

@@ -37,7 +37,6 @@ __all__ = [
     "freq_projection",
     "TruncationField",
     "partial_sum_field",
-    "h_star",
     "Linearization",
     "optimal_linearization",
     "tilde_coefficients",
@@ -180,19 +179,6 @@ class TruncationField:
     def to_array(self) -> np.ndarray:
         return np.vstack([row.to_float_array() for row in self.rows])
 
-    def sup_field(self) -> StepFunction:
-        """Largest |row value| per cell, exactly."""
-        cells = self.rows[0].cell_count
-        out: list[QuadScalar] = []
-        for cell in range(cells):
-            best = ZERO
-            for row in self.rows:
-                a = abs(row.values[cell])
-                if a > best:
-                    best = a
-            out.append(best)
-        return StepFunction(self.domain_exp, self.resolution_exp, out)
-
 
 def partial_sum_field(
     terms: TermList,
@@ -204,14 +190,6 @@ def partial_sum_field(
     exact = ((q, QuadScalar.coerce(c)) for q, c in terms)
     rows = kernels.truncated_sums(exact, subtile_index, domain_exp, resolution_exp)
     return TruncationField(-resolution_exp, [StepFunction._from_field(row) for row in rows])
-
-
-def h_star(
-    terms: TermList, subtile_index: int, domain_exp: int, resolution_exp: int
-) -> StepFunction:
-    """Maximal truncated sum, computed exactly cell by cell."""
-    field = partial_sum_field(terms, subtile_index, domain_exp, resolution_exp)
-    return field.sup_field()
 
 
 class Linearization:

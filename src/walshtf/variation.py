@@ -19,15 +19,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import UnsortedBreakpoints, ZeroVariation
+from .errors import ZeroVariation
 from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike
 
 __all__ = [
     "VariationCertificate",
     "variation_norm",
     "linearize_weights",
-    "LongShortSplit",
-    "long_short_split",
     "collapse_repeats",
 ]
 
@@ -182,56 +180,6 @@ def linearize_weights(values: SequenceLike, r: float) -> tuple[tuple[int, ...], 
         math.copysign((abs(d) / cert.scale) ** (r - 1.0), d) / denom for d in diffs
     )
     return cert.indices, weights
-
-
-@dataclass(frozen=True)
-class LongShortSplit:
-    """Coarse and fine variation of a sequence across windows.
-
-    long_power and short_power are r-th powers of differences over
-    scale, as in `VariationCertificate`; bound() gives scale times
-    3^{1/r'} (long + 2 short)^{1/r}, which dominates the full variation
-    since a step across windows splits into short, long and short steps.
-    """
-
-    r: float
-    long_power: object
-    short_power: object
-    scale: float = 1.0
-
-    def bound(self) -> float:
-        combined = float(self.long_power) + 2.0 * float(self.short_power)
-        conj = self.r / (self.r - 1.0)
-        return 3.0 ** (1.0 / conj) * combined ** (1.0 / self.r) * self.scale
-
-
-def long_short_split(
-    values: SequenceLike,
-    r: float,
-    breakpoints: Sequence[int],
-) -> LongShortSplit:
-    """Split the r-variation into window-boundary and in-window parts.
-
-    Windows are the half-open index ranges cut by the breakpoints, with
-    the sequence ends always included as implicit boundaries.  The long
-    part is the variation of the values at window starts; the short part
-    collects the variation inside each window, all in the lane and at
-    the scale of the whole sequence.
-    """
-    if r == math.inf or r <= 1:
-        raise ValueError("the split needs a finite exponent above one")
-    n = len(values)
-    inner = sorted(b for b in breakpoints if 0 < b < n)
-    if list(breakpoints) != sorted(breakpoints):
-        raise UnsortedBreakpoints("breakpoints must be given in increasing order")
-    bounds = [0] + inner + [n]
-    bounds = sorted(set(bounds))
-    lane, zero, scale = _lane(values, r, "auto")
-    long_cert = _chain_dp(r, [lane[b] for b in bounds[:-1]], zero, scale)
-    short_power = zero
-    for a, b in zip(bounds, bounds[1:]):
-        short_power = short_power + _chain_dp(r, lane[a:b], zero, scale).power_sum
-    return LongShortSplit(r, long_cert.power_sum, short_power, scale)
 
 
 def collapse_repeats(values: Sequence[ScalarLike]) -> list:

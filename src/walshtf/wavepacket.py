@@ -32,7 +32,6 @@ from .geometry import (
 
 __all__ = [
     "StepFunction",
-    "eval_walsh",
     "eval_wavepacket",
     "wavepacket_step",
     "inner_product",
@@ -40,29 +39,6 @@ __all__ = [
     "synthesize",
     "tree_sign_step",
 ]
-
-
-def eval_walsh(freq_index: int, t: PointLike) -> int:
-    """Walsh function value at t in [0, 1), as a product of square waves.
-
-    The j-th square wave is +1 on dyadic intervals of length 2^-(j+1)
-    with even index, -1 on the others; the factors used are those picked
-    out by the binary digits of the index.
-    """
-    if freq_index < 0:
-        raise ValueError("frequency index must be nonnegative")
-    if band_index(t, 0) != 0:
-        raise ValueError("Walsh functions are evaluated on [0, 1)")
-    sign = 1
-    j = 0
-    b = freq_index
-    while b:
-        if b & 1:
-            if band_index(t, -(j + 1)) & 1:
-                sign = -sign
-        b >>= 1
-        j += 1
-    return sign
 
 
 def eval_wavepacket(tile: Tile, x: PointLike) -> QuadScalar:

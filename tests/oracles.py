@@ -11,7 +11,8 @@ linearizations by solving every cell's column on its own, float
 packet sums by adding one term's slice at a time, model coefficients
 by one `QuadScalar` product of two cell-by-cell pairings per quartile,
 the dyadic maximal function by a running maximum over one block size
-at a time, the identity suite's variation comparison by one tuple of
+at a time, the maximal truncated sum by a running maximum down each
+cell's column, the identity suite's variation comparison by one tuple of
 integer pairs per cell.  The only package imports are the primitive
 containers and exact scalars, the one-column weight solver whose
 per-cell results the linearization must reproduce, the packet pairing
@@ -315,6 +316,21 @@ def dp_on_every_column(field: np.ndarray, r: float) -> np.ndarray:
         suffix[i] = np.max(gains, axis=0)
     powers = np.max(suffix, axis=0)
     return powers ** (1.0 / r)
+
+
+def sup_by_cell(field) -> StepFunction:
+    """The maximal truncated sum of a `TruncationField`: the largest
+    |row value| of each cell, by one exact comparison per row."""
+    rows = field.rows
+    out = []
+    for cell in range(rows[0].cell_count):
+        best = ZERO
+        for row in rows:
+            a = abs(row.values[cell])
+            if a > best:
+                best = a
+        out.append(best)
+    return StepFunction(field.domain_exp, field.resolution_exp, out)
 
 
 def per_column_linearization(

@@ -337,7 +337,7 @@ def test_quartile_collection_refuses_counts_above_the_box_before_drawing(rng):
 def test_pinned_tree_overlaps_uniformly(rng):
     for pin in (1, 2, 3, 4):
         tree = pinned_tree(rng, pin, 3, 5, depth=4)
-        assert tree.classify().overlap_indices == frozenset({pin})
+        assert {q.grandchild_of(tree.top_freq) for q in tree.quartiles} == {pin}
 
 
 def test_pinned_forest_members(rng):
@@ -345,7 +345,7 @@ def test_pinned_forest_members(rng):
     assert len(forest) == 4
     for tree in forest:
         assert len(tree) >= 1
-        assert tree.classify().overlap_indices == frozenset({2})
+        assert {q.grandchild_of(tree.top_freq) for q in tree.quartiles} == {2}
 
 
 def test_dyadic_set_and_masked_signs(rng):
@@ -999,7 +999,7 @@ def test_every_contract_error_derives_from_the_package_base():
         for value in vars(errors).values()
         if isinstance(value, type) and issubclass(value, Exception)
     ]
-    assert len(classes) == 14
+    assert len(classes) == 13
     for cls in classes:
         assert issubclass(cls, WalshtfError) and issubclass(cls, ValueError)
 
@@ -1286,3 +1286,52 @@ def test_cli_select_trees_writes_a_long_square_size_short_in_its_refusal(tmp_pat
     assert main(["select-trees", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.endswith("square size 25/64+0/1*sqrt2 exceeds the allowance 1/1000+0/1*sqrt2\n")
+
+
+def _one_quartile_request(value: str) -> dict:
+    """A select-trees request whose 16 values on (J, m) = (1, 3) are all value."""
+    return {
+        "f": {"J": 1, "m": 3, "values": [value] * 16},
+        "collection": [{"time": {"n": 0, "k": 0}, "freq": {"n": 0, "k": 2}}],
+        "slot": 1,
+        "alpha": "1",
+    }
+
+
+def test_cli_select_trees_refuses_a_square_size_past_the_digit_limit(tmp_path, capsys):
+    # Each value's 2201-digit denominator fits, but the square size's
+    # 4401-digit one raised ValueError in to_json: a traceback, exit 3.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(_one_quartile_request(f"1/{10**2200}+0/1*sqrt2")))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith(
+        "error: the selection's initial_size_sq ~1e-4400 "
+        "(exact text of integers with 1, 4401, 1, 1 digits)"
+    )
+
+
+def test_cli_select_trees_refuses_a_surd_square_size_past_the_digit_limit(tmp_path, capsys):
+    # Values with only a surd part: the square size's rational part
+    # carries a 4400-digit denominator.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(_one_quartile_request(f"0/1+1/{10**2200}*sqrt2")))
+    assert main(["select-trees", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: the selection's initial_size_sq ~2e-4400 ")
+    assert err.endswith("has an integer past the 4300-digit limit: no selection file could hold it\n")
+
+
+def test_cli_select_trees_writes_a_square_size_just_under_the_digit_limit(tmp_path, capsys):
+    # 3^8000 has 3818 digits: the selection file holds it exactly.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(_one_quartile_request(f"1/{3**4000}+0/1*sqrt2")))
+    assert main(["select-trees", "--in", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    written = QuadScalar.from_text(json.loads(out)["initial_size_sq"])
+    assert written == QuadScalar.coerce(Fraction(1, 3**8000))

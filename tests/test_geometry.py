@@ -15,7 +15,6 @@ from walshtf import (
     Tile,
     Tree,
     containing_interval,
-    lacunary_tiles_disjoint,
     maximal_tree,
     pow2_fraction,
     tiles_disjoint,
@@ -191,19 +190,14 @@ def test_tree_validation():
     assert tree.omega_top.length * tree.top_interval.length == 1
 
 
-def test_tree_classification_by_pin():
+def test_tree_members_grandchildren_by_pin():
+    # A tree's members overlap at one grandchild index when xi falls in
+    # that grandchild of every member's frequency interval.
     top = DyadicInterval(0, 2)
     base = Quartile(DyadicInterval(0, 2), DyadicInterval(0, 0))
-    fine = Quartile(DyadicInterval(1, 0), DyadicInterval(1, 2))
-    # xi = 1/4 sits in the second grandchild of base ([1/4, 1/2)) and
-    # the first of fine ([4, 5) does not contain it), so pick xi = 9/2
-    # shared: base freq [0, 4) misses it.  Use separate trees instead.
     overlapping = Tree([base], top, Fraction(1, 4))
-    assert overlapping.classify().overlap_indices == frozenset({2})
-    assert overlapping.classify().is_overlapping(2)
-    assert overlapping.classify().is_lacunary(1)
-    assert not overlapping.classify().is_lacunary(2)
-    mixed = Tree(
+    assert {q.grandchild_of(overlapping.top_freq) for q in overlapping.quartiles} == {2}
+    same = Tree(
         [
             Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2)),
             Quartile(DyadicInterval(1, 0), DyadicInterval(0, 2)),
@@ -211,9 +205,16 @@ def test_tree_classification_by_pin():
         top,
         Fraction(0),
     )
-    assert mixed.classify().overlap_indices == frozenset({1})
-    empty = Tree([], top, 0)
-    assert empty.classify().overlap_indices == frozenset({1, 2, 3, 4})
+    assert {q.grandchild_of(same.top_freq) for q in same.quartiles} == {1}
+    mixed = Tree(
+        [
+            Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2)),
+            Quartile(DyadicInterval(0, 1), DyadicInterval(0, 1)),
+        ],
+        top,
+        Fraction(3, 2),
+    )
+    assert {q.grandchild_of(mixed.top_freq) for q in mixed.quartiles} == {2, 4}
 
 
 def test_tree_json_round_trip():
@@ -283,7 +284,6 @@ def test_lacunary_tiles_are_disjoint(rng):
         for j in (1, 2, 3, 4):
             if j == pin:
                 continue
-            assert lacunary_tiles_disjoint(tree, j)
             stamps = [q.tile(j) for q in tree.sorted_quartiles()]
             for a in range(len(stamps)):
                 for b in range(a + 1, len(stamps)):
@@ -350,18 +350,6 @@ def test_grandchild_of_matches_the_subtile_endpoints(data):
     q = data.draw(quartiles())
     xi = data.draw(points_near(q.freq))
     assert q.grandchild_of(xi) == _grandchild_by_endpoints(q, _value(xi))
-
-
-@given(tree_problems(), st.booleans())
-def test_classify_matches_the_subtile_endpoints(problem, as_dyadic):
-    pool, top, xi = problem
-    tree = maximal_tree(pool, top, DyadicRational.from_fraction(xi) if as_dyadic else xi)
-    positions = {_grandchild_by_endpoints(q, xi) for q in tree.quartiles}
-    if not positions:
-        expected = {1, 2, 3, 4}
-    else:
-        expected = positions if len(positions) == 1 else set()
-    assert tree.classify().overlap_indices == expected
 
 
 @pytest.mark.parametrize(

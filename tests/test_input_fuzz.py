@@ -4,7 +4,9 @@ Each case starts from a valid document (a config, a select-trees
 problem, a restricted-type request, a selection) and replaces, drops or
 adds a few fields anywhere inside it.  A replacement comes from the
 field's own strategy: small values a run may take, negative and huge
-integers, NaN, infinities, 2.5, bools, strings, null, lists and objects.
+integers, NaN, infinities, 2.5, bools, strings, null, lists and objects,
+and, for a function's values, scalar text whose integers have 2000 to
+4299 digits, up to Python's limit of 4300 for writing an integer out.
 No strategy draws an accepted value that would size a computation, so
 every accepted case runs on a small grid with few trials.
 
@@ -64,6 +66,18 @@ _QUARTILE = st.one_of(st.fixed_dictionaries({"time": _INTERVAL, "freq": _INTERVA
 _SCALAR = _choice(
     "0/1+0/1*sqrt2", "1/1+0/1*sqrt2", "1/2+0/1*sqrt2", "0/1+1/1*sqrt2", "1/0+0/1*sqrt2"
 )
+# An integer of 2000 to 4299 digits, below Python's limit of 4300 for
+# writing one out.
+_LONG_INT = st.builds(
+    lambda digits, lead: lead * 10 ** (digits - 1) + 1, st.integers(2000, 4299), st.integers(1, 9)
+)
+_PART = st.one_of(st.just(1), _LONG_INT)
+# Scalar text whose numerators and denominators reach that limit: each
+# value can be written out, but a product of them can outgrow it.
+_LONG_SCALAR = st.builds(
+    lambda a, b, c, e: f"{a}/{b}+{c}/{e}*sqrt2", _PART, _PART, st.one_of(st.just(0), _PART), _PART
+)
+_VALUE = st.one_of(_SCALAR, _LONG_SCALAR)
 
 # Field name -> the values a fuzzed case puts there; "name[]" is an
 # entry of the list in field name.  Every accepted value is small:
@@ -88,8 +102,8 @@ _FIELDS = {
     "grid[]": _int(-1, 3),
     "cells": st.one_of(st.lists(_int(0, 40), max_size=5), _NOT_INT),
     "cells[]": _int(0, 40),
-    "values": st.one_of(st.lists(_SCALAR, min_size=1, max_size=8), _NOT_INT),
-    "values[]": st.one_of(_SCALAR, st.integers(0, 1)),
+    "values": st.one_of(st.lists(_VALUE, min_size=1, max_size=8), _NOT_INT),
+    "values[]": st.one_of(_VALUE, st.integers(0, 1)),
     # quartiles and intervals
     "collection": st.one_of(st.lists(_QUARTILE, max_size=3), _NOT_INT),
     "collection[]": _QUARTILE,
@@ -211,6 +225,10 @@ def test_fuzzed_config(input_path, data):
 @_FUZZ
 @given(data=_fuzzed(_PROBLEM))
 @example(data=_PROBLEM)
+# Values that each fit, under a square size whose denominator does not.
+@example(
+    data={**_PROBLEM, "slot": 1, "f": {"J": 1, "m": 2, "values": [f"1/{10**2200}+0/1*sqrt2"] * 8}}
+)
 def test_fuzzed_select_trees_problem(input_path, data):
     code, out = _run(input_path, ["select-trees", "--in"], data)
     if code != 2:

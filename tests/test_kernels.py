@@ -19,6 +19,7 @@ from oracles import (
     inner_product_brute,
     model_coefficients_by_tile,
     packet_step,
+    sup_by_cell,
     walsh_pattern_by_doubling,
 )
 from walshtf import (
@@ -30,7 +31,6 @@ from walshtf import (
     Tile,
     ZERO,
     batch_inner_products,
-    h_star,
     inner_product,
     model_terms,
     partial_sum_field,
@@ -491,13 +491,14 @@ def test_batch_sup_is_the_columnwise_maximum(rng):
 
 
 def test_h_operators_agree_with_rendered_field(rng):
-    # The exact h-operators and a float pipeline through the rendered
-    # field tell the same story up to rounding.
+    # The exact maximal and variational truncations and a float pipeline
+    # through the rendered field tell the same story up to rounding.
     coll = disjoint_collection(rng, 8, 3, 4)
     f1, f2 = sign_function(rng, 3, 4), sign_function(rng, 3, 4)
     terms = model_terms(f1, f2, coll)
-    star = h_star(terms, 3, 3, 4)
-    var = batch_variation(partial_sum_field(terms, 3, 3, 4).to_array(), 3.0)
+    field = partial_sum_field(terms, 3, 3, 4)
+    star = sup_by_cell(field)
+    var = batch_variation(field.to_array(), 3.0)
     float_terms = [(q, float(c)) for q, c in terms]
     rendered = render_partial_sum_field(float_terms, 3, 3, 4)
     assert np.allclose(
@@ -782,10 +783,21 @@ def test_differing_columns_match_the_per_cell_comparison(case, r):
     by_cell, unit = oracles.cell_columns(a + b)
     assert d == unit
     n = len(a)
-    expected = [
-        (list(column[:n]), list(column[n:]))
-        for i, column in enumerate(by_cell)
-        if column[:n] != column[n:] and (i == 0 or by_cell[i - 1] != column)
-    ]
+    expected = []
+    for i, column in enumerate(by_cell):
+        halves = (column[:n], column[n:])
+        first_of_run = i == 0 or by_cell[i - 1] != column
+        if halves[0] != halves[1] and first_of_run and halves not in expected:
+            expected.append(halves)
     assert columns == expected
     assert _same_variation(a, b, r) == oracles.same_variation_by_cell(a, b, r)
+
+
+def test_differing_columns_give_a_recurring_column_once():
+    # Eight cells alternate two columns, so no run of equal adjacent
+    # columns is longer than one cell, yet only two columns are distinct.
+    a = [StepFunction(0, 3, [1, 2] * 4)]
+    b = [StepFunction.zero(0, 3)]
+    columns, d = kernels.differing_columns(a, b)
+    assert d == 1
+    assert columns == [(((1, 0),), ((0, 0),)), (((2, 0),), ((0, 0),))]

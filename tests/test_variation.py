@@ -1,4 +1,4 @@
-"""Variation norms, dual weights and window splits."""
+"""Variation norms and dual weights."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_variation_power
-from walshtf import QuadScalar, linearize_weights, long_short_split, variation_norm
-from walshtf.errors import UnsortedBreakpoints, ZeroVariation
+from walshtf import QuadScalar, linearize_weights, variation_norm
+from walshtf.errors import ZeroVariation
 from walshtf.variation import collapse_repeats
 
 short_sequences = st.lists(
@@ -158,27 +158,6 @@ def test_dual_weights_at_sup_exponent_are_signs():
     assert paired == variation_norm(values, math.inf, "float").value
 
 
-@settings(max_examples=40)
-@given(short_sequences, st.integers(min_value=1, max_value=3))
-@example(values=[Fraction(0), Fraction(-1), Fraction(0), Fraction(1)], pieces=1)
-def test_long_short_split_dominates_the_variation(values, pieces):
-    if len(values) < 2:
-        return
-    step = max(1, len(values) // (pieces + 1))
-    breakpoints = list(range(0, len(values), step))
-    if breakpoints[-1] != len(values) - 1:
-        breakpoints.append(len(values) - 1)
-    r = 3.0
-    split = long_short_split(values, r, breakpoints)
-    full = variation_norm(values, r, "exact").value
-    assert split.bound() >= full - 1e-9
-
-
-def test_long_short_split_rejects_unsorted_breakpoints():
-    with pytest.raises(UnsortedBreakpoints):
-        long_short_split([1, 2, 3, 4], 3.0, [2, 0])
-
-
 # Dyadic steps whose r-th powers leave the float range: 2^-10 at r = 120
 # is 2^-1200, below the smallest subnormal, and 2^10 at r = 120 is
 # 2^1200, past the largest float.
@@ -209,8 +188,6 @@ def test_float_lane_reports_the_variation_where_powers_underflow_or_overflow():
     assert weights[0] * 1e3 - weights[1] * 1e3 == pytest.approx(huge.value, rel=1e-12)
     conj = 120.5 / 119.5
     assert sum(abs(w) ** conj for w in weights) == pytest.approx(1.0, rel=1e-12)
-    split = long_short_split([0.0, 1e3, 0.0, 1e3], 120.5, [2])
-    assert split.bound() >= variation_norm([0.0, 1e3, 0.0, 1e3], 120.5).value
 
 
 @given(st.lists(st.floats(min_value=-8, max_value=8), min_size=1, max_size=8))

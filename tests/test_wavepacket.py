@@ -18,7 +18,6 @@ from walshtf import (
     StepFunction,
     Tile,
     ZERO,
-    eval_walsh,
     eval_wavepacket,
     inner_product,
     inv_sqrt_pow2,
@@ -32,40 +31,37 @@ from walshtf.experiments.random_gen import sign_function
 from walshtf.operators import average
 from walshtf.wavepacket import batch_inner_products, tree_sign_step
 
-unit_points = st.fractions(min_value=0, max_value=1, max_denominator=512).filter(
-    lambda t: t < 1
-)
 
-
-@given(st.integers(min_value=0, max_value=127), unit_points)
-def test_walsh_matches_digit_product(index, t):
-    assert eval_walsh(index, t) == walsh_closed_form(index, t)
-
-
-@pytest.mark.parametrize("index", [-1, -6])
-def test_eval_walsh_refuses_a_negative_index(index):
-    # A negative index used to loop forever: b >>= 1 stays at -1.
-    with pytest.raises(ValueError):
-        eval_walsh(index, Fraction(0))
+def _walsh_pattern(index: int, resolution_exp: int) -> np.ndarray:
+    """The signs of the index-th Walsh function, one per cell of [0, 1)."""
+    tile = Tile(DyadicInterval(0, 0), DyadicInterval(index, 0))
+    return tree_sign_step(tile, 0, resolution_exp).field.rat
 
 
 @given(st.integers(min_value=0, max_value=127), st.integers(min_value=0, max_value=127))
 def test_walsh_multiplicativity(a, b):
-    # Walsh indices combine by XOR wherever both factors are defined.
-    t = Fraction(random.Random(a * 128 + b).randrange(1024), 1024)
-    assert eval_walsh(a, t) * eval_walsh(b, t) == eval_walsh(a ^ b, t)
+    # Walsh indices combine by XOR: the sign rule's patterns multiply cell by cell.
+    product = _walsh_pattern(a, 7) * _walsh_pattern(b, 7)
+    assert product.tolist() == _walsh_pattern(a ^ b, 7).tolist()
+
+
+@pytest.mark.parametrize("index", [-1, -6])
+def test_walsh_pattern_refuses_a_negative_index(index):
+    # A negative frequency index names no Walsh function; the interval
+    # refuses it before the sign rule runs.
+    with pytest.raises(ValueError, match="positive half-line"):
+        _walsh_pattern(index, 3)
 
 
 @given(st.integers(min_value=0, max_value=63))
 def test_sign_pattern_samples_walsh(index):
     # One cell per piece: the tile at scale 0 on a (0, bit length) grid.
-    tile = Tile(DyadicInterval(0, 0), DyadicInterval(index, 0))
-    pattern = tree_sign_step(tile, 0, index.bit_length()).field.rat.tolist()
+    pattern = _walsh_pattern(index, index.bit_length()).tolist()
     n = len(pattern)
     assert n & (n - 1) == 0
     for cell, sign in enumerate(pattern):
         assert sign in (-1, 1)
-        assert sign == eval_walsh(index, Fraction(cell, n))
+        assert sign == walsh_closed_form(index, Fraction(cell, n))
 
 
 def _random_tile(rng: random.Random, domain_exp: int, resolution_exp: int) -> Tile:
