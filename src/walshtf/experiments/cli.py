@@ -24,7 +24,7 @@ from ..errors import InvalidInput, WalshtfError
 from ..exact import QuadScalar
 from ..geometry import MAX_GRID_EXP, DyadicInterval, Quartile, _json_int, _json_object
 from ..operators import slot_coefficients
-from ..trees import SelectionResult, _short_text, select_trees
+from ..trees import SelectionResult, _past_digit_limit, select_trees
 from ..wavepacket import StepFunction
 from .config import ExperimentConfig
 from .random_gen import dyadic_set
@@ -98,14 +98,6 @@ def _load_json(path: str) -> object:
             return json.load(handle)
         except (ValueError, RecursionError) as exc:
             raise InvalidInput(f"{path} is not JSON text: {exc}") from exc
-
-
-def _past_digit_limit(value: QuadScalar) -> bool:
-    """Whether an integer of value's text has more digits than Python
-    writes out."""
-    limit = sys.get_int_max_str_digits()
-    parts = (n for part in (value.rat, value.surd) for n in part.as_integer_ratio())
-    return bool(limit) and max(map(abs, parts)) >= 10**limit
 
 
 def _scalar_from_text(text: str) -> QuadScalar:
@@ -247,15 +239,6 @@ def _cmd_select_trees(args: argparse.Namespace) -> int:
     collection, f, slot, alpha, domain_exp = _selection_request(_load_json(args.input))
     coefficients = slot_coefficients(f, collection, slot)
     result = select_trees(collection, coefficients, slot, alpha, domain_exp)
-    # A square size of the values' product denominators can outgrow the
-    # text a selection file holds, though each value fits.
-    for name in ("initial_size_sq", "residual_size_sq"):
-        value = getattr(result, name)
-        if value is not None and _past_digit_limit(value):
-            raise InvalidInput(
-                f"the selection's {name} {_short_text(value)} has an integer past the "
-                f"{sys.get_int_max_str_digits()}-digit limit: no selection file could hold it"
-            )
     _write(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -222,10 +222,6 @@ class Quartile(_Rectangle):
         if self.time.scale + self.freq.scale != 2:
             raise ValueError("quartile must have area four")
 
-    @property
-    def scale(self) -> int:
-        return self.time.scale
-
     def tile(self, i: int) -> Tile:
         """The i-th subtile, i in {1, 2, 3, 4}, frequency increasing with i."""
         if i not in (1, 2, 3, 4):

@@ -83,6 +83,14 @@ class FrequencySet:
         return f"FrequencySet({len(self.points)} points)"
 
 
+def _require_grid_scale(f: StepFunction, scale: int) -> None:
+    """Refuse a scale finer than f's cells or coarser than its box."""
+    if scale < -f.resolution_exp:
+        raise ScaleTooFine(f"no structure below cell width 2^-{f.resolution_exp}")
+    if scale > f.domain_exp:
+        raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
+
+
 def average(f: StepFunction, scale: int) -> StepFunction:
     """Replace f by its mean on each dyadic interval of length 2^scale.
 
@@ -90,10 +98,7 @@ def average(f: StepFunction, scale: int) -> StepFunction:
     coarser than the box would average across a boundary the grid
     cannot see, so both are rejected.
     """
-    if scale < -f.resolution_exp:
-        raise ScaleTooFine(f"no structure below cell width 2^-{f.resolution_exp}")
-    if scale > f.domain_exp:
-        raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
+    _require_grid_scale(f, scale)
     block = 1 << (scale + f.resolution_exp)
     return StepFunction._from_field(kernels.field_average(f.field, block))
 
@@ -126,10 +131,7 @@ def freq_projection(
     every such interval.  With the single frequency zero this is plain
     averaging; a band finer than the cells is refused.
     """
-    if scale < -f.resolution_exp:
-        raise ScaleTooFine(f"no structure below cell width 2^-{f.resolution_exp}")
-    if scale > f.domain_exp:
-        raise ScaleTooCoarse(f"box only spans 2^{f.domain_exp}")
+    _require_grid_scale(f, scale)
     domain_exp, resolution_exp = f.domain_exp, f.resolution_exp
     box = DyadicInterval(0, domain_exp)
     total = StepFunction.zero(domain_exp, resolution_exp)
@@ -202,17 +204,13 @@ class Linearization:
     zero outside all windows.  Cells that share their windows share a
     class, so the windows are held and checked once per class.
 
-    Two things derived from the weights are memoised for the lifetime
-    of the object: the weight field of each scale (`weight_field`),
-    and every weight-modified pairing `tilde_coefficients` has
-    computed, keyed on the function's value (its integer field) and the
-    quartile.  Both hold exact values and change no result; they only
-    save recomputing one.
+    Every weight-modified pairing `tilde_coefficients` has computed is
+    memoised for the lifetime of the object, keyed on the function's
+    value (its integer field) and the quartile.  The memo holds exact
+    values and changes no result; it only saves recomputing one.
     """
 
-    __slots__ = (
-        "domain_exp", "resolution_exp", "cell_class", "windows", "_weight_fields", "_tilde",
-    )
+    __slots__ = ("domain_exp", "resolution_exp", "cell_class", "windows", "_tilde")
 
     def __init__(
         self,
@@ -238,7 +236,6 @@ class Linearization:
         object.__setattr__(self, "resolution_exp", resolution_exp)
         object.__setattr__(self, "cell_class", classes)
         object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "_weight_fields", {})
         object.__setattr__(self, "_tilde", {})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -249,24 +246,20 @@ class Linearization:
 
         Each class's weight at the scale, zero where no window reaches
         it, is lifted once over one common denominator, and the cells
-        take their class's integers by one index into the planes; the
-        canonical field is kept for the next call.
+        take their class's integers by one index into the planes.
         """
-        field = self._weight_fields.get(scale)
-        if field is None:
-            weights = [
-                next((w for t, w in enumerate(ws) if js[t] <= scale < js[t + 1]), ZERO)
-                for js, ws in self.windows
-            ]
-            rats, surds, d = common_lift(weights)
-            field = self._weight_fields[scale] = kernels.IntegerField.canonical(
-                kernels._as_plane(rats)[self.cell_class],
-                kernels._as_plane(surds)[self.cell_class],
-                d,
-                self.domain_exp,
-                self.resolution_exp,
-            )
-        return field
+        weights = [
+            next((w for t, w in enumerate(ws) if js[t] <= scale < js[t + 1]), ZERO)
+            for js, ws in self.windows
+        ]
+        rats, surds, d = common_lift(weights)
+        return kernels.IntegerField.canonical(
+            kernels._as_plane(rats)[self.cell_class],
+            kernels._as_plane(surds)[self.cell_class],
+            d,
+            self.domain_exp,
+            self.resolution_exp,
+        )
 
     @classmethod
     def trivial(cls, domain_exp: int, resolution_exp: int) -> "Linearization":
@@ -435,11 +428,7 @@ def model_coefficients(
     (a + b sqrt2) 2^(-(2e + k)/2) / (d1 d2), brought to integers by
     `exact.over_sqrt_pow2`.
     """
-    if (f1.domain_exp, f1.resolution_exp) != (f2.domain_exp, f2.resolution_exp):
-        raise GridMismatch(
-            f"grid ({f1.domain_exp}, {f1.resolution_exp}) vs "
-            f"({f2.domain_exp}, {f2.resolution_exp})"
-        )
+    f1._require_same_grid(f2)
     if not quartiles:
         return []
     scales = [q.time.scale for q in quartiles]

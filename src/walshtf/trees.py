@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -342,6 +343,17 @@ class SelectionResult:
         return sum((g.full.top_interval.length for g in self.grabs), Fraction(0))
 
     def to_json(self) -> dict:
+        """The selection as JSON data.  A scalar of it whose text has an
+        integer past Python's digit limit is refused, since no selection
+        file could hold it: a square size of the values' product
+        denominators can outgrow that limit though each value fits."""
+        for name in ("alpha", "initial_size_sq", "residual_size_sq"):
+            value = getattr(self, name)
+            if value is not None and _past_digit_limit(value):
+                raise PreconditionViolated(
+                    f"the selection's {name} {_short_text(value)} has an integer past the "
+                    f"{sys.get_int_max_str_digits()}-digit limit: no selection file could hold it"
+                )
         residual_sq = self.residual_size_sq
         return {
             "slot": self.slot,
@@ -395,6 +407,14 @@ def _six_digits(x: QuadScalar) -> str:
     value = ctx.divide(ctx.fma(x.s, ctx.sqrt(2), x.r), x.d)
     ctx.prec = 6
     return f"{ctx.normalize(value):g}"
+
+
+def _past_digit_limit(value: QuadScalar) -> bool:
+    """Whether an integer of value's text has more digits than Python
+    writes out."""
+    limit = sys.get_int_max_str_digits()
+    parts = (n for part in (value.rat, value.surd) for n in part.as_integer_ratio())
+    return bool(limit) and max(map(abs, parts)) >= 10**limit
 
 
 def _short_text(x: QuadScalar) -> str:

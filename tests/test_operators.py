@@ -73,6 +73,14 @@ def test_average_scale_limits(rng):
         average(f, 3)
     with pytest.raises(ScaleTooFine):
         average(f, -4)
+    # freq_projection refuses the same scales.  With no frequencies no
+    # band is averaged, so only its own check can fire.
+    for freqs in (FrequencySet([0, Fraction(1, 2)]), FrequencySet([])):
+        with pytest.raises(ScaleTooCoarse):
+            freq_projection(f, freqs, 3)
+        with pytest.raises(ScaleTooFine):
+            freq_projection(f, freqs, -4)
+        assert freq_projection(f, freqs, 2).domain_exp == 2
 
 
 def test_maximal_dominates_every_dyadic_average(rng):
@@ -416,7 +424,6 @@ def test_weight_fields_match_the_weight_at_loop(rng, kind):
             expected = weight_field_by_cell(lin, scale)
             assert field == expected
             assert (field.rat.dtype, field.surd.dtype) == (expected.rat.dtype, expected.surd.dtype)
-            assert lin.weight_field(scale) is field
 
 
 def test_weight_fields_of_a_linearization_without_windows_are_zero():

@@ -6,6 +6,10 @@ does a README session that no longer runs against the exports, a core
 module that imports a layer above its own, or a function, class or
 method that no package code calls and no entry of `_NO_CALLER_KEPT`
 explains.
+
+That last scan matches names, not the objects they are read on: a
+name that is also read as an attribute of some other object escapes
+it, as a `Quartile.scale` would behind every interval's `.scale`.
 """
 
 from __future__ import annotations

@@ -290,6 +290,20 @@ def test_selection_top_length_and_json_round_trip(rng):
     assert again.residual == sel.residual
 
 
+def test_selection_json_refuses_a_square_size_past_the_digit_limit():
+    # Each value's 2201-digit denominator fits, but the square size's
+    # 4401-digit one does not: to_json names the field, not the
+    # interpreter's bare ValueError.
+    q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    f = StepFunction(1, 3, [Fraction(1, 10**2200)] * 16)
+    sel = select_trees([q], slot_coefficients(f, [q], 1), 1, 1, 1)
+    with pytest.raises(PreconditionViolated, match="the selection's initial_size_sq ~1e-4400 "):
+        sel.to_json()
+    # The allowance is checked too.
+    with pytest.raises(PreconditionViolated, match="the selection's alpha ~1e-4400 "):
+        select_trees([q], {q: ZERO}, 1, Fraction(1, 10**4400), 1).to_json()
+
+
 def test_john_nirenberg_quantities_on_a_singleton():
     q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
     w = QuadScalar(Fraction(3, 4))
