@@ -26,7 +26,6 @@ from .exact import (
     ONE,
     SQRT2,
     ZERO,
-    DyadicRational,
     QuadScalar,
     inv_sqrt_pow2,
     pow2_fraction,
@@ -83,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DyadicInterval",
-    "DyadicRational",
     "EmptySet",
     "FrequencySet",
     "GridMismatch",

@@ -1,30 +1,29 @@
-"""Exact arithmetic over dyadic rationals and the quadratic field Q(sqrt2).
+"""Exact arithmetic in the quadratic field Q(sqrt2).
 
 Everything downstream reduces to field arithmetic on numbers a + b*sqrt2
 with rational a, b: wave packet amplitudes contribute powers of sqrt2,
-inner products and averages contribute dyadic rationals.  Values are
-immutable and every operation is exact; square roots are never taken in
-the exact domain.  Magnitude comparisons happen on signs and squares, or
-after an explicit conversion to float with a proven error bound.
+inner products and averages contribute dyadic rationals.  A rational is
+an int or a `fractions.Fraction`; `dyadic` is the one check that it is
+n / 2^k, as the frequencies of trees and frequency sets must be.  Values
+are immutable and every operation is exact; square roots are never
+taken in the exact domain.  Magnitude comparisons happen on signs and
+squares, or after an explicit conversion to float with a proven error
+bound.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd, inf, isqrt, lcm
 from typing import Sequence, Union
 
 from .errors import NotDyadicError
 
-RationalLike = Union[int, Fraction, "DyadicRational"]
-ScalarLike = Union[int, Fraction, "DyadicRational", "QuadScalar"]
+RationalLike = Union[int, Fraction]
+ScalarLike = Union[int, Fraction, "QuadScalar"]
 
-_DYADIC_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
 _QUAD_RE = re.compile(r"^(-?\d+)/(\d+)([+-]\d+)/(\d+)\*sqrt2$")
-# Hashes of numbers are residues mod 2^_HASH_BITS - 1, a Mersenne prime.
-_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 
 def _parts(value: RationalLike) -> tuple[int, int]:
@@ -33,10 +32,6 @@ def _parts(value: RationalLike) -> tuple[int, int]:
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
-    if isinstance(value, DyadicRational):
-        if value.exponent >= 0:
-            return value.numerator << value.exponent, 1
-        return value.numerator, 1 << -value.exponent
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -44,124 +39,13 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*_parts(value))
 
 
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-class DyadicRational:
-    """A number n * 2^e in canonical form: odd n, or n = 0 with e = 0."""
-
-    __slots__ = ("numerator", "exponent")
-
-    def __init__(self, numerator: int, exponent: int = 0) -> None:
-        if numerator == 0:
-            exponent = 0
-        else:
-            shift = (numerator & -numerator).bit_length() - 1
-            numerator >>= shift
-            exponent += shift
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DyadicRational is immutable")
-
-    @classmethod
-    def from_fraction(cls, value: RationalLike) -> "DyadicRational":
-        """value as a dyadic rational; a dyadic rational comes back as is."""
-        if isinstance(value, DyadicRational):
-            return value
-        frac = _as_fraction(value)
-        if not is_power_of_two(frac.denominator):
-            raise NotDyadicError(f"{frac} has a non power-of-two denominator")
-        return cls(frac.numerator, -(frac.denominator.bit_length() - 1))
-
-    def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.numerator << self.exponent)
-        return Fraction(self.numerator, 1 << -self.exponent)
-
-    def __float__(self) -> float:
-        return float(self.as_fraction())
-
-    def to_text(self) -> str:
-        return f"{self.numerator}*2^{self.exponent}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "DyadicRational":
-        match = _DYADIC_RE.match(text.strip())
-        if match is None:
-            raise ValueError(f"not a dyadic rational literal: {text!r}")
-        return cls(int(match.group(1)), int(match.group(2)))
-
-    def __add__(self, other: RationalLike) -> "DyadicRational":
-        if isinstance(other, DyadicRational):
-            lo = min(self.exponent, other.exponent)
-            return DyadicRational(
-                (self.numerator << (self.exponent - lo))
-                + (other.numerator << (other.exponent - lo)),
-                lo,
-            )
-        return DyadicRational.from_fraction(self.as_fraction() + _as_fraction(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.exponent)
-
-    def __sub__(self, other: RationalLike) -> "DyadicRational":
-        return self + (-other if isinstance(other, DyadicRational) else -_as_fraction(other))
-
-    def __mul__(self, other: RationalLike) -> "DyadicRational":
-        if isinstance(other, DyadicRational):
-            return DyadicRational(
-                self.numerator * other.numerator, self.exponent + other.exponent
-            )
-        return DyadicRational.from_fraction(self.as_fraction() * _as_fraction(other))
-
-    __rmul__ = __mul__
-
-    def _cross(self, other: RationalLike) -> tuple[int, int]:
-        """self and other cross-multiplied by each other's positive
-        denominator: two integers in the same order as the two numbers."""
-        (a, p), (b, q) = _parts(self), _parts(other)
-        return a * q, b * p
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DyadicRational):
-            return self.numerator == other.numerator and self.exponent == other.exponent
-        if isinstance(other, (int, Fraction)):
-            a, b = self._cross(other)
-            return a == b
-        return NotImplemented
-
-    def __lt__(self, other: RationalLike) -> bool:
-        a, b = self._cross(other)
-        return a < b
-
-    def __le__(self, other: RationalLike) -> bool:
-        a, b = self._cross(other)
-        return a <= b
-
-    def __gt__(self, other: RationalLike) -> bool:
-        a, b = self._cross(other)
-        return a > b
-
-    def __ge__(self, other: RationalLike) -> bool:
-        a, b = self._cross(other)
-        return a >= b
-
-    def __hash__(self) -> int:
-        # The hash of the equal Fraction: |n| 2^e mod the hash modulus
-        # 2^B - 1, in which 2^e is 2^(e mod B), with the sign of n.
-        h = hash(abs(self.numerator) << (self.exponent % _HASH_BITS))
-        return h if self.numerator >= 0 else -h
-
-    def __repr__(self) -> str:
-        return f"DyadicRational({self.numerator}, {self.exponent})"
-
-    def __str__(self) -> str:
-        return self.to_text()
+def dyadic(value: RationalLike) -> Fraction:
+    """value as a Fraction, refused unless its denominator is a power of two."""
+    frac = _as_fraction(value)
+    den = frac.denominator
+    if den & (den - 1):
+        raise NotDyadicError(f"{frac} has a non power-of-two denominator")
+    return frac
 
 
 def quad_sign(a: int, b: int) -> int:
@@ -375,7 +259,7 @@ class QuadScalar:
     del _order
 
     def __hash__(self) -> int:
-        # A rational value hashes as the equal Fraction, int or dyadic.
+        # A rational value hashes as the equal Fraction or int.
         if not self.s:
             return hash(self.rat)
         return hash((self.r, self.s, self.d))
@@ -418,7 +302,7 @@ SQRT2 = QuadScalar(0, 1)
 
 # The operand types QuadScalar arithmetic accepts; any other operand gets
 # NotImplemented, so its own reflected method can answer.
-_SCALAR_TYPES = (int, Fraction, DyadicRational, QuadScalar)
+_SCALAR_TYPES = (int, Fraction, QuadScalar)
 
 
 def common_lift(values: Sequence[QuadScalar]) -> tuple[list[int], list[int], int]:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -75,7 +76,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser, *fields: str) -> None
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     flags = {dest: getattr(args, dest, None) for dest in _CONFIG_FLAGS}
-    return config.with_overrides(**{k: v for k, v in flags.items() if v is not None})
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write(text: str, out: str | None) -> None:

@@ -6,7 +6,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from numbers import Real
 from pathlib import Path
 
@@ -81,10 +81,6 @@ class ExperimentConfig:
             )
         if math.isnan(self.epsilon):
             raise ConfigError("epsilon must be a number, got nan")
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """A copy with the given fields replaced; the copy revalidates."""
-        return replace(self, **kwargs)
 
     def rng(self, offset: int) -> random.Random:
         """The random stream seeded with seed * 1_000_003 + offset.

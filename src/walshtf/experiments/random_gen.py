@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exact import DyadicRational
+from ..exact import pow2_fraction
 from ..geometry import DyadicInterval, Quartile, Tree, containing_interval
 from ..operators import FrequencySet
 from ..wavepacket import MAX_GRID_EXP, StepFunction
@@ -291,7 +291,7 @@ def pinned_tree(
     for j in range(k_min - 1, resolution_exp + 1):
         if j not in digits and rng.random() < 0.25:
             digits[j] = 1
-    xi = sum((DyadicRational(1, -j) for j, d in digits.items() if d), DyadicRational(0))
+    xi = sum((pow2_fraction(-j) for j, d in digits.items() if d), Fraction(0))
     top_scale = rng.randint(scales[-1], domain_exp)
     top = DyadicInterval(rng.randrange(1 << (domain_exp - top_scale)), top_scale)
     members: list[Quartile] = []
@@ -315,7 +315,7 @@ def pinned_forest(
 ) -> list[Tree]:
     """Several pin-overlapping trees with pairwise distinct top frequencies."""
     trees: list[Tree] = []
-    seen: set[DyadicRational] = set()
+    seen: set[Fraction] = set()
     attempts = 50 * count + 50
     while len(trees) < count and attempts:
         attempts -= 1
@@ -340,4 +340,4 @@ def frequency_set(rng: random.Random, count: int, resolution_exp: int) -> Freque
     """Distinct dyadic frequencies in [0, 8) at step 2^-resolution_exp."""
     total = 1 << (resolution_exp + 3)
     picks = rng.sample(range(total), min(count, total))
-    return FrequencySet(DyadicRational(n, -resolution_exp) for n in picks)
+    return FrequencySet(n * pow2_fraction(-resolution_exp) for n in picks)

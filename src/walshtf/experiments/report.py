@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..exact import DyadicRational, QuadScalar
+from ..exact import QuadScalar
 
 
 def format_value(value) -> str:
@@ -20,21 +19,11 @@ def format_value(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (QuadScalar, DyadicRational)):
+    if isinstance(value, QuadScalar):
         return value.to_text()
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        return math.nan
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def trend_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from statistics import median
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .random_gen import (
     pinned_tree,
     sign_function,
 )
-from .report import ExperimentReport, median, trend_slope
+from .report import ExperimentReport, trend_slope
 
 __all__ = ["run_identity_suite", "run_lemma_experiment", "LEMMA_NAMES"]
 

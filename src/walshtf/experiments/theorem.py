@@ -12,6 +12,7 @@ quantity involved is a power of two.
 from __future__ import annotations
 
 import math
+from statistics import median
 
 from ..errors import ConfigError
 from ..exact import quad_to_float
@@ -21,7 +22,7 @@ from ..operators import model_coefficients
 from ..wavepacket import StepFunction, tree_sign_step, wavepacket_step
 from .config import ExperimentConfig
 from .random_gen import disjoint_collection, sign_function
-from .report import ExperimentReport, median, trend_slope
+from .report import ExperimentReport, trend_slope
 
 __all__ = ["run_theorem1"]
 

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 from typing import Collection, Iterable, Iterator, Union
 
 from .errors import InvalidTree, ResolutionTooCoarse
-from .exact import DyadicRational, _as_fraction, pow2_fraction
+from .exact import _as_fraction, dyadic, pow2_fraction
 
-PointLike = Union[int, Fraction, DyadicRational]
+PointLike = Union[int, Fraction]
 
 # The largest J + m a grid may have in a config or a JSON file: the
 # packet tables of a step function hold J + m + 1 stages of 2^(J+m)
@@ -146,12 +147,9 @@ def containing_interval(x: PointLike, scale: int) -> DyadicInterval:
 def band_index(x: PointLike, scale: int) -> int:
     """Index of the dyadic band of length 2^scale that holds x.
 
-    This is floor(x / 2^scale), decided on integers: one shift for
-    x = n 2^e, one floor division for an int or any Fraction.
+    This is floor(x / 2^scale), decided on integers: one floor division
+    for an int or any Fraction.
     """
-    if isinstance(x, DyadicRational):
-        n, e = x.numerator, x.exponent
-        return n << (e - scale) if e >= scale else n >> (scale - e)
     x = _as_fraction(x)
     n, d = x.numerator, x.denominator
     return (n << -scale) // d if scale < 0 else n // (d << scale)
@@ -191,10 +189,6 @@ class Tile(_Rectangle):
     def freq_index(self) -> int:
         """Frequency position in units of |freq| = 1/|time|."""
         return self.freq.index
-
-    def piece_exp(self, resolution_exp: int) -> int:
-        """log2 of the cell count of each constant piece of the packet."""
-        return piece_exp(self.time.scale, self.freq.index, resolution_exp)
 
 
 def piece_exp(scale: int, freq_index: int, resolution_exp: int) -> int:
@@ -244,11 +238,42 @@ def quartile_sort_key(q: Quartile) -> tuple[int, int, int]:
     return (q.time.scale, q.time.index, q.freq.index)
 
 
-def _in_tree(q: Quartile, top_interval: DyadicInterval, top_freq: DyadicRational) -> bool:
+def _in_tree(q: Quartile, top_interval: DyadicInterval, top_freq: Fraction) -> bool:
     """The tree membership rule: I_P inside I_T and xi_T in omega_P."""
     return (
         top_interval.contains(q.time) and band_index(top_freq, q.freq.scale) == q.freq.index
     )
+
+
+_XI_RE = re.compile(r"^(-?\d+)\*2\^(-?\d+)$")
+# The largest |e| of "n*2^e" text a tree reads: far past the tops of
+# any selection of readable quartiles (|e| <= 34), and short of a power
+# of two that a few bytes of text could make fill memory.
+_XI_EXP_LIMIT = 1 << 16
+
+
+def _xi_text(x: Fraction) -> str:
+    """A dyadic x as its canonical text n*2^e: odd n, or 0*2^0."""
+    n, d = x.numerator, x.denominator
+    if d > 1:
+        return f"{n}*2^{1 - d.bit_length()}"
+    shift = (n & -n).bit_length() - 1 if n else 0
+    return f"{n >> shift}*2^{shift}"
+
+
+def _xi_from_text(text: str) -> Fraction:
+    """The value of n*2^e text, for any integer n and |e| up to the limit."""
+    if not isinstance(text, str):
+        raise TypeError(f'"xi" must be text n*2^e, got {type(text).__name__}')
+    match = _XI_RE.match(text.strip())
+    if match is None:
+        raise ValueError(f"not a dyadic rational literal: {text!r}")
+    n, e = int(match.group(1)), int(match.group(2))
+    if abs(e) > _XI_EXP_LIMIT:
+        raise ValueError(
+            f"the exponent of a dyadic literal must lie from {-_XI_EXP_LIMIT} to {_XI_EXP_LIMIT}"
+        )
+    return n * pow2_fraction(e)
 
 
 class Tree:
@@ -263,20 +288,20 @@ class Tree:
         self,
         quartiles: Iterable[Quartile],
         top_interval: DyadicInterval,
-        top_freq: DyadicRational | Fraction | int,
+        top_freq: Fraction | int,
     ) -> None:
-        top_freq = DyadicRational.from_fraction(top_freq)
+        top_freq = dyadic(top_freq)
         members = frozenset(quartiles)
         for member in members:
             if not _in_tree(member, top_interval, top_freq):
                 raise InvalidTree(
                     f"{member.time} x {member.freq} lies outside the tree with top "
-                    f"{top_interval} and xi = {top_freq.as_fraction()}"
+                    f"{top_interval} and xi = {top_freq}"
                 )
         self._fill(members, top_interval, top_freq)
 
     def _fill(
-        self, members: frozenset[Quartile], top_interval: DyadicInterval, top_freq: DyadicRational
+        self, members: frozenset[Quartile], top_interval: DyadicInterval, top_freq: Fraction
     ) -> None:
         object.__setattr__(self, "quartiles", members)
         object.__setattr__(self, "top_interval", top_interval)
@@ -319,7 +344,7 @@ class Tree:
         return {
             "quartiles": [q.to_json() for q in self.sorted_quartiles()],
             "top_interval": self.top_interval.to_json(),
-            "xi": self.top_freq.to_text(),
+            "xi": _xi_text(self.top_freq),
         }
 
     @classmethod
@@ -328,7 +353,7 @@ class Tree:
         return cls(
             (Quartile.from_json(item) for item in data["quartiles"]),
             DyadicInterval.from_json(data["top_interval"]),
-            DyadicRational.from_text(data["xi"]),
+            _xi_from_text(data["xi"]),
         )
 
     def __repr__(self) -> str:
@@ -341,14 +366,14 @@ class Tree:
 def maximal_tree(
     quartiles: Iterable[Quartile],
     top_interval: DyadicInterval,
-    top_freq: DyadicRational | Fraction | int,
+    top_freq: Fraction | int,
 ) -> Tree:
     """The largest tree with the given top inside the collection.
 
     The members pass the membership rule here, so Tree.__init__, which
     would test each of them again, is skipped.
     """
-    top_freq = DyadicRational.from_fraction(top_freq)
+    top_freq = dyadic(top_freq)
     tree = object.__new__(Tree)
     tree._fill(
         frozenset(q for q in quartiles if _in_tree(q, top_interval, top_freq)),

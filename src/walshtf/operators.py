@@ -17,15 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, ScaleTooCoarse, ScaleTooFine, ZeroVariation
-from .exact import (
-    ONE,
-    ZERO,
-    DyadicRational,
-    QuadScalar,
-    ScalarLike,
-    common_lift,
-    over_sqrt_pow2,
-)
+from .exact import ONE, ZERO, QuadScalar, ScalarLike, common_lift, dyadic, over_sqrt_pow2
 from .geometry import DyadicInterval, Quartile, Tile, band_index, quartile_sort_key
 from .variation import linearize_weights
 from .wavepacket import StepFunction, batch_inner_products, tree_sign_step
@@ -54,8 +46,8 @@ class FrequencySet:
 
     __slots__ = ("points",)
 
-    def __init__(self, points: Iterable[Union[DyadicRational, Fraction, int]]) -> None:
-        coerced = {DyadicRational.from_fraction(p) for p in points}
+    def __init__(self, points: Iterable[Union[Fraction, int]]) -> None:
+        coerced = {dyadic(p) for p in points}
         if any(p.numerator < 0 for p in coerced):
             raise ValueError("frequencies live on the positive half-line")
         object.__setattr__(self, "points", tuple(sorted(coerced)))
@@ -66,7 +58,7 @@ class FrequencySet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __iter__(self) -> Iterator[DyadicRational]:
+    def __iter__(self) -> Iterator[Fraction]:
         return iter(self.points)
 
     def covering(self, scale: int) -> list[DyadicInterval]:

@@ -36,9 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PreconditionViolated
-from .exact import (
-    ZERO, DyadicRational, QuadScalar, ScalarLike, common_lift, pow2_fraction, quad_sign,
-)
+from .exact import ZERO, QuadScalar, ScalarLike, common_lift, pow2_fraction, quad_sign
 from .geometry import (
     DyadicInterval,
     Quartile,
@@ -210,7 +208,7 @@ class _Candidates:
         return Tree(
             [self.members[p] for p in positions],
             DyadicInterval(*top),
-            DyadicRational(self.freqs[idx], self.freq_exp),
+            self.freqs[idx] * pow2_fraction(self.freq_exp),
         )
 
     def densest(self) -> SizeReport:
@@ -573,9 +571,9 @@ def jump_times(freqs: FrequencySet) -> tuple[int, ...]:
     if len(freqs) < 2:
         return ()
     # 2^-start is the least power of two, at least one, above the largest
-    # point n 2^e: its exponent is the bit length of n plus e.
+    # point n / 2^k: its exponent is the bit length of n minus k.
     top = freqs.points[-1]
-    start = -max(0, top.numerator.bit_length() + top.exponent)
+    start = -max(0, top.numerator.bit_length() - top.denominator.bit_length() + 1)
     k = start
     while freqs.count_at(-k) < len(freqs):
         k += 1

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ZeroVariation
-from .exact import ZERO, DyadicRational, QuadScalar, ScalarLike
+from .exact import ZERO, QuadScalar, ScalarLike
 
 __all__ = [
     "VariationCertificate",
@@ -43,9 +43,7 @@ def _wants_exact(values: SequenceLike, r: float, method: str) -> bool:
         return False
     if not (r == math.inf or (float(r).is_integer() and r >= 1)):
         return False
-    return all(
-        isinstance(v, (QuadScalar, DyadicRational, Fraction, int)) for v in values
-    )
+    return all(isinstance(v, (QuadScalar, Fraction, int)) for v in values)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Field arithmetic in Q(sqrt2) and dyadic rationals."""
+"""Field arithmetic in Q(sqrt2) and the dyadic check on rationals."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import FractionQuad
-from walshtf import ONE, SQRT2, ZERO, DyadicRational, QuadScalar, inv_sqrt_pow2, pow2_fraction
-from walshtf.exact import over_sqrt_pow2, quad_sign, quad_to_float
+from walshtf import ONE, SQRT2, ZERO, QuadScalar, inv_sqrt_pow2, pow2_fraction
+from walshtf.exact import dyadic, over_sqrt_pow2, quad_sign, quad_to_float
 from walshtf.errors import NotDyadicError
 
 small_fractions = st.fractions(
@@ -263,64 +263,12 @@ def test_pow2_fraction_both_directions():
     assert pow2_fraction(-3) == Fraction(1, 8)
 
 
-dyadics = st.builds(
-    DyadicRational,
-    st.integers(min_value=-64, max_value=64),
-    st.integers(min_value=-6, max_value=6),
-)
-
-
-@given(dyadics, dyadics)
-def test_dyadic_arithmetic_matches_fractions(a, b):
-    assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-    assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-    assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-    assert (a < b) == (a.as_fraction() < b.as_fraction())
-
-
-@given(dyadics)
-def test_dyadic_text_round_trip(a):
-    again = DyadicRational.from_text(a.to_text())
-    assert again == a
-    assert float(again) == float(a.as_fraction())
-
-
-def test_dyadic_rejects_odd_denominators():
+def test_dyadic_check_refuses_odd_denominators():
     with pytest.raises(NotDyadicError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-    assert DyadicRational.from_fraction(Fraction(6, 4)) == DyadicRational(3, -1)
-
-
-def test_dyadic_normalises_representation():
-    assert DyadicRational(4, -2) == DyadicRational(1, 0)
-    assert hash(DyadicRational(4, -2)) == hash(DyadicRational(1, 0))
-
-
-@given(dyadics, small_fractions)
-def test_dyadic_compares_against_rationals(a, q):
-    assert (a < q) == (a.as_fraction() < q)
-    assert (a >= q) == (a.as_fraction() >= q)
-
-
-wide_dyadics = st.builds(
-    DyadicRational,
-    st.integers(min_value=-(1 << 80), max_value=1 << 80),
-    st.integers(min_value=-90, max_value=90),
-)
-
-
-@given(wide_dyadics, wide_dyadics, st.integers(-(1 << 100), 1 << 100), small_fractions)
-@example(DyadicRational(-1), DyadicRational(1, 61), -1, Fraction(-1))
-@example(DyadicRational(3, 61), DyadicRational(3, -61), 3 << 61, Fraction(3, 1 << 61))
-def test_dyadic_orders_and_hashes_like_the_equal_fraction(a, b, n, q):
-    x = a.as_fraction()
-    # a's floor and ceiling, and a number next to a at a finer scale.
-    floor = a.numerator >> -a.exponent if a.exponent < 0 else a.numerator << a.exponent
-    near = a + DyadicRational(1, a.exponent - 1)
-    for other in (b, n, floor, floor + 1, q, a, near, -a):
-        y = other.as_fraction() if isinstance(other, DyadicRational) else other
-        assert (a < other, a <= other, a > other, a >= other) == (x < y, x <= y, x > y, x >= y)
-        assert (other < a, other <= a, other > a, other >= a) == (y < x, y <= x, y > x, y >= x)
-        assert (a == other) == (x == y) and (other == a) == (y == x)
-    assert hash(a) == hash(x)
-    assert hash(DyadicRational(n)) == hash(n)
+        dyadic(Fraction(1, 3))
+    with pytest.raises(NotDyadicError):
+        dyadic(Fraction(-5, 12))
+    assert dyadic(Fraction(6, 4)) == Fraction(3, 2)
+    assert dyadic(-7) == Fraction(-7) and type(dyadic(-7)) is Fraction
+    with pytest.raises(TypeError):
+        dyadic(0.5)

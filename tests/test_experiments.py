@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,15 +44,15 @@ from walshtf.experiments.random_gen import (
     random_quartile,
     sign_function,
 )
-from walshtf.experiments.report import ExperimentReport, format_value, median, trend_slope
+from walshtf.experiments.report import ExperimentReport, format_value, trend_slope
 
 
 def test_default_config_is_consistent():
     cfg = ExperimentConfig()
     assert cfg.r == 3.0
-    assert cfg.with_overrides(trials=7).trials == 7
-    assert cfg.with_overrides(r=math.inf).r == math.inf
-    assert cfg.with_overrides(r=3, p1=4, p2=4, q=2) == cfg
+    assert replace(cfg, trials=7).trials == 7
+    assert replace(cfg, r=math.inf).r == math.inf
+    assert replace(cfg, r=3, p1=4, p2=4, q=2) == cfg
 
 
 @pytest.mark.parametrize(
@@ -128,10 +129,7 @@ def test_report_bookkeeping():
     assert lines[2] == "trial,ok"
 
 
-def test_median_and_trend_slope():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    assert math.isnan(median([]))
+def test_trend_slope():
     xs = [0.0, 1.0, 2.0, 3.0]
     assert trend_slope(xs, [5.0 + 0.5 * x for x in xs]) == pytest.approx(0.5)
     assert trend_slope([1.0, 1.0], [0.0, 5.0]) == 0.0
@@ -913,6 +911,18 @@ def test_cli_render_refuses_a_malformed_selection(tmp_path, capsys):
     assert main(["render", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: render input is not a selection")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("xi", ["1/3", "1*3^2", "1*2^1000000"])
+def test_cli_render_refuses_a_malformed_xi(tmp_path, capsys, xi):
+    selection = _selection_with()
+    selection["grabs"][0]["full"]["xi"] = xi
+    path = tmp_path / "selection.json"
+    path.write_text(json.dumps(selection))
+    assert main(["render", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: render input is not a selection") and "dyadic" in err
     assert "Traceback" not in err
 
 

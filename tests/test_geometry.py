@@ -5,12 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from walshtf import (
     DyadicInterval,
-    DyadicRational,
     Quartile,
     Tile,
     Tree,
@@ -19,8 +18,8 @@ from walshtf import (
     pow2_fraction,
     tiles_disjoint,
 )
-from walshtf.errors import InvalidTree
-from walshtf.geometry import _json_int, _json_object, band_index
+from walshtf.errors import InvalidTree, NotDyadicError
+from walshtf.geometry import _json_int, _json_object, _xi_from_text, _xi_text, band_index
 from walshtf.experiments.random_gen import disjoint_collection, pinned_tree
 
 
@@ -228,6 +227,47 @@ def test_tree_json_round_trip():
     assert again.sorted_quartiles() == tree.sorted_quartiles()
 
 
+def test_tree_and_maximal_tree_refuse_a_non_dyadic_frequency():
+    q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    for xi in (Fraction(1, 3), Fraction(-5, 12)):
+        with pytest.raises(NotDyadicError):
+            Tree([q], DyadicInterval(0, 0), xi)
+        with pytest.raises(NotDyadicError):
+            Tree([], DyadicInterval(0, 0), xi)
+        with pytest.raises(NotDyadicError):
+            maximal_tree([q], DyadicInterval(0, 0), xi)
+
+
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(-90, 90))
+@example(0, 5)
+@example(12, 0)
+@example(-3, -3)
+def test_tree_xi_text_round_trips_in_canonical_form(n, e):
+    # Zero, integers with trailing zero bits, negative numerators and
+    # exponents down to -90, through the tree's JSON and the text itself.
+    x = n * pow2_fraction(e)
+    text = Tree([], DyadicInterval(0, 0), x).to_json()["xi"]
+    assert text == _xi_text(x)
+    num, exp = (int(part) for part in text.split("*2^"))
+    assert num % 2 == 1 or (num, exp) == (0, 0)
+    assert num * pow2_fraction(exp) == x
+    data = {"quartiles": [], "top_interval": {"n": 0, "k": 0}, "xi": text}
+    assert Tree.from_json(data).top_freq == x
+    assert _xi_from_text(f"{n}*2^{e}") == x
+
+
+@pytest.mark.parametrize(
+    "xi, error",
+    [(text, ValueError) for text in
+     ["1/3", "1*3^2", "1.5*2^0", "1*2^", "*2^1", "", "1*2^-70000", "1*2^1000000"]]
+    + [(5, TypeError), (None, TypeError)],
+)
+def test_tree_from_json_refuses_a_malformed_xi(xi, error):
+    data = {"quartiles": [], "top_interval": {"n": 0, "k": 0}, "xi": xi}
+    with pytest.raises(error):
+        Tree.from_json(data)
+
+
 def test_maximal_tree_collects_exactly_the_members_under_the_top(rng):
     pool = disjoint_collection(rng, 20, 3, 5)
     top = DyadicInterval(0, 3)
@@ -290,20 +330,9 @@ def test_lacunary_tiles_are_disjoint(rng):
                     assert tiles_disjoint(stamps[a], stamps[b])
 
 
-def _value(x) -> Fraction:
-    return x.as_fraction() if isinstance(x, DyadicRational) else Fraction(x)
-
-
 def _kind_of(draw, x: Fraction):
-    """x as a Fraction, as its floor when an int is drawn, or as a
-    DyadicRational when its denominator is a power of two."""
-    kinds = ["fraction", "int"]
-    if x.denominator & (x.denominator - 1) == 0:
-        kinds.append("dyadic")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "int":
-        return x.numerator // x.denominator
-    return DyadicRational.from_fraction(x) if kind == "dyadic" else x
+    """x as a Fraction, or as its floor when an int is drawn."""
+    return x.numerator // x.denominator if draw(st.booleans()) else x
 
 
 @st.composite
@@ -326,18 +355,18 @@ scales_both_sides = st.integers(min_value=-6, max_value=5)
 def test_band_index_is_the_band_holding_the_point(x, scale):
     index = band_index(x, scale)
     width = pow2_fraction(scale)
-    assert index * width <= _value(x) < (index + 1) * width
+    assert index * width <= Fraction(x) < (index + 1) * width
 
 
 @given(points(), scales_both_sides)
 def test_containing_interval_holds_the_point_or_refuses_it(x, scale):
-    if _value(x) < 0:
+    if Fraction(x) < 0:
         with pytest.raises(ValueError):
             containing_interval(x, scale)
         return
     iv = containing_interval(x, scale)
     assert (iv.index, iv.scale) == (band_index(x, scale), scale)
-    assert iv.left <= _value(x) < iv.right
+    assert iv.left <= Fraction(x) < iv.right
 
 
 def _grandchild_by_endpoints(q: Quartile, x: Fraction) -> int:
@@ -349,7 +378,7 @@ def _grandchild_by_endpoints(q: Quartile, x: Fraction) -> int:
 def test_grandchild_of_matches_the_subtile_endpoints(data):
     q = data.draw(quartiles())
     xi = data.draw(points_near(q.freq))
-    assert q.grandchild_of(xi) == _grandchild_by_endpoints(q, _value(xi))
+    assert q.grandchild_of(xi) == _grandchild_by_endpoints(q, Fraction(xi))
 
 
 @pytest.mark.parametrize(

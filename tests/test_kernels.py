@@ -40,6 +40,7 @@ from walshtf import (
 from walshtf import kernels
 from walshtf.errors import KernelUnsupported, ResolutionTooCoarse, ScaleTooCoarse
 from walshtf.exact import quad_to_float
+from walshtf.geometry import piece_exp
 from walshtf.experiments.random_gen import (
     disjoint_collection,
     quartile_collection,
@@ -539,7 +540,7 @@ def test_sign_rows_match_the_doubling_pattern_clipped_to_the_box(rng):
         a, b = lo, max(lo, min(hi, 32))
         assert field.denominator == 1 and not field.surd.any()
         assert not field.rat[:a].any() and not field.rat[b:].any()
-        exp = tile.piece_exp(3)
+        exp = piece_exp(tile.time.scale, tile.freq.index, 3)
         pattern = walsh_pattern_by_doubling(tile.freq_index)
         assert field.rat[a:b].tolist() == pattern[(np.arange(a, b) - lo) >> exp].tolist()
 

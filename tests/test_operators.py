@@ -40,7 +40,9 @@ from oracles import (
     projection_by_packets,
     weight_field_by_cell,
 )
-from walshtf.errors import GridMismatch, KernelUnsupported, ScaleTooCoarse, ScaleTooFine
+from walshtf.errors import (
+    GridMismatch, KernelUnsupported, NotDyadicError, ScaleTooCoarse, ScaleTooFine,
+)
 from walshtf.geometry import quartile_sort_key
 from walshtf.kernels import batch_variation
 from walshtf import operators
@@ -118,6 +120,14 @@ def test_maximal_grows_with_the_exponent(rng):
     f = sign_function(rng, 3, 4)
     lo, hi = maximal(f, 1.0), maximal(f, 2.0)
     assert (hi >= lo - 1e-12).all()
+
+
+def test_frequency_set_refuses_a_non_dyadic_or_negative_frequency():
+    with pytest.raises(NotDyadicError):
+        FrequencySet([Fraction(1, 2), Fraction(1, 3)])
+    with pytest.raises(ValueError):
+        FrequencySet([Fraction(-1, 2)])
+    assert FrequencySet([3, Fraction(6, 4), Fraction(3, 2)]).points == (Fraction(3, 2), 3)
 
 
 def test_freq_projection_keeps_and_kills_packets():

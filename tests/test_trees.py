@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from oracles import brute_size_sq
 from walshtf import (
     DyadicInterval,
-    DyadicRational,
     FrequencySet,
     QuadScalar,
     Quartile,
@@ -87,7 +86,7 @@ def test_size_witness_is_a_pinned_subtree(rng):
         tree = report.tree
         assert set(tree.quartiles) <= set(coll)
         assert report.overlap_index != slot
-        xi = tree.top_freq.as_fraction()
+        xi = tree.top_freq
         mass = ZERO
         for q in tree.quartiles:
             assert q.grandchild_of(xi) == report.overlap_index
@@ -349,13 +348,13 @@ def _jump_times_by_fractions(points: list[Fraction]) -> tuple[int, ...]:
 
 @given(
     st.lists(
-        st.builds(DyadicRational, st.integers(0, 4000), st.integers(-9, 4)),
+        st.builds(lambda n, e: n * pow2_fraction(e), st.integers(0, 4000), st.integers(-9, 4)),
         max_size=10,
     ),
 )
 def test_jump_times_match_the_fraction_loop(points):
     freqs = FrequencySet(points)
-    expected = _jump_times_by_fractions([p.as_fraction() for p in freqs])
+    expected = _jump_times_by_fractions(list(freqs))
     assert jump_times(freqs) == expected
 
 
