@@ -280,6 +280,8 @@ class QuadScalar:
 
     @classmethod
     def from_text(cls, text: str) -> "QuadScalar":
+        if not isinstance(text, str):
+            raise TypeError(f"a Q(sqrt2) literal must be text, got {type(text).__name__}")
         match = _QUAD_RE.match(text.strip())
         if match is None or not int(match.group(2)) or not int(match.group(4)):
             raise ValueError(f"not a Q(sqrt2) literal: {text!r}")

@@ -155,7 +155,7 @@ def _cmd_counting(args: argparse.Namespace) -> int:
 _BAD_INPUT = (WalshtfError, OSError)
 
 # What a reader raises on a malformed JSON field.
-_PARSE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 def _parsed(read: Callable[..., Any], *args: Any, what: str = "") -> Any:

@@ -21,6 +21,14 @@ sums, and densities and thresholds are compared after shifting both
 sides to a common power of two, through `exact.quad_sign`, the exact
 sign of a + b*sqrt2 on integers.  No decision goes through a float, and no
 quantity is assumed to fit in 64 bits.
+
+The candidate index holds one exact mass total per candidate top and no
+member lists.  Selection prunes its walk by two exact facts: masses are
+squares, so no total is negative, and a total over the members still
+alive never exceeds the total over all of them.  No top can clear the
+bar when the densest one does not, and a top whose full total misses
+it is never walked; each skip drops only candidates that could not
+grab, so the grabs, witnesses and sizes are those of the full walk.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -143,42 +152,27 @@ def _candidate_freqs(
     return sorted({_pin_band(q, j, freq_exp)[0] for q in members for j in pins})
 
 
-def _pinned_incidence(
-    members: Sequence[Quartile],
-    pins: Sequence[int],
-    domain_exp: int,
-    freqs: Sequence[int],
-    freq_exp: int,
-) -> dict[Stamp, list[int]]:
-    """Positions of the members grabbed by each candidate top.
-
-    A candidate stamps a member when its interval contains the member
-    time interval and its frequency falls in the member's pinned band.
-    Scanning band endpoints loses nothing: bands of members under a
-    fixed top nest, so every membership pattern already occurs at one
-    of the endpoints.  Position lists are increasing, and stamps are
-    inserted in member order, which fixes the tie-breaking of size.
-    """
-    incidence: dict[Stamp, list[int]] = {}
-    for p, q in enumerate(members):
-        index, scale = q.time.index, q.time.scale
-        ancestors = [(index >> (s - scale), s) for s in range(scale, domain_exp + 1)]
-        for j in pins:
-            lo, hi = _pin_band(q, j, freq_exp)
-            for idx in range(bisect_left(freqs, lo), bisect_left(freqs, hi)):
-                for top in ancestors:
-                    incidence.setdefault((top, idx, j), []).append(p)
-    return incidence
-
-
 class _Candidates:
-    """Candidate tops of one member list with integer masses.
+    """Candidate tops of one member list with their exact integer totals.
+
+    A candidate top, a stamp, grabs a member when its interval contains
+    the member time interval and its frequency falls in the member's
+    pinned band.  Scanning band endpoints loses nothing: bands of
+    members under a fixed top nest, so every membership pattern already
+    occurs at one of the endpoints.  The index keeps one integer mass
+    total per stamp, (rat_total + surd_total sqrt2) / denominator, with
+    a surd entry only where some grabbed member has a sqrt2 part; no
+    stamp holds a member list.  Integer sums do not depend on their
+    order, so the totals are those of the member lists exactly.  Stamps
+    are inserted in member order, which fixes the tie-breaking of size.
 
     A size call builds one; a selection call builds one shared by its
     precondition check and all of its passes, and one more for the
-    residual recheck when a pass grabbed a tree.  Everything downstream
-    reads member positions and integer keys, and only winning stamps
-    are turned back into intervals, dyadic frequencies and trees.
+    residual recheck when a pass grabbed a tree.  The members of a
+    stamp are found again by one scan of the members under the same
+    rule, only for the stamps that become witnesses, seeds or
+    John-Nirenberg candidates, and only those stamps are turned back
+    into intervals, dyadic frequencies and trees.
     """
 
     def __init__(
@@ -189,19 +183,49 @@ class _Candidates:
         domain_exp: int,
     ) -> None:
         self.members = members
+        self.pins = pins
+        self.domain_exp = domain_exp
         self.freq_exp = _freq_exp(members, domain_exp)
         self.freqs = _candidate_freqs(members, pins, self.freq_exp)
-        self.incidence = _pinned_incidence(
-            members, pins, domain_exp, self.freqs, self.freq_exp
-        )
         self.rats, self.surds, self.denominator = _integer_masses(members, coeffs)
-        self.has_surd = any(self.surds)
+        self.rat_total: dict[Stamp, int] = {}
+        self.surd_total: dict[Stamp, int] = {}
+        self.fold(range(len(members)), self.rat_total, self.surd_total)
 
-    def total(self, positions: Sequence[int]) -> tuple[int, int]:
-        """Integer mass numerators (r, s) summed over the positions."""
-        r = sum(map(self.rats.__getitem__, positions))
-        s = sum(map(self.surds.__getitem__, positions)) if self.has_surd else 0
-        return r, s
+    def fold(
+        self, positions: Iterable[int], rat_total: dict[Stamp, int], surd_total: dict[Stamp, int]
+    ) -> None:
+        """Add the masses of the members at positions to the totals of
+        every stamp that grabs them."""
+        freqs, freq_exp = self.freqs, self.freq_exp
+        rat_get, surd_get = rat_total.get, surd_total.get
+        for p in positions:
+            q = self.members[p]
+            index, scale = q.time.index, q.time.scale
+            ancestors = [(index >> (k - scale), k) for k in range(scale, self.domain_exp + 1)]
+            r, s = self.rats[p], self.surds[p]
+            for j in self.pins:
+                lo, hi = _pin_band(q, j, freq_exp)
+                for idx in range(bisect_left(freqs, lo), bisect_left(freqs, hi)):
+                    for top in ancestors:
+                        stamp = (top, idx, j)
+                        rat_total[stamp] = rat_get(stamp, 0) + r
+                        if s:
+                            surd_total[stamp] = surd_get(stamp, 0) + s
+
+    def grabbed(self, stamp: Stamp) -> list[int]:
+        """Increasing positions of the members the stamp grabs: one scan
+        of the members under the rule the totals were built by."""
+        (index, scale), idx, pin = stamp
+        x = self.freqs[idx]
+        out = []
+        for p, q in enumerate(self.members):
+            k = q.time.scale
+            if k <= scale and q.time.index >> (scale - k) == index:
+                lo, hi = _pin_band(q, pin, self.freq_exp)
+                if lo <= x < hi:
+                    out.append(p)
+        return out
 
     def tree(self, positions: Sequence[int], stamp: Stamp) -> Tree:
         top, idx, _ = stamp
@@ -212,20 +236,32 @@ class _Candidates:
         )
 
     def densest(self) -> SizeReport:
-        """The first stamp of strictly largest density, as a size report."""
-        best = (0, 0, 0)
-        best_stamp: Stamp | None = None
-        for stamp, grabbed in self.incidence.items():
-            r, s = self.total(grabbed)
-            scale = stamp[0][1]
-            if best_stamp is None or _compare(r, s, scale, best) > 0:
-                best = (r, s, scale)
-                best_stamp = stamp
-        if best_stamp is None:
+        """The first stamp of strictly largest density, as a size report.
+
+        Without a sqrt2 part the density of a stamp is r / 2^scale over
+        the common denominator, which the integer r << (domain_exp - scale)
+        orders exactly, since no top is coarser than the domain.  With
+        one, densities are compared by the exact sign of `_compare`.
+        """
+        rat_total, surd_total = self.rat_total, self.surd_total
+        if not rat_total:
             return SizeReport(ZERO, None, None)
-        r, s, scale = best
-        value = QuadScalar.from_ints(r, s, self.denominator) * pow2_fraction(-scale)
-        witness = self.tree(self.incidence[best_stamp], best_stamp)
+        if surd_total:
+            best = (0, 0, 0)
+            best_stamp: Stamp | None = None
+            for stamp, r in rat_total.items():
+                s, scale = surd_total.get(stamp, 0), stamp[0][1]
+                if best_stamp is None or _compare(r, s, scale, best) > 0:
+                    best = (r, s, scale)
+                    best_stamp = stamp
+        else:
+            top_exp = self.domain_exp
+            keys = [r << (top_exp - stamp[0][1]) for stamp, r in rat_total.items()]
+            # list.index finds the first maximal key, hence the first densest stamp.
+            best_stamp = next(islice(rat_total, keys.index(max(keys)), None))
+        r, s = rat_total[best_stamp], surd_total.get(best_stamp, 0)
+        value = QuadScalar.from_ints(r, s, self.denominator) * pow2_fraction(-best_stamp[0][1])
+        witness = self.tree(self.grabbed(best_stamp), best_stamp)
         return SizeReport(value, best_stamp[2], witness)
 
 
@@ -453,6 +489,15 @@ def select_trees(
     is tested by an exact integer sign, so any rational coefficients
     and allowances are handled without a float in any decision.
 
+    Two exact rules skip work that cannot grab.  Masses are squares,
+    so no total is negative and an alive total never exceeds the full
+    one.  When the input's square size is below a quarter of alpha no
+    top clears the bar and no pass runs; at equality the passes run.
+    Otherwise a pass orders only the tops whose full total clears the
+    bar, which keeps the relative order of the rest, since the pass
+    order is a total order on the tops.  An alive total is the full
+    total less the masses of the removed members the top grabs.
+
     Requires the square size of the input to be at most alpha, which
     is checked even when verify is False.  The residual square size is
     then at most a quarter of alpha, rechecked exactly unless verify is
@@ -471,34 +516,46 @@ def select_trees(
         )
     alive = [True] * len(members)
     grabs: list[SelectedTree] = []
-    if alpha.sign() > 0:
+    # Every stamp's density is at most the densest one's, so below a
+    # quarter of the allowance no pass can grab.
+    if alpha.sign() > 0 and not initial.value_sq < quarter:
         # A stamp qualifies when its mass (r + s sqrt2) / denominator is at
         # least quarter 2^scale; both sides are scaled by the quarter's
         # own denominator to stay integral.
         unit = quarter.d
         bar = (quarter.r * cands.denominator, quarter.s * cands.denominator, 0)
+        rat_total, surd_total = cands.rat_total, cands.surd_total
+        # Masses of the members removed so far, per stamp that grabs them.
+        gone_rat: dict[Stamp, int] = {}
+        gone_surd: dict[Stamp, int] = {}
         position = {q: p for p, q in enumerate(members)}
+        # Each pass reads the stamps of its own pin whose frequency is a
+        # left end of one of its bands and whose full total clears the bar.
+        ends = {j: {_pin_band(q, j, cands.freq_exp)[0] for q in members} for j in pins}
+        passes: dict[int, list[Stamp]] = {j: [] for j in pins}
+        for stamp, r in rat_total.items():
+            (_, scale), idx, j = stamp
+            if cands.freqs[idx] in ends[j] and _compare(
+                r * unit, surd_total.get(stamp, 0) * unit, scale, bar
+            ) >= 0:
+                passes[j].append(stamp)
         for j in pins:
-            ends = {_pin_band(q, j, cands.freq_exp)[0] for q in members}
-            stamps = [
-                st
-                for st in cands.incidence
-                if st[2] == j and cands.freqs[st[1]] in ends
-            ]
-            for stamp in _pass_order(stamps, cands.freqs, cands.freq_exp, j < slot):
-                live = [p for p in cands.incidence[stamp] if alive[p]]
-                r, s = cands.total(live)
+            for stamp in _pass_order(passes[j], cands.freqs, cands.freq_exp, j < slot):
+                r = rat_total[stamp] - gone_rat.get(stamp, 0)
+                s = surd_total.get(stamp, 0) - gone_surd.get(stamp, 0)
                 if _compare(r * unit, s * unit, stamp[0][1], bar) < 0:
                     continue
-                seed = cands.tree(live, stamp)
+                seed = cands.tree([p for p in cands.grabbed(stamp) if alive[p]], stamp)
                 full = maximal_tree(
                     [q for q, a in zip(members, alive) if a],
                     seed.top_interval,
                     seed.top_freq,
                 )
                 grabs.append(SelectedTree(seed, full, j))
-                for q in full.quartiles:
-                    alive[position[q]] = False
+                removed = [position[q] for q in full.quartiles]
+                for p in removed:
+                    alive[p] = False
+                cands.fold(removed, gone_rat, gone_surd)
     left = [q for q, a in zip(members, alive) if a]
     residual_size_sq: QuadScalar | None = None
     if verify:
@@ -639,14 +696,14 @@ def jn_quantities(
         weight[q].square().to_float() * float(2 ** -q.time.scale) for q in members
     ]
     seen: set[tuple[tuple[int, int], tuple[int, ...]]] = set()
-    for stamp in sorted(cands.incidence, key=lambda s: (s[0][1], s[0][0], s[2], s[1])):
+    for stamp in sorted(cands.rat_total, key=lambda s: (s[0][1], s[0][0], s[2], s[1])):
         top = stamp[0]
-        inside = cands.incidence[stamp]
+        inside = cands.grabbed(stamp)
         marker = (top, tuple(inside))
         if marker in seen:
             continue
         seen.add(marker)
-        r, s = cands.total(inside)
+        r, s = cands.rat_total[stamp], cands.surd_total.get(stamp, 0)
         if _compare(r, s, top[1], best) > 0:
             best = (r, s, top[1])
             best_sq_top = top

@@ -13,18 +13,21 @@ by one `QuadScalar` product of two cell-by-cell pairings per quartile,
 the dyadic maximal function by a running maximum over one block size
 at a time, the maximal truncated sum by a running maximum down each
 cell's column, the identity suite's variation comparison by one tuple of
-integer pairs per cell.  The only package imports are the primitive
-containers and exact scalars, the one-column weight solver whose
+integer pairs per cell, and sizes and selections by one member list per
+candidate top summed in `QuadScalar`s.  The only package imports are the
+primitive containers and exact scalars, the one-column weight solver whose
 per-cell results the linearization must reproduce, the packet pairing
 and resummation that the frequency projection by packets goes through,
-and the scalar variation decision that the per-cell comparison shares
-with the suite; none of the machinery under test is reused.
+the scalar variation decision that the per-cell comparison shares
+with the suite, and the maximal tree a selection grab closes to; none
+of the machinery under test is reused.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -45,6 +48,7 @@ from walshtf import (
     synthesize,
 )
 from walshtf.errors import ResolutionTooCoarse, ScaleTooCoarse, ScaleTooFine, ZeroVariation
+from walshtf.geometry import Tree, maximal_tree, quartile_sort_key
 from walshtf.variation import collapse_repeats, linearize_weights, variation_norm
 
 
@@ -623,3 +627,130 @@ def same_variation_by_cell(
             ok_var = False
             break
     return ok_var
+
+
+def _pinned_band(q: Quartile, pin: int, freq_exp: int) -> tuple[int, int]:
+    """The pin-th quarter [lo, hi) of q's band in units of 2^freq_exp."""
+    shift = q.freq.scale - 2 - freq_exp
+    lo = (4 * q.freq.index + pin - 1) << shift
+    return lo, lo + (1 << shift)
+
+
+def stamp_members(
+    members: Sequence[Quartile], pins: Sequence[int], domain_exp: int
+) -> tuple[dict, list[int], int]:
+    """Member positions of every candidate top, in the order size meets them.
+
+    A candidate top (a stamp) is ((time index, time scale), frequency
+    position, pin): any ancestor of a member time up to the domain, with
+    a left end of a pinned band as its frequency, in units of 2^freq_exp
+    fine enough for every band.  It lists the members whose time it
+    contains and whose pinned band holds its frequency.  Returns the
+    lists, the sorted frequencies and freq_exp.
+    """
+    freq_exp = min([-domain_exp] + [q.freq.scale - 2 for q in members])
+    freqs = sorted({_pinned_band(q, j, freq_exp)[0] for q in members for j in pins})
+    incidence: dict = {}
+    for p, q in enumerate(members):
+        index, scale = q.time.index, q.time.scale
+        ancestors = [(index >> (s - scale), s) for s in range(scale, domain_exp + 1)]
+        for j in pins:
+            lo, hi = _pinned_band(q, j, freq_exp)
+            for idx in range(bisect_left(freqs, lo), bisect_left(freqs, hi)):
+                for top in ancestors:
+                    incidence.setdefault((top, idx, j), []).append(p)
+    return incidence, freqs, freq_exp
+
+
+def _stamp_tree(members, positions, stamp, freqs, freq_exp) -> Tree:
+    top, idx, _ = stamp
+    return Tree(
+        [members[p] for p in positions], DyadicInterval(*top), freqs[idx] * pow2_fraction(freq_exp)
+    )
+
+
+def _mass(members, positions, coeffs) -> QuadScalar:
+    total = ZERO
+    for p in positions:
+        total = total + coeffs[members[p]].square()
+    return total
+
+
+def reference_size(
+    collection: Iterable[Quartile], coeffs, slot: int, domain_exp: int
+) -> tuple[QuadScalar, int | None, Tree | None]:
+    """Square size, pin and witness tree: every stamp's member list
+    summed in `QuadScalar`s, and the first stamp of strictly largest
+    mass per unit top length kept."""
+    members = sorted(set(collection), key=quartile_sort_key)
+    pins = [j for j in (1, 2, 3, 4) if j != slot]
+    incidence, freqs, freq_exp = stamp_members(members, pins, domain_exp)
+    best, best_stamp = ZERO, None
+    for stamp, grabbed in incidence.items():
+        density = _mass(members, grabbed, coeffs) * pow2_fraction(-stamp[0][1])
+        if best_stamp is None or density > best:
+            best, best_stamp = density, stamp
+    if best_stamp is None:
+        return ZERO, None, None
+    witness = _stamp_tree(members, incidence[best_stamp], best_stamp, freqs, freq_exp)
+    return best, best_stamp[2], witness
+
+
+def reference_pass_key(stamps, freqs, freq_exp: int, prefer_high: bool):
+    """A selection pass's order: the band of reciprocal top length around
+    the frequency, extremal first, then the leftmost and largest top,
+    then the extremal frequency."""
+    finest = min((top[1] for top, _, _ in stamps), default=0)
+
+    def key(stamp):
+        (index, scale), idx, _ = stamp
+        x = freqs[idx]
+        shift = -scale - freq_exp
+        start = (x >> shift) << shift
+        left = index << (scale - finest)
+        return (-start, left, -scale, -x) if prefer_high else (start, left, -scale, x)
+
+    return key
+
+
+def pass_stamps(members, incidence, freqs, freq_exp: int, pin: int) -> list:
+    """The stamps a selection pass through pin may walk: those of its pin
+    whose frequency is the left end of one of its pinned bands."""
+    ends = {_pinned_band(q, pin, freq_exp)[0] for q in members}
+    return [st for st in incidence if st[2] == pin and freqs[st[1]] in ends]
+
+
+def reference_select(
+    collection: Iterable[Quartile], coeffs, slot: int, alpha: QuadScalar, domain_exp: int
+) -> tuple[list[tuple[Tree, Tree, int]], tuple[Quartile, ...], QuadScalar, QuadScalar]:
+    """Greedy selection on member lists: (grabs as (seed, full, pass slot),
+    residual, initial and residual square sizes).
+
+    Each pass, one per pin in increasing order, walks every stamp of its
+    pin at a left end of its bands in pass order, sums the members still
+    alive, and grabs when that mass reaches a quarter of alpha times the
+    top length; the grab takes the maximal tree under the top.
+    """
+    members = sorted(set(collection), key=quartile_sort_key)
+    pins = [j for j in (1, 2, 3, 4) if j != slot]
+    incidence, freqs, freq_exp = stamp_members(members, pins, domain_exp)
+    initial = reference_size(members, coeffs, slot, domain_exp)[0]
+    quarter = alpha * Fraction(1, 4)
+    alive = [True] * len(members)
+    grabs = []
+    if alpha > ZERO:
+        for j in pins:
+            stamps = pass_stamps(members, incidence, freqs, freq_exp, j)
+            for stamp in sorted(stamps, key=reference_pass_key(stamps, freqs, freq_exp, j < slot)):
+                live = [p for p in incidence[stamp] if alive[p]]
+                if _mass(members, live, coeffs) < quarter * pow2_fraction(stamp[0][1]):
+                    continue
+                seed = _stamp_tree(members, live, stamp, freqs, freq_exp)
+                left = [q for q, a in zip(members, alive) if a]
+                full = maximal_tree(left, seed.top_interval, seed.top_freq)
+                grabs.append((seed, full, j))
+                for p, q in enumerate(members):
+                    if q in full.quartiles:
+                        alive[p] = False
+    residual = tuple(q for q, a in zip(members, alive) if a)
+    return grabs, residual, initial, reference_size(residual, coeffs, slot, domain_exp)[0]

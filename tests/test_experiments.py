@@ -926,6 +926,21 @@ def test_cli_render_refuses_a_malformed_xi(tmp_path, capsys, xi):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["alpha", "initial_size_sq", "residual_size_sq"])
+def test_a_selection_scalar_that_is_not_text_is_refused(tmp_path, capsys, key):
+    # .strip() on the number used to raise AttributeError.
+    selection = _selection_with()
+    selection[key] = 5
+    with pytest.raises(TypeError, match="must be text, got int"):
+        SelectionResult.from_json(selection)
+    path = tmp_path / "selection.json"
+    path.write_text(json.dumps(selection))
+    assert main(["render", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: render input is not a selection") and "must be text" in err
+    assert "Traceback" not in err
+
+
 def _selection_of_one(time: dict, freq: dict) -> dict:
     """The golden selection input with one quartile as its collection."""
     return {**SELECTION_INPUT, "collection": [{"time": time, "freq": freq}]}

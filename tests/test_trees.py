@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_size_sq
+from oracles import (
+    brute_size_sq,
+    pass_stamps,
+    reference_select,
+    reference_size,
+    stamp_members,
+)
 from walshtf import (
     DyadicInterval,
     FrequencySet,
@@ -226,6 +232,130 @@ def test_selection_without_a_grab_still_checks_the_residual(monkeypatch):
     with pytest.raises(RuntimeError, match="this is a bug"):
         select_trees([q], coeffs, 1, 1, 2)
     assert built == [(q,)]
+
+
+# Quartiles of the (J, m) = (2, 3) box: time scale k from 2 - m to J.
+_ORACLE_J, _ORACLE_M = 2, 3
+
+
+@st.composite
+def _box_quartile(draw) -> Quartile:
+    k = draw(st.integers(2 - _ORACLE_M, _ORACLE_J))
+    n = draw(st.integers(0, (1 << (_ORACLE_J - k)) - 1))
+    f = draw(st.integers(0, (1 << (_ORACLE_M + k - 2)) - 1))
+    return Quartile(DyadicInterval(n, k), DyadicInterval(f, 2 - k))
+
+
+# Small, non-dyadic and large parts: squares of the last pass 2^63.
+_PART = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7, 8, 12])),
+    st.integers(1 << 32, 1 << 40),
+)
+
+
+@st.composite
+def _weighted_collection(draw) -> tuple[list[Quartile], dict[Quartile, QuadScalar]]:
+    """Up to seven distinct quartiles, possibly none, with coefficients that
+    are zero, rational, or, in collections drawn with them, have sqrt2 parts."""
+    members = draw(st.lists(_box_quartile(), max_size=7, unique=True))
+    surd = st.one_of(st.just(0), _PART) if draw(st.booleans()) else st.just(0)
+    coefficient = st.one_of(st.just(ZERO), st.builds(QuadScalar, _PART, surd))
+    return members, {q: draw(coefficient) for q in members}
+
+
+@given(_weighted_collection(), st.integers(1, 4))
+def test_size_matches_the_member_list_reference(weighted, slot):
+    members, coeffs = weighted
+    report = size(members, coeffs, slot, _ORACLE_J)
+    value, pin, tree = reference_size(members, coeffs, slot, _ORACLE_J)
+    assert report.value_sq == value
+    assert report.overlap_index == pin
+    assert report.tree == tree
+
+
+# Multiples of the densest density: 4 puts it exactly on the bar, 5 below it.
+_FACTORS = [
+    QuadScalar(1),
+    QuadScalar(Fraction(5, 3)),
+    QuadScalar(1, Fraction(1, 2)),
+    QuadScalar(0, 2),
+    QuadScalar(4),
+    QuadScalar(5),
+]
+
+
+@given(_weighted_collection(), st.integers(1, 4), st.sampled_from(_FACTORS))
+def test_selection_matches_the_member_list_reference(weighted, slot, factor):
+    members, coeffs = weighted
+    densest = reference_size(members, coeffs, slot, _ORACLE_J)[0]
+    alpha = densest * factor if densest > ZERO else factor
+    sel = select_trees(members, coeffs, slot, alpha, _ORACLE_J)
+    grabs, residual, initial, residual_sq = reference_select(
+        members, coeffs, slot, alpha, _ORACLE_J
+    )
+    assert [(g.seed, g.full, g.pass_slot) for g in sel.grabs] == grabs
+    assert sel.residual == residual
+    assert sel.initial_size_sq == initial
+    assert sel.residual_size_sq == residual_sq
+
+
+def _counted_pass_order(monkeypatch) -> list:
+    """Wrap trees._pass_order so that every call records the stamps it got."""
+    received = []
+
+    def counted(stamps, *args):
+        received.append(list(stamps))
+        return original(stamps, *args)
+
+    original = trees._pass_order
+    monkeypatch.setattr(trees, "_pass_order", counted)
+    return received
+
+
+@pytest.mark.parametrize("alpha, calls, grabs", [(Fraction(4001, 1000), 0, 0), (4, 3, 1)])
+def test_selection_runs_its_passes_only_when_the_densest_reaches_the_bar(
+    monkeypatch, alpha, calls, grabs
+):
+    # The worked example's square size is one: a quarter of 4.001 lies above
+    # it, so no pass runs; a quarter of 4 equals it, so all three passes run
+    # and the first grabs the quartile.
+    q = Quartile(DyadicInterval(0, 0), DyadicInterval(0, 2))
+    coeffs = slot_coefficients(StepFunction.indicator(DyadicInterval(0, 0), 2, 3), [q], 1)
+    received = _counted_pass_order(monkeypatch)
+    sel = select_trees([q], coeffs, 1, alpha, 2)
+    assert len(received) == calls
+    assert len(sel.grabs) == grabs
+
+
+def test_selection_orders_only_the_stamps_that_clear_the_bar(monkeypatch, rng):
+    # Each stamp a pass orders carries, over all of its members, at least a
+    # quarter of the allowance per unit top length, and some stamps the
+    # passes could walk are left out.
+    received = _counted_pass_order(monkeypatch)
+    pruned = 0
+    for trial in range(12):
+        coll = disjoint_collection(rng, rng.randint(4, 10), 3, 4)
+        slot = 1 + trial % 4
+        coeffs = slot_coefficients(sign_function(rng, 3, 4), coll, slot)
+        alpha = size(coll, coeffs, slot, 3).value_sq
+        if alpha == ZERO:
+            continue
+        received.clear()
+        select_trees(coll, coeffs, slot, alpha, 3)
+        quarter = alpha * Fraction(1, 4)
+        members = sorted(coll, key=quartile_sort_key)
+        pins = [j for j in (1, 2, 3, 4) if j != slot]
+        incidence, freqs, freq_exp = stamp_members(members, pins, 3)
+        for stamps in received:
+            for stamp in stamps:
+                mass = ZERO
+                for p in incidence[stamp]:
+                    mass = mass + coeffs[members[p]].square()
+                assert mass >= quarter * pow2_fraction(stamp[0][1])
+        walked = sum(len(pass_stamps(members, incidence, freqs, freq_exp, j)) for j in pins)
+        pruned += walked - sum(map(len, received))
+    assert pruned > 0
 
 
 def _pell(digits: int) -> tuple[int, int]:
